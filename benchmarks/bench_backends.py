@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import tristarter._kernels as active  # noqa: E402
 from tristarter import build_table, encode, hill_climb  # noqa: E402
-from tristarter.solver import SolverConfig, _branch_order, _flatten  # noqa: E402
+from tristarter.solver import SolverConfig, _branch_order  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
 
 
@@ -63,7 +63,7 @@ def bench_solver(mod, p, seed=1000):
     prepared = []
     for key in admissible_keys(base):
         inst = encode(build_table(base, key))
-        prepared.append((inst.num_variables, _flatten(inst),
+        prepared.append((inst.num_variables, inst.search_arrays(),
                          _branch_order(inst, SolverConfig())))
 
     def run():

@@ -4,9 +4,9 @@ A residue mod 3p is recovered from its residues mod p and mod 3 via the
 Chinese Remainder Theorem; merging the extension with the (U, V) part of a
 checked solution (optionally transposed by phi) yields a pairing of order
 3p that is guaranteed strong whenever the base was a starter and the
-solution satisfies the instance.  `triplicate` runs the whole route:
-verify base, check the key, build, encode, solve, merge both variants,
-re-verify.
+solution satisfies the instance.  `triplicate` runs the whole route: build
+(which verifies the base), check the key, encode, solve (which checks the
+solution), merge both variants, re-verify.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .solver import (
     SolveStats,
     solve,
 )
-from .starters import Pairing, VerificationReport, verify_pairing
+from .starters import Pair, Pairing, VerificationReport, verify_pairing
 from .triplication import TriplicationTable, build_table, check_key_admissible
 
 IDENTITY = "identity"
@@ -80,12 +80,21 @@ def crt_merge(
     if not ok:
         raise RefusedError(
             "solution violates the instance ("
-            + "; ".join(c.provenance for c in violated[:3])
+            + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
     uv = uv_pairs(instance, solution)
     if variant == PHI_VARIANT:
-        uv = tuple((PHI[u3], PHI[v3]) for u3, v3 in uv)
+        uv = _phi_pairs(uv)
+    return _merge(table, uv)
+
+
+def _phi_pairs(uv: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    return tuple((PHI[u3], PHI[v3]) for u3, v3 in uv)
+
+
+def _merge(table: TriplicationTable, uv: tuple[Pair, ...]) -> Pairing:
+    """The CRT arithmetic of `crt_merge`, for (U, V) values already checked."""
     p = table.p
     pairs = tuple(
         (crt(u, u3, p), crt(v, v3, p))
@@ -100,6 +109,7 @@ class TriplicationResult:
     starter_a: Pairing
     starter_b: Pairing
     table: TriplicationTable
+    instance: SudokuInstance
     solution: SudokuSolution
     report_a: VerificationReport
     report_b: VerificationReport
@@ -117,6 +127,7 @@ class UnsatReport:
     status: str
     cause: Optional[str]
     table: TriplicationTable
+    instance: SudokuInstance
     stats: SolveStats
 
 
@@ -133,14 +144,11 @@ def triplicate(
     inadmissible key is refused unless ``force`` (the forced run then
     reports UNSAT with the violated condition as its cause).
     """
-    base_report = verify_pairing(base)
-    if not base_report.is_starter:
-        raise RefusedError(
-            "base is not a starter: " + "; ".join(base_report.diagnostics))
-    if not base_report.is_strong and not allow_nonstrong:
+    table = build_table(base, key)
+    if not table.base_report.is_strong and not allow_nonstrong:
         raise RefusedError(
             "base is a starter but not strong ("
-            + "; ".join(base_report.diagnostics)
+            + "; ".join(table.base_report.diagnostics)
             + "); pass allow_nonstrong to run regardless")
     admissible, reason = check_key_admissible(base, key)
     if not admissible and not force:
@@ -149,13 +157,13 @@ def triplicate(
             "requires the key to avoid 0 and the base pair sums; "
             "pass force to attempt it anyway")
 
-    table = build_table(base, key)
     instance = encode(table)
     if instance.trivially_unsat_reason is not None:
         return UnsatReport(
             status=UNSAT,
             cause=instance.trivially_unsat_reason,
             table=table,
+            instance=instance,
             stats=SolveStats(0, 0, 0, 0),
         )
     outcome: SolveOutcome = solve(instance, config)
@@ -164,6 +172,7 @@ def triplicate(
             status=BUDGET_EXHAUSTED,
             cause=f"step budget {config.step_budget} exhausted",
             table=table,
+            instance=instance,
             stats=outcome.stats,
         )
     if outcome.status == UNSAT:
@@ -171,11 +180,14 @@ def triplicate(
             status=UNSAT,
             cause=None if admissible else reason,
             table=table,
+            instance=instance,
             stats=outcome.stats,
         )
 
-    starter_a = crt_merge(table, outcome.solution, IDENTITY, instance=instance)
-    starter_b = crt_merge(table, outcome.solution, PHI_VARIANT, instance=instance)
+    # The solver checked the solution, and phi maps solutions to solutions.
+    uv = uv_pairs(instance, outcome.solution)
+    starter_a = _merge(table, uv)
+    starter_b = _merge(table, _phi_pairs(uv))
     report_a = verify_pairing(starter_a)
     report_b = verify_pairing(starter_b)
     if not (report_a.is_strong and report_b.is_strong):
@@ -189,6 +201,7 @@ def triplicate(
         starter_a=starter_a,
         starter_b=starter_b,
         table=table,
+        instance=instance,
         solution=outcome.solution,
         report_a=report_a,
         report_b=report_b,

@@ -19,7 +19,7 @@ from .dimacs import export_dimacs, run_external_solver, to_dimacs_text
 from .errors import RefusedError, StructuralError, TristarterError
 from .files import load_starter, pairing_to_obj, save_starter
 from .harness import write_key_means_csv, write_records_csv
-from .model import constraint_census, encode
+from .model import constraint_census, encode, uv_pairs
 from .solver import SolverConfig, solve
 from .starters import (
     enumerate_strong_starters,
@@ -58,10 +58,8 @@ def _report_obj(result, base, key) -> dict:
         },
     }
     if isinstance(result, TriplicationResult):
-        from .model import uv_pairs
-
         obj["solution_uv"] = [
-            list(p) for p in uv_pairs(encode(result.table), result.solution)]
+            list(p) for p in uv_pairs(result.instance, result.solution)]
         obj["starter_a"] = pairing_to_obj(result.starter_a)
         obj["starter_b"] = pairing_to_obj(result.starter_b)
         obj["verification"] = {
@@ -116,12 +114,11 @@ def _cmd_triplicate(args) -> int:
         force=args.force,
         allow_nonstrong=args.allow_nonstrong,
     )
+    doc = export_dimacs(result.instance) if args.cnf_out or args.external_solver else None
     if args.cnf_out:
-        Path(args.cnf_out).write_text(
-            to_dimacs_text(export_dimacs(encode(result.table))))
+        Path(args.cnf_out).write_text(to_dimacs_text(doc))
     if args.external_solver:
-        status, _ = run_external_solver(
-            export_dimacs(encode(result.table)), args.external_solver)
+        status, _ = run_external_solver(doc, args.external_solver)
         native = "SAT" if isinstance(result, TriplicationResult) else result.status
         agree = status == native or (native == "BUDGET_EXHAUSTED")
         print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
@@ -173,18 +170,14 @@ def _cmd_solve(args) -> int:
         status, solution, _ = solve_via_external(instance, args.external_solver)
         print(f"external: {status}")
         if solution is not None:
-            uv = [[solution.values[u], solution.values[v]]
-                  for u, v in zip(instance.u_ids, instance.v_ids)]
-            print("solution_uv: " + json.dumps(uv))
+            print("solution_uv: " + json.dumps(uv_pairs(instance, solution)))
         return EXIT_OK
     outcome = solve(instance, _solver_config(args))
     print(f"{outcome.status} decisions={outcome.stats.decisions} "
           f"backtracks={outcome.stats.backtracks} "
           f"solve_ms={outcome.stats.duration_ms}")
     if outcome.solution is not None:
-        uv = [[outcome.solution.values[u], outcome.solution.values[v]]
-              for u, v in zip(instance.u_ids, instance.v_ids)]
-        print("solution_uv: " + json.dumps(uv))
+        print("solution_uv: " + json.dumps(uv_pairs(instance, outcome.solution)))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import DecodeError, ExternalSolverError, StructuralError
-from .model import AllDifferent, FixZero, LinearBinding, SudokuInstance, SudokuSolution
+from .model import SudokuInstance, SudokuSolution
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,17 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
         clauses.append((-b, -(b + 2)))
         clauses.append((-(b + 1), -(b + 2)))
 
-    for c in instance.constraints:
-        if isinstance(c, FixZero):
-            clauses.append((var_base[c.var],))
-        elif isinstance(c, LinearBinding):
-            for va, vb, vc in itertools.product(range(3), repeat=3):
-                if (va + c.b_sign * vb - vc) % 3 != 0:
-                    clauses.append((
-                        -(var_base[c.a] + va),
-                        -(var_base[c.b] + vb),
-                        -(var_base[c.c] + vc),
-                    ))
-        elif isinstance(c, AllDifferent):
-            for x, y in itertools.combinations(c.vars, 2):
-                for v in range(3):
-                    clauses.append((-(var_base[x] + v), -(var_base[y] + v)))
+    clauses.append((var_base[instance.z_id],))
+    for a, b, c, sign in zip(
+            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
+        for va, vb, vc in itertools.product(range(3), repeat=3):
+            if (va + sign * vb - vc) % 3 != 0:
+                clauses.append((-(var_base[a] + va), -(var_base[b] + vb), -(var_base[c] + vc)))
+    ad_flat, ad_off = instance.ad_flat, instance.ad_off
+    for gid in range(len(ad_off) - 1):
+        for x, y in itertools.combinations(ad_flat[ad_off[gid]:ad_off[gid + 1]], 2):
+            for v in range(3):
+                clauses.append((-(var_base[x] + v), -(var_base[y] + v)))
 
     return CnfDocument(
         num_ternary=n,
@@ -218,11 +214,6 @@ def run_external_solver(
             raise ExternalSolverError(
                 f"solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")
         return parse_solver_output(proc.stdout)
-
-
-def dimacs_status_of(outcome_status: str) -> str:
-    """Map a native solve status to the external solver vocabulary."""
-    return {"SAT": "SAT", "UNSAT": "UNSAT"}.get(outcome_status, outcome_status)
 
 
 def solve_via_external(

@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -25,7 +24,7 @@ from typing import Optional, Sequence, Union
 from . import _kernels
 from .assembly import TriplicationResult, triplicate
 from .errors import RefusedError, TristarterError
-from .inverse import INCONCLUSIVE, inverse_test
+from .inverse import INCONCLUSIVE, base_order_of, inverse_test
 from .solver import BUDGET_EXHAUSTED, SolverConfig
 from .starters import (
     DEFAULT_ENUMERATION_BOUND,
@@ -135,9 +134,7 @@ def _record_for(base: Pairing, key: int, config: SolverConfig,
     status = _STATUS_SHORT.get(result.status, result.status)
     digest = ""
     if isinstance(result, TriplicationResult):
-        if not verify_pairing(result.starter_a).is_strong:
-            raise TristarterError(
-                f"key {key}: merged starter failed re-verification")
+        # triplicate strong-verified the starter (result.report_a).
         digest = starter_digest(result.starter_a)
     return RunRecord(
         order_base=base.modulus,
@@ -155,17 +152,12 @@ def _record_for(base: Pairing, key: int, config: SolverConfig,
 def run_key_sweep(
     base: Pairing,
     config: SolverConfig = SolverConfig(),
-    workers: int = 1,
 ) -> list[RunRecord]:
-    """One record per admissible key, ascending; every SAT starter re-verified."""
+    """One record per admissible key, ascending; `triplicate` strong-verifies
+    every SAT starter."""
     if not verify_pairing(base).is_strong:
         raise RefusedError("key sweep requires a strong base")
-    keys = admissible_keys(base)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_record_for, base, t, config, None) for t in keys]
-            return [f.result() for f in futures]
-    return [_record_for(base, t, config, None) for t in keys]
+    return [_record_for(base, t, config, None) for t in admissible_keys(base)]
 
 
 def run_order_sweep(
@@ -221,10 +213,12 @@ def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSum
     (``sampler="hill-climb"``).  The hill climber is not uniform: at order
     21 it measures 10.49% Inconclusive against the exact 648/6660 = 9.73%,
     so its fractions carry that bias.  Repetitions are allowed.  Generation
-    failures are counted, not fatal.
+    failures are counted, not fatal.  An order the inverse test refuses is
+    refused before any sampling.
     """
     if samples < 1:
         raise RefusedError(f"samples must be >= 1, got {samples}")
+    base_order_of(order)
     if order <= DEFAULT_ENUMERATION_BOUND:
         sampler = "uniform"
         inconclusive, failures = _sample_uniform(order, samples, seed)

@@ -52,15 +52,23 @@ class InverseVerdict:
     failed_difference: Optional[int] = None
 
 
-def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:
-    """Steps 1-3: reduce mod p, orient, group by difference, extract the key."""
-    n = starter.modulus
+def base_order_of(n: int) -> int:
+    """The base order p of an order n = 3p the inverse test accepts.
+
+    Refuses any n that is not 3p with p >= 7 coprime to 6.
+    """
     if n % 3 != 0:
         raise RefusedError(f"order {n} is not of the form 3p")
     p = n // 3
     if p < 7 or p % 2 == 0 or p % 3 == 0:
         raise RefusedError(
             f"order {n} = 3*{p} needs p >= 7 coprime to 6")
+    return p
+
+
+def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:
+    """Steps 1-3: reduce mod p, orient, group by difference, extract the key."""
+    p = base_order_of(starter.modulus)
     report = verify_pairing(starter)
     if not report.is_starter:
         raise RefusedError(

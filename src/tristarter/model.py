@@ -1,14 +1,21 @@
 """Encoding of a triplication table as a ternary constraint problem.
 
-Variables over {0, 1, 2}: U_i, V_i per extension pair, a difference D_i per
-pair, a sum S_i per weak pair only, and one fixed zero Z.  Constraints:
+Variables over {0, 1, 2}, numbered U_i = 2i, V_i = 2i + 1 per extension
+pair i < k, then D_i = 2k + i, then one S per weak pair in ascending pair
+order, then the fixed zero Z last.
 
-* Z = 0, and bindings D_i = U_i - V_i, S_i = U_i + V_i (mod 3);
-* per regular row, the three D are all different;
-* per weak set, the member sums are all different (zero-sum sets include Z,
-  forcing the sums nonzero as well);
-* per monochrome color, the variables at its positions are all different
-  (color 0 includes Z).
+An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
+
+* Z is the one fixed variable (Z = 0);
+* binding ``cid`` is ``(bind_a + bind_sign * bind_b - bind_c) % 3 == 0``:
+  first D_i = U_i - V_i for every pair, then S_i = U_i + V_i per weak pair;
+* the all-different groups are CSR rows ``ad_flat[ad_off[g]:ad_off[g + 1]]``,
+  in the order q regular rows (their three D), then the weak sets by sum
+  (their S, plus Z for the zero-sum set, forcing the sums nonzero), then the
+  p colors (the U/V at the positions holding the color; color 0 adds Z);
+* ``vc_flat[vc_off[v]:vc_off[v + 1]]`` lists the constraint ids of variable
+  ``v``, where group ``g`` has id ``len(bind_a) + g``;
+* ``provenance[cid]`` names each constraint for diagnostics.
 
 An all-different over more than three variables cannot hold over three
 values, so such an instance is emitted flagged as trivially unsatisfiable
@@ -19,86 +26,42 @@ or non-strong overrides).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import StructuralError
 from .starters import Pair
-from .triplication import (
-    TriplicationTable,
-    compute_monochrome_sets,
-    compute_weak_sets,
-)
-
-ROLE_U = "U"
-ROLE_V = "V"
-ROLE_D = "D"
-ROLE_S = "S"
-ROLE_Z = "Z"
+from .triplication import TriplicationTable, compute_weak_sets
 
 #: The value transposition 0 -> 0, 1 -> 2, 2 -> 1 (negation mod 3).
 PHI = (0, 2, 1)
 
 
 @dataclass(frozen=True)
-class TernaryVariable:
-    id: int
-    role: str
-    index: Optional[int]
-
-    @property
-    def name(self) -> str:
-        return self.role if self.index is None else f"{self.role}{self.index}"
-
-
-@dataclass(frozen=True)
-class FixZero:
-    var: int
-    provenance: str
-
-    @property
-    def vars(self) -> tuple[int, ...]:
-        return (self.var,)
-
-
-@dataclass(frozen=True)
-class LinearBinding:
-    """(a + b_sign*b - c) % 3 == 0; covers both U-V-D and U+V-S bindings."""
-
-    a: int
-    b: int
-    c: int
-    b_sign: int
-    provenance: str
-
-    @property
-    def vars(self) -> tuple[int, ...]:
-        return (self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class AllDifferent:
-    vars: tuple[int, ...]
-    provenance: str
-
-
-Constraint = Union[FixZero, LinearBinding, AllDifferent]
-
-
-@dataclass(frozen=True)
 class SudokuInstance:
+    """The encoded table; the arrays are shared with the solver, read-only."""
+
     table: TriplicationTable
-    variables: tuple[TernaryVariable, ...]
-    constraints: tuple[Constraint, ...]
+    num_variables: int
     u_ids: tuple[int, ...]
     v_ids: tuple[int, ...]
     d_ids: tuple[int, ...]
     s_ids: dict[int, int] = field(repr=False)
-    z_id: int = 0
+    z_id: int
+    bind_a: list[int] = field(repr=False)
+    bind_b: list[int] = field(repr=False)
+    bind_c: list[int] = field(repr=False)
+    bind_sign: list[int] = field(repr=False)
+    ad_flat: list[int] = field(repr=False)
+    ad_off: list[int] = field(repr=False)
+    vc_flat: list[int] = field(repr=False)
+    vc_off: list[int] = field(repr=False)
+    provenance: tuple[str, ...] = field(repr=False)
     trivially_unsat_reason: Optional[str] = None
 
-    @property
-    def num_variables(self) -> int:
-        return len(self.variables)
+    def search_arrays(self) -> tuple:
+        """The arguments of `_kernels.fd_search` from ``fixed_vars`` to ``vc_off``."""
+        return ([self.z_id], [0], self.bind_a, self.bind_b, self.bind_c,
+                self.bind_sign, self.ad_flat, self.ad_off, self.vc_flat, self.vc_off)
 
 
 @dataclass(frozen=True)
@@ -115,67 +78,80 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     """Encode the table's constraint problem (classes 0 through 3)."""
     k = len(table.extension)
     weak_sets = compute_weak_sets(table)
-    mono_sets = compute_monochrome_sets(table)
+    s_pairs = sorted(i for w in weak_sets for i in w.members)
+    s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
+    z_id = 3 * k + len(s_pairs)
+    nvars = z_id + 1
 
-    variables: list[TernaryVariable] = []
-    u_ids, v_ids = [], []
-    for i in range(k):
-        u_ids.append(len(variables))
-        variables.append(TernaryVariable(len(variables), ROLE_U, i))
-        v_ids.append(len(variables))
-        variables.append(TernaryVariable(len(variables), ROLE_V, i))
-    d_ids = []
-    for i in range(k):
-        d_ids.append(len(variables))
-        variables.append(TernaryVariable(len(variables), ROLE_D, i))
-    s_ids: dict[int, int] = {}
-    for w in weak_sets:
-        for i in w.members:
-            s_ids[i] = -1
-    for i in sorted(s_ids):
-        s_ids[i] = len(variables)
-        variables.append(TernaryVariable(len(variables), ROLE_S, i))
-    z_id = len(variables)
-    variables.append(TernaryVariable(z_id, ROLE_Z, None))
+    bind_a = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
+    bind_b = [a + 1 for a in bind_a]
+    bind_c = list(range(2 * k, 3 * k)) + [s_ids[i] for i in s_pairs]
+    bind_sign = [-1] * k + [1] * len(s_pairs)
+    provenance = ([f"difference binding D{i}" for i in range(k)]
+                  + [f"sum binding S{i}" for i in s_pairs])
 
-    constraints: list[Constraint] = [FixZero(z_id, "dummy variable")]
-    for i in range(k):
-        constraints.append(
-            LinearBinding(u_ids[i], v_ids[i], d_ids[i], -1, f"difference binding D{i}"))
-    for i in sorted(s_ids):
-        constraints.append(
-            LinearBinding(u_ids[i], v_ids[i], s_ids[i], +1, f"sum binding S{i}"))
+    groups: list[list[int]] = []
     for row in range(1, table.q + 1):
-        triple = (d_ids[3 * row - 2], d_ids[3 * row - 1], d_ids[3 * row])
-        constraints.append(AllDifferent(triple, f"row {row} differences"))
+        groups.append([2 * k + 3 * row - 2, 2 * k + 3 * row - 1, 2 * k + 3 * row])
+        provenance.append(f"row {row} differences")
     for w in weak_sets:
-        members = tuple(s_ids[i] for i in w.members)
-        if w.sum == 0:
-            members = members + (z_id,)
-        constraints.append(AllDifferent(members, f"weak set with sum {w.sum}"))
-    for m in mono_sets:
-        ids = tuple(
-            z_id if pos.is_dummy
-            else (u_ids[pos.pair_index] if pos.slot == 0 else v_ids[pos.pair_index])
-            for pos in m.positions)
-        constraints.append(AllDifferent(ids, f"color {m.color}"))
+        groups.append([s_ids[i] for i in w.members] + ([z_id] if w.sum == 0 else []))
+        provenance.append(f"weak set with sum {w.sum}")
+    # Color c holds the variables of the extension positions with value c,
+    # in extension order (the monochrome sets of `compute_monochrome_sets`).
+    colors: list[list[int]] = [[] for _ in range(table.p)]
+    for i, (u, v) in enumerate(table.extension):
+        colors[u].append(2 * i)
+        colors[v].append(2 * i + 1)
+    colors[0].append(z_id)
+    groups.extend(colors)
+    provenance.extend(f"color {c}" for c in range(table.p))
+
+    ad_flat: list[int] = []
+    ad_off = [0]
+    for g in groups:
+        ad_flat.extend(g)
+        ad_off.append(len(ad_flat))
+
+    nb = len(bind_a)
+    per_var: list[list[int]] = [[] for _ in range(nvars)]
+    for cid in range(nb):
+        per_var[bind_a[cid]].append(cid)
+        per_var[bind_b[cid]].append(cid)
+        per_var[bind_c[cid]].append(cid)
+    for gid, g in enumerate(groups):
+        for v in g:
+            per_var[v].append(nb + gid)
+    vc_flat: list[int] = []
+    vc_off = [0]
+    for cons in per_var:
+        vc_flat.extend(cons)
+        vc_off.append(len(vc_flat))
 
     reason = None
-    for c in constraints:
-        if isinstance(c, AllDifferent) and len(c.vars) > 3:
-            reason = (f"{c.provenance}: {len(c.vars)} mutually distinct "
+    for gid, g in enumerate(groups):
+        if len(g) > 3:
+            reason = (f"{provenance[nb + gid]}: {len(g)} mutually distinct "
                       "variables cannot fit in three values")
             break
 
     return SudokuInstance(
         table=table,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        u_ids=tuple(u_ids),
-        v_ids=tuple(v_ids),
-        d_ids=tuple(d_ids),
+        num_variables=nvars,
+        u_ids=tuple(range(0, 2 * k, 2)),
+        v_ids=tuple(range(1, 2 * k, 2)),
+        d_ids=tuple(range(2 * k, 3 * k)),
         s_ids=s_ids,
         z_id=z_id,
+        bind_a=bind_a,
+        bind_b=bind_b,
+        bind_c=bind_c,
+        bind_sign=bind_sign,
+        ad_flat=ad_flat,
+        ad_off=ad_off,
+        vc_flat=vc_flat,
+        vc_off=vc_off,
+        provenance=tuple(provenance),
         trivially_unsat_reason=reason,
     )
 
@@ -190,29 +166,28 @@ def _check_total(instance: SudokuInstance, solution: SudokuSolution) -> None:
             raise StructuralError(f"value {v!r} outside {{0, 1, 2}}")
 
 
-def _holds(constraint: Constraint, values: tuple[int, ...]) -> bool:
-    if isinstance(constraint, FixZero):
-        return values[constraint.var] == 0
-    if isinstance(constraint, LinearBinding):
-        return (values[constraint.a]
-                + constraint.b_sign * values[constraint.b]
-                - values[constraint.c]) % 3 == 0
-    seen = 0
-    for var in constraint.vars:
-        bit = 1 << values[var]
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
-
-
 def check_solution(
     instance: SudokuInstance, solution: SudokuSolution
-) -> tuple[bool, tuple[Constraint, ...]]:
-    """Evaluate every constraint; violations come back with provenance."""
+) -> tuple[bool, tuple[str, ...]]:
+    """Evaluate every constraint; violations come back as provenance strings."""
     _check_total(instance, solution)
-    violated = tuple(c for c in instance.constraints if not _holds(c, solution.values))
-    return not violated, violated
+    values = solution.values
+    violated = ["dummy variable"] if values[instance.z_id] != 0 else []
+    for cid, (a, b, c, sign) in enumerate(zip(
+            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign)):
+        if (values[a] + sign * values[b] - values[c]) % 3 != 0:
+            violated.append(instance.provenance[cid])
+    nb = len(instance.bind_a)
+    ad_flat, ad_off = instance.ad_flat, instance.ad_off
+    for gid in range(len(ad_off) - 1):
+        seen = 0
+        for var in ad_flat[ad_off[gid]:ad_off[gid + 1]]:
+            bit = 1 << values[var]
+            if seen & bit:
+                violated.append(instance.provenance[nb + gid])
+                break
+            seen |= bit
+    return not violated, tuple(violated)
 
 
 def apply_phi(solution: SudokuSolution) -> SudokuSolution:
@@ -246,21 +221,11 @@ def uv_pairs(instance: SudokuInstance, solution: SudokuSolution) -> tuple[Pair, 
 
 
 def constraint_census(instance: SudokuInstance) -> dict[str, int]:
-    """Counts per constraint family, for reporting and invariant checks."""
-    census = {"fix_zero": 0, "difference_bindings": 0, "sum_bindings": 0,
-              "row_all_different": 0, "weak_all_different": 0, "color_all_different": 0}
-    for c in instance.constraints:
-        if isinstance(c, FixZero):
-            census["fix_zero"] += 1
-        elif isinstance(c, LinearBinding):
-            if c.b_sign < 0:
-                census["difference_bindings"] += 1
-            else:
-                census["sum_bindings"] += 1
-        elif c.provenance.startswith("row"):
-            census["row_all_different"] += 1
-        elif c.provenance.startswith("weak"):
-            census["weak_all_different"] += 1
-        else:
-            census["color_all_different"] += 1
-    return census
+    """Counts per constraint family, read off the array layout."""
+    k = len(instance.table.extension)
+    groups = len(instance.ad_off) - 1
+    return {"fix_zero": 1, "difference_bindings": k,
+            "sum_bindings": len(instance.bind_a) - k,
+            "row_all_different": instance.table.q,
+            "weak_all_different": groups - instance.table.q - instance.table.p,
+            "color_all_different": instance.table.p}

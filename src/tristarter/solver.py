@@ -3,11 +3,11 @@
 Complete chronological backtracking with propagation of the bindings and
 all-different pruning (see `_kernels.fd_search`).  Branching covers the
 U/V variables: the default picks the smallest remaining domain (ties by
-the table's linear order U0, V0, U1, ...), which beats the static linear
-order by large factors on bigger instances; "linear" and "random" run the
-corresponding static orders.  D, S and Z are functionally determined by
-propagation.  Everything is deterministic for a fixed (instance, config)
-apart from wall-clock time.
+the table's linear order U0, V0, U1, ...); "linear" and "random" run the
+corresponding static orders.  No order wins everywhere: at p = 79 one key
+takes 10.4M decisions under min-domain and 7.2k under the linear order.
+D, S and Z are functionally determined by propagation.  Everything is
+deterministic for a fixed (instance, config) apart from wall-clock time.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from typing import Optional
 
 from . import _kernels
 from .errors import InternalConsistencyError, SearchBudgetError, StructuralError
-from .model import (
-    AllDifferent,
-    FixZero,
-    LinearBinding,
-    SudokuInstance,
-    SudokuSolution,
-    check_solution,
-)
+from .model import SudokuInstance, SudokuSolution, check_solution
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -80,53 +73,13 @@ def _branch_order(instance: SudokuInstance, config: SolverConfig) -> list[int]:
     return order
 
 
-def _flatten(instance: SudokuInstance):
-    fixed_vars, fixed_vals = [], []
-    bind_a, bind_b, bind_c, bind_sign = [], [], [], []
-    groups: list[tuple[int, ...]] = []
-    for c in instance.constraints:
-        if isinstance(c, FixZero):
-            fixed_vars.append(c.var)
-            fixed_vals.append(0)
-        elif isinstance(c, LinearBinding):
-            bind_a.append(c.a)
-            bind_b.append(c.b)
-            bind_c.append(c.c)
-            bind_sign.append(c.b_sign)
-        elif isinstance(c, AllDifferent):
-            groups.append(c.vars)
-
-    ad_flat: list[int] = []
-    ad_off = [0]
-    for g in groups:
-        ad_flat.extend(g)
-        ad_off.append(len(ad_flat))
-
-    nvars = instance.num_variables
-    nb = len(bind_a)
-    per_var: list[list[int]] = [[] for _ in range(nvars)]
-    for cid in range(nb):
-        for v in (bind_a[cid], bind_b[cid], bind_c[cid]):
-            per_var[v].append(cid)
-    for gid, g in enumerate(groups):
-        for v in g:
-            per_var[v].append(nb + gid)
-    vc_flat: list[int] = []
-    vc_off = [0]
-    for cons in per_var:
-        vc_flat.extend(cons)
-        vc_off.append(len(vc_flat))
-
-    return fixed_vars, fixed_vals, bind_a, bind_b, bind_c, bind_sign, ad_flat, ad_off, vc_flat, vc_off
-
-
 def _search(instance: SudokuInstance, config: SolverConfig, cap: int):
-    flat = _flatten(instance)
     order = _branch_order(instance, config)
     dynamic = 1 if config.variable_order == "min-domain" else 0
     start = time.perf_counter()
     status, raw, decisions, backtracks, props = _kernels.fd_search(
-        instance.num_variables, *flat, order, dynamic, config.step_budget, cap)
+        instance.num_variables, *instance.search_arrays(),
+        order, dynamic, config.step_budget, cap)
     duration_ms = int(round((time.perf_counter() - start) * 1000))
     if status == -1:
         raise InternalConsistencyError(
@@ -137,8 +90,7 @@ def _search(instance: SudokuInstance, config: SolverConfig, cap: int):
         ok, violated = check_solution(instance, sol)
         if not ok:
             raise InternalConsistencyError(
-                "solver produced an assignment violating "
-                + "; ".join(c.provenance for c in violated))
+                "solver produced an assignment violating " + "; ".join(violated))
     return status, solutions, stats
 
 

@@ -49,11 +49,6 @@ class TriplicationTable:
     def p(self) -> int:
         return self.base.modulus
 
-    def value_at(self, position: Position) -> int:
-        if position.is_dummy:
-            raise StructuralError("the dummy position holds no table value")
-        return self.extension[position.pair_index][position.slot]
-
     @staticmethod
     def row_col(index: int) -> tuple[int, int]:
         """Linear index -> (row, column); the top pair is row 0, column 2."""
@@ -140,14 +135,6 @@ def compute_weak_sets(table: TriplicationTable) -> tuple[WeakSet, ...]:
         if s == 0 or len(members) > 1:
             out.append(WeakSet(sum=s, members=tuple(members)))
     return tuple(out)
-
-
-def weak_indices(table: TriplicationTable) -> tuple[int, ...]:
-    """Sorted union of all weak-set members."""
-    out: list[int] = []
-    for w in compute_weak_sets(table):
-        out.extend(w.members)
-    return tuple(sorted(out))
 
 
 def compute_monochrome_sets(table: TriplicationTable) -> tuple[MonochromeSet, ...]:

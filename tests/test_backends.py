@@ -56,11 +56,11 @@ def test_fd_search_identical_across_backends(pure):
     if _kernels.COMPILED is pure.COMPILED:
         pytest.skip("compiled kernels not built; nothing to compare")
     from tristarter import build_table, encode
-    from tristarter.solver import _branch_order, _flatten, SolverConfig
+    from tristarter.solver import _branch_order, SolverConfig
     from fixtures import T7
 
     inst = encode(build_table(T7, 1))
-    flat = _flatten(inst)
+    flat = inst.search_arrays()
     order = _branch_order(inst, SolverConfig())
     for dynamic in (0, 1):
         got = _kernels.fd_search(inst.num_variables, *flat, order, dynamic, 0, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -46,6 +47,14 @@ def test_one_hot_shape(demo_doc, demo_instance):
 def test_fix_zero_becomes_unit_clause(demo_doc, demo_instance):
     unit = (demo_doc.var_base[demo_instance.z_id],)
     assert unit in demo_doc.clauses
+
+
+def test_demo_text_golden(demo_doc):
+    # Pins the exact CNF bytes: variable numbering and clause order included.
+    text = to_dimacs_text(demo_doc)
+    assert len(text) == 7423
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1e451b06e7a515459ea6bd19f28afcdd3eb5b690cdf2517827de055dbdd680df"
 
 
 def test_text_round_trip(demo_doc):

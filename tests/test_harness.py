@@ -37,13 +37,6 @@ def test_key_sweep_requires_strong_base():
         run_key_sweep(Pairing(7, ((1, 2), (3, 4), (5, 6))))
 
 
-def test_key_sweep_worker_pool_same_records():
-    serial = run_key_sweep(T7)
-    pooled = run_key_sweep(T7, workers=3)
-    assert [r.key for r in pooled] == [r.key for r in serial]
-    assert [r.starter_digest for r in pooled] == [r.starter_digest for r in serial]
-
-
 def test_digest_is_normalization_invariant():
     variant = Pairing(7, ((5, 1), (3, 2), (4, 6)))
     assert starter_digest(variant) == starter_digest(T7)
@@ -121,6 +114,23 @@ def test_inverse_sampling_order39_rarely_hits():
     summary = run_inverse_sampling(39, samples=60, seed=5)
     assert summary.inconclusive == 0
     assert summary.sampler == "hill-climb"
+
+
+def test_inverse_sampling_refuses_non_3p_orders_up_front(monkeypatch, capsys):
+    from tristarter import harness
+    from tristarter.cli import main
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampled an order the inverse test refuses")
+
+    monkeypatch.setattr(harness, "enumerate_strong_starters", must_not_run)
+    monkeypatch.setattr(harness, "hill_climb", must_not_run)
+    for order in (7, 15, 25):
+        with pytest.raises(RefusedError):
+            run_inverse_sampling(order, samples=5)
+    code = main(["series", "--mode", "inverse-sampling", "--order", "7", "--samples", "5"])
+    assert code == 1
+    assert "refused" in capsys.readouterr().err
 
 
 def test_sat_starter_digest_reloads_strong(tmp_path):
