@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel extension against the pure-Python kernels.
+"""Benchmark the C kernels against their pure-Python reference.
 
-The kernels are one source file; the built extension shadows it on import.
-This script imports whatever the package resolves to (compiled when built)
-and additionally loads the .py source directly, then times the three hot
-kernels on both.  Run from the repo root:
+`fd_search` and `count_strong_starters` are timed on both the C extension
+(`_ckernels`, built by `python setup.py build_ext --inplace`) and the pure
+definitions in `_kernels.py`; the hill climber has only the pure version.
+Run from the repo root:
 
     python benchmarks/bench_backends.py [--quick]
 """
@@ -12,25 +12,15 @@ kernels on both.  Run from the repo root:
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import tristarter._kernels as active  # noqa: E402
-from tristarter import build_table, encode, hill_climb  # noqa: E402
+from tristarter import _kernels, build_table, encode, hill_climb  # noqa: E402
 from tristarter.solver import SolverConfig, _branch_order  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
-
-
-def load_pure():
-    path = Path(active.__file__).parent / "_kernels.py"
-    spec = importlib.util.spec_from_file_location("tristarter._kernels_pure", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def timed(fn, repeat: int) -> float:
@@ -40,25 +30,25 @@ def timed(fn, repeat: int) -> float:
     return (time.perf_counter() - start) / repeat
 
 
-def bench_hill_climb(mod, repeat):
+def bench_hill_climb(repeat):
     seeds = iter(range(10 ** 9))
 
     def run():
-        result = mod.hill_climb_pairs(21, next(seeds), 10 ** 6)
+        result = _kernels.hill_climb_pairs(21, next(seeds), 10 ** 6)
         assert result is not None
 
     return timed(run, repeat)
 
 
-def bench_enumerate(mod, order):
+def bench_enumerate(count_strong_starters, order):
     def run():
-        count, _ = mod.count_strong_starters(order, 0)
+        count, _ = count_strong_starters(order, 0)
         assert count > 0
 
     return timed(run, 1)
 
 
-def bench_solver(mod, p, seed=1000):
+def bench_solver(fd_search, p, seed=1000):
     base = hill_climb(p, seed=seed + p)
     prepared = []
     for key in admissible_keys(base):
@@ -68,7 +58,7 @@ def bench_solver(mod, p, seed=1000):
 
     def run():
         for nvars, flat, order in prepared:
-            status, sols, *_ = mod.fd_search(nvars, *flat, order, 1, 0, 1)
+            status, sols, *_ = fd_search(nvars, *flat, order, 1, 0, 1)
             assert status == 1 and sols
 
     return timed(run, 1)
@@ -79,11 +69,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     args = parser.parse_args()
 
-    pure = load_pure()
-    backends = [("pure", pure)]
-    if active.COMPILED:
-        backends.insert(0, ("compiled", active))
-    else:
+    compiled = _kernels.BACKEND == "compiled"
+    if not compiled:
         print("note: extension not built (python setup.py build_ext --inplace); "
               "timing the pure kernels only")
 
@@ -91,29 +78,28 @@ def main() -> int:
     enum_order = 15 if args.quick else 21
     solver_p = 31 if args.quick else 43
 
-    workloads = [
-        (f"hill_climb_pairs(21) x{climbs}", lambda m: bench_hill_climb(m, climbs) * 1000, "ms/starter"),
-        (f"count_strong_starters({enum_order})", lambda m: bench_enumerate(m, enum_order), "s"),
-        (f"fd_search key sweep p={solver_p}", lambda m: bench_solver(m, solver_p), "s"),
+    # (name, unit, pure timing, C timing or None)
+    rows = [
+        (f"hill_climb_pairs(21) x{climbs}", "ms/starter",
+         lambda: bench_hill_climb(climbs) * 1000, None),
+        (f"count_strong_starters({enum_order})", "s",
+         lambda: bench_enumerate(_kernels.pure_count_strong_starters, enum_order),
+         lambda: bench_enumerate(_kernels.count_strong_starters, enum_order)),
+        (f"fd_search key sweep p={solver_p}", "s",
+         lambda: bench_solver(_kernels.pure_fd_search, solver_p),
+         lambda: bench_solver(_kernels.fd_search, solver_p)),
     ]
 
-    results: dict[str, dict[str, float]] = {}
-    for name, bench, unit in workloads:
-        results[name] = {}
-        for backend_name, mod in backends:
-            results[name][backend_name] = bench(mod)
-
-    width = max(len(name) for name, _, _ in workloads) + 2
-    header = f"{'workload':<{width}}" + "".join(f"{b:>14}" for b, _ in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    for name, _, unit in workloads:
+    width = max(len(name) for name, *_ in rows) + 2
+    print(f"{'workload':<{width}}{'C':>14}{'pure':>14}{'speedup':>10}")
+    for name, unit, pure, native in rows:
+        pure_t = pure()
+        native_t = native() if native is not None and compiled else None
         row = f"{name:<{width}}"
-        for backend_name, _ in backends:
-            row += f"{results[name][backend_name]:>11.3f} {unit[:2]}"
-        if len(backends) == 2:
-            row += f"{results[name]['pure'] / results[name]['compiled']:>9.1f}x"
+        row += f"{native_t:>11.3f} {unit[:2]}" if native_t is not None else f"{'-':>14}"
+        row += f"{pure_t:>11.3f} {unit[:2]}"
+        if native_t is not None:
+            row += f"{pure_t / native_t:>9.1f}x"
         print(row)
     return 0
 

@@ -1,12 +1,12 @@
-"""Build script: compiles the kernel module when Cython and a C compiler
-are available, and degrades to the pure-Python kernels otherwise.
+"""Build script: compiles the C search kernels when a C compiler is
+available, and degrades to the pure-Python kernels otherwise.
 
     python setup.py build_ext --inplace
 """
 
 import warnings
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -26,27 +26,7 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"kernel extension build skipped: {exc}")
 
 
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        warnings.warn("Cython not installed; using pure-Python kernels")
-        return []
-    return cythonize(
-        ["src/tristarter/_kernels.py"],
-        language_level="3",
-        compiler_directives={
-            # Python modulo semantics for negative operands are load-bearing
-            "cdivision": False,
-            # the kernels never index negatively (asserted by the
-            # cross-backend equality tests)
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-
-
 setup(
-    ext_modules=_extensions(),
+    ext_modules=[Extension("tristarter._ckernels", ["src/tristarter/_ckernels.c"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -1,0 +1,636 @@
+/*
+ * C versions of two kernels of `_kernels.py`: `fd_search` and
+ * `count_strong_starters`.  `_kernels` binds them over its own definitions
+ * when this extension imports; the Python code stays the reference, and
+ * both return exactly the same values (tests/test_backends.py compares
+ * them).  Keep the two in step: the queue is a LIFO stack, the branch rule
+ * and the value order (0, 1, 2) are the ones of the Python code.
+ *
+ * Arguments are converted once per call into int32 arrays and validated
+ * there, so the search itself reads nothing out of bounds.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdarg.h>
+#include <stdint.h>
+#include <string.h>
+
+/* Largest array length or index the kernels accept: small enough that the
+ * trail (2 * nvars + 2 entries) and every offset fit in int32. */
+#define MAX_LEN (INT32_MAX / 4)
+
+/* singleton 3-bit domain mask -> its value, else -1 */
+static const int8_t SINGLE[8] = {-1, 0, 1, -1, 2, -1, -1, -1};
+
+/* ------------------------------------------------------------------ */
+/* argument conversion                                                 */
+
+typedef struct {
+    int32_t *v;
+    Py_ssize_t n;
+} IntArray;
+
+/* Raise ValueError; returns -1. */
+static int
+invalid(const char *format, ...)
+{
+    va_list args;
+    va_start(args, format);
+    PyErr_FormatV(PyExc_ValueError, format, args);
+    va_end(args);
+    return -1;
+}
+
+/* Copy a list or tuple of ints into a new int32 array. */
+static int
+to_array(PyObject *seq, const char *name, IntArray *out)
+{
+    PyObject *fast = PySequence_Fast(seq, name);
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    if (n > MAX_LEN) {
+        Py_DECREF(fast);
+        return invalid("%s is too long (%zd items)", name, n);
+    }
+    out->v = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t));
+    out->n = n;
+    if (out->v == NULL) {
+        PyErr_NoMemory();
+        Py_DECREF(fast);
+        return -1;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long x = PyLong_AsLong(items[i]);
+        if (x == -1 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return -1;
+        }
+        if (x < INT32_MIN || x > INT32_MAX) {
+            Py_DECREF(fast);
+            return invalid("%s[%zd] = %ld is out of range", name, i, x);
+        }
+        out->v[i] = (int32_t)x;
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* Every entry in [lo, hi). */
+static int
+check_range(const IntArray *a, const char *name, int64_t lo, int64_t hi)
+{
+    for (Py_ssize_t i = 0; i < a->n; i++)
+        if (a->v[i] < lo || a->v[i] >= hi)
+            return invalid("%s[%zd] = %d is outside [%lld, %lld)", name, i,
+                           (int)a->v[i], (long long)lo, (long long)hi);
+    return 0;
+}
+
+/* Non-decreasing offsets into an array of length `len`. */
+static int
+check_offsets(const IntArray *off, const char *name, Py_ssize_t len)
+{
+    if (check_range(off, name, 0, (int64_t)len + 1) < 0)
+        return -1;
+    for (Py_ssize_t i = 1; i < off->n; i++)
+        if (off->v[i] < off->v[i - 1])
+            return invalid("%s decreases at index %zd", name, i);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* fd_search                                                           */
+
+typedef struct {
+    int32_t nvars, nb, ncons;
+    const int32_t *ba, *bb, *bc, *bs;   /* bs: binding sign mod 3 */
+    const int32_t *ad_flat, *ad_off, *vc_flat, *vc_off;
+    uint8_t *dom, *in_q;
+    int32_t *queue, qn;
+    int32_t *trail_v, tn;
+    uint8_t *trail_m;
+    /* branch frames: variable, values left to try, trail mark */
+    int32_t *f_var, *f_mark, nf;
+    uint8_t *f_vals;
+    long long decisions, backtracks, props;
+} Search;
+
+/* Queue every constraint of variable v not already queued. */
+static inline void
+enqueue_var(Search *S, int32_t v)
+{
+    for (int32_t j = S->vc_off[v]; j < S->vc_off[v + 1]; j++) {
+        int32_t c = S->vc_flat[j];
+        if (!S->in_q[c]) {
+            S->in_q[c] = 1;
+            S->queue[S->qn++] = c;
+        }
+    }
+}
+
+/* Shrink dom[v] to m, trailing the old mask.  Every call is a strict
+ * shrink (the bindings are checked to name three distinct variables), so a
+ * variable has at most two entries on the trail and 2 * nvars suffice. */
+static inline void
+shrink(Search *S, int32_t v, uint8_t m)
+{
+    S->trail_v[S->tn] = v;
+    S->trail_m[S->tn] = S->dom[v];
+    S->tn++;
+    S->dom[v] = m;
+    enqueue_var(S, v);
+}
+
+static inline int64_t
+wipeout(Search *S)
+{
+    while (S->qn)
+        S->in_q[S->queue[--S->qn]] = 0;
+    return -1;
+}
+
+/* `_kernels._propagate`: revisions made, or -1 on a wipeout. */
+static int64_t
+propagate(Search *S)
+{
+    uint8_t *dom = S->dom;
+    const int32_t *flat = S->ad_flat;
+    int64_t props = 0;
+    while (S->qn) {
+        int32_t cid = S->queue[--S->qn];
+        S->in_q[cid] = 0;
+        props++;
+        if (cid < S->nb) {
+            int32_t a = S->ba[cid], b = S->bb[cid], c = S->bc[cid];
+            int sg = S->bs[cid];
+            uint8_t ma = dom[a], mb = dom[b], mc = dom[c];
+            uint8_t na = 0, nbm = 0, ncm = 0;
+            for (int va = 0; va < 3; va++) {
+                if (!((ma >> va) & 1))
+                    continue;
+                for (int vb = 0; vb < 3; vb++) {
+                    if (!((mb >> vb) & 1))
+                        continue;
+                    int vc = (va + sg * vb) % 3;
+                    if ((mc >> vc) & 1) {
+                        na |= 1 << va;
+                        nbm |= 1 << vb;
+                        ncm |= 1 << vc;
+                    }
+                }
+            }
+            if (na == 0)
+                return wipeout(S);
+            if (na != ma)
+                shrink(S, a, na);
+            if (nbm != mb)
+                shrink(S, b, nbm);
+            if (ncm != mc)
+                shrink(S, c, ncm);
+            continue;
+        }
+        int32_t g = cid - S->nb;
+        int32_t s = S->ad_off[g], e = S->ad_off[g + 1];
+        unsigned uni = 0;
+        for (int32_t i = s; i < e; i++)
+            uni |= dom[flat[i]];
+        if ((int32_t)((uni & 1) + ((uni >> 1) & 1) + ((uni >> 2) & 1)) < e - s)
+            return wipeout(S);
+        int changed = 1;
+        while (changed) {
+            changed = 0;
+            /* remove fixed values from siblings */
+            for (int32_t i = s; i < e; i++) {
+                uint8_t mi = dom[flat[i]];
+                if (mi & (mi - 1))
+                    continue;
+                for (int32_t j = s; j < e; j++) {
+                    if (j == i)
+                        continue;
+                    int32_t vj = flat[j];
+                    uint8_t mj = dom[vj];
+                    if (mj & mi) {
+                        uint8_t nm = mj & (7 ^ mi);
+                        if (nm == 0)
+                            return wipeout(S);
+                        shrink(S, vj, nm);
+                        changed = 1;
+                    }
+                }
+            }
+            /* Hall pair rule: two variables sharing a 2-value domain
+             * exclude those values from the third */
+            if (e - s != 3)
+                continue;
+            for (int32_t i = s; i < e; i++) {
+                for (int32_t j = i + 1; j < e; j++) {
+                    uint8_t mi = dom[flat[i]];
+                    if (!(mi == dom[flat[j]] && mi != 7 && (mi & (mi - 1))))
+                        continue;
+                    for (int32_t k = s; k < e; k++) {
+                        if (k == i || k == j)
+                            continue;
+                        int32_t vk = flat[k];
+                        uint8_t mk = dom[vk];
+                        if (mk & mi) {
+                            uint8_t nm = mk & (7 ^ mi);
+                            if (nm == 0)
+                                return wipeout(S);
+                            shrink(S, vk, nm);
+                            changed = 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return props;
+}
+
+/* A solution tuple from the all-singleton domains; NULL with *undetermined
+ * set when some variable is not fixed, NULL alone on a Python error. */
+static PyObject *
+solution_tuple(const uint8_t *dom, int32_t nvars, int *undetermined)
+{
+    for (int32_t v = 0; v < nvars; v++) {
+        if (SINGLE[dom[v]] < 0) {
+            *undetermined = 1;
+            return NULL;
+        }
+    }
+    PyObject *sol = PyTuple_New(nvars);
+    if (sol == NULL)
+        return NULL;
+    for (int32_t v = 0; v < nvars; v++) {
+        PyObject *x = PyLong_FromLong(SINGLE[dom[v]]);
+        if (x == NULL) {
+            Py_DECREF(sol);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(sol, v, x);
+    }
+    return sol;
+}
+
+enum {
+    A_FIXED_VARS, A_FIXED_VALS, A_BIND_A, A_BIND_B, A_BIND_C, A_BIND_SIGN,
+    A_AD_FLAT, A_AD_OFF, A_VC_FLAT, A_VC_OFF, A_ORDER, N_ARRAYS
+};
+
+static const char *const ARRAY_NAMES[N_ARRAYS] = {
+    "fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
+    "ad_flat", "ad_off", "vc_flat", "vc_off", "order",
+};
+
+/* Length and range checks that make every index of the search valid. */
+static int
+validate(IntArray *A, Py_ssize_t nvars)
+{
+    Py_ssize_t nb = A[A_BIND_A].n;
+    if (A[A_FIXED_VALS].n != A[A_FIXED_VARS].n)
+        return invalid("fixed_vals has %zd entries, fixed_vars %zd",
+                       A[A_FIXED_VALS].n, A[A_FIXED_VARS].n);
+    for (int k = A_BIND_B; k <= A_BIND_SIGN; k++)
+        if (A[k].n != nb)
+            return invalid("%s has %zd entries, bind_a %zd", ARRAY_NAMES[k],
+                           A[k].n, nb);
+    if (A[A_AD_OFF].n < 1)
+        return invalid("ad_off is empty");
+    if (A[A_VC_OFF].n != nvars + 1)
+        return invalid("vc_off has %zd entries, expected nvars + 1 = %zd",
+                       A[A_VC_OFF].n, nvars + 1);
+    Py_ssize_t ncons = nb + A[A_AD_OFF].n - 1;
+    if (ncons > MAX_LEN)
+        return invalid("too many constraints (%zd)", ncons);
+    static const int var_arrays[] = {A_FIXED_VARS, A_BIND_A, A_BIND_B,
+                                     A_BIND_C, A_AD_FLAT, A_ORDER};
+    for (size_t i = 0; i < sizeof var_arrays / sizeof *var_arrays; i++)
+        if (check_range(&A[var_arrays[i]], ARRAY_NAMES[var_arrays[i]], 0,
+                        nvars) < 0)
+            return -1;
+    if (check_range(&A[A_FIXED_VALS], "fixed_vals", 0, 3) < 0
+            || check_range(&A[A_VC_FLAT], "vc_flat", 0, ncons) < 0
+            || check_offsets(&A[A_AD_OFF], "ad_off", A[A_AD_FLAT].n) < 0
+            || check_offsets(&A[A_VC_OFF], "vc_off", A[A_VC_FLAT].n) < 0)
+        return -1;
+    for (Py_ssize_t c = 0; c < nb; c++) {
+        int32_t a = A[A_BIND_A].v[c], b = A[A_BIND_B].v[c], d = A[A_BIND_C].v[c];
+        if (a == b || a == d || b == d)
+            return invalid("binding %zd repeats a variable", c);
+    }
+    /* the sign enters only mod 3 (Python modulo: result in 0..2) */
+    int32_t *sign = A[A_BIND_SIGN].v;
+    for (Py_ssize_t c = 0; c < nb; c++)
+        sign[c] = (sign[c] % 3 + 3) % 3;
+    return 0;
+}
+
+/* The search of `_kernels.fd_search` after its arguments are checked.
+ * Returns its status, or -2 with a Python exception set. */
+static int
+search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
+       const IntArray *order, int dynamic, long long budget, long long cap,
+       PyObject *solutions)
+{
+    uint8_t *dom = S->dom;
+    memset(dom, 7, (size_t)S->nvars);
+    for (Py_ssize_t i = 0; i < fixed_vars->n; i++) {
+        int32_t v = fixed_vars->v[i];
+        uint8_t m = dom[v] & (1 << fixed_vals->v[i]);
+        if (m == 0)
+            return 0;
+        dom[v] = m;
+    }
+    for (int32_t cid = 0; cid < S->ncons; cid++) {
+        S->in_q[cid] = 1;
+        S->queue[S->qn++] = cid;
+    }
+    int64_t r = propagate(S);
+    if (r < 0) {
+        S->props = 1;
+        return 0;
+    }
+    S->props += r;
+
+    for (;;) {
+        int32_t branch = -1;
+        for (Py_ssize_t i = 0; i < order->n; i++) {
+            uint8_t mm = dom[order->v[i]];
+            if (mm & (mm - 1)) {
+                if (!dynamic || mm != 7) {
+                    branch = order->v[i];
+                    break;
+                }
+                if (branch == -1)
+                    branch = order->v[i];
+            }
+        }
+        if (branch == -1) {
+            int undetermined = 0;
+            PyObject *sol = solution_tuple(dom, S->nvars, &undetermined);
+            if (undetermined)
+                return -1;
+            if (sol == NULL || PyList_Append(solutions, sol) < 0) {
+                Py_XDECREF(sol);
+                return -2;
+            }
+            Py_DECREF(sol);
+            if (0 < cap && cap <= PyList_GET_SIZE(solutions))
+                return 1;
+        } else {
+            S->f_var[S->nf] = branch;
+            S->f_vals[S->nf] = dom[branch];
+            S->f_mark[S->nf] = S->tn;
+            S->nf++;
+        }
+        /* the next untried value of the innermost frame, backtracking out
+         * of exhausted frames as needed */
+        for (;;) {
+            if (S->nf == 0)
+                return 0;
+            int32_t top = S->nf - 1;
+            uint8_t vals = S->f_vals[top];
+            while (S->tn > S->f_mark[top]) {
+                S->tn--;
+                dom[S->trail_v[S->tn]] = S->trail_m[S->tn];
+            }
+            if (vals == 0) {
+                S->nf--;
+                continue;
+            }
+            uint8_t bit = vals & (uint8_t)-vals;
+            S->f_vals[top] = vals - bit;
+            S->decisions++;
+            if (0 < budget && budget < S->decisions)
+                return 2;
+            shrink(S, S->f_var[top], bit);
+            r = propagate(S);
+            if (r < 0) {
+                S->backtracks++;
+                continue;
+            }
+            S->props += r;
+            break;
+        }
+    }
+}
+
+static PyObject *
+fd_search(PyObject *self, PyObject *args)
+{
+    Py_ssize_t nvars;
+    PyObject *seqs[N_ARRAYS];
+    int dynamic;
+    long long budget, cap;
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOOOOpLL:fd_search", &nvars,
+                          &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
+                          &seqs[5], &seqs[6], &seqs[7], &seqs[8], &seqs[9],
+                          &seqs[10], &dynamic, &budget, &cap))
+        return NULL;
+    if (nvars < 0 || nvars > MAX_LEN) {
+        invalid("nvars = %zd is out of range", nvars);
+        return NULL;
+    }
+
+    IntArray A[N_ARRAYS] = {{0}};
+    Search S = {0};
+    size_t nv1 = (size_t)nvars + 1;
+    int status;
+    PyObject *solutions = NULL, *result = NULL;
+    for (int k = 0; k < N_ARRAYS; k++)
+        if (to_array(seqs[k], ARRAY_NAMES[k], &A[k]) < 0)
+            goto done;
+    if (validate(A, nvars) < 0)
+        goto done;
+
+    S.nvars = (int32_t)nvars;
+    S.nb = (int32_t)A[A_BIND_A].n;
+    S.ncons = S.nb + (int32_t)A[A_AD_OFF].n - 1;
+    S.ba = A[A_BIND_A].v;
+    S.bb = A[A_BIND_B].v;
+    S.bc = A[A_BIND_C].v;
+    S.bs = A[A_BIND_SIGN].v;
+    S.ad_flat = A[A_AD_FLAT].v;
+    S.ad_off = A[A_AD_OFF].v;
+    S.vc_flat = A[A_VC_FLAT].v;
+    S.vc_off = A[A_VC_OFF].v;
+    S.dom = PyMem_Malloc(nv1);
+    S.in_q = PyMem_Calloc((size_t)S.ncons + 1, 1);
+    S.queue = PyMem_Malloc(((size_t)S.ncons + 1) * sizeof(int32_t));
+    S.trail_v = PyMem_Malloc(2 * nv1 * sizeof(int32_t));
+    S.trail_m = PyMem_Malloc(2 * nv1);
+    /* a frame's variable stays fixed while the frame lives, so the frames
+     * hold distinct variables */
+    S.f_var = PyMem_Malloc(nv1 * sizeof(int32_t));
+    S.f_mark = PyMem_Malloc(nv1 * sizeof(int32_t));
+    S.f_vals = PyMem_Malloc(nv1);
+    if (!S.dom || !S.in_q || !S.queue || !S.trail_v || !S.trail_m
+            || !S.f_var || !S.f_mark || !S.f_vals) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    solutions = PyList_New(0);
+    if (solutions == NULL)
+        goto done;
+    status = search(&S, &A[A_FIXED_VARS], &A[A_FIXED_VALS], &A[A_ORDER],
+                    dynamic, budget, cap, solutions);
+    if (status != -2)
+        result = Py_BuildValue("(iOLLL)", status, solutions, S.decisions,
+                               S.backtracks, S.props);
+done:
+    Py_XDECREF(solutions);
+    for (int k = 0; k < N_ARRAYS; k++)
+        PyMem_Free(A[k].v);
+    PyMem_Free(S.dom);
+    PyMem_Free(S.in_q);
+    PyMem_Free(S.queue);
+    PyMem_Free(S.trail_v);
+    PyMem_Free(S.trail_m);
+    PyMem_Free(S.f_var);
+    PyMem_Free(S.f_mark);
+    PyMem_Free(S.f_vals);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* count_strong_starters                                               */
+
+/* The pairs of one starter: the stack below depth, then (a, b). */
+static PyObject *
+starter_list(const int32_t *sa, const int32_t *sb, int32_t depth,
+             int32_t a, int32_t b)
+{
+    PyObject *pairs = PyList_New(depth + 1);
+    if (pairs == NULL)
+        return NULL;
+    for (int32_t i = 0; i <= depth; i++) {
+        PyObject *pair = i < depth ? Py_BuildValue("(ii)", sa[i], sb[i])
+                                   : Py_BuildValue("(ii)", a, b);
+        if (pair == NULL) {
+            Py_DECREF(pairs);
+            return NULL;
+        }
+        PyList_SET_ITEM(pairs, i, pair);
+    }
+    return pairs;
+}
+
+static PyObject *
+count_strong_starters(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    long long cap;
+    if (!PyArg_ParseTuple(args, "nL:count_strong_starters", &n, &cap))
+        return NULL;
+    /* an odd order folds every difference into 1..q */
+    if (n < 1 || n > MAX_LEN || n % 2 == 0) {
+        invalid("order must be odd and positive, got %zd", n);
+        return NULL;
+    }
+
+    int32_t q = (int32_t)(n - 1) / 2;
+    /* used[n] stays 0: a sentinel for the smallest-unused scan */
+    uint8_t *used = PyMem_Calloc((size_t)n + 1, 1);
+    uint8_t *diff_used = PyMem_Calloc((size_t)q + 1, 1);
+    uint8_t *sum_used = PyMem_Calloc((size_t)n, 1);
+    int32_t *sa = PyMem_Calloc((size_t)q + 1, sizeof(int32_t));
+    int32_t *sb = PyMem_Calloc((size_t)q + 1, sizeof(int32_t));
+    PyObject *collected = PyList_New(0), *result = NULL;
+    long long count = 0;
+    int32_t depth = 0, a = 1, b = 1;   /* b is incremented before each test */
+    if (collected == NULL)
+        goto done;
+    if (!used || !diff_used || !sum_used || !sa || !sb) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    for (;;) {
+        b++;
+        if (b >= n) {
+            /* exhausted partners for a: backtrack */
+            if (--depth < 0)
+                break;
+            a = sa[depth];
+            b = sb[depth];
+            used[a] = used[b] = 0;
+            int32_t d = b - a;
+            if (d > q)
+                d = (int32_t)n - d;
+            diff_used[d] = 0;
+            sum_used[(a + b) % n] = 0;
+            continue;
+        }
+        if (used[b])
+            continue;
+        int32_t d = b - a;
+        if (d > q)
+            d = (int32_t)n - d;
+        if (diff_used[d])
+            continue;
+        int32_t s = (int32_t)((a + b) % n);
+        if (s == 0 || sum_used[s])
+            continue;
+
+        if (depth == q - 1) {
+            count++;
+            if (cap > 0 && PyList_GET_SIZE(collected) < cap) {
+                PyObject *pairs = starter_list(sa, sb, depth, a, b);
+                if (pairs == NULL || PyList_Append(collected, pairs) < 0) {
+                    Py_XDECREF(pairs);
+                    goto done;
+                }
+                Py_DECREF(pairs);
+            }
+            continue;   /* leaf: keep scanning partners for a */
+        }
+
+        sa[depth] = a;
+        sb[depth] = b;
+        used[a] = used[b] = 1;
+        diff_used[d] = 1;
+        sum_used[s] = 1;
+        depth++;
+        /* next smallest unused element */
+        a++;
+        while (used[a])
+            a++;
+        b = a;
+    }
+    result = Py_BuildValue("(LO)", count, collected);
+done:
+    Py_XDECREF(collected);
+    PyMem_Free(used);
+    PyMem_Free(diff_used);
+    PyMem_Free(sum_used);
+    PyMem_Free(sa);
+    PyMem_Free(sb);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+
+static PyMethodDef methods[] = {
+    {"fd_search", fd_search, METH_VARARGS,
+     "C version of `_kernels.fd_search`; same arguments and result."},
+    {"count_strong_starters", count_strong_starters, METH_VARARGS,
+     "C version of `_kernels.count_strong_starters`; same arguments and "
+     "result."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_ckernels",
+    "C versions of `_kernels.fd_search` and "
+    "`_kernels.count_strong_starters`.",
+    -1, methods,
+};
+
+PyMODINIT_FUNC
+PyInit__ckernels(void)
+{
+    return PyModule_Create(&module);
+}

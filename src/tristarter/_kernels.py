@@ -1,14 +1,13 @@
 """Hot kernels: hill climbing, exhaustive enumeration, ternary FD search.
 
-Single-source module in Cython "pure Python" style: `setup.py` compiles it
-to an extension that shadows this file on import, and without the build the
-exact same code runs under the plain interpreter (see `_kernels.pxd` for
-the C type annotations used by the compiled build).  Keep hot loops free of
-closures, comprehensions and generators.
+This module is the reference implementation of all three.  When the C
+extension `_ckernels` (built by `setup.py`) imports, its `fd_search` and
+`count_strong_starters` replace the ones defined here, which stay reachable
+as `pure_fd_search` and `pure_count_strong_starters`; the two return
+exactly the same values.  The hill climber always runs as Python.
 """
 
-# popcount / singleton-value tables for 3-bit domain masks
-_PC = (0, 1, 1, 2, 1, 2, 2, 3)
+# singleton-value table for 3-bit domain masks
 _SINGLE = (-1, 0, 1, -1, 2, -1, -1, -1)
 
 
@@ -36,8 +35,8 @@ def hill_climb_pairs(n, seed, max_steps):
     placed count never decreases; after 8n steps without a conflict-free
     addition they are accepted as a perturbation until progress resumes
     (pure single-replacement strands small orders on disconnected
-    plateaus).  Deterministic for fixed ``(n, seed)`` on every backend
-    (private xorshift64* stream, no libc / random module involved).
+    plateaus).  Deterministic for fixed ``(n, seed)`` (private xorshift64*
+    stream, no libc / random module involved).
 
     Returns a list of ``(a, b)`` pairs, or ``None`` if ``max_steps`` runs
     out.  The caller validates ``n``.
@@ -45,7 +44,6 @@ def hill_climb_pairs(n, seed, max_steps):
     q = (n - 1) // 2
     partner = [-1] * n
     diff_owner = [-1] * (q + 1)  # difference class 1..q -> one endpoint
-    sum_owner = [-1] * n         # pair sum 1..n-1 -> one endpoint
     unused = list(range(1, n))
     upos = [0] * n
     free_sums = list(range(1, n))
@@ -102,14 +100,14 @@ def hill_climb_pairs(n, seed, max_steps):
             if stall <= gate:
                 stall += 1
                 continue
-            _drop_pair(n, q, k1, partner, diff_owner, sum_owner,
+            _drop_pair(n, q, k1, partner, diff_owner,
                        unused, upos, free_sums, spos)
-            _drop_pair(n, q, k2, partner, diff_owner, sum_owner,
+            _drop_pair(n, q, k2, partner, diff_owner,
                        unused, upos, free_sums, spos)
             stall += 1
         elif k1 != -1 or k2 != -1:
             _drop_pair(n, q, k1 if k1 != -1 else k2, partner, diff_owner,
-                       sum_owner, unused, upos, free_sums, spos)
+                       unused, upos, free_sums, spos)
             stall += 1
         else:
             stall = 0
@@ -117,7 +115,6 @@ def hill_climb_pairs(n, seed, max_steps):
         partner[x] = y
         partner[y] = x
         diff_owner[d] = x
-        sum_owner[s] = x
         _remove_swap(x, unused, upos)
         _remove_swap(y, unused, upos)
         _remove_swap(s, free_sums, spos)
@@ -131,8 +128,7 @@ def _remove_swap(x, arr, pos):
     arr.pop()
 
 
-def _drop_pair(n, q, a, partner, diff_owner, sum_owner, unused, upos,
-               free_sums, spos):
+def _drop_pair(n, q, a, partner, diff_owner, unused, upos, free_sums, spos):
     b = partner[a]
     partner[a] = -1
     partner[b] = -1
@@ -141,7 +137,6 @@ def _drop_pair(n, q, a, partner, diff_owner, sum_owner, unused, upos,
         d = n - d
     diff_owner[d] = -1
     s = (a + b) % n
-    sum_owner[s] = -1
     spos[s] = len(free_sums)
     free_sums.append(s)
     upos[a] = len(unused)
@@ -533,7 +528,12 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     return status, solutions, decisions, backtracks, props
 
 
-# True when this module was compiled to an extension (the .so shadows the
-# .py on import, so __file__ tells the backends apart).
-COMPILED = not __file__.endswith(".py")
-BACKEND = "compiled" if COMPILED else "pure"
+pure_fd_search = fd_search
+pure_count_strong_starters = count_strong_starters
+
+try:
+    from ._ckernels import count_strong_starters, fd_search
+except ImportError:  # extension not built: the definitions above run
+    BACKEND = "pure"
+else:
+    BACKEND = "compiled"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .assembly import TriplicationResult, triplicate
-from .dimacs import export_dimacs, run_external_solver, to_dimacs_text
+from .dimacs import export_dimacs, import_dimacs_model, run_external_solver, to_dimacs_text
 from .errors import RefusedError, StructuralError, TristarterError
 from .files import load_starter, pairing_to_obj, save_starter
 from .harness import write_key_means_csv, write_records_csv
@@ -162,14 +162,14 @@ def _cmd_solve(args) -> int:
     base = load_starter(args.base)
     table = build_table(base, args.key, allow_nonstarter=args.allow_nonstrong)
     instance = encode(table)
+    doc = export_dimacs(instance) if args.cnf_out or args.external_solver else None
     if args.cnf_out:
-        Path(args.cnf_out).write_text(to_dimacs_text(export_dimacs(instance)))
+        Path(args.cnf_out).write_text(to_dimacs_text(doc))
     if args.external_solver:
-        from .dimacs import solve_via_external
-
-        status, solution, _ = solve_via_external(instance, args.external_solver)
+        status, literals = run_external_solver(doc, args.external_solver)
         print(f"external: {status}")
-        if solution is not None:
+        if status == "SAT":
+            solution = import_dimacs_model(doc, literals)
             print("solution_uv: " + json.dumps(uv_pairs(instance, solution)))
         return EXIT_OK
     outcome = solve(instance, _solver_config(args))

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import RefusedError, StructuralError
 from .starters import Pair, Pairing, VerificationReport, verify_pairing
-from .triplication import build_table
+from .triplication import TriplicationTable, build_table
 
 FALSE = "False"
 INCONCLUSIVE = "Inconclusive"
@@ -148,15 +148,17 @@ def _candidates_from(
         if base_pairs in seen:
             continue
         seen.add(base_pairs)
-        base = Pairing(p, base_pairs)
-        if not _rebuild_matches(base, t, groups):
-            continue
-        out.append(Candidate(base=base, key=t, report=verify_pairing(base)))
+        table = _rebuild_matches(Pairing(p, base_pairs), t, groups)
+        if table is not None:
+            out.append(Candidate(base=table.base, key=t, report=table.base_report))
     return tuple(out)
 
 
-def _rebuild_matches(base: Pairing, t: int, groups: tuple[RowGroup, ...]) -> bool:
-    """Rebuild the table for (base, t) and compare rows to the groups setwise."""
+def _rebuild_matches(
+    base: Pairing, t: int, groups: tuple[RowGroup, ...]
+) -> Optional[TriplicationTable]:
+    """Rebuild the table for (base, t); it is returned when its rows match
+    the groups setwise, else None."""
     p = base.modulus
     q = (p - 1) // 2
     table = build_table(base, t, allow_nonstarter=True)
@@ -167,9 +169,9 @@ def _rebuild_matches(base: Pairing, t: int, groups: tuple[RowGroup, ...]) -> boo
         if d > q:
             d = p - d
         if d == 0:
-            return False
+            return None
         want = sorted(tuple(sorted(pr)) for pr in groups[d].members)
         got = sorted(tuple(sorted(pr)) for pr in row_pairs)
         if want != got:
-            return False
-    return True
+            return None
+    return table

@@ -248,5 +248,6 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
 
 
 def kernel_backend() -> str:
-    """Which kernel implementation is active: 'compiled' or 'pure'."""
+    """'compiled' when the C extension supplies `fd_search` and
+    `count_strong_starters`, else 'pure' (the hill climber is always pure)."""
     return _kernels.BACKEND

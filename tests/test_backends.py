@@ -1,75 +1,166 @@
-"""Pure/compiled kernel agreement.
+"""C/pure kernel agreement.
 
-The kernels are one source file; when the extension is built it shadows the
-.py on import.  These tests load the .py explicitly and require bit-for-bit
-identical behavior from both, so a seed always denotes the same starter
-regardless of the backend.
+`_kernels.py` is the reference.  The C extension `_ckernels` replaces its
+`fd_search` and `count_strong_starters` when built; the pure definitions
+stay reachable as `_kernels.pure_*`.  These tests require the two to return
+identical values, so a seed denotes the same starter and a search reports
+the same counts on every build.  When the extension is not importable it is
+compiled from source into a temporary directory; the tests skip only when
+there is no C compiler.
 """
 
+import hashlib
 import importlib.util
+import shutil
+import sysconfig
 from pathlib import Path
 
 import pytest
 
-from tristarter import _kernels
+from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
+from tristarter.solver import SolverConfig, _branch_order
+from tristarter.triplication import admissible_keys
 
-KERNELS_PY = Path(_kernels.__file__).parent / "_kernels.py"
-if not KERNELS_PY.exists():  # installed without sources next to the ext
-    KERNELS_PY = None
+from fixtures import T7
+
+C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tristarter" / "_ckernels.c"
 
 
-def _load_pure():
-    spec = importlib.util.spec_from_file_location("tristarter._kernels_pure", KERNELS_PY)
+def _compile(out_dir: Path) -> Path:
+    from setuptools import Distribution, Extension
+
+    dist = Distribution({"ext_modules": [Extension("_ckernels", [str(C_SOURCE)])]})
+    cmd = dist.get_command_obj("build_ext")
+    cmd.build_lib = str(out_dir)
+    cmd.build_temp = str(out_dir / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    return Path(cmd.get_ext_fullpath("_ckernels"))
+
+
+@pytest.fixture(scope="module")
+def ckernels(tmp_path_factory):
+    try:
+        from tristarter import _ckernels
+        return _ckernels
+    except ImportError:
+        pass
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build the kernels")
+    path = _compile(tmp_path_factory.mktemp("ckernels"))
+    spec = importlib.util.spec_from_file_location("_ckernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.fixture(scope="module")
-def pure():
-    if KERNELS_PY is None:
-        pytest.skip("kernel source not available")
-    return _load_pure()
+def _both(ckernels, inst, order, dynamic, budget, cap, fixed=None):
+    flat = list(inst.search_arrays())
+    if fixed is not None:
+        flat[0], flat[1] = fixed
+    got = ckernels.fd_search(inst.num_variables, *flat, order, dynamic, budget, cap)
+    want = _kernels.pure_fd_search(inst.num_variables, *flat, order, dynamic, budget, cap)
+    assert got == want
+    return got
 
 
-def test_backend_flag_consistency(pure):
-    assert pure.BACKEND == "pure"
-    assert _kernels.BACKEND in ("pure", "compiled")
+def test_backend_flag_consistency():
+    compiled = _kernels.fd_search is not _kernels.pure_fd_search
+    assert compiled == (_kernels.count_strong_starters
+                        is not _kernels.pure_count_strong_starters)
+    assert _kernels.BACKEND == ("compiled" if compiled else "pure")
 
 
-def test_hill_climb_identical_across_backends(pure):
-    if _kernels.COMPILED is pure.COMPILED:
-        pytest.skip("compiled kernels not built; nothing to compare")
-    for n in (7, 21, 39):
-        for seed in (0, 1, 12345):
-            assert _kernels.hill_climb_pairs(n, seed, 10 ** 6) == \
-                   pure.hill_climb_pairs(n, seed, 10 ** 6)
+def test_hill_climb_golden_digest():
+    # digest of the hill climber's output before its dead state was removed
+    results = [_kernels.hill_climb_pairs(n, seed, 10 ** 6)
+               for n in (7, 21, 39) for seed in (0, 1, 12345)]
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+        "4817cefaca45d3c9ba5cd2e0b7261d6ef7368358dda00b50184b1583c1dfa5a7"
 
 
-def test_enumeration_identical_across_backends(pure):
-    if _kernels.COMPILED is pure.COMPILED:
-        pytest.skip("compiled kernels not built; nothing to compare")
-    assert _kernels.count_strong_starters(15, 40) == pure.count_strong_starters(15, 40)
+def test_enumeration_identical_across_backends(ckernels):
+    assert ckernels.count_strong_starters(15, 40) == \
+        _kernels.pure_count_strong_starters(15, 40)
+    assert ckernels.count_strong_starters(21, 0) == (6660, [])
 
 
-def test_fd_search_identical_across_backends(pure):
-    if _kernels.COMPILED is pure.COMPILED:
-        pytest.skip("compiled kernels not built; nothing to compare")
-    from tristarter import build_table, encode
-    from tristarter.solver import _branch_order, SolverConfig
-    from fixtures import T7
+def test_fd_search_identical_on_order_31_sweeps(ckernels):
+    for seed in (0, 1):
+        base = hill_climb(31, seed=seed)
+        for key in admissible_keys(base):
+            inst = encode(build_table(base, key))
+            for order_name, dynamic in (("min-domain", 1), ("linear", 0)):
+                order = _branch_order(inst, SolverConfig(variable_order=order_name))
+                status, sols, *_ = _both(ckernels, inst, order, dynamic, 50_000, 1)
+                assert status == 1 and len(sols) == 1
 
-    inst = encode(build_table(T7, 1))
-    flat = inst.search_arrays()
+
+def test_fd_search_identical_enumerating_all_solutions(ckernels):
+    for key in range(7):
+        inst = encode(build_table(T7, key))
+        order = _branch_order(inst, SolverConfig())
+        for dynamic in (0, 1):
+            _both(ckernels, inst, order, dynamic, 0, 10 ** 6)
+
+
+def test_fd_search_identical_on_budget_exhaustion(ckernels):
+    base = hill_climb(31, seed=0)
+    inst = encode(build_table(base, admissible_keys(base)[0]))
+    status, _, decisions, *_ = _both(
+        ckernels, inst, _branch_order(inst, SolverConfig()), 1, 3, 1)
+    assert (status, decisions) == (2, 4)
+
+
+def test_fd_search_identical_on_inadmissible_key(ckernels):
+    base = hill_climb(11, seed=7)
+    key = 8
+    assert key in pair_sums(base)
+    inst = encode(build_table(base, key))
     order = _branch_order(inst, SolverConfig())
     for dynamic in (0, 1):
-        got = _kernels.fd_search(inst.num_variables, *flat, order, dynamic, 0, 0)
-        want = pure.fd_search(inst.num_variables, *flat, order, dynamic, 0, 0)
-        assert got == want
+        status, sols, decisions, *_ = _both(ckernels, inst, order, dynamic, 0, 1)
+        assert status == 0 and sols == [] and decisions > 0
 
 
-def test_splitmix_reference_values(pure):
-    # frozen expected values so both backends are anchored to one stream
-    assert pure.splitmix64(0) == _kernels.splitmix64(0)
-    assert pure.splitmix64(0) == 16294208416658607535
-    assert pure.splitmix64(1) == 10451216379200822465
+def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
+    inst = encode(build_table(T7, 1))
+    z = inst.z_id
+    got = _both(ckernels, inst, _branch_order(inst, SolverConfig()), 1, 0, 1,
+                fixed=([z, z], [0, 1]))
+    assert got == (0, [], 0, 0, 0)
+
+
+def test_fd_search_short_order_matches_pure(ckernels):
+    # branch variables missing from the order leave variables undetermined
+    inst = encode(build_table(T7, 1))
+    order = _branch_order(inst, SolverConfig())[:2]
+    assert _both(ckernels, inst, order, 1, 0, 1)[0] == -1
+
+
+ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
+               "ad_flat", "ad_off", "vc_flat", "vc_off", "order")
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("bind_a", lambda xs, n: xs.__setitem__(0, n), "outside"),
+    ("order", lambda xs, n: xs.append(-1), "outside"),
+    ("fixed_vals", lambda xs, n: xs.__setitem__(0, 3), "outside"),
+    ("ad_off", lambda xs, n: xs.append(xs[-1] - 1), "decreases"),
+    ("vc_off", lambda xs, n: xs.pop(), "entries"),
+    ("bind_b", lambda xs, n: xs.__setitem__(0, 0), "repeats"),
+])
+def test_fd_search_rejects_malformed_arrays(ckernels, name, corrupt, message):
+    inst = encode(build_table(T7, 1))
+    arrays = dict(zip(ARRAY_NAMES, map(list, (
+        *inst.search_arrays(), _branch_order(inst, SolverConfig())))))
+    corrupt(arrays[name], inst.num_variables)
+    with pytest.raises(ValueError, match=message):
+        ckernels.fd_search(inst.num_variables, *arrays.values(), 1, 0, 1)
+
+
+def test_splitmix_reference_values():
+    # frozen expected values anchor the seeded streams
+    assert _kernels.splitmix64(0) == 16294208416658607535
+    assert _kernels.splitmix64(1) == 10451216379200822465

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from tristarter.cli import main
+from tristarter.dimacs import export_dimacs
 from tristarter.files import save_starter
 
 from fixtures import EX1_S21, T7, T13
@@ -131,6 +132,26 @@ def test_solve_via_external(base_file, capsys):
     code, out, _ = run(["solve", "--base", base_file, "--key", "1",
                         "--external-solver", cmd], capsys)
     assert code == 0 and "external: SAT" in out
+
+
+def test_solve_exports_cnf_once(base_file, tmp_path, capsys, monkeypatch):
+    import tristarter.cli as cli
+    import tristarter.dimacs as dimacs
+
+    calls = []
+
+    def counting_export(instance):
+        calls.append(instance)
+        return export_dimacs(instance)
+
+    monkeypatch.setattr(cli, "export_dimacs", counting_export)
+    monkeypatch.setattr(dimacs, "export_dimacs", counting_export)
+    cnf = tmp_path / "out.cnf"
+    cmd = f"{sys.executable} {TOYSAT} {{cnf}}"
+    code, out, _ = run(["solve", "--base", base_file, "--key", "1",
+                        "--cnf-out", str(cnf), "--external-solver", cmd], capsys)
+    assert code == 0 and "external: SAT" in out and "solution_uv" in out
+    assert len(calls) == 1 and cnf.read_text().startswith("c ")
 
 
 def test_invert_example1(tmp_path, capsys):
