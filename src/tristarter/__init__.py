@@ -48,7 +48,6 @@ from .triplication import (
     admissible_keys,
     build_table,
     check_key_admissible,
-    compute_monochrome_sets,
     compute_weak_sets,
     row_differences,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_table",
     "check_key_admissible",
     "check_solution",
-    "compute_monochrome_sets",
     "compute_weak_sets",
     "crt",
     "crt_merge",

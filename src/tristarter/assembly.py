@@ -94,12 +94,17 @@ def _phi_pairs(uv: tuple[Pair, ...]) -> tuple[Pair, ...]:
 
 
 def _merge(table: TriplicationTable, uv: tuple[Pair, ...]) -> Pairing:
-    """The CRT arithmetic of `crt_merge`, for (U, V) values already checked."""
-    p = table.p
+    """The CRT arithmetic of `crt_merge`, for (U, V) values already checked.
+
+    `build_table` refused every p divisible by 3, so the coefficients are
+    taken once, without `crt`'s check.  Extension entries lie in [0, p) and
+    U, V in {0, 1, 2}, so no residue needs reducing.
+    """
+    c_p, c_3, n = _crt_coefficients(table.p)
     pairs = tuple(
-        (crt(u, u3, p), crt(v, v3, p))
+        ((u * c_p + u3 * c_3) % n, (v * c_p + v3 * c_3) % n)
         for (u, v), (u3, v3) in zip(table.extension, uv))
-    return Pairing(3 * p, pairs)
+    return Pairing(n, pairs)
 
 
 @dataclass(frozen=True)

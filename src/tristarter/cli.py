@@ -2,8 +2,8 @@
 
 Subcommands: verify, enumerate, hillclimb, triplicate, encode, solve,
 invert, series.  Exit codes: 0 on success (UNSAT results and False verdicts
-are successes, reported in the output), 1 on a domain refusal, 2 on a
-structural or input error.
+are successes, reported in the output), 1 on a domain refusal or an
+external-solver failure, 2 on a structural or input error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,16 @@ from pathlib import Path
 from . import __version__
 from .assembly import TriplicationResult, triplicate
 from .dimacs import export_dimacs, import_dimacs_model, run_external_solver, to_dimacs_text
-from .errors import RefusedError, StructuralError, TristarterError
+from .errors import ExternalSolverError, RefusedError, StructuralError
 from .files import load_starter, pairing_to_obj, save_starter
-from .harness import write_key_means_csv, write_records_csv
+from .harness import (
+    run_inverse_sampling,
+    run_key_sweep,
+    run_order_sweep,
+    run_repeat_subseries,
+    write_key_means_csv,
+    write_records_csv,
+)
 from .model import constraint_census, encode, uv_pairs
 from .solver import SolverConfig, solve
 from .starters import (
@@ -123,7 +130,7 @@ def _cmd_triplicate(args) -> int:
         agree = status == native or (native == "BUDGET_EXHAUSTED")
         print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
         if not agree:
-            raise TristarterError(
+            raise ExternalSolverError(
                 f"external solver says {status}, native says {native}")
 
     prefix = args.out or f"{Path(args.base).stem}-k{args.key}"
@@ -198,25 +205,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .harness import SeriesSpec, run_series
-
-    if args.mode in ("key-sweep", "repeat") and not args.base:
-        raise StructuralError(f"{args.mode} needs --base")
-    if args.mode == "repeat" and not args.repeats:
-        raise StructuralError("repeat needs --repeats")
-    if args.mode == "inverse-sampling" and not (args.order and args.samples):
-        raise StructuralError("inverse-sampling needs --order and --samples")
-    spec = SeriesSpec(
-        mode=args.mode,
-        base=load_starter(args.base) if args.base else None,
-        orders=tuple(_parse_orders(args)) if args.mode in ("order-sweep", "inverse-sampling") else (),
-        repeats=args.repeats or 0,
-        samples=args.samples or 0,
-        seed=args.seed or 0,
-    )
-    result = run_series(spec, config=_solver_config(args))
-
+    # --seed seeds the sweep only; every run searches with the default order.
+    seed = args.seed or 0
     if args.mode == "inverse-sampling":
+        if not (args.order and args.samples):
+            raise StructuralError("inverse-sampling needs --order and --samples")
+        result = run_inverse_sampling(args.order, args.samples, seed=seed)
         print(f"order {result.order}: {result.inconclusive} inconclusive of "
               f"{result.samples} samples ({100 * result.fraction:.3f}%), "
               f"{result.generation_failures} generation failures, "
@@ -227,18 +221,26 @@ def _cmd_series(args) -> int:
                 f"{result.order},{result.samples},{result.inconclusive},"
                 f"{result.fraction:.6f},{result.generation_failures}\n")
         return EXIT_OK
-    if args.mode == "key-sweep":
-        records = result
-    elif args.mode == "order-sweep":
+    if args.mode == "order-sweep":
+        result = run_order_sweep(_parse_orders(args), seed=seed)
         for order, message in result.failures:
             print(f"order {order} failed: {message}", file=sys.stderr)
         records = result.records
     else:
-        records = result.records
-        if args.out:
-            means_path = Path(args.out).with_suffix(".means.csv")
-            write_key_means_csv(result.key_means, args.repeats, means_path)
-            print(f"per-key means in {means_path}")
+        if not args.base:
+            raise StructuralError(f"{args.mode} needs --base")
+        if args.mode == "repeat" and not args.repeats:
+            raise StructuralError("repeat needs --repeats")
+        base = load_starter(args.base)
+        if args.mode == "key-sweep":
+            records = run_key_sweep(base)
+        else:
+            result = run_repeat_subseries(base, args.repeats)
+            records = result.records
+            if args.out:
+                means_path = Path(args.out).with_suffix(".means.csv")
+                write_key_means_csv(result.key_means, args.repeats, means_path)
+                print(f"per-key means in {means_path}")
     text = write_records_csv(records, args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -327,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", help="comma-separated list for order-sweep")
     p.add_argument("--repeats", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="seed of the order sweep or the sampling study")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_series)
 
@@ -341,6 +344,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except RefusedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except ExternalSolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,19 +94,18 @@ def parse_dimacs_text(text: str) -> CnfDocument:
         if line.startswith("c"):
             fields = line.split()
             if len(fields) == 4 and fields[1] == "tmap":
-                tmap[int(fields[2])] = int(fields[3])
+                t, base = _ints(fields[2:], lineno)
+                tmap[t] = base
             continue
         if line.startswith("p"):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise StructuralError(f"line {lineno}: bad problem line {line!r}")
-            num_bools = int(fields[2])
-            declared_clauses = int(fields[3])
+            num_bools, declared_clauses = _ints(fields[2:], lineno)
             continue
         if num_bools is None:
             raise StructuralError(f"line {lineno}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _ints(line.split(), lineno):
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
@@ -131,6 +130,14 @@ def parse_dimacs_text(text: str) -> CnfDocument:
         clauses=tuple(clauses),
         var_base=var_base,
     )
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise StructuralError(
+            f"line {lineno}: non-integer field in {' '.join(tokens)!r}") from None
 
 
 def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> SudokuSolution:
@@ -175,10 +182,11 @@ def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:
             else:
                 status = word
         elif line.startswith("v ") or line.startswith("v\t"):
-            for tok in line[2:].split():
-                lit = int(tok)
-                if lit != 0:
-                    literals.append(lit)
+            try:
+                literals.extend(lit for lit in map(int, line[2:].split()) if lit != 0)
+            except ValueError:
+                raise ExternalSolverError(
+                    f"malformed model line in solver output: {line!r}") from None
     if status is None:
         raise ExternalSolverError("no 's' status line in solver output")
     return status, (literals if status == "SAT" else None)
@@ -214,19 +222,3 @@ def run_external_solver(
             raise ExternalSolverError(
                 f"solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")
         return parse_solver_output(proc.stdout)
-
-
-def solve_via_external(
-    instance: SudokuInstance,
-    command_template: str,
-    timeout: Optional[float] = None,
-) -> tuple[str, Optional[SudokuSolution], CnfDocument]:
-    """Full bridge: export, run, decode; SAT models come back as solutions."""
-    doc = export_dimacs(instance)
-    status, literals = run_external_solver(doc, command_template, timeout=timeout)
-    solution = None
-    if status == "SAT":
-        if literals is None:
-            raise ExternalSolverError("SAT status without a model")
-        solution = import_dimacs_model(doc, literals)
-    return status, solution, doc

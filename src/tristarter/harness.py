@@ -83,39 +83,6 @@ class SamplingSummary:
     sampler: str          # uniform | hill-climb
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Complete description of one sweep; `run_series` derives the run list."""
-
-    mode: str                                  # key-sweep | order-sweep | repeat | inverse-sampling
-    base: Optional[Pairing] = None
-    orders: tuple[int, ...] = ()
-    repeats: int = 0
-    samples: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        modes = ("key-sweep", "order-sweep", "repeat", "inverse-sampling")
-        if self.mode not in modes:
-            raise RefusedError(f"mode must be one of {modes}, got {self.mode!r}")
-
-
-def run_series(spec: SeriesSpec, config: SolverConfig = SolverConfig()):
-    """Dispatch a spec to its sweep; the (spec, seed) pair fixes everything
-    in the output except durations."""
-    if spec.mode == "key-sweep":
-        if spec.base is None:
-            raise RefusedError("key-sweep needs a base")
-        return run_key_sweep(spec.base, config=config)
-    if spec.mode == "order-sweep":
-        return run_order_sweep(spec.orders, seed=spec.seed, config=config)
-    if spec.mode == "repeat":
-        if spec.base is None:
-            raise RefusedError("repeat needs a base")
-        return run_repeat_subseries(spec.base, spec.repeats, config=config)
-    return run_inverse_sampling(spec.orders[0], spec.samples, seed=spec.seed)
-
-
 def starter_digest(pairing: Pairing) -> str:
     """Stable hash of the normalized pairing (order- and orientation-free)."""
     canon = normalize(pairing)

@@ -12,7 +12,8 @@ An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
 * the all-different groups are CSR rows ``ad_flat[ad_off[g]:ad_off[g + 1]]``,
   in the order q regular rows (their three D), then the weak sets by sum
   (their S, plus Z for the zero-sum set, forcing the sums nonzero), then the
-  p colors (the U/V at the positions holding the color; color 0 adds Z);
+  p colors (the U/V at the positions holding the color; color 0 adds Z),
+  which no other module builds;
 * ``vc_flat[vc_off[v]:vc_off[v + 1]]`` lists the constraint ids of variable
   ``v``, where group ``g`` has id ``len(bind_a) + g``;
 * ``provenance[cid]`` names each constraint for diagnostics.
@@ -20,7 +21,8 @@ An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
 An all-different over more than three variables cannot hold over three
 values, so such an instance is emitted flagged as trivially unsatisfiable
 with the offending constraint named (reachable only through the non-starter
-or non-strong overrides).
+or non-strong overrides).  This flag is the package's one check of the
+weak-set and color cardinalities.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     """Encode the table's constraint problem (classes 0 through 3)."""
     k = len(table.extension)
     weak_sets = compute_weak_sets(table)
-    s_pairs = sorted(i for w in weak_sets for i in w.members)
+    s_pairs = sorted(i for members in weak_sets.values() for i in members)
     s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
     z_id = 3 * k + len(s_pairs)
     nvars = z_id + 1
@@ -94,11 +96,11 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     for row in range(1, table.q + 1):
         groups.append([2 * k + 3 * row - 2, 2 * k + 3 * row - 1, 2 * k + 3 * row])
         provenance.append(f"row {row} differences")
-    for w in weak_sets:
-        groups.append([s_ids[i] for i in w.members] + ([z_id] if w.sum == 0 else []))
-        provenance.append(f"weak set with sum {w.sum}")
-    # Color c holds the variables of the extension positions with value c,
-    # in extension order (the monochrome sets of `compute_monochrome_sets`).
+    for total, members in weak_sets.items():
+        groups.append([s_ids[i] for i in members] + ([z_id] if total == 0 else []))
+        provenance.append(f"weak set with sum {total}")
+    # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
+    # with value c, in extension order.
     colors: list[list[int]] = [[] for _ in range(table.p)]
     for i, (u, v) in enumerate(table.extension):
         colors[u].append(2 * i)

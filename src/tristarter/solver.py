@@ -31,7 +31,6 @@ DEFAULT_STEP_BUDGET = 50_000_000
 class SolverConfig:
     variable_order: str = "min-domain"   # or "linear" / "random"
     seed: int = 0
-    solution_cap: Optional[int] = None   # default cap for enumeration
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
@@ -108,19 +107,16 @@ def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> So
 
 def enumerate_solutions(
     instance: SudokuInstance,
-    cap: Optional[int] = None,
+    cap: int,
     config: SolverConfig = SolverConfig(),
 ) -> list[SudokuSolution]:
     """All solutions up to ``cap``, duplicate-free, each passing the checker.
 
-    ``cap`` falls back to ``config.solution_cap``; one of the two must be
-    set.  A result shorter than the cap is the complete solution set.
-    Exhausting the step budget raises `SearchBudgetError` (carrying the
-    partial list) rather than returning a truncated set silently.
+    A result shorter than the cap is the complete solution set.  Exhausting
+    the step budget raises `SearchBudgetError` (carrying the partial list)
+    rather than returning a truncated set silently.
     """
-    if cap is None:
-        cap = config.solution_cap
-    if cap is None or cap < 1:
+    if cap < 1:
         raise StructuralError(f"enumeration needs a cap >= 1, got {cap!r}")
     if instance.trivially_unsat_reason is not None:
         return []

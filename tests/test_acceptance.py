@@ -35,7 +35,7 @@ from tristarter import (
 )
 from tristarter.dimacs import import_dimacs_model, run_external_solver, export_dimacs
 from tristarter.harness import derive_seed, run_inverse_sampling
-from tristarter.triplication import admissible_keys, compute_monochrome_sets, compute_weak_sets, row_differences
+from tristarter.triplication import admissible_keys, compute_weak_sets, row_differences
 
 from fixtures import (
     DEMO_SIGMA3,
@@ -237,16 +237,16 @@ def test_criterion_10_table_guarantees(sweep_tables):
         assert len(set(base_diffs)) == len(base_diffs)
         assert not any((p - d) in base_diffs for d in base_diffs)
 
-        zero_sum = 0
-        for w in compute_weak_sets(table):
-            assert w.kind <= 3
-            if w.sum == 0:
-                zero_sum = w.kind
-        assert zero_sum <= 2
+        weak = compute_weak_sets(table)
+        assert all(len(members) <= 3 for members in weak.values())
+        assert len(weak.get(0, ())) <= 2
 
-        for m in compute_monochrome_sets(table):
-            real = sum(1 for pos in m.positions if not pos.is_dummy)
-            assert real == (2 if m.color == 0 else 3)
+        # the color groups are the instance's last p all-different groups
+        instance = result.instance
+        off = instance.ad_off[-p - 1:]
+        colors = [instance.ad_flat[off[c]:off[c + 1]] for c in range(p)]
+        assert all(len(g) == 3 for g in colors)
+        assert colors[0][-1] == instance.z_id
         tables += 1
     report("10 table guarantees", f"rowwise deltas, weak bounds, color counts on {tables} tables")
 

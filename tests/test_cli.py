@@ -204,3 +204,52 @@ def test_series_inverse_sampling(tmp_path, capsys):
 def test_series_missing_args(capsys):
     code, _, err = run(["series", "--mode", "key-sweep"], capsys)
     assert code == 2
+
+
+def test_series_seed_only_seeds_the_sweep(tmp_path, capsys):
+    from tristarter.harness import run_order_sweep, write_records_csv
+
+    def scrub(text):   # solve_ms is the one column that may differ
+        rows = [line.split(",") for line in text.splitlines()]
+        for row in rows[1:]:
+            row[4] = "_"
+        return rows
+
+    out_csv = tmp_path / "orders.csv"
+    code, _, _ = run(["series", "--mode", "order-sweep", "--orders", "13,19,25,31",
+                      "--seed", "1", "--out", str(out_csv)], capsys)
+    assert code == 0
+    expected = write_records_csv(run_order_sweep((13, 19, 25, 31), seed=1).records, None)
+    assert scrub(out_csv.read_text()) == scrub(expected)
+
+
+def fake_solver(tmp_path, output):
+    """A command that prints ``output`` whatever CNF it is given."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text(f"import sys\nsys.stdout.write({output!r})\n")
+    return f"{sys.executable} {script} {{cnf}}"
+
+
+def test_solve_external_missing_command(base_file, capsys):
+    code, _, err = run(["solve", "--base", base_file, "--key", "1",
+                        "--external-solver", "./nonexistent"], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot run")
+
+
+def test_solve_external_malformed_model(base_file, tmp_path, capsys):
+    cmd = fake_solver(tmp_path, "s SATISFIABLE\nv 1 x 3 0\n")
+    code, _, err = run(["solve", "--base", base_file, "--key", "1",
+                        "--external-solver", cmd], capsys)
+    assert code == 1
+    assert err.startswith("error: malformed model line")
+
+
+def test_triplicate_external_disagreement(base_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cmd = fake_solver(tmp_path, "s UNSATISFIABLE\n")
+    code, out, err = run(["triplicate", "--base", base_file, "--key", "1",
+                          "--external-solver", cmd], capsys)
+    assert code == 1
+    assert "DISAGREES" in out
+    assert err.startswith("error: external solver says UNSAT, native says SAT")

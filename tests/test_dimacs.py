@@ -12,10 +12,9 @@ from tristarter.dimacs import (
     parse_dimacs_text,
     parse_solver_output,
     run_external_solver,
-    solve_via_external,
     to_dimacs_text,
 )
-from tristarter.errors import ExternalSolverError
+from tristarter.errors import ExternalSolverError, StructuralError
 
 from fixtures import DEMO_KEY, T7
 
@@ -119,21 +118,22 @@ def test_external_bridge_sat(demo_instance, demo_doc):
     assert ok
 
 
-def test_external_bridge_unsat():
-    inst = encode(build_table(T7, 0))
-    status, solution, _ = solve_via_external(inst, TOYSAT_CMD)
-    assert status == "UNSAT" and solution is None
-
-
-def test_external_bridge_agrees_with_native(demo_instance):
-    status, solution, _ = solve_via_external(demo_instance, TOYSAT_CMD)
-    native = solve(demo_instance)
-    assert status == native.status == "SAT"
-    ok, _ = check_solution(demo_instance, solution)
-    assert ok
-
-
 def test_external_bridge_bad_command():
     doc = export_dimacs(encode(build_table(T7, DEMO_KEY)))
     with pytest.raises(ExternalSolverError):
         run_external_solver(doc, "/nonexistent/solver {cnf}")
+
+
+def test_malformed_model_line_is_solver_error():
+    with pytest.raises(ExternalSolverError, match="malformed model line"):
+        parse_solver_output("s SATISFIABLE\nv 1 x 3 0\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("p cnf three 1\n1 0\n", 1),
+    ("p cnf 3 1\n1 -x 0\n", 2),
+    ("c tmap 0 one\np cnf 3 1\n1 0\n", 1),
+])
+def test_parse_dimacs_non_integer_is_structural(text, lineno):
+    with pytest.raises(StructuralError, match=f"line {lineno}: non-integer"):
+        parse_dimacs_text(text)

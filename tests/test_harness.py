@@ -158,18 +158,3 @@ def test_csv_identical_modulo_durations():
     a = write_records_csv(run_order_sweep([7, 13, 19], seed=6).records, None)
     b = write_records_csv(run_order_sweep([7, 13, 19], seed=6).records, None)
     assert scrub(a) == scrub(b)
-
-
-def test_series_spec_dispatch():
-    from tristarter.harness import SeriesSpec, run_series
-
-    records = run_series(SeriesSpec(mode="key-sweep", base=T7))
-    assert [r.key for r in records] == [1, 2, 4]
-    sweep = run_series(SeriesSpec(mode="order-sweep", orders=(7,), seed=2))
-    assert len(sweep.records) == 1
-    summary = run_series(SeriesSpec(mode="inverse-sampling", orders=(21,), samples=20, seed=1))
-    assert summary.samples == 20
-    with pytest.raises(RefusedError):
-        SeriesSpec(mode="bogus")
-    with pytest.raises(RefusedError):
-        run_series(SeriesSpec(mode="key-sweep"))

@@ -3,6 +3,7 @@ import pytest
 from tristarter import (
     SearchBudgetError,
     SolverConfig,
+    StructuralError,
     apply_phi,
     build_table,
     check_solution,
@@ -102,11 +103,13 @@ def test_native_status_matches_exhaustive_oracle(key):
     assert solve(encode(table)).status == prose_status(table)
 
 
-def test_enumeration_cap_from_config(demo_instance):
-    sols = enumerate_solutions(demo_instance, config=SolverConfig(solution_cap=3))
+def test_enumeration_cap_required(demo_instance):
+    sols = enumerate_solutions(demo_instance, 3, SolverConfig(variable_order="linear"))
     assert len(sols) == 3
-    with pytest.raises(Exception):
-        enumerate_solutions(demo_instance)  # no cap anywhere
+    with pytest.raises(TypeError):
+        enumerate_solutions(demo_instance)  # no cap
+    with pytest.raises(StructuralError):
+        enumerate_solutions(demo_instance, cap=0)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])

@@ -6,12 +6,12 @@ from tristarter import (
     StructuralError,
     build_table,
     check_key_admissible,
-    compute_monochrome_sets,
     compute_weak_sets,
+    encode,
     hill_climb,
     row_differences,
 )
-from tristarter.triplication import admissible_keys, cardinality_violations
+from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_DELTAS, DEMO_EXTENSION, DEMO_KEY, DEMO_MONO, DEMO_WEAK, T7, T13
 
@@ -36,15 +36,6 @@ def test_table_formulas_for_other_key():
         assert table.extension[3 * i - 2] == (x, y)
         assert table.extension[3 * i - 1] == ((t + x) % p, (t + y) % p)
         assert table.extension[3 * i] == ((t - y) % p, (t - x) % p)
-
-
-def test_row_col_mapping():
-    table = build_table(T7, DEMO_KEY)
-    assert table.row_col(0) == (0, 2)
-    assert [table.row_col(j) for j in range(1, 10)] == [
-        (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
-    for j in range(1, 10):
-        assert table.index_of(*table.row_col(j)) == j
 
 
 def test_build_table_refusals():
@@ -74,49 +65,53 @@ def test_row_differences_constant_per_row():
         assert deltas[3 * i - 2] == deltas[3 * i - 1] == deltas[3 * i] == d
 
 
+def color_groups(instance):
+    """The last p CSR groups of the instance, color 0 first."""
+    p = instance.table.p
+    off = instance.ad_off[-p - 1:]
+    return [instance.ad_flat[off[c]:off[c + 1]] for c in range(p)]
+
+
 def test_demo_weak_sets():
     table = build_table(T7, DEMO_KEY)
-    got = {w.sum: w.members for w in compute_weak_sets(table)}
-    assert got == DEMO_WEAK
-    kinds = {w.sum: w.kind for w in compute_weak_sets(table)}
-    assert kinds == {0: 1, 3: 2, 5: 2, 6: 2}
+    weak = compute_weak_sets(table)
+    assert weak == DEMO_WEAK
+    assert list(weak) == sorted(weak)
+    assert {s: len(members) for s, members in weak.items()} == {0: 1, 3: 2, 5: 2, 6: 2}
 
 
 def test_weak_sets_disjoint():
     table = build_table(T7, DEMO_KEY)
     seen = set()
-    for w in compute_weak_sets(table):
-        assert not (seen & set(w.members))
-        seen |= set(w.members)
+    for members in compute_weak_sets(table).values():
+        assert not (seen & set(members))
+        seen |= set(members)
 
 
 def test_t13_key3_has_type4_weak_set():
     table = build_table(T13, 3, allow_nonstarter=True)
-    weak = {w.sum: w.kind for w in compute_weak_sets(table)}
-    assert weak[1] == 4
-    assert any("sum 1 has 4 members" in v for v in cardinality_violations(table))
+    assert len(compute_weak_sets(table)[1]) == 4
 
 
 def test_demo_monochrome_sets():
-    table = build_table(T7, DEMO_KEY)
-    sets = compute_monochrome_sets(table)
-    for m in sets:
-        real = tuple((pos.pair_index, pos.slot) for pos in m.positions if not pos.is_dummy)
-        assert real == DEMO_MONO[m.color]
-    assert any(pos.is_dummy for pos in sets[0].positions)
-    assert not any(pos.is_dummy for m in sets[1:] for pos in m.positions)
+    instance = encode(build_table(T7, DEMO_KEY))
+    groups = color_groups(instance)
+    for color, group in enumerate(groups):
+        real = tuple(divmod(var, 2) for var in group if var != instance.z_id)
+        assert real == DEMO_MONO[color]
+    assert groups[0][-1] == instance.z_id
+    assert not any(instance.z_id in g for g in groups[1:])
 
 
 @pytest.mark.parametrize("key", [0, 1, 4])
 def test_monochrome_cardinalities_guaranteed(key):
-    # cardinality 3 for nonzero colors, 2 for color 0, both key branches
-    table = build_table(T7, key)
-    for m in compute_monochrome_sets(table):
-        real = sum(1 for pos in m.positions if not pos.is_dummy)
-        assert real == (2 if m.color == 0 else 3)
+    # 3 per color (color 0: two positions plus Z), both key branches
+    instance = encode(build_table(T7, key))
+    groups = color_groups(instance)
+    assert all(len(g) == 3 for g in groups)
+    assert groups[0][-1] == instance.z_id
     if key != 0:
-        top = {(pos.pair_index, pos.slot) for pos in compute_monochrome_sets(table)[key].positions}
-        assert {(0, 0), (0, 1)} <= top
+        assert {0, 1} <= set(groups[key])   # U_0 and V_0: the top pair (t, t)
 
 
 def test_weak_set_bounds_for_strong_bases():
@@ -125,11 +120,11 @@ def test_weak_set_bounds_for_strong_bases():
         base = hill_climb(p, seed=1)
         for key in range(p):
             table = build_table(base, key)
-            for w in compute_weak_sets(table):
-                assert w.kind <= 3
-                if w.sum == 0:
-                    assert w.kind <= 2
-            assert cardinality_violations(table) == ()
+            for total, members in compute_weak_sets(table).items():
+                assert len(members) <= 3
+                if total == 0:
+                    assert len(members) <= 2
+            assert encode(table).trivially_unsat_reason is None
 
 
 def test_key_admissibility():
