@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tristarter import _kernels, build_table, encode, hill_climb  # noqa: E402
-from tristarter.solver import SolverConfig, _branch_order  # noqa: E402
+from tristarter.solver import _branch_order  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
 
 
@@ -54,7 +54,7 @@ def bench_solver(fd_search, p, seed=1000):
     for key in admissible_keys(base):
         inst = encode(build_table(base, key))
         prepared.append((inst.num_variables, inst.search_arrays(),
-                         _branch_order(inst, SolverConfig())))
+                         _branch_order(inst)))
 
     def run():
         for nvars, flat, order in prepared:

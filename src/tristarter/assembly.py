@@ -169,7 +169,7 @@ def triplicate(
             cause=instance.trivially_unsat_reason,
             table=table,
             instance=instance,
-            stats=SolveStats(0, 0, 0, 0),
+            stats=SolveStats(0, 0, 0, 0, 0),
         )
     outcome: SolveOutcome = solve(instance, config)
     if outcome.status == BUDGET_EXHAUSTED:

@@ -41,14 +41,6 @@ EXIT_REFUSED = 1
 EXIT_STRUCTURAL = 2
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["variable_order"] = "random"
-        kwargs["seed"] = args.seed
-    return SolverConfig(**kwargs)
-
-
 def _report_obj(result, base, key) -> dict:
     obj = {
         "status": result.status,
@@ -61,6 +53,7 @@ def _report_obj(result, base, key) -> dict:
             "decisions": result.stats.decisions,
             "backtracks": result.stats.backtracks,
             "propagations": result.stats.propagations,
+            "restarts": result.stats.restarts,
             "solve_ms": result.stats.duration_ms,
         },
     }
@@ -117,7 +110,7 @@ def _cmd_triplicate(args) -> int:
     base = load_starter(args.base)
     result = triplicate(
         base, args.key,
-        config=_solver_config(args),
+        config=SolverConfig(seed=args.seed),
         force=args.force,
         allow_nonstrong=args.allow_nonstrong,
     )
@@ -179,9 +172,10 @@ def _cmd_solve(args) -> int:
             solution = import_dimacs_model(doc, literals)
             print("solution_uv: " + json.dumps(uv_pairs(instance, solution)))
         return EXIT_OK
-    outcome = solve(instance, _solver_config(args))
+    outcome = solve(instance, SolverConfig(seed=args.seed))
     print(f"{outcome.status} decisions={outcome.stats.decisions} "
           f"backtracks={outcome.stats.backtracks} "
+          f"restarts={outcome.stats.restarts} "
           f"solve_ms={outcome.stats.duration_ms}")
     if outcome.solution is not None:
         print("solution_uv: " + json.dumps(uv_pairs(instance, outcome.solution)))
@@ -205,7 +199,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    # --seed seeds the sweep only; every run searches with the default order.
+    # --seed seeds the sweep only; every search runs with SolverConfig().
     seed = args.seed or 0
     if args.mode == "inverse-sampling":
         if not (args.order and args.samples):
@@ -293,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run even with an inadmissible key")
     p.add_argument("--allow-nonstrong", action="store_true",
                    help="accept a base that is a starter but not strong")
-    p.add_argument("--seed", type=int, help="random branch order with this seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the restarts' tie-breaking")
     p.add_argument("--out", help="output prefix for report and starter files")
     p.add_argument("--cnf-out", help="also export the instance as DIMACS CNF")
     p.add_argument("--external-solver",
@@ -311,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--key", type=int, required=True)
     p.add_argument("--allow-nonstrong", action="store_true")
-    p.add_argument("--seed", type=int, help="random branch order with this seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the restarts' tie-breaking")
     p.add_argument("--cnf-out")
     p.add_argument("--external-solver",
                    help="solve via this external command instead")

@@ -120,6 +120,11 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             f"header declares {declared_clauses} clauses, found {len(clauses)}")
     if tmap:
         num_ternary = len(tmap)
+        missing = [t for t in range(num_ternary) if t not in tmap]
+        if missing:
+            raise StructuralError(
+                f"c tmap comments must cover ternary indices 0..{num_ternary - 1}; "
+                f"index {missing[0]} is missing")
         var_base = tuple(tmap[t] for t in range(num_ternary))
     else:
         num_ternary = num_bools // 3

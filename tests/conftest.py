@@ -1,0 +1,46 @@
+"""The ``ckernels`` fixture: the C kernel extension, compiled when needed.
+
+Tests that compare the C and pure kernels, or that need the C speed for an
+exhaustive search, take it.  When the extension is not importable it is
+compiled from source into a temporary directory; tests that use it skip
+only when there is no C compiler.
+"""
+
+import importlib.util
+import shutil
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tristarter" / "_ckernels.c"
+
+
+def _compile(out_dir: Path) -> Path:
+    from setuptools import Distribution, Extension
+
+    dist = Distribution({"ext_modules": [Extension("_ckernels", [str(C_SOURCE)])]})
+    cmd = dist.get_command_obj("build_ext")
+    cmd.build_lib = str(out_dir)
+    cmd.build_temp = str(out_dir / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    return Path(cmd.get_ext_fullpath("_ckernels"))
+
+
+@pytest.fixture(scope="session")
+def ckernels(tmp_path_factory):
+    try:
+        from tristarter import _ckernels
+        return _ckernels
+    except ImportError:
+        pass
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build the kernels")
+    path = _compile(tmp_path_factory.mktemp("ckernels"))
+    spec = importlib.util.spec_from_file_location("_ckernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+

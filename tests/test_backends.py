@@ -4,55 +4,20 @@
 `fd_search` and `count_strong_starters` when built; the pure definitions
 stay reachable as `_kernels.pure_*`.  These tests require the two to return
 identical values, so a seed denotes the same starter and a search reports
-the same counts on every build.  When the extension is not importable it is
-compiled from source into a temporary directory; the tests skip only when
+the same counts on every build.  The ``ckernels`` fixture (conftest.py)
+compiles the extension when it is not importable; the tests skip only when
 there is no C compiler.
 """
 
 import hashlib
-import importlib.util
-import shutil
-import sysconfig
-from pathlib import Path
 
 import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
-from tristarter.solver import SolverConfig, _branch_order
+from tristarter.solver import _branch_order
 from tristarter.triplication import admissible_keys
 
 from fixtures import T7
-
-C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tristarter" / "_ckernels.c"
-
-
-def _compile(out_dir: Path) -> Path:
-    from setuptools import Distribution, Extension
-
-    dist = Distribution({"ext_modules": [Extension("_ckernels", [str(C_SOURCE)])]})
-    cmd = dist.get_command_obj("build_ext")
-    cmd.build_lib = str(out_dir)
-    cmd.build_temp = str(out_dir / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    return Path(cmd.get_ext_fullpath("_ckernels"))
-
-
-@pytest.fixture(scope="module")
-def ckernels(tmp_path_factory):
-    try:
-        from tristarter import _ckernels
-        return _ckernels
-    except ImportError:
-        pass
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) to build the kernels")
-    path = _compile(tmp_path_factory.mktemp("ckernels"))
-    spec = importlib.util.spec_from_file_location("_ckernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _both(ckernels, inst, order, dynamic, budget, cap, fixed=None):
@@ -91,8 +56,8 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
         base = hill_climb(31, seed=seed)
         for key in admissible_keys(base):
             inst = encode(build_table(base, key))
-            for order_name, dynamic in (("min-domain", 1), ("linear", 0)):
-                order = _branch_order(inst, SolverConfig(variable_order=order_name))
+            order = _branch_order(inst)
+            for dynamic in (1, 0):
                 status, sols, *_ = _both(ckernels, inst, order, dynamic, 50_000, 1)
                 assert status == 1 and len(sols) == 1
 
@@ -100,7 +65,7 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
 def test_fd_search_identical_enumerating_all_solutions(ckernels):
     for key in range(7):
         inst = encode(build_table(T7, key))
-        order = _branch_order(inst, SolverConfig())
+        order = _branch_order(inst)
         for dynamic in (0, 1):
             _both(ckernels, inst, order, dynamic, 0, 10 ** 6)
 
@@ -109,7 +74,7 @@ def test_fd_search_identical_on_budget_exhaustion(ckernels):
     base = hill_climb(31, seed=0)
     inst = encode(build_table(base, admissible_keys(base)[0]))
     status, _, decisions, *_ = _both(
-        ckernels, inst, _branch_order(inst, SolverConfig()), 1, 3, 1)
+        ckernels, inst, _branch_order(inst), 1, 3, 1)
     assert (status, decisions) == (2, 4)
 
 
@@ -118,7 +83,7 @@ def test_fd_search_identical_on_inadmissible_key(ckernels):
     key = 8
     assert key in pair_sums(base)
     inst = encode(build_table(base, key))
-    order = _branch_order(inst, SolverConfig())
+    order = _branch_order(inst)
     for dynamic in (0, 1):
         status, sols, decisions, *_ = _both(ckernels, inst, order, dynamic, 0, 1)
         assert status == 0 and sols == [] and decisions > 0
@@ -127,7 +92,7 @@ def test_fd_search_identical_on_inadmissible_key(ckernels):
 def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
     inst = encode(build_table(T7, 1))
     z = inst.z_id
-    got = _both(ckernels, inst, _branch_order(inst, SolverConfig()), 1, 0, 1,
+    got = _both(ckernels, inst, _branch_order(inst), 1, 0, 1,
                 fixed=([z, z], [0, 1]))
     assert got == (0, [], 0, 0, 0)
 
@@ -135,7 +100,7 @@ def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
 def test_fd_search_short_order_matches_pure(ckernels):
     # branch variables missing from the order leave variables undetermined
     inst = encode(build_table(T7, 1))
-    order = _branch_order(inst, SolverConfig())[:2]
+    order = _branch_order(inst)[:2]
     assert _both(ckernels, inst, order, 1, 0, 1)[0] == -1
 
 
@@ -154,7 +119,7 @@ ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_s
 def test_fd_search_rejects_malformed_arrays(ckernels, name, corrupt, message):
     inst = encode(build_table(T7, 1))
     arrays = dict(zip(ARRAY_NAMES, map(list, (
-        *inst.search_arrays(), _branch_order(inst, SolverConfig())))))
+        *inst.search_arrays(), _branch_order(inst)))))
     corrupt(arrays[name], inst.num_variables)
     with pytest.raises(ValueError, match=message):
         ckernels.fd_search(inst.num_variables, *arrays.values(), 1, 0, 1)

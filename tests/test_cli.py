@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tristarter import SolverConfig, build_table, encode, hill_climb, solve
 from tristarter.cli import main
 from tristarter.dimacs import export_dimacs
 from tristarter.files import save_starter
@@ -90,6 +91,26 @@ def test_triplicate_key0_refused_then_forced(base_file, tmp_path, capsys, monkey
     assert report["status"] == "UNSAT" and report["cause"] == "key is zero"
 
 
+def test_triplicate_seed_and_restarts_in_report(tmp_path, capsys, monkeypatch):
+    # key 19 of this base needs restarts; --seed shuffles their tie-breaks
+    monkeypatch.chdir(tmp_path)
+    base = hill_climb(31, seed=0)
+    save_starter(base, "B.json")
+    decisions = set()
+    for seed in (0, 1, 2):
+        code, out, _ = run(["triplicate", "--base", "B.json", "--key", "19",
+                            "--seed", str(seed), "--out", f"s{seed}"], capsys)
+        assert code == 0 and out.startswith("SAT")
+        report = json.loads(Path(f"s{seed}.report.json").read_text())
+        assert report["verification"]["a"]["is_strong"]
+        assert report["verification"]["b"]["is_strong"]
+        expected = solve(encode(build_table(base, 19)), SolverConfig(seed=seed)).stats
+        assert report["stats"]["restarts"] == expected.restarts >= 1
+        assert report["stats"]["decisions"] == expected.decisions
+        decisions.add(expected.decisions)
+    assert len(decisions) > 1
+
+
 def test_triplicate_nonstrong_override(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = tmp_path / "T13.json"
@@ -122,7 +143,7 @@ def test_encode_census_and_cnf(base_file, tmp_path, capsys):
 
 def test_solve_prints_status(base_file, capsys):
     code, out, _ = run(["solve", "--base", base_file, "--key", "1"], capsys)
-    assert code == 0 and out.startswith("SAT")
+    assert code == 0 and out.startswith("SAT") and " restarts=0 " in out
     code, out, _ = run(["solve", "--base", base_file, "--key", "0"], capsys)
     assert code == 0 and out.startswith("UNSAT")
 

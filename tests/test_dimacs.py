@@ -137,3 +137,8 @@ def test_malformed_model_line_is_solver_error():
 def test_parse_dimacs_non_integer_is_structural(text, lineno):
     with pytest.raises(StructuralError, match=f"line {lineno}: non-integer"):
         parse_dimacs_text(text)
+
+
+def test_parse_dimacs_tmap_gap_is_structural():
+    with pytest.raises(StructuralError, match="index 0 is missing"):
+        parse_dimacs_text("c tmap 1 4\np cnf 6 1\n1 0\n")

@@ -3,14 +3,18 @@ import pytest
 from tristarter import (
     SearchBudgetError,
     SolverConfig,
+    SudokuSolution,
     StructuralError,
     apply_phi,
     build_table,
     check_solution,
     encode,
     enumerate_solutions,
+    hill_climb,
     solve,
 )
+from tristarter import _kernels
+from tristarter.solver import _branch_order, _phi_fixed_var, luby
 
 from fixtures import DEMO_KEY, T7, T13
 from oracles import prose_enumerate, prose_status
@@ -57,11 +61,70 @@ def test_determinism(demo_instance):
 
 
 def test_random_order_still_sat(demo_instance):
+    linear = _branch_order(demo_instance)
     for seed in (0, 1, 2):
-        outcome = solve(demo_instance, SolverConfig(variable_order="random", seed=seed))
-        assert outcome.status == "SAT"
-        ok, _ = check_solution(demo_instance, outcome.solution)
+        order = _branch_order(demo_instance, seed)
+        assert order != linear and sorted(order) == sorted(linear)
+        status, sols, *_ = _kernels.fd_search(
+            demo_instance.num_variables, *demo_instance.search_arrays(), order, 1, 0, 1)
+        assert status == 1
+        ok, _ = check_solution(demo_instance, SudokuSolution(sols[0]))
         assert ok
+
+
+def test_step_budget_below_one_refused():
+    for budget in (0, -5):
+        with pytest.raises(StructuralError, match="step_budget"):
+            SolverConfig(step_budget=budget)
+
+
+def test_luby_sequence():
+    assert [luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_restarts_deterministic():
+    # the hardest admissible key of this base needs restarts
+    inst = encode(build_table(hill_climb(31, seed=0), 19))
+    a = solve(inst)
+    b = solve(inst)
+    assert a.status == "SAT" and a.stats.restarts >= 1
+    assert a.solution == b.solution
+    assert (a.stats.decisions, a.stats.backtracks, a.stats.propagations,
+            a.stats.restarts) == (b.stats.decisions, b.stats.backtracks,
+                                  b.stats.propagations, b.stats.restarts)
+
+
+def test_budget_bounds_decisions_summed_over_restarts():
+    # an inadmissible key that no run refutes within 600 decisions in all:
+    # runs of 128, 128 and 256 decisions, then one clamped to the last 88
+    inst = encode(build_table(hill_climb(11, seed=7), 8))
+    outcome = solve(inst, SolverConfig(step_budget=600))
+    assert outcome.status == "BUDGET_EXHAUSTED"
+    assert outcome.stats.restarts == 3
+    # the last run reports the one decision it refused, as a single run does
+    assert outcome.stats.decisions == 600 + 1
+
+
+def _phi_fix_cases():
+    yield from ((T7, key) for key in range(7))
+    yield from ((hill_climb(11, seed=23), key) for key in range(11))
+
+
+def test_phi_fix_keeps_one_solution_per_orbit(ckernels):
+    for base, key in _phi_fix_cases():
+        inst = encode(build_table(base, key))
+        fixed = _phi_fixed_var(inst)
+        arrays = inst.search_arrays()
+        assert inst.table.extension[fixed // 2][fixed % 2] == 0   # a color-0 member
+        fixed_arrays = ([inst.z_id, fixed], [0, 1]) + arrays[2:]
+        order = _branch_order(inst)
+        counts = []
+        for flat in (arrays, fixed_arrays):
+            status, sols, *_ = ckernels.fd_search(
+                inst.num_variables, *flat, order, 1, 0, 10 ** 6)
+            assert status == 0, f"p={base.modulus} key={key}: over the cap"
+            counts.append(len(sols))
+        assert counts[0] == 2 * counts[1], f"p={base.modulus} key={key}: {counts}"
 
 
 def test_enumeration_complete_and_phi_closed(demo_instance):
@@ -104,7 +167,7 @@ def test_native_status_matches_exhaustive_oracle(key):
 
 
 def test_enumeration_cap_required(demo_instance):
-    sols = enumerate_solutions(demo_instance, 3, SolverConfig(variable_order="linear"))
+    sols = enumerate_solutions(demo_instance, 3)
     assert len(sols) == 3
     with pytest.raises(TypeError):
         enumerate_solutions(demo_instance)  # no cap
