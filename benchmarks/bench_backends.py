@@ -58,7 +58,7 @@ def bench_solver(fd_search, p, seed=1000):
 
     def run():
         for nvars, flat, order in prepared:
-            status, sols, *_ = fd_search(nvars, *flat, order, 1, 0, 1)
+            status, sols, *_ = fd_search(nvars, *flat, order, 0, 1)
             assert status == 1 and sols
 
     return timed(run, 1)

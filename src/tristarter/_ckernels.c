@@ -328,11 +328,13 @@ validate(IntArray *A, Py_ssize_t nvars)
     return 0;
 }
 
-/* The search of `_kernels.fd_search` after its arguments are checked.
- * Returns its status, or -2 with a Python exception set. */
+/* The search of `_kernels.fd_search` after its arguments are checked: it
+ * branches on the smallest-domain unassigned variable of `order`, ties
+ * broken by position in `order`.  Returns its status, or -2 with a Python
+ * exception set. */
 static int
 search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
-       const IntArray *order, int dynamic, long long budget, long long cap,
+       const IntArray *order, long long budget, long long cap,
        PyObject *solutions)
 {
     uint8_t *dom = S->dom;
@@ -360,7 +362,7 @@ search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
         for (Py_ssize_t i = 0; i < order->n; i++) {
             uint8_t mm = dom[order->v[i]];
             if (mm & (mm - 1)) {
-                if (!dynamic || mm != 7) {
+                if (mm != 7) {
                     branch = order->v[i];
                     break;
                 }
@@ -423,12 +425,11 @@ fd_search(PyObject *self, PyObject *args)
 {
     Py_ssize_t nvars;
     PyObject *seqs[N_ARRAYS];
-    int dynamic;
     long long budget, cap;
-    if (!PyArg_ParseTuple(args, "nOOOOOOOOOOOpLL:fd_search", &nvars,
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOOOOLL:fd_search", &nvars,
                           &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
                           &seqs[5], &seqs[6], &seqs[7], &seqs[8], &seqs[9],
-                          &seqs[10], &dynamic, &budget, &cap))
+                          &seqs[10], &budget, &cap))
         return NULL;
     if (nvars < 0 || nvars > MAX_LEN) {
         invalid("nvars = %zd is out of range", nvars);
@@ -476,7 +477,7 @@ fd_search(PyObject *self, PyObject *args)
     if (solutions == NULL)
         goto done;
     status = search(&S, &A[A_FIXED_VARS], &A[A_FIXED_VALS], &A[A_ORDER],
-                    dynamic, budget, cap, solutions);
+                    budget, cap, solutions);
     if (status != -2)
         result = Py_BuildValue("(iOLLL)", status, solutions, S.decisions,
                                S.backtracks, S.props);

@@ -383,16 +383,15 @@ def _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
 def fd_search(nvars, fixed_vars, fixed_vals,
               bind_a, bind_b, bind_c, bind_sign,
               ad_flat, ad_off, vc_flat, vc_off,
-              order, dynamic, budget, cap):
+              order, budget, cap):
     """Chronological backtracking over {0,1,2} domains with propagation.
 
     Constraints are ternary bindings ``(a + sign*b - c) % 3 == 0`` and
     all-different groups (flattened into ``ad_flat``/``ad_off``);
     ``vc_flat``/``vc_off`` map each variable to its constraint ids.  Search
     branches over ``order`` (values tried 0,1,2): the next branch variable
-    is the smallest-domain unassigned one when ``dynamic`` is nonzero
-    (ties broken by position in ``order``), the first unassigned one
-    otherwise.  Remaining variables must be fixed by propagation.
+    is the smallest-domain unassigned one, ties broken by position in
+    ``order``.  Remaining variables must be fixed by propagation.
     ``budget`` bounds decisions and ``cap`` bounds collected solutions;
     either <= 0 means unlimited.
 
@@ -440,25 +439,16 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     running = 1
     while running:
         branch = -1
-        if dynamic:
-            i = 0
-            while i < nord:
-                mm = dom[order[i]]
-                if mm & (mm - 1):
-                    if mm != 7:
-                        branch = order[i]
-                        break
-                    if branch == -1:
-                        branch = order[i]
-                i += 1
-        else:
-            i = 0
-            while i < nord:
-                mm = dom[order[i]]
-                if mm & (mm - 1):
+        i = 0
+        while i < nord:
+            mm = dom[order[i]]
+            if mm & (mm - 1):
+                if mm != 7:
                     branch = order[i]
                     break
-                i += 1
+                if branch == -1:
+                    branch = order[i]
+            i += 1
         if branch == -1:
             sol = [0] * nvars
             v = 0

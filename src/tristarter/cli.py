@@ -26,9 +26,10 @@ from .harness import (
     write_key_means_csv,
     write_records_csv,
 )
-from .model import constraint_census, encode, uv_pairs
+from .model import check_solution, constraint_census, encode, uv_pairs
 from .solver import SolverConfig, solve
 from .starters import (
+    DEFAULT_ENUMERATION_BOUND,
     enumerate_strong_starters,
     hill_climb,
     kernel_backend,
@@ -86,9 +87,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    result = enumerate_strong_starters(
-        args.order, cap=args.cap,
-        bound=args.bound if args.bound is not None else 21)
+    result = enumerate_strong_starters(args.order, cap=args.cap, bound=args.bound)
     print(f"order {args.order}: {result.count} strong starters")
     if result.starters:
         for s in result.starters:
@@ -97,7 +96,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_hillclimb(args) -> int:
-    starter = hill_climb(args.order, seed=args.seed or 0)
+    starter = hill_climb(args.order, seed=args.seed)
     if args.out:
         save_starter(starter, args.out)
         print(f"wrote strong starter of order {args.order} to {args.out}")
@@ -141,9 +140,7 @@ def _cmd_triplicate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    base = load_starter(args.base)
-    table = build_table(base, args.key, allow_nonstarter=args.allow_nonstrong)
-    instance = encode(table)
+    instance = encode(build_table(load_starter(args.base), args.key))
     census = constraint_census(instance)
     print(f"variables: {instance.num_variables}")
     for name, count in census.items():
@@ -159,9 +156,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    base = load_starter(args.base)
-    table = build_table(base, args.key, allow_nonstarter=args.allow_nonstrong)
-    instance = encode(table)
+    instance = encode(build_table(load_starter(args.base), args.key))
     doc = export_dimacs(instance) if args.cnf_out or args.external_solver else None
     if args.cnf_out:
         Path(args.cnf_out).write_text(to_dimacs_text(doc))
@@ -170,6 +165,10 @@ def _cmd_solve(args) -> int:
         print(f"external: {status}")
         if status == "SAT":
             solution = import_dimacs_model(doc, literals)
+            ok, violated = check_solution(instance, solution)
+            if not ok:
+                raise ExternalSolverError(
+                    f"external model violates {violated[0]}")
             print("solution_uv: " + json.dumps(uv_pairs(instance, solution)))
         return EXIT_OK
     outcome = solve(instance, SolverConfig(seed=args.seed))
@@ -271,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count strong starters exhaustively")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--cap", type=int, help="also list up to this many starters")
-    p.add_argument("--bound", type=int, help="override the enumeration bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND,
+                   help="override the enumeration bound")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("hillclimb", help="generate a strong starter")
@@ -298,14 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="build and describe the constraint instance")
     p.add_argument("--base", required=True)
     p.add_argument("--key", type=int, required=True)
-    p.add_argument("--allow-nonstrong", action="store_true")
     p.add_argument("--cnf-out", help="write DIMACS CNF here")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("solve", help="solve the instance for (base, key)")
     p.add_argument("--base", required=True)
     p.add_argument("--key", type=int, required=True)
-    p.add_argument("--allow-nonstrong", action="store_true")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the restarts' tie-breaking")
     p.add_argument("--cnf-out")

@@ -25,14 +25,13 @@ from . import _kernels
 from .assembly import TriplicationResult, triplicate
 from .errors import RefusedError, TristarterError
 from .inverse import INCONCLUSIVE, base_order_of, inverse_test
-from .solver import BUDGET_EXHAUSTED, SolverConfig
+from .solver import BUDGET_EXHAUSTED
 from .starters import (
     DEFAULT_ENUMERATION_BOUND,
     Pairing,
     enumerate_strong_starters,
     hill_climb,
     normalize,
-    verify_pairing,
 )
 from .triplication import admissible_keys
 
@@ -95,9 +94,8 @@ def derive_seed(master: int, index: int) -> int:
     return _kernels.splitmix64((master & ((1 << 64) - 1)) ^ (index * 0x9E3779B97F4A7C15))
 
 
-def _record_for(base: Pairing, key: int, config: SolverConfig,
-                seed: Optional[int]) -> RunRecord:
-    result = triplicate(base, key, config=config)
+def _record_for(base: Pairing, key: int, seed: Optional[int]) -> RunRecord:
+    result = triplicate(base, key)
     status = _STATUS_SHORT.get(result.status, result.status)
     digest = ""
     if isinstance(result, TriplicationResult):
@@ -116,22 +114,17 @@ def _record_for(base: Pairing, key: int, config: SolverConfig,
     )
 
 
-def run_key_sweep(
-    base: Pairing,
-    config: SolverConfig = SolverConfig(),
-) -> list[RunRecord]:
-    """One record per admissible key, ascending; `triplicate` strong-verifies
-    every SAT starter."""
-    if not verify_pairing(base).is_strong:
-        raise RefusedError("key sweep requires a strong base")
-    return [_record_for(base, t, config, None) for t in admissible_keys(base)]
+def run_key_sweep(base: Pairing) -> list[RunRecord]:
+    """One record per admissible key, ascending.
+
+    `triplicate` refuses a base that is not a strong starter (every pairing
+    has an admissible key, so the sweep always reaches it) and
+    strong-verifies every SAT starter.
+    """
+    return [_record_for(base, t, None) for t in admissible_keys(base)]
 
 
-def run_order_sweep(
-    orders: Sequence[int],
-    seed: int = 0,
-    config: SolverConfig = SolverConfig(),
-) -> OrderSweepResult:
+def run_order_sweep(orders: Sequence[int], seed: int = 0) -> OrderSweepResult:
     """Per order: hill-climb a base, pick a seeded random admissible key, run."""
     records = []
     failures = []
@@ -141,32 +134,22 @@ def run_order_sweep(
             base = hill_climb(order, seed=child)
             keys = admissible_keys(base)
             key = keys[derive_seed(child, 1) % len(keys)]
-            records.append(_record_for(base, key, config, child))
+            records.append(_record_for(base, key, child))
         except TristarterError as exc:
             failures.append((order, str(exc)))
     return OrderSweepResult(tuple(records), tuple(failures))
 
 
-def run_repeat_subseries(
-    base: Pairing,
-    repeats: int,
-    config: SolverConfig = SolverConfig(),
-) -> RepeatResult:
-    """``repeats`` passes over all admissible keys; per-key mean durations."""
+def run_repeat_subseries(base: Pairing, repeats: int) -> RepeatResult:
+    """``repeats`` key sweeps of the base; per-key mean durations."""
     if repeats < 1:
         raise RefusedError(f"repeats must be >= 1, got {repeats}")
-    if not verify_pairing(base).is_strong:
-        raise RefusedError("repeat subseries requires a strong base")
-    keys = admissible_keys(base)
-    records: list[RunRecord] = []
-    for _ in range(repeats):
-        for t in keys:
-            records.append(_record_for(base, t, config, None))
-    means = []
-    for t in keys:
-        times = [r.solve_ms for r in records if r.key == t]
-        means.append((t, sum(times) / len(times)))
-    return RepeatResult(tuple(records), tuple(means))
+    records = [r for _ in range(repeats) for r in run_key_sweep(base)]
+    times: dict[int, list[int]] = {}
+    for r in records:
+        times.setdefault(r.key, []).append(r.solve_ms)
+    means = tuple((t, sum(ts) / len(ts)) for t, ts in times.items())
+    return RepeatResult(tuple(records), means)
 
 
 def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSummary:

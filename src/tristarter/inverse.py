@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import RefusedError, StructuralError
 from .starters import Pair, Pairing, VerificationReport, verify_pairing
-from .triplication import TriplicationTable, build_table
+from .triplication import TriplicationTable, build_table, check_base_order
 
 FALSE = "False"
 INCONCLUSIVE = "Inconclusive"
@@ -55,15 +55,12 @@ class InverseVerdict:
 def base_order_of(n: int) -> int:
     """The base order p of an order n = 3p the inverse test accepts.
 
-    Refuses any n that is not 3p with p >= 7 coprime to 6.
+    Refuses any n that is not 3p with p a base order `build_table` accepts.
     """
     if n % 3 != 0:
         raise RefusedError(f"order {n} is not of the form 3p")
-    p = n // 3
-    if p < 7 or p % 2 == 0 or p % 3 == 0:
-        raise RefusedError(
-            f"order {n} = 3*{p} needs p >= 7 coprime to 6")
-    return p
+    check_base_order(n // 3)
+    return n // 3
 
 
 def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:

@@ -141,7 +141,7 @@ def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> So
             instance, None if run == 0 else _kernels.splitmix64(config.seed) + run)
         budget = min(RESTART_UNIT * luby(run), remaining)
         status, raw, d, b, p = _kernels.fd_search(
-            instance.num_variables, *arrays, order, 1, budget, 1)
+            instance.num_variables, *arrays, order, budget, 1)
         backtracks += b
         props += p
         if status != 2 or budget == remaining:
@@ -177,7 +177,7 @@ def enumerate_solutions(
         return []
     status, raw, decisions, _, _ = _kernels.fd_search(
         instance.num_variables, *instance.search_arrays(), _branch_order(instance),
-        1, config.step_budget, cap)
+        config.step_budget, cap)
     solutions = _checked(instance, status, raw)
     if status == 2:
         raise SearchBudgetError(

@@ -33,19 +33,23 @@ class TriplicationTable:
         return self.base.modulus
 
 
+def check_base_order(p: int) -> None:
+    """Refuse a base order outside the construction: p >= 7, odd, coprime to 3."""
+    if p < 7 or p % 2 == 0 or p % 3 == 0:
+        raise RefusedError(
+            f"base order must be >= 7, odd and coprime to 3, got {p}")
+
+
 def build_table(base: Pairing, key: int, allow_nonstarter: bool = False) -> TriplicationTable:
     """Build the triplication table for (base, key).
 
-    The base order must be >= 7 and coprime to 6; the base must verify as a
+    The base order must pass `check_base_order`; the base must verify as a
     starter unless ``allow_nonstarter`` is set (an experiment escape hatch:
     derived guarantees become diagnostics).  Strongness is not required
-    here; it is checked by the pipeline.
+    here; `assembly.triplicate` checks it.
     """
     p = base.modulus
-    if p < 7:
-        raise RefusedError(f"base order must be >= 7, got {p}")
-    if p % 3 == 0:
-        raise RefusedError(f"base order must be coprime to 3, got {p}")
+    check_base_order(p)
     if not isinstance(key, int) or not 0 <= key < p:
         raise StructuralError(f"key must lie in [0, {p}), got {key!r}")
     report = verify_pairing(base)
@@ -83,16 +87,19 @@ def compute_weak_sets(table: TriplicationTable) -> dict[int, tuple[int, ...]]:
             if s == 0 or len(by_sum[s]) > 1}
 
 
-def check_key_admissible(base: Pairing, key: int) -> tuple[bool, str]:
+def _forbidden_keys(base: Pairing) -> set[int]:
     """A solvable instance requires the key to avoid 0 and the base pair sums."""
-    if key == 0:
-        return False, "key is zero"
-    if key in pair_sums(base):
-        return False, "key in pair sums"
-    return True, "admissible"
+    return {0, *pair_sums(base)}
+
+
+def check_key_admissible(base: Pairing, key: int) -> tuple[bool, str]:
+    """(admissible, reason) for the key; see `_forbidden_keys`."""
+    if key not in _forbidden_keys(base):
+        return True, "admissible"
+    return False, "key is zero" if key == 0 else "key in pair sums"
 
 
 def admissible_keys(base: Pairing) -> tuple[int, ...]:
     """All admissible keys for the base, ascending."""
-    forbidden = set(pair_sums(base)) | {0}
+    forbidden = _forbidden_keys(base)
     return tuple(t for t in range(base.modulus) if t not in forbidden)

@@ -20,12 +20,12 @@ from tristarter.triplication import admissible_keys
 from fixtures import T7
 
 
-def _both(ckernels, inst, order, dynamic, budget, cap, fixed=None):
+def _both(ckernels, inst, order, budget, cap, fixed=None):
     flat = list(inst.search_arrays())
     if fixed is not None:
         flat[0], flat[1] = fixed
-    got = ckernels.fd_search(inst.num_variables, *flat, order, dynamic, budget, cap)
-    want = _kernels.pure_fd_search(inst.num_variables, *flat, order, dynamic, budget, cap)
+    got = ckernels.fd_search(inst.num_variables, *flat, order, budget, cap)
+    want = _kernels.pure_fd_search(inst.num_variables, *flat, order, budget, cap)
     assert got == want
     return got
 
@@ -56,25 +56,20 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
         base = hill_climb(31, seed=seed)
         for key in admissible_keys(base):
             inst = encode(build_table(base, key))
-            order = _branch_order(inst)
-            for dynamic in (1, 0):
-                status, sols, *_ = _both(ckernels, inst, order, dynamic, 50_000, 1)
-                assert status == 1 and len(sols) == 1
+            status, sols, *_ = _both(ckernels, inst, _branch_order(inst), 50_000, 1)
+            assert status == 1 and len(sols) == 1
 
 
 def test_fd_search_identical_enumerating_all_solutions(ckernels):
     for key in range(7):
         inst = encode(build_table(T7, key))
-        order = _branch_order(inst)
-        for dynamic in (0, 1):
-            _both(ckernels, inst, order, dynamic, 0, 10 ** 6)
+        _both(ckernels, inst, _branch_order(inst), 0, 10 ** 6)
 
 
 def test_fd_search_identical_on_budget_exhaustion(ckernels):
     base = hill_climb(31, seed=0)
     inst = encode(build_table(base, admissible_keys(base)[0]))
-    status, _, decisions, *_ = _both(
-        ckernels, inst, _branch_order(inst), 1, 3, 1)
+    status, _, decisions, *_ = _both(ckernels, inst, _branch_order(inst), 3, 1)
     assert (status, decisions) == (2, 4)
 
 
@@ -83,17 +78,14 @@ def test_fd_search_identical_on_inadmissible_key(ckernels):
     key = 8
     assert key in pair_sums(base)
     inst = encode(build_table(base, key))
-    order = _branch_order(inst)
-    for dynamic in (0, 1):
-        status, sols, decisions, *_ = _both(ckernels, inst, order, dynamic, 0, 1)
-        assert status == 0 and sols == [] and decisions > 0
+    status, sols, decisions, *_ = _both(ckernels, inst, _branch_order(inst), 0, 1)
+    assert status == 0 and sols == [] and decisions > 0
 
 
 def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
     inst = encode(build_table(T7, 1))
     z = inst.z_id
-    got = _both(ckernels, inst, _branch_order(inst), 1, 0, 1,
-                fixed=([z, z], [0, 1]))
+    got = _both(ckernels, inst, _branch_order(inst), 0, 1, fixed=([z, z], [0, 1]))
     assert got == (0, [], 0, 0, 0)
 
 
@@ -101,7 +93,7 @@ def test_fd_search_short_order_matches_pure(ckernels):
     # branch variables missing from the order leave variables undetermined
     inst = encode(build_table(T7, 1))
     order = _branch_order(inst)[:2]
-    assert _both(ckernels, inst, order, 1, 0, 1)[0] == -1
+    assert _both(ckernels, inst, order, 0, 1)[0] == -1
 
 
 ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
@@ -122,7 +114,7 @@ def test_fd_search_rejects_malformed_arrays(ckernels, name, corrupt, message):
         *inst.search_arrays(), _branch_order(inst)))))
     corrupt(arrays[name], inst.num_variables)
     with pytest.raises(ValueError, match=message):
-        ckernels.fd_search(inst.num_variables, *arrays.values(), 1, 0, 1)
+        ckernels.fd_search(inst.num_variables, *arrays.values(), 0, 1)
 
 
 def test_splitmix_reference_values():

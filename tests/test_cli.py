@@ -148,6 +148,19 @@ def test_solve_prints_status(base_file, capsys):
     assert code == 0 and out.startswith("UNSAT")
 
 
+def test_encode_and_solve_accept_any_starter(tmp_path, capsys):
+    base = tmp_path / "T13.json"
+    save_starter(T13, base)
+    code, out, _ = run(["encode", "--base", str(base), "--key", "4"], capsys)
+    assert code == 0 and "variables: " in out
+    code, out, _ = run(["solve", "--base", str(base), "--key", "4"], capsys)
+    assert code == 0 and out.startswith("SAT")
+    for command in ("encode", "solve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--base", str(base), "--key", "4", "--allow-nonstrong"])
+        assert exc.value.code == 2
+
+
 def test_solve_via_external(base_file, capsys):
     cmd = f"{sys.executable} {TOYSAT} {{cnf}}"
     code, out, _ = run(["solve", "--base", base_file, "--key", "1",
@@ -264,6 +277,18 @@ def test_solve_external_malformed_model(base_file, tmp_path, capsys):
                         "--external-solver", cmd], capsys)
     assert code == 1
     assert err.startswith("error: malformed model line")
+
+
+def test_solve_external_model_is_checked(base_file, tmp_path, capsys):
+    # every ternary variable 0: decodes, but breaks the all-different groups
+    doc = export_dimacs(encode(build_table(T7, 1)))
+    literals = " ".join(str(doc.var_base[t]) for t in range(doc.num_ternary))
+    cmd = fake_solver(tmp_path, f"s SATISFIABLE\nv {literals} 0\n")
+    code, out, err = run(["solve", "--base", base_file, "--key", "1",
+                          "--external-solver", cmd], capsys)
+    assert code == 1
+    assert "solution_uv" not in out
+    assert err.startswith("error: external model violates ")
 
 
 def test_triplicate_external_disagreement(base_file, tmp_path, capsys, monkeypatch):

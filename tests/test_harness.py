@@ -14,7 +14,7 @@ from tristarter.harness import (
 )
 from tristarter.starters import Pairing, normalize
 
-from fixtures import T7
+from fixtures import T7, T13
 
 
 def test_key_sweep_demo_base():
@@ -35,6 +35,11 @@ def test_key_sweep_count_law():
 def test_key_sweep_requires_strong_base():
     with pytest.raises(RefusedError):
         run_key_sweep(Pairing(7, ((1, 2), (3, 4), (5, 6))))
+
+
+def test_repeat_subseries_refuses_a_nonstrong_starter():
+    with pytest.raises(RefusedError, match="not strong"):
+        run_repeat_subseries(T13, 2)
 
 
 def test_digest_is_normalization_invariant():

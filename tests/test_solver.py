@@ -66,7 +66,7 @@ def test_random_order_still_sat(demo_instance):
         order = _branch_order(demo_instance, seed)
         assert order != linear and sorted(order) == sorted(linear)
         status, sols, *_ = _kernels.fd_search(
-            demo_instance.num_variables, *demo_instance.search_arrays(), order, 1, 0, 1)
+            demo_instance.num_variables, *demo_instance.search_arrays(), order, 0, 1)
         assert status == 1
         ok, _ = check_solution(demo_instance, SudokuSolution(sols[0]))
         assert ok
@@ -121,7 +121,7 @@ def test_phi_fix_keeps_one_solution_per_orbit(ckernels):
         counts = []
         for flat in (arrays, fixed_arrays):
             status, sols, *_ = ckernels.fd_search(
-                inst.num_variables, *flat, order, 1, 0, 10 ** 6)
+                inst.num_variables, *flat, order, 0, 10 ** 6)
             assert status == 0, f"p={base.modulus} key={key}: over the cap"
             counts.append(len(sols))
         assert counts[0] == 2 * counts[1], f"p={base.modulus} key={key}: {counts}"

@@ -11,6 +11,7 @@ from tristarter import (
     hill_climb,
     row_differences,
 )
+from tristarter.inverse import base_order_of
 from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_DELTAS, DEMO_EXTENSION, DEMO_KEY, DEMO_MONO, DEMO_WEAK, T7, T13
@@ -49,6 +50,25 @@ def test_build_table_refusals():
     with pytest.raises(RefusedError):
         build_table(nonstarter, 1)
     build_table(nonstarter, 1, allow_nonstarter=True)
+
+
+def _refused(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except RefusedError:
+        return True
+    return False
+
+
+def test_inverse_test_shares_the_base_order_rule():
+    refused = set()
+    for p in range(3, 62, 2):
+        patterned = Pairing(p, tuple((x, p - x) for x in range(1, (p + 1) // 2)))
+        by_table = _refused(build_table, patterned, 1)
+        assert by_table == _refused(base_order_of, 3 * p), p
+        if by_table:
+            refused.add(p)
+    assert refused == {p for p in range(3, 62, 2) if p < 7 or p % 3 == 0}
 
 
 def test_demo_row_differences():
@@ -132,6 +152,14 @@ def test_key_admissibility():
     assert check_key_admissible(T7, 5) == (False, "key in pair sums")
     assert check_key_admissible(T7, 1) == (True, "admissible")
     assert admissible_keys(T7) == (1, 2, 4)
+
+
+def test_admissible_keys_are_the_keys_check_accepts():
+    bases = [T7] + [hill_climb(p, seed=0) for p in (7, 11, 13, 31)]
+    for base in bases:
+        accepted = tuple(t for t in range(base.modulus)
+                         if check_key_admissible(base, t)[0])
+        assert admissible_keys(base) == accepted
 
 
 def test_admissible_key_count_law():
