@@ -19,7 +19,7 @@ from .errors import (
     StructuralError,
     TristarterError,
 )
-from .inverse import InverseVerdict, inverse_test, reconstruct_candidates
+from .inverse import InverseVerdict, inverse_test
 from .model import (
     SudokuInstance,
     SudokuSolution,
@@ -91,7 +91,6 @@ __all__ = [
     "kernel_backend",
     "normalize",
     "pair_sums",
-    "reconstruct_candidates",
     "reduce_mod",
     "row_differences",
     "solution_from_uv",

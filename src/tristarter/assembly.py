@@ -28,15 +28,7 @@ from .model import (
     encode,
     uv_pairs,
 )
-from .solver import (
-    BUDGET_EXHAUSTED,
-    SAT,
-    UNSAT,
-    SolveOutcome,
-    SolverConfig,
-    SolveStats,
-    solve,
-)
+from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, solve
 from .starters import Pair, Pairing, VerificationReport, verify_pairing
 from .triplication import TriplicationTable, build_table, check_key_admissible
 
@@ -153,8 +145,7 @@ def triplicate(
     if not table.base_report.is_strong and not allow_nonstrong:
         raise RefusedError(
             "base is a starter but not strong ("
-            + "; ".join(table.base_report.diagnostics)
-            + "); pass allow_nonstrong to run regardless")
+            + "; ".join(table.base_report.diagnostics) + ")")
     admissible, reason = check_key_admissible(base, key)
     if not admissible and not force:
         raise KeyNotAdmissibleError(
@@ -163,31 +154,15 @@ def triplicate(
             "pass force to attempt it anyway")
 
     instance = encode(table)
-    if instance.trivially_unsat_reason is not None:
-        return UnsatReport(
-            status=UNSAT,
-            cause=instance.trivially_unsat_reason,
-            table=table,
-            instance=instance,
-            stats=SolveStats(0, 0, 0, 0, 0),
-        )
-    outcome: SolveOutcome = solve(instance, config)
-    if outcome.status == BUDGET_EXHAUSTED:
-        return UnsatReport(
-            status=BUDGET_EXHAUSTED,
-            cause=f"step budget {config.step_budget} exhausted",
-            table=table,
-            instance=instance,
-            stats=outcome.stats,
-        )
-    if outcome.status == UNSAT:
-        return UnsatReport(
-            status=UNSAT,
-            cause=None if admissible else reason,
-            table=table,
-            instance=instance,
-            stats=outcome.stats,
-        )
+    outcome = solve(instance, config)
+    if outcome.status != SAT:
+        if instance.trivially_unsat_reason is not None:
+            cause = instance.trivially_unsat_reason
+        elif outcome.status == BUDGET_EXHAUSTED:
+            cause = f"step budget {config.step_budget} exhausted"
+        else:
+            cause = None if admissible else reason
+        return UnsatReport(outcome.status, cause, table, instance, outcome.stats)
 
     # The solver checked the solution, and phi maps solutions to solutions.
     uv = uv_pairs(instance, outcome.solution)

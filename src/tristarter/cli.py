@@ -199,11 +199,10 @@ def _cmd_invert(args) -> int:
 
 def _cmd_series(args) -> int:
     # --seed seeds the sweep only; every search runs with SolverConfig().
-    seed = args.seed or 0
     if args.mode == "inverse-sampling":
         if not (args.order and args.samples):
             raise StructuralError("inverse-sampling needs --order and --samples")
-        result = run_inverse_sampling(args.order, args.samples, seed=seed)
+        result = run_inverse_sampling(args.order, args.samples, seed=args.seed)
         print(f"order {result.order}: {result.inconclusive} inconclusive of "
               f"{result.samples} samples ({100 * result.fraction:.3f}%), "
               f"{result.generation_failures} generation failures, "
@@ -215,7 +214,7 @@ def _cmd_series(args) -> int:
                 f"{result.fraction:.6f},{result.generation_failures}\n")
         return EXIT_OK
     if args.mode == "order-sweep":
-        result = run_order_sweep(_parse_orders(args), seed=seed)
+        result = run_order_sweep(_parse_orders(args), seed=args.seed)
         for order, message in result.failures:
             print(f"order {order} failed: {message}", file=sys.stderr)
         records = result.records
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", help="comma-separated list for order-sweep")
     p.add_argument("--repeats", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=int, default=0,
                    help="seed of the order sweep or the sampling study")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_series)

@@ -2,17 +2,24 @@
 
 The test reduces the starter mod p, orients each reduced pair so its
 difference representative lies in [0, q], and groups pairs by that
-representative: a valid input always has one difference-0 pair (t, t),
-fixing the key, and three pairs per nonzero difference.  A group passes
-when some ordering (u,v), (u',v'), (u'',v'') of its three pairs satisfies
+representative.  The signed differences of a starter of order 3p cover
+the nonzero residues mod 3p; only +-p reduce to 0 mod p, and each +-d,
+d = 1..q, collects six residues.  So there is always one difference-0
+pair (t, t), fixing the key, and three pairs per nonzero difference.  A
+group passes when some ordering (u,v), (u',v'), (u'',v'') of its three
+pairs satisfies
 
-    u' - u = v' - v = t      and      u' + v'' = v' + u'' = 2t   (mod p),
+    u' - u = v' - v = t      and      u' + v'' = v' + u'' = 2t   (mod p).
 
-i.e. is literally a construction row.  Any group with no passing ordering
-proves the starter is not a triplication image (verdict False); otherwise
-the verdict is Inconclusive and every combination of passing orderings
-yields a candidate (base, key) reconstruction, reported with the base
-oriented to [1, q] representatives and ordered by ascending difference.
+These force u' = u+t, v' = v+t, u'' = 2t-v' = t-v and v'' = 2t-u' = t-u,
+so a passing ordering *is* the construction row (x, y), (t+x, t+y),
+(t-y, t-x) of its first pair (x, y) = (u, v), and distinct orderings have
+distinct first pairs.  Any group with no passing ordering proves the
+starter is not a triplication image (verdict False); otherwise the
+verdict is Inconclusive and every combination of passing orderings yields
+a candidate (base, key): the base is the first pairs, oriented to [1, q]
+representatives and ordered by ascending difference, and rebuilding its
+table reproduces the observed rows by construction.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RefusedError, StructuralError
+from .errors import RefusedError
 from .starters import Pair, Pairing, VerificationReport, verify_pairing
-from .triplication import TriplicationTable, build_table, check_base_order
+from .triplication import check_base_order
 
 FALSE = "False"
 INCONCLUSIVE = "Inconclusive"
@@ -79,18 +86,8 @@ def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:
             ar, br = br, ar
             d = p - d
         buckets[d].append((ar, br))
-    if len(buckets[0]) != 1:
-        raise StructuralError(
-            f"expected one difference-0 pair, found {len(buckets[0])}")
-    t_pair = buckets[0][0]
-    if t_pair[0] != t_pair[1]:
-        raise StructuralError(f"difference-0 pair {t_pair} has unequal entries")
-    for d in range(1, q + 1):
-        if len(buckets[d]) != 3:
-            raise StructuralError(
-                f"expected three pairs with difference {d}, found {len(buckets[d])}")
     groups = tuple(RowGroup(d, tuple(buckets[d])) for d in range(q + 1))
-    return groups, t_pair[0]
+    return groups, buckets[0][0][0]
 
 
 def _passing_orderings(
@@ -123,52 +120,8 @@ def inverse_test(starter: Pairing) -> InverseVerdict:
                 status=FALSE, key=t, candidates=(),
                 failed_difference=group.difference)
         per_row.append(orderings)
-    candidates = _candidates_from(per_row, t, groups, starter.modulus // 3)
-    return InverseVerdict(status=INCONCLUSIVE, key=t, candidates=candidates)
-
-
-def reconstruct_candidates(starter: Pairing) -> tuple[Candidate, ...]:
-    """Candidate (base, key) pairs; empty when the verdict is False."""
-    return inverse_test(starter).candidates
-
-
-def _candidates_from(
-    per_row: list[tuple[tuple[Pair, Pair, Pair], ...]],
-    t: int,
-    groups: tuple[RowGroup, ...],
-    p: int,
-) -> tuple[Candidate, ...]:
-    out = []
-    seen: set[tuple[Pair, ...]] = set()
+    candidates = []
     for combo in itertools.product(*per_row):
-        base_pairs = tuple(ordering[0] for ordering in combo)
-        if base_pairs in seen:
-            continue
-        seen.add(base_pairs)
-        table = _rebuild_matches(Pairing(p, base_pairs), t, groups)
-        if table is not None:
-            out.append(Candidate(base=table.base, key=t, report=table.base_report))
-    return tuple(out)
-
-
-def _rebuild_matches(
-    base: Pairing, t: int, groups: tuple[RowGroup, ...]
-) -> Optional[TriplicationTable]:
-    """Rebuild the table for (base, t); it is returned when its rows match
-    the groups setwise, else None."""
-    p = base.modulus
-    q = (p - 1) // 2
-    table = build_table(base, t, allow_nonstarter=True)
-    for row in range(1, q + 1):
-        row_pairs = table.extension[3 * row - 2: 3 * row + 1]
-        x, y = base.pairs[row - 1]
-        d = (x - y) % p
-        if d > q:
-            d = p - d
-        if d == 0:
-            return None
-        want = sorted(tuple(sorted(pr)) for pr in groups[d].members)
-        got = sorted(tuple(sorted(pr)) for pr in row_pairs)
-        if want != got:
-            return None
-    return table
+        base = Pairing(p, tuple(ordering[0] for ordering in combo))
+        candidates.append(Candidate(base, t, verify_pairing(base)))
+    return InverseVerdict(status=INCONCLUSIVE, key=t, candidates=tuple(candidates))

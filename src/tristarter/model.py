@@ -20,8 +20,8 @@ An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
 
 An all-different over more than three variables cannot hold over three
 values, so such an instance is emitted flagged as trivially unsatisfiable
-with the offending constraint named (reachable only through the non-starter
-or non-strong overrides).  This flag is the package's one check of the
+with the offending constraint named (reachable only with a non-strong base
+or a forced key).  This flag is the package's one check of the
 weak-set and color cardinalities.
 """
 

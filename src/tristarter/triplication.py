@@ -40,20 +40,19 @@ def check_base_order(p: int) -> None:
             f"base order must be >= 7, odd and coprime to 3, got {p}")
 
 
-def build_table(base: Pairing, key: int, allow_nonstarter: bool = False) -> TriplicationTable:
+def build_table(base: Pairing, key: int) -> TriplicationTable:
     """Build the triplication table for (base, key).
 
-    The base order must pass `check_base_order`; the base must verify as a
-    starter unless ``allow_nonstarter`` is set (an experiment escape hatch:
-    derived guarantees become diagnostics).  Strongness is not required
-    here; `assembly.triplicate` checks it.
+    The base order must pass `check_base_order` and the base must verify as
+    a starter.  Strongness is not required here; `assembly.triplicate`
+    checks it.
     """
     p = base.modulus
     check_base_order(p)
     if not isinstance(key, int) or not 0 <= key < p:
         raise StructuralError(f"key must lie in [0, {p}), got {key!r}")
     report = verify_pairing(base)
-    if not report.is_starter and not allow_nonstarter:
+    if not report.is_starter:
         raise RefusedError(
             "base is not a starter: " + "; ".join(report.diagnostics))
     t = key

@@ -119,7 +119,7 @@ def test_pipeline_t13_key3_reports_weak_set():
 def test_ex2_starter_reachable_from_t13():
     # the S39 mod-3 values, reordered to the table layout, solve the
     # (T13, 4) instance and merge back to S39 exactly
-    table = build_table(T13, T13_KEY, allow_nonstarter=True)
+    table = build_table(T13, T13_KEY)
     inst = encode(table)
     by_mod13 = {}
     for a, b in EX2_S39.pairs:

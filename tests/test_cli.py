@@ -235,6 +235,15 @@ def test_series_inverse_sampling(tmp_path, capsys):
     assert header == "order,samples,inconclusive,fraction,generation_failures"
 
 
+def test_series_key_sweep_refuses_nonstrong_base_without_an_option_hint(tmp_path, capsys):
+    base = tmp_path / "T13.json"
+    save_starter(T13, base)
+    code, _, err = run(["series", "--mode", "key-sweep", "--base", str(base)], capsys)
+    assert code == 1
+    assert "not strong" in err
+    assert "allow" not in err and "--" not in err
+
+
 def test_series_missing_args(capsys):
     code, _, err = run(["series", "--mode", "key-sweep"], capsys)
     assert code == 2
@@ -255,6 +264,13 @@ def test_series_seed_only_seeds_the_sweep(tmp_path, capsys):
     assert code == 0
     expected = write_records_csv(run_order_sweep((13, 19, 25, 31), seed=1).records, None)
     assert scrub(out_csv.read_text()) == scrub(expected)
+
+    # without --seed the sweep runs as with --seed 0
+    default_csv, zero_csv = tmp_path / "default.csv", tmp_path / "zero.csv"
+    args = ["series", "--mode", "order-sweep", "--orders", "13,19"]
+    assert run(args + ["--out", str(default_csv)], capsys)[0] == 0
+    assert run(args + ["--seed", "0", "--out", str(zero_csv)], capsys)[0] == 0
+    assert scrub(default_csv.read_text()) == scrub(zero_csv.read_text())
 
 
 def fake_solver(tmp_path, output):

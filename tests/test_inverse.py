@@ -4,10 +4,10 @@ from tristarter import (
     Pairing,
     RefusedError,
     TriplicationResult,
+    enumerate_strong_starters,
     hill_climb,
     inverse_test,
     normalize,
-    reconstruct_candidates,
     triplicate,
 )
 from tristarter.inverse import _passing_orderings, group_rows
@@ -64,7 +64,7 @@ def test_example2_inconclusive_unique_candidate():
 
 
 def test_reconstruct_candidates_empty_for_false_input():
-    assert reconstruct_candidates(EX1_S21) == ()
+    assert inverse_test(EX1_S21).candidates == ()
 
 
 def test_round_trip_demo():
@@ -98,7 +98,7 @@ def test_candidates_validated_against_rows():
     verdict = inverse_test(EX2_S39)
     groups, t = group_rows(EX2_S39)
     for cand in verdict.candidates:
-        table = build_table(cand.base, cand.key, allow_nonstarter=True)
+        table = build_table(cand.base, cand.key)
         for row in range(1, 7):
             got = sorted(tuple(sorted(pr)) for pr in table.extension[3 * row - 2: 3 * row + 1])
             want = sorted(tuple(sorted(pr)) for pr in groups[row].members)
@@ -107,11 +107,10 @@ def test_candidates_validated_against_rows():
 
 def _reproducible_by_any_table(starter):
     # brute force over every (T, t): t is forced by the difference-0 pair;
-    # T ranges over all orderings and both orientations of each row group.
-    # Independent of the passing-orderings logic.
+    # T ranges over all orderings and both orientations of each row group,
+    # and each row is laid out by the construction formula written out here.
+    # Independent of the passing-orderings logic and of build_table.
     import itertools
-
-    from tristarter.triplication import build_table
 
     groups, t = group_rows(starter)
     p = starter.modulus // 3
@@ -129,15 +128,9 @@ def _reproducible_by_any_table(starter):
             options.append((first[1], first[0]))
         row_choices.append(sorted(set(options)))
     for combo in itertools.product(*row_choices):
-        try:
-            base = Pairing(p, tuple(combo))
-        except Exception:
-            continue
-        table = build_table(base, t, allow_nonstarter=True)
         match = True
-        for row in range(1, q + 1):
-            row_pairs = table.extension[3 * row - 2: 3 * row + 1]
-            x, y = combo[row - 1]
+        for x, y in combo:
+            row_pairs = ((x, y), ((t + x) % p, (t + y) % p), ((t - y) % p, (t - x) % p))
             d = (x - y) % p
             if d > q:
                 d = p - d
@@ -165,7 +158,35 @@ def test_false_verdicts_are_sound_on_order21():
     assert not _reproducible_by_any_table(EX1_S21)
 
 
-def test_order21_image_census_two_ways():
+@pytest.fixture(scope="module")
+def all21():
+    """Every strong starter of order 21."""
+    result = enumerate_strong_starters(21, cap=7000)
+    assert result.count == STRONG_COUNTS[21]
+    return result.starters
+
+
+def _assert_group_shape(starter):
+    groups, t = group_rows(starter)
+    q = (starter.modulus // 3 - 1) // 2
+    assert [len(g.members) for g in groups] == [1] + [3] * q
+    assert groups[0].members == ((t, t),)
+
+
+def test_group_shape_of_every_order21_strong_starter(all21):
+    # the fact that makes group_rows need no shape checks: a starter of
+    # order 3p has one difference-0 pair, with equal entries, and three
+    # pairs per nonzero difference
+    for starter in all21:
+        _assert_group_shape(starter)
+
+
+def test_group_shape_of_hill_climbed_order39_starters():
+    for seed in range(40):
+        _assert_group_shape(hill_climb(39, seed=seed))
+
+
+def test_order21_image_census_two_ways(all21):
     # ground truth behind the sampling statistic: the starters flagged
     # Inconclusive at order 21 are exactly the images of the construction,
     # counted by full enumeration in both directions
@@ -174,15 +195,12 @@ def test_order21_image_census_two_ways():
         crt_merge,
         encode,
         enumerate_solutions,
-        enumerate_strong_starters,
     )
     from tristarter.harness import starter_digest
     from tristarter.triplication import admissible_keys as keys_of
 
-    all21 = enumerate_strong_starters(21, cap=7000)
-    assert all21.count == STRONG_COUNTS[21]
     inconclusive = {
-        starter_digest(s) for s in all21.starters
+        starter_digest(s) for s in all21
         if inverse_test(s).status == "Inconclusive"}
 
     bases = enumerate_strong_starters(7, cap=10).starters

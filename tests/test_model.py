@@ -104,7 +104,7 @@ def test_phi_is_involution(values):
 
 
 def test_trivially_unsat_flag_for_type4_weak_set():
-    inst = encode(build_table(T13, 3, allow_nonstarter=True))
+    inst = encode(build_table(T13, 3))
     assert inst.trivially_unsat_reason is not None
     assert "weak set with sum 1" in inst.trivially_unsat_reason
     nb = len(inst.bind_a)

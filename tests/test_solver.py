@@ -40,7 +40,7 @@ def test_key_zero_unsat():
 
 
 def test_t13_key3_unsat_without_search():
-    inst = encode(build_table(T13, 3, allow_nonstarter=True))
+    inst = encode(build_table(T13, 3))
     outcome = solve(inst)
     assert outcome.status == "UNSAT"
     assert outcome.stats.decisions == 0

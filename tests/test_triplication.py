@@ -49,7 +49,6 @@ def test_build_table_refusals():
     nonstarter = Pairing(7, ((1, 2), (3, 4), (5, 6)))
     with pytest.raises(RefusedError):
         build_table(nonstarter, 1)
-    build_table(nonstarter, 1, allow_nonstarter=True)
 
 
 def _refused(fn, *args) -> bool:
@@ -109,7 +108,7 @@ def test_weak_sets_disjoint():
 
 
 def test_t13_key3_has_type4_weak_set():
-    table = build_table(T13, 3, allow_nonstarter=True)
+    table = build_table(T13, 3)
     assert len(compute_weak_sets(table)[1]) == 4
 
 
