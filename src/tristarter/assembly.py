@@ -151,7 +151,7 @@ def triplicate(
         raise KeyNotAdmissibleError(
             f"key {key} is not admissible ({reason}): a solvable instance "
             "requires the key to avoid 0 and the base pair sums; "
-            "pass force to attempt it anyway")
+            "pass force=True (--force on the command line) to attempt it anyway")
 
     instance = encode(table)
     outcome = solve(instance, config)

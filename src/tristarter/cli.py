@@ -113,11 +113,12 @@ def _cmd_triplicate(args) -> int:
         force=args.force,
         allow_nonstrong=args.allow_nonstrong,
     )
-    doc = export_dimacs(result.instance) if args.cnf_out or args.external_solver else None
+    if args.cnf_out or args.external_solver:
+        text = to_dimacs_text(export_dimacs(result.instance))
     if args.cnf_out:
-        Path(args.cnf_out).write_text(to_dimacs_text(doc))
+        Path(args.cnf_out).write_text(text)
     if args.external_solver:
-        status, _ = run_external_solver(doc, args.external_solver)
+        status, _ = run_external_solver(text, args.external_solver)
         native = "SAT" if isinstance(result, TriplicationResult) else result.status
         agree = status == native or (native == "BUDGET_EXHAUSTED")
         print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
@@ -157,11 +158,13 @@ def _cmd_encode(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = encode(build_table(load_starter(args.base), args.key))
-    doc = export_dimacs(instance) if args.cnf_out or args.external_solver else None
+    if args.cnf_out or args.external_solver:
+        doc = export_dimacs(instance)
+        text = to_dimacs_text(doc)
     if args.cnf_out:
-        Path(args.cnf_out).write_text(to_dimacs_text(doc))
+        Path(args.cnf_out).write_text(text)
     if args.external_solver:
-        status, literals = run_external_solver(doc, args.external_solver)
+        status, literals = run_external_solver(text, args.external_solver)
         print(f"external: {status}")
         if status == "SAT":
             solution = import_dimacs_model(doc, literals)

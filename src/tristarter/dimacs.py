@@ -6,6 +6,10 @@ into clauses forbidding each violating combination.  The text form is
 standard DIMACS (`p cnf <vars> <clauses>`, clauses terminated by 0) with the
 ternary-to-boolean map recorded in comments so documents round-trip.
 
+The variable numbering (boolean 3t + v + 1 is "ternary t == v"), the clause
+order (one-hot block, fix-zero unit, bindings, all-different pairs) and the
+text bytes are a contract: golden sha256 digests in the tests pin them.
+
 External solvers are invoked as a command template receiving the CNF path
 and are expected to print SAT-competition style output (`s SATISFIABLE` /
 `s UNSATISFIABLE` plus `v` literal lines).
@@ -25,6 +29,15 @@ from .errors import DecodeError, ExternalSolverError, StructuralError
 from .model import SudokuInstance, SudokuSolution
 
 
+# The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign, in
+# itertools.product order: the forbidden combinations of one binding.
+_FORBIDDEN = {
+    sign: tuple(v for v in itertools.product(range(3), repeat=3)
+                if (v[0] + sign * v[1] - v[2]) % 3 != 0)
+    for sign in (1, -1)
+}
+
+
 @dataclass(frozen=True)
 class CnfDocument:
     num_ternary: int
@@ -40,27 +53,21 @@ class CnfDocument:
 def export_dimacs(instance: SudokuInstance) -> CnfDocument:
     """One-hot CNF encoding of the whole instance."""
     n = instance.num_variables
-    var_base = tuple(1 + 3 * t for t in range(n))
-    clauses: list[tuple[int, ...]] = []
-
-    for t in range(n):
-        b = var_base[t]
-        clauses.append((b, b + 1, b + 2))
-        clauses.append((-b, -(b + 1)))
-        clauses.append((-b, -(b + 2)))
-        clauses.append((-(b + 1), -(b + 2)))
+    var_base = tuple(range(1, 3 * n + 1, 3))
+    clauses: list[tuple[int, ...]] = [
+        clause for b in var_base
+        for clause in ((b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
 
     clauses.append((var_base[instance.z_id],))
     for a, b, c, sign in zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
-        for va, vb, vc in itertools.product(range(3), repeat=3):
-            if (va + sign * vb - vc) % 3 != 0:
-                clauses.append((-(var_base[a] + va), -(var_base[b] + vb), -(var_base[c] + vc)))
+        na, nb, nc = -var_base[a], -var_base[b], -var_base[c]
+        clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign]])
     ad_flat, ad_off = instance.ad_flat, instance.ad_off
     for gid in range(len(ad_off) - 1):
         for x, y in itertools.combinations(ad_flat[ad_off[gid]:ad_off[gid + 1]], 2):
-            for v in range(3):
-                clauses.append((-(var_base[x] + v), -(var_base[y] + v)))
+            nx, ny = -var_base[x], -var_base[y]
+            clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
 
     return CnfDocument(
         num_ternary=n,
@@ -71,21 +78,27 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
 
 
 def to_dimacs_text(doc: CnfDocument) -> str:
-    lines = [f"c ternary {doc.num_ternary} one-hot booleans {doc.num_bools}"]
-    for t, base in enumerate(doc.var_base):
-        lines.append(f"c tmap {t} {base}")
-    lines.append(f"p cnf {doc.num_bools} {len(doc.clauses)}")
-    for clause in doc.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    # One %-template per clause, applied once to the flat literal sequence,
+    # so the integer formatting runs in C rather than once per clause.
+    longest = max(map(len, doc.clauses), default=0)
+    templates = [" ".join(["%d"] * k) + " 0\n" for k in range(longest + 1)]
+    body = "".join(map(templates.__getitem__, map(len, doc.clauses)))
+    tmap = "c tmap %d %d\n" * len(doc.var_base)
+    return (f"c ternary {doc.num_ternary} one-hot booleans {doc.num_bools}\n"
+            + tmap % tuple(itertools.chain.from_iterable(enumerate(doc.var_base)))
+            + f"p cnf {doc.num_bools} {len(doc.clauses)}\n"
+            + body % tuple(itertools.chain.from_iterable(doc.clauses)))
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:
-    """Parse DIMACS text back into a document (tmap comments honored)."""
+    """Parse DIMACS text back into a document (tmap comments honored).
+
+    Literals and tmap booleans must lie within the declared variable count.
+    """
     num_bools = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
-    tmap: dict[int, int] = {}
+    tmap: dict[int, tuple[int, int]] = {}   # ternary index -> (base, line)
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -95,17 +108,24 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             fields = line.split()
             if len(fields) == 4 and fields[1] == "tmap":
                 t, base = _ints(fields[2:], lineno)
-                tmap[t] = base
+                tmap[t] = (base, lineno)
             continue
         if line.startswith("p"):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise StructuralError(f"line {lineno}: bad problem line {line!r}")
             num_bools, declared_clauses = _ints(fields[2:], lineno)
+            if num_bools < 0 or declared_clauses < 0:
+                raise StructuralError(f"line {lineno}: negative count in {line!r}")
             continue
         if num_bools is None:
             raise StructuralError(f"line {lineno}: clause before problem line")
-        for lit in _ints(line.split(), lineno):
+        lits = _ints(line.split(), lineno)
+        if lits and max(map(abs, lits)) > num_bools:
+            raise StructuralError(
+                f"line {lineno}: literal {max(lits, key=abs)} exceeds the "
+                f"{num_bools} declared booleans")
+        for lit in lits:
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
@@ -125,7 +145,12 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             raise StructuralError(
                 f"c tmap comments must cover ternary indices 0..{num_ternary - 1}; "
                 f"index {missing[0]} is missing")
-        var_base = tuple(tmap[t] for t in range(num_ternary))
+        for t, (base, lineno) in tmap.items():
+            if not 1 <= base <= num_bools - 2:
+                raise StructuralError(
+                    f"line {lineno}: tmap booleans {base}..{base + 2} of ternary "
+                    f"{t} lie outside the {num_bools} declared booleans")
+        var_base = tuple(tmap[t][0] for t in range(num_ternary))
     else:
         num_ternary = num_bools // 3
         var_base = tuple(1 + 3 * t for t in range(num_ternary))
@@ -198,11 +223,11 @@ def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:
 
 
 def run_external_solver(
-    doc: CnfDocument,
+    cnf_text: str,
     command_template: str,
     timeout: Optional[float] = None,
 ) -> tuple[str, Optional[list[int]]]:
-    """Write the CNF to a temp file and run the solver command on it.
+    """Write the DIMACS text to a temp file and run the solver command on it.
 
     The template may reference the file as ``{cnf}``; otherwise the path is
     appended as the last argument.  Nonzero exit codes 10/20 (the SAT
@@ -210,7 +235,7 @@ def run_external_solver(
     """
     with tempfile.TemporaryDirectory(prefix="tristarter-cnf-") as tmp:
         cnf_path = Path(tmp) / "instance.cnf"
-        cnf_path.write_text(to_dimacs_text(doc))
+        cnf_path.write_text(cnf_text)
         if "{cnf}" in command_template:
             command = command_template.replace("{cnf}", str(cnf_path))
             argv = shlex.split(command)

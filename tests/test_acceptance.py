@@ -33,7 +33,8 @@ from tristarter import (
     uv_pairs,
     verify_pairing,
 )
-from tristarter.dimacs import import_dimacs_model, run_external_solver, export_dimacs
+from tristarter.dimacs import (
+    export_dimacs, import_dimacs_model, run_external_solver, to_dimacs_text)
 from tristarter.harness import derive_seed, run_inverse_sampling
 from tristarter.triplication import admissible_keys, compute_weak_sets, row_differences
 
@@ -263,13 +264,13 @@ def test_criterion_11_solver_cross_checks():
     command = os.environ.get("TRISTARTER_EXTERNAL_SOLVER", TOYSAT_CMD)
     demo_instance = encode(build_table(T7, DEMO_KEY))
     doc = export_dimacs(demo_instance)
-    status, literals = run_external_solver(doc, command)
+    status, literals = run_external_solver(to_dimacs_text(doc), command)
     assert status == solve(demo_instance).status == "SAT"
     decoded = import_dimacs_model(doc, literals)
     ok, _ = check_solution(demo_instance, decoded)
     assert ok
 
     zero_instance = encode(build_table(T7, 0))
-    status, _ = run_external_solver(export_dimacs(zero_instance), command)
+    status, _ = run_external_solver(to_dimacs_text(export_dimacs(zero_instance)), command)
     assert status == solve(zero_instance).status == "UNSAT"
     report("11 solver cross-checks", "oracle equality on 7 keys; external solver agrees and decodes")

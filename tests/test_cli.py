@@ -6,7 +6,7 @@ import pytest
 
 from tristarter import SolverConfig, build_table, encode, hill_climb, solve
 from tristarter.cli import main
-from tristarter.dimacs import export_dimacs
+from tristarter.dimacs import export_dimacs, to_dimacs_text
 from tristarter.files import save_starter
 
 from fixtures import EX1_S21, T7, T13
@@ -83,7 +83,7 @@ def test_triplicate_key0_refused_then_forced(base_file, tmp_path, capsys, monkey
     monkeypatch.chdir(tmp_path)
     code, _, err = run(["triplicate", "--base", base_file, "--key", "0"], capsys)
     assert code == 1
-    assert "not admissible" in err
+    assert "not admissible" in err and "--force" in err
     code, out, _ = run(["triplicate", "--base", base_file, "--key", "0", "--force"], capsys)
     assert code == 0
     assert "UNSAT" in out
@@ -186,6 +186,28 @@ def test_solve_exports_cnf_once(base_file, tmp_path, capsys, monkeypatch):
                         "--cnf-out", str(cnf), "--external-solver", cmd], capsys)
     assert code == 0 and "external: SAT" in out and "solution_uv" in out
     assert len(calls) == 1 and cnf.read_text().startswith("c ")
+
+
+@pytest.mark.parametrize("command", ["solve", "triplicate"])
+def test_cnf_text_built_once(command, base_file, tmp_path, capsys, monkeypatch):
+    import tristarter.cli as cli
+    import tristarter.dimacs as dimacs
+
+    calls = []
+
+    def counting_text(doc):
+        calls.append(doc)
+        return to_dimacs_text(doc)
+
+    monkeypatch.setattr(cli, "to_dimacs_text", counting_text)
+    monkeypatch.setattr(dimacs, "to_dimacs_text", counting_text)
+    monkeypatch.chdir(tmp_path)
+    cnf = tmp_path / "out.cnf"
+    cmd = f"{sys.executable} {TOYSAT} {{cnf}}"
+    code, _, _ = run([command, "--base", base_file, "--key", "1",
+                      "--cnf-out", str(cnf), "--external-solver", cmd], capsys)
+    assert code == 0 and len(calls) == 1
+    assert cnf.read_text() == to_dimacs_text(calls[0])
 
 
 def test_invert_example1(tmp_path, capsys):

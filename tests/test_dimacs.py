@@ -1,11 +1,13 @@
 import hashlib
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from tristarter import DecodeError, build_table, check_solution, encode, solve
+from tristarter import DecodeError, build_table, check_solution, encode, hill_climb, solve
 from tristarter.dimacs import (
+    CnfDocument,
     check_cnf,
     export_dimacs,
     import_dimacs_model,
@@ -15,6 +17,8 @@ from tristarter.dimacs import (
     to_dimacs_text,
 )
 from tristarter.errors import ExternalSolverError, StructuralError
+from tristarter.model import SudokuSolution
+from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_KEY, T7
 
@@ -56,6 +60,76 @@ def test_demo_text_golden(demo_doc):
         "1e451b06e7a515459ea6bd19f28afcdd3eb5b690cdf2517827de055dbdd680df"
 
 
+def test_p31_sweep_text_golden():
+    # Pins the bytes at scale: every admissible key of one order-31 base,
+    # with bindings of both signs.
+    base = hill_climb(31, seed=0)
+    digest = hashlib.sha256()
+    size = 0
+    signs = set()
+    for key in admissible_keys(base):
+        instance = encode(build_table(base, key))
+        signs.update(instance.bind_sign)
+        text = to_dimacs_text(export_dimacs(instance))
+        size += len(text)
+        digest.update(text.encode())
+    assert signs == {1, -1}
+    assert size == 598635
+    assert digest.hexdigest() == \
+        "b54b66bbda3c707eb25eb6a1eb538c1887872a5c5050b44818febcf20f3970ac"
+
+
+def test_text_of_every_clause_length():
+    doc = CnfDocument(
+        num_ternary=2, num_bools=6,
+        clauses=((), (1,), (-2, 3), (4, -5, 6), (1, 2, 3, 4), (-1, -2, -3, -4, -5)),
+        var_base=(1, 4))
+    assert to_dimacs_text(doc) == (
+        "c ternary 2 one-hot booleans 6\n"
+        "c tmap 0 1\nc tmap 1 4\n"
+        "p cnf 6 6\n"
+        " 0\n"
+        "1 0\n"
+        "-2 3 0\n"
+        "4 -5 6 0\n"
+        "1 2 3 4 0\n"
+        "-1 -2 -3 -4 -5 0\n")
+
+
+def _one_hot(values):
+    # Boolean 3t + v + 1 stands for "ternary variable t has value v".
+    return [(3 * t + v + 1) * (1 if v == value else -1)
+            for t, value in enumerate(values) for v in range(3)]
+
+
+@pytest.mark.parametrize("base", [T7, hill_climb(13, seed=1)], ids=["T7", "p13"])
+def test_cnf_agrees_with_check_solution(base):
+    # The CNF accepts exactly the assignments check_solution accepts: random
+    # ones on every key, and every one-variable change of each solution.
+    rng = random.Random(base.modulus)
+    admissible = admissible_keys(base)
+    accepted = rejected = 0
+    for key in range(base.modulus):
+        instance = encode(build_table(base, key))
+        doc = export_dimacs(instance)
+        n = instance.num_variables
+        assignments = [[rng.randrange(3) for _ in range(n)] for _ in range(20)]
+        if key in admissible:
+            solution = list(solve(instance).solution.values)
+            assignments.append(solution)
+            for t in range(n):
+                for delta in (1, 2):
+                    changed = list(solution)
+                    changed[t] = (changed[t] + delta) % 3
+                    assignments.append(changed)
+        for values in assignments:
+            ok, _ = check_solution(instance, SudokuSolution(tuple(values)))
+            assert check_cnf(doc, _one_hot(values)) == ok
+            accepted += ok
+            rejected += not ok
+    assert accepted and rejected
+
+
 def test_text_round_trip(demo_doc):
     text = to_dimacs_text(demo_doc)
     header = next(line for line in text.splitlines() if line.startswith("p "))
@@ -88,8 +162,6 @@ def test_decode_rejects_non_one_hot(demo_doc):
 
 def test_single_variable_document():
     # one unconstrained ternary variable: 3 bools, 1 ALO + 3 AMO clauses
-    from tristarter.dimacs import CnfDocument
-
     doc = CnfDocument(
         num_ternary=1, num_bools=3,
         clauses=((1, 2, 3), (-1, -2), (-1, -3), (-2, -3)),
@@ -110,7 +182,7 @@ def test_parse_solver_output_variants():
 
 
 def test_external_bridge_sat(demo_instance, demo_doc):
-    status, literals = run_external_solver(demo_doc, TOYSAT_CMD)
+    status, literals = run_external_solver(to_dimacs_text(demo_doc), TOYSAT_CMD)
     assert status == "SAT"
     assert check_cnf(demo_doc, literals)
     decoded = import_dimacs_model(demo_doc, literals)
@@ -119,9 +191,9 @@ def test_external_bridge_sat(demo_instance, demo_doc):
 
 
 def test_external_bridge_bad_command():
-    doc = export_dimacs(encode(build_table(T7, DEMO_KEY)))
+    text = to_dimacs_text(export_dimacs(encode(build_table(T7, DEMO_KEY))))
     with pytest.raises(ExternalSolverError):
-        run_external_solver(doc, "/nonexistent/solver {cnf}")
+        run_external_solver(text, "/nonexistent/solver {cnf}")
 
 
 def test_malformed_model_line_is_solver_error():
@@ -142,3 +214,13 @@ def test_parse_dimacs_non_integer_is_structural(text, lineno):
 def test_parse_dimacs_tmap_gap_is_structural():
     with pytest.raises(StructuralError, match="index 0 is missing"):
         parse_dimacs_text("c tmap 1 4\np cnf 6 1\n1 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 3 1\n5 -7 0\n", "line 2: literal -7 exceeds the 3 declared booleans"),
+    ("c tmap 0 10\np cnf 3 0\n", "line 1: tmap booleans 10..12 of ternary 0"),
+    ("p cnf -3 0\n", "line 1: negative count"),
+], ids=["literal", "tmap", "count"])
+def test_parse_dimacs_out_of_range_is_structural(text, message):
+    with pytest.raises(StructuralError, match=message):
+        parse_dimacs_text(text)
