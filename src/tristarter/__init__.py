@@ -22,7 +22,6 @@ from .errors import (
 from .inverse import InverseVerdict, inverse_test
 from .model import (
     SudokuInstance,
-    SudokuSolution,
     apply_phi,
     check_solution,
     encode,
@@ -33,7 +32,6 @@ from .solver import SolveOutcome, SolverConfig, enumerate_solutions, solve
 from .starters import (
     EnumerationResult,
     Pairing,
-    ReducedTuple,
     VerificationReport,
     enumerate_strong_starters,
     hill_climb,
@@ -62,14 +60,12 @@ __all__ = [
     "InverseVerdict",
     "KeyNotAdmissibleError",
     "Pairing",
-    "ReducedTuple",
     "RefusedError",
     "SearchBudgetError",
     "SolveOutcome",
     "SolverConfig",
     "StructuralError",
     "SudokuInstance",
-    "SudokuSolution",
     "TriplicationResult",
     "TriplicationTable",
     "TristarterError",

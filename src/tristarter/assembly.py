@@ -2,11 +2,11 @@
 
 A residue mod 3p is recovered from its residues mod p and mod 3 via the
 Chinese Remainder Theorem; merging the extension with the (U, V) part of a
-checked solution (optionally transposed by phi) yields a pairing of order
-3p that is guaranteed strong whenever the base was a starter and the
-solution satisfies the instance.  `triplicate` runs the whole route: build
-(which verifies the base), check the key, encode, solve (which checks the
-solution), merge both variants, re-verify.
+checked solution yields a pairing of order 3p that is guaranteed strong
+whenever the base was a starter and the solution satisfies the instance.
+`triplicate` runs the whole route: build (which verifies the base), check
+the key, encode, solve (which checks the solution), merge the solution and
+its phi image (`model.apply_phi`), re-verify.
 """
 
 from __future__ import annotations
@@ -20,20 +20,10 @@ from .errors import (
     KeyNotAdmissibleError,
     RefusedError,
 )
-from .model import (
-    PHI,
-    SudokuInstance,
-    SudokuSolution,
-    check_solution,
-    encode,
-    uv_pairs,
-)
+from .model import Solution, SudokuInstance, apply_phi, check_solution, encode, uv_pairs
 from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, solve
 from .starters import Pair, Pairing, VerificationReport, verify_pairing
 from .triplication import TriplicationTable, build_table, check_key_admissible
-
-IDENTITY = "identity"
-PHI_VARIANT = "phi"
 
 
 @lru_cache(maxsize=None)
@@ -53,21 +43,14 @@ def crt(residue_p: int, residue_3: int, p: int) -> int:
 
 
 def crt_merge(
-    table: TriplicationTable,
-    solution: SudokuSolution,
-    variant: str = IDENTITY,
-    instance: Optional[SudokuInstance] = None,
+    table: TriplicationTable, solution: Solution, instance: SudokuInstance
 ) -> Pairing:
     """Merge extension and solution pairwise into a pairing of order 3p.
 
-    The solution must satisfy the instance encoded from the table (pass the
-    instance to skip re-encoding); otherwise the strongness guarantee would
-    not apply and the merge is refused.
+    The solution must satisfy the instance encoded from the table; otherwise
+    the strongness guarantee would not apply and the merge is refused.  For
+    the phi-paired starter, merge ``apply_phi(solution)``.
     """
-    if variant not in (IDENTITY, PHI_VARIANT):
-        raise RefusedError(f"unknown merge variant {variant!r}")
-    if instance is None:
-        instance = encode(table)
     ok, violated = check_solution(instance, solution)
     if not ok:
         raise RefusedError(
@@ -75,14 +58,7 @@ def crt_merge(
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    uv = uv_pairs(instance, solution)
-    if variant == PHI_VARIANT:
-        uv = _phi_pairs(uv)
-    return _merge(table, uv)
-
-
-def _phi_pairs(uv: tuple[Pair, ...]) -> tuple[Pair, ...]:
-    return tuple((PHI[u3], PHI[v3]) for u3, v3 in uv)
+    return _merge(table, uv_pairs(instance, solution))
 
 
 def _merge(table: TriplicationTable, uv: tuple[Pair, ...]) -> Pairing:
@@ -107,7 +83,7 @@ class TriplicationResult:
     starter_b: Pairing
     table: TriplicationTable
     instance: SudokuInstance
-    solution: SudokuSolution
+    solution: Solution
     report_a: VerificationReport
     report_b: VerificationReport
     stats: SolveStats
@@ -165,9 +141,8 @@ def triplicate(
         return UnsatReport(outcome.status, cause, table, instance, outcome.stats)
 
     # The solver checked the solution, and phi maps solutions to solutions.
-    uv = uv_pairs(instance, outcome.solution)
-    starter_a = _merge(table, uv)
-    starter_b = _merge(table, _phi_pairs(uv))
+    starter_a = _merge(table, uv_pairs(instance, outcome.solution))
+    starter_b = _merge(table, uv_pairs(instance, apply_phi(outcome.solution)))
     report_a = verify_pairing(starter_a)
     report_b = verify_pairing(starter_b)
     if not (report_a.is_strong and report_b.is_strong):

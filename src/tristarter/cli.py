@@ -105,6 +105,30 @@ def _cmd_hillclimb(args) -> int:
     return EXIT_OK
 
 
+def _cross_check(args, instance):
+    """Write ``--cnf-out`` and run ``--external-solver`` on the instance.
+
+    Returns the external status and, on SAT, the decoded model after
+    `check_solution` accepted it; ``(None, None)`` without a solver.
+    """
+    if not (args.cnf_out or args.external_solver):
+        return None, None
+    doc = export_dimacs(instance)
+    text = to_dimacs_text(doc)
+    if args.cnf_out:
+        Path(args.cnf_out).write_text(text)
+    if not args.external_solver:
+        return None, None
+    status, literals = run_external_solver(text, args.external_solver)
+    if status != "SAT":
+        return status, None
+    solution = import_dimacs_model(doc, literals)
+    ok, violated = check_solution(instance, solution)
+    if not ok:
+        raise ExternalSolverError(f"external model violates {violated[0]}")
+    return status, solution
+
+
 def _cmd_triplicate(args) -> int:
     base = load_starter(args.base)
     result = triplicate(
@@ -113,13 +137,9 @@ def _cmd_triplicate(args) -> int:
         force=args.force,
         allow_nonstrong=args.allow_nonstrong,
     )
-    if args.cnf_out or args.external_solver:
-        text = to_dimacs_text(export_dimacs(result.instance))
-    if args.cnf_out:
-        Path(args.cnf_out).write_text(text)
-    if args.external_solver:
-        status, _ = run_external_solver(text, args.external_solver)
-        native = "SAT" if isinstance(result, TriplicationResult) else result.status
+    status, _ = _cross_check(args, result.instance)
+    if status is not None:
+        native = result.status
         agree = status == native or (native == "BUDGET_EXHAUSTED")
         print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
         if not agree:
@@ -158,20 +178,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = encode(build_table(load_starter(args.base), args.key))
-    if args.cnf_out or args.external_solver:
-        doc = export_dimacs(instance)
-        text = to_dimacs_text(doc)
-    if args.cnf_out:
-        Path(args.cnf_out).write_text(text)
-    if args.external_solver:
-        status, literals = run_external_solver(text, args.external_solver)
+    status, solution = _cross_check(args, instance)
+    if status is not None:
         print(f"external: {status}")
-        if status == "SAT":
-            solution = import_dimacs_model(doc, literals)
-            ok, violated = check_solution(instance, solution)
-            if not ok:
-                raise ExternalSolverError(
-                    f"external model violates {violated[0]}")
+        if solution is not None:
             print("solution_uv: " + json.dumps(uv_pairs(instance, solution)))
         return EXIT_OK
     outcome = solve(instance, SolverConfig(seed=args.seed))
@@ -294,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix for report and starter files")
     p.add_argument("--cnf-out", help="also export the instance as DIMACS CNF")
     p.add_argument("--external-solver",
-                   help="command template for a status cross-check")
+                   help="command template for a cross-check; a SAT model is "
+                        "decoded and checked")
     p.set_defaults(func=_cmd_triplicate)
 
     p = sub.add_parser("encode", help="build and describe the constraint instance")

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import DecodeError, ExternalSolverError, StructuralError
-from .model import SudokuInstance, SudokuSolution
+from .model import Solution, SudokuInstance
 
 
 # The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign, in
@@ -93,7 +93,8 @@ def to_dimacs_text(doc: CnfDocument) -> str:
 def parse_dimacs_text(text: str) -> CnfDocument:
     """Parse DIMACS text back into a document (tmap comments honored).
 
-    Literals and tmap booleans must lie within the declared variable count.
+    Literals and tmap booleans must lie within the declared variable count,
+    and no boolean may belong to two tmap entries.
     """
     num_bools = None
     declared_clauses = None
@@ -150,6 +151,12 @@ def parse_dimacs_text(text: str) -> CnfDocument:
                 raise StructuralError(
                     f"line {lineno}: tmap booleans {base}..{base + 2} of ternary "
                     f"{t} lie outside the {num_bools} declared booleans")
+        by_base = sorted((base, lineno, t) for t, (base, lineno) in tmap.items())
+        for (b1, l1, t1), (b2, l2, t2) in zip(by_base, by_base[1:]):
+            if b2 < b1 + 3:
+                raise StructuralError(
+                    f"lines {l1} and {l2}: tmap booleans {b1}..{b1 + 2} of ternary "
+                    f"{t1} overlap {b2}..{b2 + 2} of ternary {t2}")
         var_base = tuple(tmap[t][0] for t in range(num_ternary))
     else:
         num_ternary = num_bools // 3
@@ -170,7 +177,7 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
             f"line {lineno}: non-integer field in {' '.join(tokens)!r}") from None
 
 
-def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> SudokuSolution:
+def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> Solution:
     """Decode a boolean model (iterable of signed literals) to ternary values.
 
     Every ternary variable must have exactly one of its three booleans true;
@@ -185,7 +192,7 @@ def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> SudokuSolu
             raise DecodeError(
                 f"ternary variable {t} has {len(hits)} true booleans, expected 1")
         values.append(hits[0])
-    return SudokuSolution(tuple(values))
+    return tuple(values)
 
 
 def check_cnf(doc: CnfDocument, literals: Iterable[int]) -> bool:

@@ -26,10 +26,6 @@ class KeyNotAdmissibleError(RefusedError):
 class SearchBudgetError(RefusedError):
     """An iteration/step budget ran out; retriable with a new seed or budget."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class DecodeError(StructuralError):
     """A boolean model does not decode to a unique ternary value."""

@@ -37,14 +37,6 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class RowGroup:
-    """Oriented reduced pairs sharing one difference representative."""
-
-    difference: int
-    members: tuple[Pair, ...]
-
-
-@dataclass(frozen=True)
 class Candidate:
     base: Pairing
     key: int
@@ -70,8 +62,12 @@ def base_order_of(n: int) -> int:
     return n // 3
 
 
-def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:
-    """Steps 1-3: reduce mod p, orient, group by difference, extract the key."""
+def group_rows(starter: Pairing) -> tuple[tuple[tuple[Pair, ...], ...], int]:
+    """Steps 1-3: reduce mod p, orient, group by difference, extract the key.
+
+    Returns ``(groups, t)``: ``groups[d]`` holds the oriented reduced pairs
+    of difference representative d, for d = 0..q.
+    """
     p = base_order_of(starter.modulus)
     report = verify_pairing(starter)
     if not report.is_starter:
@@ -86,8 +82,7 @@ def group_rows(starter: Pairing) -> tuple[tuple[RowGroup, ...], int]:
             ar, br = br, ar
             d = p - d
         buckets[d].append((ar, br))
-    groups = tuple(RowGroup(d, tuple(buckets[d])) for d in range(q + 1))
-    return groups, buckets[0][0][0]
+    return tuple(map(tuple, buckets)), buckets[0][0][0]
 
 
 def _passing_orderings(
@@ -113,12 +108,11 @@ def inverse_test(starter: Pairing) -> InverseVerdict:
     groups, t = group_rows(starter)
     p = starter.modulus // 3
     per_row = []
-    for group in groups[1:]:
-        orderings = _passing_orderings(group.members, t, p)
+    for d in range(1, len(groups)):
+        orderings = _passing_orderings(groups[d], t, p)
         if not orderings:
             return InverseVerdict(
-                status=FALSE, key=t, candidates=(),
-                failed_difference=group.difference)
+                status=FALSE, key=t, candidates=(), failed_difference=d)
         per_row.append(orderings)
     candidates = []
     for combo in itertools.product(*per_row):

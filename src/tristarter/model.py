@@ -13,7 +13,7 @@ An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
   in the order q regular rows (their three D), then the weak sets by sum
   (their S, plus Z for the zero-sum set, forcing the sums nonzero), then the
   p colors (the U/V at the positions holding the color; color 0 adds Z),
-  which no other module builds;
+  which no other module builds (`phi_fixed_var` reads color 0 back);
 * ``vc_flat[vc_off[v]:vc_off[v + 1]]`` lists the constraint ids of variable
   ``v``, where group ``g`` has id ``len(bind_a) + g``;
 * ``provenance[cid]`` names each constraint for diagnostics.
@@ -36,6 +36,9 @@ from .triplication import TriplicationTable, compute_weak_sets
 
 #: The value transposition 0 -> 0, 1 -> 2, 2 -> 1 (negation mod 3).
 PHI = (0, 2, 1)
+
+#: A total assignment, indexed densely by variable id.
+Solution = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,16 +67,6 @@ class SudokuInstance:
         """The arguments of `_kernels.fd_search` from ``fixed_vars`` to ``vc_off``."""
         return ([self.z_id], [0], self.bind_a, self.bind_b, self.bind_c,
                 self.bind_sign, self.ad_flat, self.ad_off, self.vc_flat, self.vc_off)
-
-
-@dataclass(frozen=True)
-class SudokuSolution:
-    """Total assignment, indexed densely by variable id."""
-
-    values: tuple[int, ...]
-
-    def value_of(self, var_id: int) -> int:
-        return self.values[var_id]
 
 
 def encode(table: TriplicationTable) -> SudokuInstance:
@@ -158,33 +151,32 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     )
 
 
-def _check_total(instance: SudokuInstance, solution: SudokuSolution) -> None:
-    if len(solution.values) != instance.num_variables:
+def _check_total(instance: SudokuInstance, solution: Solution) -> None:
+    if len(solution) != instance.num_variables:
         raise StructuralError(
-            f"assignment covers {len(solution.values)} of "
+            f"assignment covers {len(solution)} of "
             f"{instance.num_variables} variables")
-    for v in solution.values:
+    for v in solution:
         if v not in (0, 1, 2):
             raise StructuralError(f"value {v!r} outside {{0, 1, 2}}")
 
 
 def check_solution(
-    instance: SudokuInstance, solution: SudokuSolution
+    instance: SudokuInstance, solution: Solution
 ) -> tuple[bool, tuple[str, ...]]:
     """Evaluate every constraint; violations come back as provenance strings."""
     _check_total(instance, solution)
-    values = solution.values
-    violated = ["dummy variable"] if values[instance.z_id] != 0 else []
+    violated = ["dummy variable"] if solution[instance.z_id] != 0 else []
     for cid, (a, b, c, sign) in enumerate(zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign)):
-        if (values[a] + sign * values[b] - values[c]) % 3 != 0:
+        if (solution[a] + sign * solution[b] - solution[c]) % 3 != 0:
             violated.append(instance.provenance[cid])
     nb = len(instance.bind_a)
     ad_flat, ad_off = instance.ad_flat, instance.ad_off
     for gid in range(len(ad_off) - 1):
         seen = 0
         for var in ad_flat[ad_off[gid]:ad_off[gid + 1]]:
-            bit = 1 << values[var]
+            bit = 1 << solution[var]
             if seen & bit:
                 violated.append(instance.provenance[nb + gid])
                 break
@@ -192,12 +184,21 @@ def check_solution(
     return not violated, tuple(violated)
 
 
-def apply_phi(solution: SudokuSolution) -> SudokuSolution:
+def phi_fixed_var(instance: SudokuInstance) -> Optional[int]:
+    """The first U/V member of the color-0 group, or None if Z is its only one.
+
+    The colors are the last p groups, and color 0 ends with Z.
+    """
+    first = instance.ad_flat[instance.ad_off[-1 - instance.table.p]]
+    return None if first == instance.z_id else first
+
+
+def apply_phi(solution: Solution) -> Solution:
     """Transpose values 1 and 2 everywhere (an involution fixing 0)."""
-    return SudokuSolution(tuple(PHI[v] for v in solution.values))
+    return tuple(PHI[v] for v in solution)
 
 
-def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> SudokuSolution:
+def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
     """Build a total solution from (U_i, V_i) values, inducing D, S and Z."""
     k = len(instance.table.extension)
     if len(uv) != k:
@@ -212,13 +213,13 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> SudokuSolution
         if i in instance.s_ids:
             values[instance.s_ids[i]] = (u + v) % 3
     values[instance.z_id] = 0
-    return SudokuSolution(tuple(values))
+    return tuple(values)
 
 
-def uv_pairs(instance: SudokuInstance, solution: SudokuSolution) -> tuple[Pair, ...]:
+def uv_pairs(instance: SudokuInstance, solution: Solution) -> tuple[Pair, ...]:
     """Extract the (U_i, V_i) part of a solution in extension order."""
     return tuple(
-        (solution.values[instance.u_ids[i]], solution.values[instance.v_ids[i]])
+        (solution[instance.u_ids[i]], solution[instance.v_ids[i]])
         for i in range(len(instance.table.extension)))
 
 

@@ -37,7 +37,7 @@ from typing import Optional
 
 from . import _kernels
 from .errors import InternalConsistencyError, SearchBudgetError, StructuralError
-from .model import SudokuInstance, SudokuSolution, check_solution
+from .model import Solution, SudokuInstance, check_solution, phi_fixed_var
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -75,7 +75,7 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str
-    solution: Optional[SudokuSolution]
+    solution: Optional[Solution]
     stats: SolveStats
 
 
@@ -101,21 +101,12 @@ def _branch_order(instance: SudokuInstance, seed: Optional[int] = None) -> list[
     return order
 
 
-def _phi_fixed_var(instance: SudokuInstance) -> Optional[int]:
-    """The first U/V variable of the color-0 group, or None if it has none."""
-    for i, (u, v) in enumerate(instance.table.extension):
-        if u == 0:
-            return instance.u_ids[i]
-        if v == 0:
-            return instance.v_ids[i]
-    return None
-
-
-def _checked(instance: SudokuInstance, status: int, raw) -> list[SudokuSolution]:
+def _checked(
+    instance: SudokuInstance, status: int, solutions: list[Solution]
+) -> list[Solution]:
     if status == -1:
         raise InternalConsistencyError(
             "propagation left a derived variable undetermined")
-    solutions = [SudokuSolution(values) for values in raw]
     for sol in solutions:
         ok, violated = check_solution(instance, sol)
         if not ok:
@@ -130,7 +121,7 @@ def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> So
         return SolveOutcome(UNSAT, None, SolveStats(0, 0, 0, 0, 0))
     start = time.perf_counter()
     arrays = instance.search_arrays()
-    fixed = _phi_fixed_var(instance)
+    fixed = phi_fixed_var(instance)
     if fixed is not None:
         arrays = ([instance.z_id, fixed], [0, 1]) + arrays[2:]
     remaining = config.step_budget
@@ -164,12 +155,12 @@ def enumerate_solutions(
     instance: SudokuInstance,
     cap: int,
     config: SolverConfig = SolverConfig(),
-) -> list[SudokuSolution]:
+) -> list[Solution]:
     """All solutions up to ``cap``, duplicate-free, each passing the checker.
 
     A result shorter than the cap is the complete solution set.  Exhausting
-    the step budget raises `SearchBudgetError` (carrying the partial list)
-    rather than returning a truncated set silently.
+    the step budget raises `SearchBudgetError` rather than returning a
+    truncated set silently.
     """
     if cap < 1:
         raise StructuralError(f"enumeration needs a cap >= 1, got {cap!r}")
@@ -181,6 +172,5 @@ def enumerate_solutions(
     solutions = _checked(instance, status, raw)
     if status == 2:
         raise SearchBudgetError(
-            f"enumeration stopped after {decisions} decisions",
-            partial=solutions)
+            f"enumeration stopped after {decisions} decisions")
     return solutions

@@ -27,8 +27,8 @@ DEFAULT_HILL_CLIMB_STEPS = 1_000_000
 _NO_STRONG_STARTER = frozenset({3, 5, 9})
 
 
-def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: Optional[int]) -> None:
-    if expect_len is not None and len(pairs) != expect_len:
+def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None:
+    if len(pairs) != expect_len:
         raise StructuralError(
             f"pairing of order {modulus} must have {expect_len} pairs, got {len(pairs)}")
     for i, pair in enumerate(pairs):
@@ -55,26 +55,8 @@ class Pairing:
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
 
-    @property
-    def order(self) -> int:
-        return self.modulus
-
     def elements(self) -> tuple[int, ...]:
         return tuple(x for pair in self.pairs for x in pair)
-
-
-@dataclass(frozen=True)
-class ReducedTuple:
-    """Entrywise modular reduction of a pairing; keeps pair and entry order."""
-
-    modulus: int
-    pairs: tuple[Pair, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
-            raise StructuralError(f"reduction modulus must be >= 2, got {self.modulus!r}")
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
-        _check_pairs(self.modulus, self.pairs, None)
 
 
 @dataclass(frozen=True)
@@ -182,18 +164,17 @@ def normalize(pairing: Pairing) -> Pairing:
     return Pairing(n, tuple(sorted(oriented)))
 
 
-def reduce_mod(pairing: Pairing, m: int) -> ReducedTuple:
-    """Entrywise reduction mod a divisor m of the order."""
+def reduce_mod(pairing: Pairing, m: int) -> tuple[Pair, ...]:
+    """Entrywise reduction mod a divisor m of the order, in pair and entry order."""
     if not isinstance(m, int) or m < 2:
         raise StructuralError(f"reduction modulus must be an integer >= 2, got {m!r}")
     if pairing.modulus % m != 0:
         raise StructuralError(f"{m} does not divide the order {pairing.modulus}")
-    return ReducedTuple(m, tuple((a % m, b % m) for a, b in pairing.pairs))
+    return tuple((a % m, b % m) for a, b in pairing.pairs)
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    order: int
     count: int
     starters: Optional[tuple[Pairing, ...]]
 
@@ -226,7 +207,7 @@ def enumerate_strong_starters(
     starters = None
     if cap:
         starters = tuple(Pairing(n, tuple(pairs)) for pairs in collected)
-    return EnumerationResult(order=n, count=count, starters=starters)
+    return EnumerationResult(count=count, starters=starters)
 
 
 def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS) -> Pairing:

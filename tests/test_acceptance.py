@@ -86,8 +86,8 @@ def test_criterion_01_golden_end_to_end():
     known = solution_from_uv(instance, DEMO_SIGMA3)
     ok, violated = check_solution(instance, known)
     assert ok, violated
-    assert crt_merge(table, known, "identity", instance=instance).pairs == DEMO_STARTER_A
-    assert crt_merge(table, known, "phi", instance=instance).pairs == DEMO_STARTER_B
+    assert crt_merge(table, known, instance).pairs == DEMO_STARTER_A
+    assert crt_merge(table, apply_phi(known), instance).pairs == DEMO_STARTER_B
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("1 golden end-to-end", f"{elapsed * 1000:.0f} ms")
@@ -137,11 +137,11 @@ def test_criterion_04_merge_invariants(small_order_solutions):
     merges = 0
     for p, key, table, instance, sols in small_order_solutions:
         for sol in sols:
-            merged = crt_merge(table, sol, "identity", instance=instance)
+            merged = crt_merge(table, sol, instance)
             assert verify_pairing(merged).is_strong
             assert merged.modulus == 3 * p
-            assert reduce_mod(merged, p).pairs == table.extension
-            assert reduce_mod(merged, 3).pairs == uv_pairs(instance, sol)
+            assert reduce_mod(merged, p) == table.extension
+            assert reduce_mod(merged, 3) == uv_pairs(instance, sol)
             merges += 1
     report("4 merge invariants", f"{merges} solutions merged and round-tripped")
 
@@ -154,8 +154,8 @@ def test_criterion_05_phi_symmetry(small_order_solutions):
     demo_instance = encode(build_table(T7, DEMO_KEY))
     all_sols = enumerate_solutions(demo_instance, cap=1_000_000)
     assert 0 < len(all_sols) < 1_000_000
-    values = {s.values for s in all_sols}
-    assert all(apply_phi(s).values in values for s in all_sols)
+    values = set(all_sols)
+    assert all(apply_phi(s) in values for s in all_sols)
     assert len(all_sols) % 2 == 0
     report("5 phi closure", f"demo instance has {len(all_sols)} solutions, phi-closed")
 

@@ -6,6 +6,7 @@ from tristarter import (
     SolverConfig,
     TriplicationResult,
     UnsatReport,
+    apply_phi,
     build_table,
     crt,
     crt_merge,
@@ -19,7 +20,6 @@ from tristarter import (
     uv_pairs,
     verify_pairing,
 )
-from tristarter.model import SudokuSolution
 from tristarter.triplication import admissible_keys
 
 from fixtures import (
@@ -62,23 +62,23 @@ def test_known_solution_merges_exactly():
     table = build_table(T7, DEMO_KEY)
     inst = encode(table)
     sol = solution_from_uv(inst, DEMO_SIGMA3)
-    assert crt_merge(table, sol, "identity", instance=inst).pairs == DEMO_STARTER_A
-    assert crt_merge(table, sol, "phi", instance=inst).pairs == DEMO_STARTER_B
+    assert crt_merge(table, sol, inst).pairs == DEMO_STARTER_A
+    assert crt_merge(table, apply_phi(sol), inst).pairs == DEMO_STARTER_B
 
 
 def test_merge_reconstructs_worked_starter():
     table = build_table(T7, S21_KEY)
     inst = encode(table)
     sol = solution_from_uv(inst, list(S21_MOD3))
-    assert crt_merge(table, sol, "identity", instance=inst).pairs == S21.pairs
+    assert crt_merge(table, sol, inst).pairs == S21.pairs
 
 
 def test_merge_refuses_invalid_solution():
     table = build_table(T7, DEMO_KEY)
     inst = encode(table)
-    bad = SudokuSolution((0,) * inst.num_variables)
+    bad = (0,) * inst.num_variables
     with pytest.raises(RefusedError):
-        crt_merge(table, bad, "identity", instance=inst)
+        crt_merge(table, bad, inst)
 
 
 def test_pipeline_demo():
@@ -127,7 +127,7 @@ def test_ex2_starter_reachable_from_t13():
         by_mod13[(b % 13, a % 13)] = (b % 3, a % 3)
     uv = [by_mod13[pair] for pair in table.extension]
     sol = solution_from_uv(inst, uv)
-    merged = crt_merge(table, sol, "identity", instance=inst)
+    merged = crt_merge(table, sol, inst)
     assert normalize(merged) == normalize(EX2_S39)
 
 
@@ -138,11 +138,11 @@ def test_merges_always_strong_and_round_trip(p):
         table = build_table(base, key)
         inst = encode(table)
         for sol in enumerate_solutions(inst, cap=4):
-            merged = crt_merge(table, sol, "identity", instance=inst)
+            merged = crt_merge(table, sol, inst)
             assert verify_pairing(merged).is_strong
             assert merged.modulus == 3 * p
-            assert reduce_mod(merged, p).pairs == table.extension
-            assert reduce_mod(merged, 3).pairs == uv_pairs(inst, sol)
+            assert reduce_mod(merged, p) == table.extension
+            assert reduce_mod(merged, 3) == uv_pairs(inst, sol)
 
 
 def test_phi_pair_differs():

@@ -337,3 +337,16 @@ def test_triplicate_external_disagreement(base_file, tmp_path, capsys, monkeypat
     assert code == 1
     assert "DISAGREES" in out
     assert err.startswith("error: external solver says UNSAT, native says SAT")
+
+
+def test_triplicate_external_model_is_checked(base_file, tmp_path, capsys, monkeypatch):
+    # every ternary variable 0: decodes, but breaks the all-different groups
+    monkeypatch.chdir(tmp_path)
+    doc = export_dimacs(encode(build_table(T7, 1)))
+    literals = " ".join(str(doc.var_base[t]) for t in range(doc.num_ternary))
+    cmd = fake_solver(tmp_path, f"s SATISFIABLE\nv {literals} 0\n")
+    code, out, err = run(["triplicate", "--base", base_file, "--key", "1",
+                          "--external-solver", cmd], capsys)
+    assert code == 1
+    assert "agrees" not in out
+    assert err.startswith("error: external model violates ")

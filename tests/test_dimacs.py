@@ -17,7 +17,6 @@ from tristarter.dimacs import (
     to_dimacs_text,
 )
 from tristarter.errors import ExternalSolverError, StructuralError
-from tristarter.model import SudokuSolution
 from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_KEY, T7
@@ -115,7 +114,7 @@ def test_cnf_agrees_with_check_solution(base):
         n = instance.num_variables
         assignments = [[rng.randrange(3) for _ in range(n)] for _ in range(20)]
         if key in admissible:
-            solution = list(solve(instance).solution.values)
+            solution = list(solve(instance).solution)
             assignments.append(solution)
             for t in range(n):
                 for delta in (1, 2):
@@ -123,7 +122,7 @@ def test_cnf_agrees_with_check_solution(base):
                     changed[t] = (changed[t] + delta) % 3
                     assignments.append(changed)
         for values in assignments:
-            ok, _ = check_solution(instance, SudokuSolution(tuple(values)))
+            ok, _ = check_solution(instance, tuple(values))
             assert check_cnf(doc, _one_hot(values)) == ok
             accepted += ok
             rejected += not ok
@@ -144,7 +143,7 @@ def test_text_round_trip(demo_doc):
 def test_model_decode_round_trip(demo_instance, demo_doc):
     solution = solve(demo_instance).solution
     literals = []
-    for t, value in enumerate(solution.values):
+    for t, value in enumerate(solution):
         base = demo_doc.var_base[t]
         for v in range(3):
             literals.append(base + v if v == value else -(base + v))
@@ -166,7 +165,7 @@ def test_single_variable_document():
         num_ternary=1, num_bools=3,
         clauses=((1, 2, 3), (-1, -2), (-1, -3), (-2, -3)),
         var_base=(1,))
-    assert import_dimacs_model(doc, [-1, 2, -3]).values == (1,)
+    assert import_dimacs_model(doc, [-1, 2, -3]) == (1,)
     text = to_dimacs_text(doc)
     assert parse_dimacs_text(text).clauses == doc.clauses
 
@@ -224,3 +223,10 @@ def test_parse_dimacs_tmap_gap_is_structural():
 def test_parse_dimacs_out_of_range_is_structural(text, message):
     with pytest.raises(StructuralError, match=message):
         parse_dimacs_text(text)
+
+
+def test_parse_dimacs_overlapping_tmap_is_structural():
+    # boolean 2 would read as both "ternary 0 = 1" and "ternary 1 = 0"
+    with pytest.raises(StructuralError, match="lines 1 and 2: tmap booleans 1..3 "
+                       "of ternary 0 overlap 2..4 of ternary 1"):
+        parse_dimacs_text("c tmap 0 1\nc tmap 1 2\np cnf 6 0\n")

@@ -19,14 +19,14 @@ from fixtures import DEMO_KEY, EX1_S21, EX2_S39, IMAGE_COUNTS, STRONG_COUNTS, T7
 def test_group_rows_example1():
     groups, t = group_rows(EX1_S21)
     assert t == 1
-    assert groups[0].members == ((1, 1),)
-    assert set(groups[3].members) == {(0, 4), (3, 0), (2, 6)}
-    assert [len(g.members) for g in groups] == [1, 3, 3, 3]
+    assert groups[0] == ((1, 1),)
+    assert set(groups[3]) == {(0, 4), (3, 0), (2, 6)}
+    assert [len(g) for g in groups] == [1, 3, 3, 3]
 
 
 def test_group_rows_counts_cover_everything():
     groups, _ = group_rows(EX2_S39)
-    assert sum(len(g.members) for g in groups) == 19
+    assert sum(len(g) for g in groups) == 19
 
 
 def test_group_rows_refusals():
@@ -41,7 +41,7 @@ def test_group_rows_refusals():
 
 def test_example1_row3_has_no_valid_ordering():
     groups, t = group_rows(EX1_S21)
-    assert _passing_orderings(groups[3].members, t, 7) == ()
+    assert _passing_orderings(groups[3], t, 7) == ()
 
 
 def test_example1_false():
@@ -101,7 +101,7 @@ def test_candidates_validated_against_rows():
         table = build_table(cand.base, cand.key)
         for row in range(1, 7):
             got = sorted(tuple(sorted(pr)) for pr in table.extension[3 * row - 2: 3 * row + 1])
-            want = sorted(tuple(sorted(pr)) for pr in groups[row].members)
+            want = sorted(tuple(sorted(pr)) for pr in groups[row])
             assert got == want
 
 
@@ -116,13 +116,13 @@ def _reproducible_by_any_table(starter):
     p = starter.modulus // 3
     q = (p - 1) // 2
     observed = {
-        g.difference: sorted(tuple(sorted(pr)) for pr in g.members)
-        for g in groups[1:]
+        d: sorted(tuple(sorted(pr)) for pr in groups[d])
+        for d in range(1, len(groups))
     }
     row_choices = []
     for g in groups[1:]:
         options = []
-        for perm in itertools.permutations(g.members):
+        for perm in itertools.permutations(g):
             first = perm[0]
             options.append(first)
             options.append((first[1], first[0]))
@@ -169,8 +169,8 @@ def all21():
 def _assert_group_shape(starter):
     groups, t = group_rows(starter)
     q = (starter.modulus // 3 - 1) // 2
-    assert [len(g.members) for g in groups] == [1] + [3] * q
-    assert groups[0].members == ((t, t),)
+    assert [len(g) for g in groups] == [1] + [3] * q
+    assert groups[0] == ((t, t),)
 
 
 def test_group_shape_of_every_order21_strong_starter(all21):
@@ -211,7 +211,7 @@ def test_order21_image_census_two_ways(all21):
             table = bt(base, key)
             inst = encode(table)
             for sol in enumerate_solutions(inst, cap=10_000):
-                images.add(starter_digest(crt_merge(table, sol, "identity", instance=inst)))
+                images.add(starter_digest(crt_merge(table, sol, inst)))
 
     assert images == inconclusive
     assert len(images) == IMAGE_COUNTS[21]

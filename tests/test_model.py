@@ -8,10 +8,11 @@ from tristarter import (
     build_table,
     check_solution,
     encode,
+    hill_climb,
     solution_from_uv,
     uv_pairs,
 )
-from tristarter.model import SudokuSolution, constraint_census
+from tristarter.model import constraint_census, phi_fixed_var
 
 from fixtures import (
     DEMO_SIGMA3,
@@ -67,7 +68,7 @@ def test_known_solution_satisfies(demo_instance):
 
 
 def test_all_zero_assignment_violates(demo_instance):
-    zero = SudokuSolution((0,) * demo_instance.num_variables)
+    zero = (0,) * demo_instance.num_variables
     ok, violated = check_solution(demo_instance, zero)
     assert not ok
     assert "color 0" in violated
@@ -82,9 +83,9 @@ def test_worked_order21_solutions_satisfy_key4_instance():
 
 def test_partial_assignment_is_structural_error(demo_instance):
     with pytest.raises(StructuralError):
-        check_solution(demo_instance, SudokuSolution((0,) * 5))
+        check_solution(demo_instance, (0,) * 5)
     with pytest.raises(StructuralError):
-        check_solution(demo_instance, SudokuSolution((3,) * demo_instance.num_variables))
+        check_solution(demo_instance, (3,) * demo_instance.num_variables)
 
 
 def test_apply_phi_transposes(demo_instance):
@@ -98,9 +99,24 @@ def test_apply_phi_transposes(demo_instance):
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60))
 @settings(max_examples=100)
 def test_phi_is_involution(values):
-    sol = SudokuSolution(tuple(values))
+    sol = tuple(values)
     assert apply_phi(apply_phi(sol)) == sol
-    assert apply_phi(SudokuSolution((0,) * len(values))).values == (0,) * len(values)
+    assert apply_phi((0,) * len(values)) == (0,) * len(values)
+
+
+@pytest.mark.parametrize("base", [T7, hill_climb(11, seed=23), hill_climb(13, seed=1)],
+                         ids=["T7", "p11", "p13"])
+def test_phi_fixed_var_is_first_of_color0(base):
+    # the variable solve fixes to 1 leads the group that holds Z
+    for key in range(base.modulus):
+        inst = encode(build_table(base, key))
+        nb = len(inst.bind_a)
+        gid = inst.provenance.index("color 0") - nb
+        group = inst.ad_flat[inst.ad_off[gid]:inst.ad_off[gid + 1]]
+        fixed = phi_fixed_var(inst)
+        assert fixed is not None and fixed != inst.z_id
+        assert group[0] == fixed and inst.z_id in group
+        assert inst.table.extension[fixed // 2][fixed % 2] == 0
 
 
 def test_trivially_unsat_flag_for_type4_weak_set():

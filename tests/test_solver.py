@@ -3,7 +3,6 @@ import pytest
 from tristarter import (
     SearchBudgetError,
     SolverConfig,
-    SudokuSolution,
     StructuralError,
     apply_phi,
     build_table,
@@ -14,7 +13,8 @@ from tristarter import (
     solve,
 )
 from tristarter import _kernels
-from tristarter.solver import _branch_order, _phi_fixed_var, luby
+from tristarter.model import phi_fixed_var
+from tristarter.solver import _branch_order, luby
 
 from fixtures import DEMO_KEY, T7, T13
 from oracles import prose_enumerate, prose_status
@@ -68,7 +68,7 @@ def test_random_order_still_sat(demo_instance):
         status, sols, *_ = _kernels.fd_search(
             demo_instance.num_variables, *demo_instance.search_arrays(), order, 0, 1)
         assert status == 1
-        ok, _ = check_solution(demo_instance, SudokuSolution(sols[0]))
+        ok, _ = check_solution(demo_instance, sols[0])
         assert ok
 
 
@@ -113,7 +113,7 @@ def _phi_fix_cases():
 def test_phi_fix_keeps_one_solution_per_orbit(ckernels):
     for base, key in _phi_fix_cases():
         inst = encode(build_table(base, key))
-        fixed = _phi_fixed_var(inst)
+        fixed = phi_fixed_var(inst)
         arrays = inst.search_arrays()
         assert inst.table.extension[fixed // 2][fixed % 2] == 0   # a color-0 member
         fixed_arrays = ([inst.z_id, fixed], [0, 1]) + arrays[2:]
@@ -131,9 +131,9 @@ def test_enumeration_complete_and_phi_closed(demo_instance):
     solutions = enumerate_solutions(demo_instance, cap=100_000)
     assert 0 < len(solutions) < 100_000
     assert len(set(solutions)) == len(solutions)
-    values = {s.values for s in solutions}
+    values = set(solutions)
     for s in solutions:
-        assert apply_phi(s).values in values
+        assert apply_phi(s) in values
     assert len(solutions) % 2 == 0
 
 
@@ -143,7 +143,7 @@ def test_enumeration_matches_prose_oracle(demo_instance):
     table = demo_instance.table
     k = len(table.extension)
     ours_uv = {
-        tuple((s.values[demo_instance.u_ids[i]], s.values[demo_instance.v_ids[i]])
+        tuple((s[demo_instance.u_ids[i]], s[demo_instance.v_ids[i]])
               for i in range(k))
         for s in ours}
     oracle = set(prose_enumerate(table))

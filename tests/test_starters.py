@@ -15,8 +15,9 @@ from tristarter import (
     verify_pairing,
 )
 from tristarter.starters import pair_differences
+from tristarter.triplication import build_table
 
-from fixtures import S21, T7, T7_SUMS, STRONG_COUNTS
+from fixtures import S21, S21_KEY, S21_MOD3, S21_MOD7, T7, T7_SUMS, STRONG_COUNTS
 
 
 def test_pairing_validates_length():
@@ -81,7 +82,13 @@ def test_pair_differences_cover_group():
 
 
 def test_reduce_mod_identity():
-    assert reduce_mod(T7, 7).pairs == T7.pairs
+    assert reduce_mod(T7, 7) == T7.pairs
+
+
+def test_reduce_mod_worked_order21():
+    # the worked starter reduces mod 7 to the (T7, key 4) table, in order
+    assert reduce_mod(S21, 7) == S21_MOD7 == build_table(T7, S21_KEY).extension
+    assert reduce_mod(S21, 3) == S21_MOD3
 
 
 def test_reduce_mod_rejects_non_divisor():
