@@ -22,8 +22,6 @@ from .harness import (
     run_inverse_sampling,
     run_key_sweep,
     run_order_sweep,
-    run_repeat_subseries,
-    write_key_means_csv,
     write_records_csv,
 )
 from .model import check_solution, constraint_census, encode, uv_pairs
@@ -233,19 +231,8 @@ def _cmd_series(args) -> int:
         records = result.records
     else:
         if not args.base:
-            raise StructuralError(f"{args.mode} needs --base")
-        if args.mode == "repeat" and not args.repeats:
-            raise StructuralError("repeat needs --repeats")
-        base = load_starter(args.base)
-        if args.mode == "key-sweep":
-            records = run_key_sweep(base)
-        else:
-            result = run_repeat_subseries(base, args.repeats)
-            records = result.records
-            if args.out:
-                means_path = Path(args.out).with_suffix(".means.csv")
-                write_key_means_csv(result.key_means, args.repeats, means_path)
-                print(f"per-key means in {means_path}")
+            raise StructuralError("key-sweep needs --base")
+        records = run_key_sweep(load_starter(args.base))
     text = write_records_csv(records, args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -330,11 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="experiment sweeps emitting CSV")
     p.add_argument("--mode", required=True,
-                   choices=["key-sweep", "order-sweep", "repeat", "inverse-sampling"])
+                   choices=["key-sweep", "order-sweep", "inverse-sampling"])
     p.add_argument("--base")
     p.add_argument("--order", type=int)
     p.add_argument("--orders", help="comma-separated list for order-sweep")
-    p.add_argument("--repeats", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the order sweep or the sampling study")

@@ -3,12 +3,14 @@
 Each ternary variable x becomes three booleans "x = 0/1/2" (one at-least-one
 clause plus three pairwise at-most-one clauses); every constraint is expanded
 into clauses forbidding each violating combination.  The text form is
-standard DIMACS (`p cnf <vars> <clauses>`, clauses terminated by 0) with the
-ternary-to-boolean map recorded in comments so documents round-trip.
+standard DIMACS (`p cnf <vars> <clauses>`, clauses terminated by 0).
 
 The variable numbering (boolean 3t + v + 1 is "ternary t == v"), the clause
 order (one-hot block, fix-zero unit, bindings, all-different pairs) and the
-text bytes are a contract: golden sha256 digests in the tests pin them.
+text bytes are a contract: golden sha256 digests in the tests pin them.  The
+numbering is a fixed rule, not data: the ``c tmap t 3t+1`` comments restate
+it for readers of the text, and the parser refuses any tmap comment that
+disagrees with it.
 
 External solvers are invoked as a command template receiving the CNF path
 and are expected to print SAT-competition style output (`s SATISFIABLE` /
@@ -43,37 +45,31 @@ class CnfDocument:
     num_ternary: int
     num_bools: int
     clauses: tuple[tuple[int, ...], ...]
-    # 1-based index of the boolean "ternary var t == 0"; value v is base + v
-    var_base: tuple[int, ...]
-
-    def literal(self, ternary_id: int, value: int) -> int:
-        return self.var_base[ternary_id] + value
 
 
 def export_dimacs(instance: SudokuInstance) -> CnfDocument:
     """One-hot CNF encoding of the whole instance."""
     n = instance.num_variables
-    var_base = tuple(range(1, 3 * n + 1, 3))
+    first = tuple(range(1, 3 * n + 1, 3))   # first[t]: boolean "ternary t == 0"
     clauses: list[tuple[int, ...]] = [
-        clause for b in var_base
+        clause for b in first
         for clause in ((b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
 
-    clauses.append((var_base[instance.z_id],))
+    clauses.append((first[instance.z_id],))
     for a, b, c, sign in zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
-        na, nb, nc = -var_base[a], -var_base[b], -var_base[c]
+        na, nb, nc = -first[a], -first[b], -first[c]
         clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign]])
     ad_flat, ad_off = instance.ad_flat, instance.ad_off
     for gid in range(len(ad_off) - 1):
         for x, y in itertools.combinations(ad_flat[ad_off[gid]:ad_off[gid + 1]], 2):
-            nx, ny = -var_base[x], -var_base[y]
+            nx, ny = -first[x], -first[y]
             clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
 
     return CnfDocument(
         num_ternary=n,
         num_bools=3 * n,
         clauses=tuple(clauses),
-        var_base=var_base,
     )
 
 
@@ -83,23 +79,26 @@ def to_dimacs_text(doc: CnfDocument) -> str:
     longest = max(map(len, doc.clauses), default=0)
     templates = [" ".join(["%d"] * k) + " 0\n" for k in range(longest + 1)]
     body = "".join(map(templates.__getitem__, map(len, doc.clauses)))
-    tmap = "c tmap %d %d\n" * len(doc.var_base)
-    return (f"c ternary {doc.num_ternary} one-hot booleans {doc.num_bools}\n"
-            + tmap % tuple(itertools.chain.from_iterable(enumerate(doc.var_base)))
+    n = doc.num_ternary
+    tmap = "c tmap %d %d\n" * n
+    tmap_fields = itertools.chain.from_iterable(enumerate(range(1, 3 * n + 1, 3)))
+    return (f"c ternary {n} one-hot booleans {doc.num_bools}\n"
+            + tmap % tuple(tmap_fields)
             + f"p cnf {doc.num_bools} {len(doc.clauses)}\n"
             + body % tuple(itertools.chain.from_iterable(doc.clauses)))
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:
-    """Parse DIMACS text back into a document (tmap comments honored).
+    """Parse DIMACS text back into a document of ``num_bools // 3`` ternaries.
 
-    Literals and tmap booleans must lie within the declared variable count,
-    and no boolean may belong to two tmap entries.
+    Literals must lie within the declared variable count, and every
+    ``c tmap t b`` comment must state the fixed numbering ``b == 3t + 1``
+    for a ternary ``t`` of the document.
     """
     num_bools = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
-    tmap: dict[int, tuple[int, int]] = {}   # ternary index -> (base, line)
+    tmap: list[tuple[int, int, int]] = []   # (ternary index, base, line)
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -109,7 +108,7 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             fields = line.split()
             if len(fields) == 4 and fields[1] == "tmap":
                 t, base = _ints(fields[2:], lineno)
-                tmap[t] = (base, lineno)
+                tmap.append((t, base, lineno))
             continue
         if line.startswith("p"):
             fields = line.split()
@@ -139,33 +138,16 @@ def parse_dimacs_text(text: str) -> CnfDocument:
     if declared_clauses != len(clauses):
         raise StructuralError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}")
-    if tmap:
-        num_ternary = len(tmap)
-        missing = [t for t in range(num_ternary) if t not in tmap]
-        if missing:
+    num_ternary = num_bools // 3
+    for t, base, lineno in tmap:
+        if not (0 <= t < num_ternary and base == 3 * t + 1):
             raise StructuralError(
-                f"c tmap comments must cover ternary indices 0..{num_ternary - 1}; "
-                f"index {missing[0]} is missing")
-        for t, (base, lineno) in tmap.items():
-            if not 1 <= base <= num_bools - 2:
-                raise StructuralError(
-                    f"line {lineno}: tmap booleans {base}..{base + 2} of ternary "
-                    f"{t} lie outside the {num_bools} declared booleans")
-        by_base = sorted((base, lineno, t) for t, (base, lineno) in tmap.items())
-        for (b1, l1, t1), (b2, l2, t2) in zip(by_base, by_base[1:]):
-            if b2 < b1 + 3:
-                raise StructuralError(
-                    f"lines {l1} and {l2}: tmap booleans {b1}..{b1 + 2} of ternary "
-                    f"{t1} overlap {b2}..{b2 + 2} of ternary {t2}")
-        var_base = tuple(tmap[t][0] for t in range(num_ternary))
-    else:
-        num_ternary = num_bools // 3
-        var_base = tuple(1 + 3 * t for t in range(num_ternary))
+                f"line {lineno}: 'c tmap {t} {base}' must map a ternary "
+                f"0 <= t < {num_ternary} to boolean 3t + 1")
     return CnfDocument(
         num_ternary=num_ternary,
         num_bools=num_bools,
         clauses=tuple(clauses),
-        var_base=var_base,
     )
 
 
@@ -186,8 +168,7 @@ def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> Solution:
     true_lits = {lit for lit in literals if lit > 0}
     values = []
     for t in range(doc.num_ternary):
-        base = doc.var_base[t]
-        hits = [v for v in range(3) if base + v in true_lits]
+        hits = [v for v in range(3) if 3 * t + v + 1 in true_lits]
         if len(hits) != 1:
             raise DecodeError(
                 f"ternary variable {t} has {len(hits)} true booleans, expected 1")

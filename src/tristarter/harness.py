@@ -1,8 +1,8 @@
 """Experiment sweeps and CSV emission.
 
-Three sweep modes mirror the measurement series (all admissible keys for
-one base; one random admissible key per order over hill-climbed bases;
-repeated runs per key for one base) plus the inverse-test sampling study.
+Two sweep modes mirror the measurement series (all admissible keys for
+one base; one random admissible key per order over hill-climbed bases)
+plus the inverse-test sampling study.
 Run records serialize to CSV with the fixed header
 
     order_base,order_result,key,status,solve_ms,decisions,backtracks,starter_digest,seed
@@ -64,12 +64,6 @@ class RunRecord:
 class OrderSweepResult:
     records: tuple[RunRecord, ...]
     failures: tuple[tuple[int, str], ...]   # (order, message)
-
-
-@dataclass(frozen=True)
-class RepeatResult:
-    records: tuple[RunRecord, ...]
-    key_means: tuple[tuple[int, float], ...]   # (key, mean solve_ms)
 
 
 @dataclass(frozen=True)
@@ -138,18 +132,6 @@ def run_order_sweep(orders: Sequence[int], seed: int = 0) -> OrderSweepResult:
         except TristarterError as exc:
             failures.append((order, str(exc)))
     return OrderSweepResult(tuple(records), tuple(failures))
-
-
-def run_repeat_subseries(base: Pairing, repeats: int) -> RepeatResult:
-    """``repeats`` key sweeps of the base; per-key mean durations."""
-    if repeats < 1:
-        raise RefusedError(f"repeats must be >= 1, got {repeats}")
-    records = [r for _ in range(repeats) for r in run_key_sweep(base)]
-    times: dict[int, list[int]] = {}
-    for r in records:
-        times.setdefault(r.key, []).append(r.solve_ms)
-    means = tuple((t, sum(ts) / len(ts)) for t, ts in times.items())
-    return RepeatResult(tuple(records), means)
 
 
 def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSummary:
@@ -221,20 +203,6 @@ def write_records_csv(records: Sequence[RunRecord], path: Union[str, Path, None]
     writer.writerow(CSV_HEADER.split(","))
     for record in records:
         writer.writerow(record.row())
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def write_key_means_csv(
-    means: Sequence[tuple[int, float]], repeats: int, path: Union[str, Path, None]
-) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "runs", "mean_solve_ms"])
-    for key, mean in means:
-        writer.writerow([key, repeats, f"{mean:.3f}"])
     text = buf.getvalue()
     if path is not None:
         Path(path).write_text(text)

@@ -47,9 +47,6 @@ class SudokuInstance:
 
     table: TriplicationTable
     num_variables: int
-    u_ids: tuple[int, ...]
-    v_ids: tuple[int, ...]
-    d_ids: tuple[int, ...]
     s_ids: dict[int, int] = field(repr=False)
     z_id: int
     bind_a: list[int] = field(repr=False)
@@ -133,9 +130,6 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     return SudokuInstance(
         table=table,
         num_variables=nvars,
-        u_ids=tuple(range(0, 2 * k, 2)),
-        v_ids=tuple(range(1, 2 * k, 2)),
-        d_ids=tuple(range(2 * k, 3 * k)),
         s_ids=s_ids,
         z_id=z_id,
         bind_a=bind_a,
@@ -207,9 +201,9 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
     for i, (u, v) in enumerate(uv):
         if u not in (0, 1, 2) or v not in (0, 1, 2):
             raise StructuralError(f"pair {i} outside {{0, 1, 2}}: {(u, v)!r}")
-        values[instance.u_ids[i]] = u
-        values[instance.v_ids[i]] = v
-        values[instance.d_ids[i]] = (u - v) % 3
+        values[2 * i] = u
+        values[2 * i + 1] = v
+        values[2 * k + i] = (u - v) % 3
         if i in instance.s_ids:
             values[instance.s_ids[i]] = (u + v) % 3
     values[instance.z_id] = 0
@@ -218,9 +212,8 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
 
 def uv_pairs(instance: SudokuInstance, solution: Solution) -> tuple[Pair, ...]:
     """Extract the (U_i, V_i) part of a solution in extension order."""
-    return tuple(
-        (solution[instance.u_ids[i]], solution[instance.v_ids[i]])
-        for i in range(len(instance.table.extension)))
+    k = len(instance.table.extension)
+    return tuple(zip(solution[0:2 * k:2], solution[1:2 * k:2]))
 
 
 def constraint_census(instance: SudokuInstance) -> dict[str, int]:

@@ -94,7 +94,7 @@ def luby(i: int) -> int:
 
 def _branch_order(instance: SudokuInstance, seed: Optional[int] = None) -> list[int]:
     """U0, V0, U1, V1, ... (the min-domain tie-break), shuffled by ``seed``."""
-    order = [v for pair in zip(instance.u_ids, instance.v_ids) for v in pair]
+    order = list(range(2 * len(instance.table.extension)))
     if seed is not None:
         rng = random.Random(seed)
         order.sort(key=lambda _: rng.random())   # independent random keys

@@ -35,7 +35,7 @@ def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None
         if len(pair) != 2:
             raise StructuralError(f"pair {i} is not a pair: {pair!r}")
         a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):   # bool is refused too
             raise StructuralError(f"pair {i} has non-integer entries: {pair!r}")
         if not (0 <= a < modulus and 0 <= b < modulus):
             raise StructuralError(
@@ -52,7 +52,7 @@ class Pairing:
     def __post_init__(self):
         if not isinstance(self.modulus, int) or self.modulus < 3 or self.modulus % 2 == 0:
             raise StructuralError(f"modulus must be an odd integer >= 3, got {self.modulus!r}")
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", tuple(tuple(pair) for pair in self.pairs))
         _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
 
     def elements(self) -> tuple[int, ...]:

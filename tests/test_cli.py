@@ -1,11 +1,13 @@
+import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from tristarter import SolverConfig, build_table, encode, hill_climb, solve
-from tristarter.cli import main
+from tristarter.cli import build_parser, main
 from tristarter.dimacs import export_dimacs, to_dimacs_text
 from tristarter.files import save_starter
 
@@ -237,17 +239,6 @@ def test_series_order_sweep(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 3
 
 
-def test_series_repeat(base_file, tmp_path, capsys):
-    out_csv = tmp_path / "rep.csv"
-    code, out, _ = run(["series", "--mode", "repeat", "--base", base_file,
-                        "--repeats", "2", "--out", str(out_csv)], capsys)
-    assert code == 0
-    assert len(out_csv.read_text().splitlines()) == 1 + 6
-    means = Path(str(out_csv.with_suffix(".means.csv")))
-    assert means.exists()
-    assert len(means.read_text().splitlines()) == 4
-
-
 def test_series_inverse_sampling(tmp_path, capsys):
     out_csv = tmp_path / "sampling.csv"
     code, out, _ = run(["series", "--mode", "inverse-sampling", "--order", "21",
@@ -320,7 +311,7 @@ def test_solve_external_malformed_model(base_file, tmp_path, capsys):
 def test_solve_external_model_is_checked(base_file, tmp_path, capsys):
     # every ternary variable 0: decodes, but breaks the all-different groups
     doc = export_dimacs(encode(build_table(T7, 1)))
-    literals = " ".join(str(doc.var_base[t]) for t in range(doc.num_ternary))
+    literals = " ".join(str(3 * t + 1) for t in range(doc.num_ternary))
     cmd = fake_solver(tmp_path, f"s SATISFIABLE\nv {literals} 0\n")
     code, out, err = run(["solve", "--base", base_file, "--key", "1",
                           "--external-solver", cmd], capsys)
@@ -343,10 +334,26 @@ def test_triplicate_external_model_is_checked(base_file, tmp_path, capsys, monke
     # every ternary variable 0: decodes, but breaks the all-different groups
     monkeypatch.chdir(tmp_path)
     doc = export_dimacs(encode(build_table(T7, 1)))
-    literals = " ".join(str(doc.var_base[t]) for t in range(doc.num_ternary))
+    literals = " ".join(str(3 * t + 1) for t in range(doc.num_ternary))
     cmd = fake_solver(tmp_path, f"s SATISFIABLE\nv {literals} 0\n")
     code, out, err = run(["triplicate", "--base", base_file, "--key", "1",
                           "--external-solver", cmd], capsys)
     assert code == 1
     assert "agrees" not in out
     assert err.startswith("error: external model violates ")
+
+
+def test_readme_usage_matches_the_parser():
+    # The README's usage block names every subcommand and every series mode,
+    # and nothing else; each `--mode` the README shows is a real choice.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(tristarter verify .*?)```", readme, re.S).group(1)
+    usage = {line.split()[1]: line for line in block.splitlines()
+             if line.startswith("tristarter ")}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(usage) == set(commands)
+    modes = next(a for a in commands["series"]._actions if a.dest == "mode").choices
+    shown = re.search(r"--mode (\S+)", usage["series"]).group(1).split("|")
+    assert shown == list(modes)
+    assert set(re.findall(r"--mode ([\w-]+)", readme)) == set(modes)

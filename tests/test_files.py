@@ -67,6 +67,15 @@ def test_json_errors(tmp_path):
         load_starter(path)
 
 
+@pytest.mark.parametrize("pairs", [
+    [[2.9, 3], [4, 6], [1, 5]],     # would truncate to T7
+    [[True, 3], [4, 6], [2, 5]],    # would load with entry 1
+], ids=["float", "bool"])
+def test_json_non_integer_entries_are_refused(pairs):
+    with pytest.raises(StructuralError, match="pair 0 has non-integer entries"):
+        pairing_from_obj({"order": 7, "pairs": pairs})
+
+
 def test_missing_file():
     with pytest.raises(StructuralError):
         load_starter("/nonexistent/starter.json")

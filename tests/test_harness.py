@@ -7,9 +7,7 @@ from tristarter.harness import (
     run_inverse_sampling,
     run_key_sweep,
     run_order_sweep,
-    run_repeat_subseries,
     starter_digest,
-    write_key_means_csv,
     write_records_csv,
 )
 from tristarter.starters import Pairing, normalize
@@ -35,11 +33,8 @@ def test_key_sweep_count_law():
 def test_key_sweep_requires_strong_base():
     with pytest.raises(RefusedError):
         run_key_sweep(Pairing(7, ((1, 2), (3, 4), (5, 6))))
-
-
-def test_repeat_subseries_refuses_a_nonstrong_starter():
-    with pytest.raises(RefusedError, match="not strong"):
-        run_repeat_subseries(T13, 2)
+    with pytest.raises(RefusedError, match="not strong"):   # a starter, not strong
+        run_key_sweep(T13)
 
 
 def test_digest_is_normalization_invariant():
@@ -89,20 +84,6 @@ def test_order_sweep_deterministic():
     b = run_order_sweep([7, 13], seed=12)
     assert [r.starter_digest for r in a.records] == [r.starter_digest for r in b.records]
     assert [r.key for r in a.records] == [r.key for r in b.records]
-
-
-def test_repeat_subseries_counts(tmp_path):
-    result = run_repeat_subseries(T7, repeats=4)
-    assert len(result.records) == 4 * 3
-    assert len(result.key_means) == 3
-    for key, mean in result.key_means:
-        times = [r.solve_ms for r in result.records if r.key == key]
-        assert len(times) == 4
-        assert mean == pytest.approx(sum(times) / 4)
-    statuses = {(r.key, r.status) for r in result.records}
-    assert statuses == {(1, "SAT"), (2, "SAT"), (4, "SAT")}
-    text = write_key_means_csv(result.key_means, 4, tmp_path / "means.csv")
-    assert text.splitlines()[0] == "key,runs,mean_solve_ms"
 
 
 def test_inverse_sampling_small():

@@ -61,6 +61,25 @@ def test_census_formula_across_keys():
         assert census["sum_bindings"] == len(inst.s_ids)
 
 
+@pytest.mark.parametrize("base", [T7, hill_climb(31, seed=0)], ids=["T7", "p31"])
+def test_variable_numbering_is_the_fixed_rule(base):
+    # U_i = 2i, V_i = 2i + 1, D_i = 2k + i, S from 3k in pair order, Z last
+    import random
+
+    rng = random.Random(base.modulus)
+    for key in range(base.modulus):
+        inst = encode(build_table(base, key))
+        k = len(inst.table.extension)
+        bindings = list(zip(inst.bind_a, inst.bind_b, inst.bind_c, inst.bind_sign))
+        assert bindings[:k] == [(2 * i, 2 * i + 1, 2 * k + i, -1) for i in range(k)]
+        s_pairs = sorted(inst.s_ids)
+        assert [inst.s_ids[i] for i in s_pairs] == list(range(3 * k, 3 * k + len(s_pairs)))
+        assert bindings[k:] == [(2 * i, 2 * i + 1, inst.s_ids[i], 1) for i in s_pairs]
+        assert inst.z_id == inst.num_variables - 1 == 3 * k + len(s_pairs)
+        uv = [(rng.randrange(3), rng.randrange(3)) for _ in range(k)]
+        assert uv_pairs(inst, solution_from_uv(inst, uv)) == tuple(uv)
+
+
 def test_known_solution_satisfies(demo_instance):
     sol = solution_from_uv(demo_instance, DEMO_SIGMA3)
     ok, violated = check_solution(demo_instance, sol)

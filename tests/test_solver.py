@@ -142,10 +142,7 @@ def test_enumeration_matches_prose_oracle(demo_instance):
     ours = enumerate_solutions(demo_instance, cap=100_000)
     table = demo_instance.table
     k = len(table.extension)
-    ours_uv = {
-        tuple((s[demo_instance.u_ids[i]], s[demo_instance.v_ids[i]])
-              for i in range(k))
-        for s in ours}
+    ours_uv = {tuple(zip(s[0:2 * k:2], s[1:2 * k:2])) for s in ours}
     oracle = set(prose_enumerate(table))
     assert ours_uv == oracle
 
