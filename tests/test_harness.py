@@ -33,7 +33,11 @@ def test_key_sweep_count_law():
 def test_key_sweep_requires_strong_base():
     with pytest.raises(RefusedError):
         run_key_sweep(Pairing(7, ((1, 2), (3, 4), (5, 6))))
-    with pytest.raises(RefusedError, match="not strong"):   # a starter, not strong
+
+
+def test_repeat_subseries_refuses_a_nonstrong_starter():
+    # the series harness refuses T13 (a starter, not strong) as a base
+    with pytest.raises(RefusedError, match="not strong"):
         run_key_sweep(T13)
 
 
