@@ -6,6 +6,18 @@
  * them).  Keep the two in step: the queue is a LIFO stack, the branch rule
  * and the value order (0, 1, 2) are the ones of the Python code.
  *
+ * Propagation looks its revisions up in two tables that module import
+ * fills by running the rule of `_kernels._propagate` on every input:
+ * SUPPORT gives a binding's supported masks for each sign and triple of
+ * masks, and ALLDIFF3 gives the ordered shrinks (or the wipeout) the
+ * all-different rule makes on a group of three for each triple of masks.
+ * Groups of other sizes run the rule itself.  A revision reads nothing but
+ * the masks of its distinct variables, so a table entry replays the rule
+ * shrink by shrink: the trail, the queue and therefore every decision,
+ * backtrack, propagation count and solution stay those of `_kernels`.
+ * The only difference is on a wipeout, where the tables skip the shrinks
+ * the rule makes before it; the caller unwinds the trail past them anyway.
+ *
  * Arguments are converted once per call into int32 arrays and validated
  * there, so the search itself reads nothing out of bounds.
  */
@@ -118,6 +130,25 @@ typedef struct {
     long long decisions, backtracks, props;
 } Search;
 
+/* SUPPORT[sign mod 3][ma][mb][mc]: the supported masks na | nb << 3 |
+ * nc << 6 of a binding (a + sign * b - c) % 3 == 0 whose variables have
+ * the masks ma, mb, mc; 0 on a wipeout. */
+static uint16_t SUPPORT[3][8][8][8];
+
+/* A strict shrink drops at least one bit of three and keeps one, so a member
+ * of a group of three shrinks at most twice. */
+#define MAX_STEPS 6
+
+/* ALLDIFF3[m0 | m1 << 3 | m2 << 6]: the shrinks the all-different rule
+ * makes on a group of three members with those masks, in order, each as
+ * position << 3 | new mask; n = -1 on a wipeout. */
+typedef struct {
+    int8_t n;
+    uint8_t step[MAX_STEPS];
+} Shrinks;
+
+static Shrinks ALLDIFF3[512];
+
 /* Queue every constraint of variable v not already queued. */
 static inline void
 enqueue_var(Search *S, int32_t v)
@@ -132,7 +163,7 @@ enqueue_var(Search *S, int32_t v)
 }
 
 /* Shrink dom[v] to m, trailing the old mask.  Every call is a strict
- * shrink (the bindings are checked to name three distinct variables), so a
+ * shrink (bindings and groups are checked to name distinct variables), so a
  * variable has at most two entries on the trail and 2 * nvars suffice. */
 static inline void
 shrink(Search *S, int32_t v, uint8_t m)
@@ -152,12 +183,72 @@ wipeout(Search *S)
     return -1;
 }
 
+/* The all-different rule of `_kernels._propagate` on the distinct
+ * variables g[0..n): pigeonhole check, singleton removal and, for n == 3,
+ * the Hall pair rule, repeated to a fixpoint.  Returns 0, or -1 on a
+ * wipeout (with shrinks made before it left on the trail). */
+static int
+alldiff(Search *S, const int32_t *g, int32_t n)
+{
+    uint8_t *dom = S->dom;
+    unsigned uni = 0;
+    for (int32_t i = 0; i < n; i++)
+        uni |= dom[g[i]];
+    if ((int32_t)((uni & 1) + ((uni >> 1) & 1) + ((uni >> 2) & 1)) < n)
+        return -1;
+    int changed = 1;
+    while (changed) {
+        changed = 0;
+        /* remove fixed values from siblings */
+        for (int32_t i = 0; i < n; i++) {
+            uint8_t mi = dom[g[i]];
+            if (mi & (mi - 1))
+                continue;
+            for (int32_t j = 0; j < n; j++) {
+                if (j == i)
+                    continue;
+                uint8_t mj = dom[g[j]];
+                if (mj & mi) {
+                    uint8_t nm = mj & (7 ^ mi);
+                    if (nm == 0)
+                        return -1;
+                    shrink(S, g[j], nm);
+                    changed = 1;
+                }
+            }
+        }
+        /* Hall pair rule: two variables sharing a 2-value domain
+         * exclude those values from the third */
+        if (n != 3)
+            continue;
+        for (int32_t i = 0; i < n; i++) {
+            for (int32_t j = i + 1; j < n; j++) {
+                uint8_t mi = dom[g[i]];
+                if (!(mi == dom[g[j]] && mi != 7 && (mi & (mi - 1))))
+                    continue;
+                for (int32_t k = 0; k < n; k++) {
+                    if (k == i || k == j)
+                        continue;
+                    uint8_t mk = dom[g[k]];
+                    if (mk & mi) {
+                        uint8_t nm = mk & (7 ^ mi);
+                        if (nm == 0)
+                            return -1;
+                        shrink(S, g[k], nm);
+                        changed = 1;
+                    }
+                }
+            }
+        }
+    }
+    return 0;
+}
+
 /* `_kernels._propagate`: revisions made, or -1 on a wipeout. */
 static int64_t
 propagate(Search *S)
 {
     uint8_t *dom = S->dom;
-    const int32_t *flat = S->ad_flat;
     int64_t props = 0;
     while (S->qn) {
         int32_t cid = S->queue[--S->qn];
@@ -165,89 +256,87 @@ propagate(Search *S)
         props++;
         if (cid < S->nb) {
             int32_t a = S->ba[cid], b = S->bb[cid], c = S->bc[cid];
-            int sg = S->bs[cid];
             uint8_t ma = dom[a], mb = dom[b], mc = dom[c];
-            uint8_t na = 0, nbm = 0, ncm = 0;
-            for (int va = 0; va < 3; va++) {
-                if (!((ma >> va) & 1))
-                    continue;
-                for (int vb = 0; vb < 3; vb++) {
-                    if (!((mb >> vb) & 1))
-                        continue;
-                    int vc = (va + sg * vb) % 3;
-                    if ((mc >> vc) & 1) {
-                        na |= 1 << va;
-                        nbm |= 1 << vb;
-                        ncm |= 1 << vc;
-                    }
-                }
-            }
-            if (na == 0)
+            unsigned sup = SUPPORT[S->bs[cid]][ma][mb][mc];
+            if (sup == 0)
                 return wipeout(S);
-            if (na != ma)
-                shrink(S, a, na);
-            if (nbm != mb)
-                shrink(S, b, nbm);
-            if (ncm != mc)
-                shrink(S, c, ncm);
+            if ((sup & 7) != ma)
+                shrink(S, a, sup & 7);
+            if ((sup >> 3 & 7) != mb)
+                shrink(S, b, sup >> 3 & 7);
+            if (sup >> 6 != mc)
+                shrink(S, c, (uint8_t)(sup >> 6));
             continue;
         }
-        int32_t g = cid - S->nb;
-        int32_t s = S->ad_off[g], e = S->ad_off[g + 1];
-        unsigned uni = 0;
-        for (int32_t i = s; i < e; i++)
-            uni |= dom[flat[i]];
-        if ((int32_t)((uni & 1) + ((uni >> 1) & 1) + ((uni >> 2) & 1)) < e - s)
-            return wipeout(S);
-        int changed = 1;
-        while (changed) {
-            changed = 0;
-            /* remove fixed values from siblings */
-            for (int32_t i = s; i < e; i++) {
-                uint8_t mi = dom[flat[i]];
-                if (mi & (mi - 1))
-                    continue;
-                for (int32_t j = s; j < e; j++) {
-                    if (j == i)
-                        continue;
-                    int32_t vj = flat[j];
-                    uint8_t mj = dom[vj];
-                    if (mj & mi) {
-                        uint8_t nm = mj & (7 ^ mi);
-                        if (nm == 0)
-                            return wipeout(S);
-                        shrink(S, vj, nm);
-                        changed = 1;
-                    }
-                }
-            }
-            /* Hall pair rule: two variables sharing a 2-value domain
-             * exclude those values from the third */
-            if (e - s != 3)
-                continue;
-            for (int32_t i = s; i < e; i++) {
-                for (int32_t j = i + 1; j < e; j++) {
-                    uint8_t mi = dom[flat[i]];
-                    if (!(mi == dom[flat[j]] && mi != 7 && (mi & (mi - 1))))
-                        continue;
-                    for (int32_t k = s; k < e; k++) {
-                        if (k == i || k == j)
-                            continue;
-                        int32_t vk = flat[k];
-                        uint8_t mk = dom[vk];
-                        if (mk & mi) {
-                            uint8_t nm = mk & (7 ^ mi);
-                            if (nm == 0)
-                                return wipeout(S);
-                            shrink(S, vk, nm);
-                            changed = 1;
-                        }
-                    }
-                }
-            }
+        int32_t grp = cid - S->nb;
+        const int32_t *g = S->ad_flat + S->ad_off[grp];
+        int32_t n = S->ad_off[grp + 1] - S->ad_off[grp];
+        if (n != 3) {
+            if (alldiff(S, g, n) < 0)
+                return wipeout(S);
+            continue;
         }
+        const Shrinks *t = &ALLDIFF3[dom[g[0]] | dom[g[1]] << 3 | dom[g[2]] << 6];
+        if (t->n < 0)
+            return wipeout(S);
+        for (int k = 0; k < t->n; k++)
+            shrink(S, g[t->step[k] >> 3], t->step[k] & 7);
     }
     return props;
+}
+
+/* Fill SUPPORT and ALLDIFF3 by running the rules on every combination of
+ * masks: the binding loop directly, `alldiff` on a three-variable search
+ * with no constraints to queue, reading its shrinks back off the trail. */
+static void
+build_tables(void)
+{
+    for (int sg = 0; sg < 3; sg++)
+        for (int ma = 0; ma < 8; ma++)
+            for (int mb = 0; mb < 8; mb++)
+                for (int mc = 0; mc < 8; mc++) {
+                    unsigned na = 0, nbm = 0, ncm = 0;
+                    for (int va = 0; va < 3; va++) {
+                        if (!((ma >> va) & 1))
+                            continue;
+                        for (int vb = 0; vb < 3; vb++) {
+                            if (!((mb >> vb) & 1))
+                                continue;
+                            int vc = (va + sg * vb) % 3;
+                            if ((mc >> vc) & 1) {
+                                na |= 1u << va;
+                                nbm |= 1u << vb;
+                                ncm |= 1u << vc;
+                            }
+                        }
+                    }
+                    SUPPORT[sg][ma][mb][mc] =
+                        (uint16_t)(na | nbm << 3 | ncm << 6);
+                }
+
+    static const int32_t g[3] = {0, 1, 2};
+    int32_t vc_off[4] = {0}, trail_v[MAX_STEPS];
+    uint8_t dom[3], trail_m[MAX_STEPS];
+    Search S = {.nvars = 3, .vc_off = vc_off, .dom = dom,
+                .trail_v = trail_v, .trail_m = trail_m};
+    for (int m = 0; m < 512; m++) {
+        Shrinks *t = &ALLDIFF3[m];
+        dom[0] = m & 7;
+        dom[1] = m >> 3 & 7;
+        dom[2] = (uint8_t)(m >> 6);
+        S.tn = 0;
+        if (alldiff(&S, g, 3) < 0) {
+            t->n = -1;
+            continue;
+        }
+        /* each trail entry holds a step's old mask; undoing the steps from
+         * the last leaves the step's new mask in dom */
+        t->n = (int8_t)S.tn;
+        for (int k = S.tn; k-- > 0;) {
+            t->step[k] = (uint8_t)(trail_v[k] << 3 | dom[trail_v[k]]);
+            dom[trail_v[k]] = trail_m[k];
+        }
+    }
 }
 
 /* A solution tuple from the all-singleton domains; NULL with *undetermined
@@ -285,6 +374,30 @@ static const char *const ARRAY_NAMES[N_ARRAYS] = {
     "ad_flat", "ad_off", "vc_flat", "vc_off", "order",
 };
 
+/* No all-different group names a variable twice: ALLDIFF3 reads each
+ * member's domain separately, so an aliased group would diverge from the
+ * rule of `_kernels`.  The members are already checked to be in range. */
+static int
+check_groups(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
+{
+    int32_t *seen = PyMem_Malloc((size_t)(nvars ? nvars : 1) * sizeof(int32_t));
+    if (seen == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(seen, 0xff, (size_t)nvars * sizeof(int32_t));   /* all -1 */
+    int rc = 0;
+    for (Py_ssize_t g = 0; rc == 0 && g + 1 < off->n; g++)
+        for (int32_t i = off->v[g]; rc == 0 && i < off->v[g + 1]; i++) {
+            int32_t v = flat->v[i];
+            if (seen[v] == g)
+                rc = invalid("all-different group %zd repeats a variable", g);
+            seen[v] = (int32_t)g;
+        }
+    PyMem_Free(seen);
+    return rc;
+}
+
 /* Length and range checks that make every index of the search valid. */
 static int
 validate(IntArray *A, Py_ssize_t nvars)
@@ -321,6 +434,8 @@ validate(IntArray *A, Py_ssize_t nvars)
         if (a == b || a == d || b == d)
             return invalid("binding %zd repeats a variable", c);
     }
+    if (check_groups(&A[A_AD_FLAT], &A[A_AD_OFF], nvars) < 0)
+        return -1;
     /* the sign enters only mod 3 (Python modulo: result in 0..2) */
     int32_t *sign = A[A_BIND_SIGN].v;
     for (Py_ssize_t c = 0; c < nb; c++)
@@ -633,5 +748,6 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
+    build_tables();
     return PyModule_Create(&module);
 }

@@ -225,7 +225,9 @@ def _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
     """Drain the constraint queue to a fixpoint.
 
     Returns the number of revisions, or -1 on a domain wipeout (queue is
-    left clean either way).
+    left clean either way).  The C kernel replays this rule from tables
+    that it fills by running the rule on every binding sign and every
+    triple of masks.
     """
     props = 0
     while queue:

@@ -89,11 +89,11 @@ def to_dimacs_text(doc: CnfDocument) -> str:
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:
-    """Parse DIMACS text back into a document of ``num_bools // 3`` ternaries.
+    """Parse DIMACS text back into a document of ``num_bools / 3`` ternaries.
 
-    Literals must lie within the declared variable count, and every
-    ``c tmap t b`` comment must state the fixed numbering ``b == 3t + 1``
-    for a ternary ``t`` of the document.
+    The declared variable count must be a multiple of 3, literals must lie
+    within it, and every ``c tmap t b`` comment must state the fixed
+    numbering ``b == 3t + 1`` for a ternary ``t`` of the document.
     """
     num_bools = None
     declared_clauses = None
@@ -117,6 +117,10 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             num_bools, declared_clauses = _ints(fields[2:], lineno)
             if num_bools < 0 or declared_clauses < 0:
                 raise StructuralError(f"line {lineno}: negative count in {line!r}")
+            if num_bools % 3:
+                raise StructuralError(
+                    f"line {lineno}: {num_bools} booleans is not a multiple of 3, "
+                    "three per ternary variable")
             continue
         if num_bools is None:
             raise StructuralError(f"line {lineno}: clause before problem line")

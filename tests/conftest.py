@@ -1,9 +1,10 @@
 """The ``ckernels`` fixture: the C kernel extension, compiled when needed.
 
 Tests that compare the C and pure kernels, or that need the C speed for an
-exhaustive search, take it.  When the extension is not importable it is
-compiled from source into a temporary directory; tests that use it skip
-only when there is no C compiler.
+exhaustive search, take it.  When the extension is not importable, or the
+imported file is older than its source (an in-place build from before an
+edit), it is compiled from source into a temporary directory; tests that
+use it skip only when there is no C compiler.
 """
 
 import importlib.util
@@ -32,9 +33,11 @@ def _compile(out_dir: Path) -> Path:
 def ckernels(tmp_path_factory):
     try:
         from tristarter import _ckernels
-        return _ckernels
     except ImportError:
         pass
+    else:
+        if Path(_ckernels.__file__).stat().st_mtime >= C_SOURCE.stat().st_mtime:
+            return _ckernels
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build the kernels")

@@ -5,8 +5,8 @@
 stay reachable as `_kernels.pure_*`.  These tests require the two to return
 identical values, so a seed denotes the same starter and a search reports
 the same counts on every build.  The ``ckernels`` fixture (conftest.py)
-compiles the extension when it is not importable; the tests skip only when
-there is no C compiler.
+compiles the extension when it is not importable or older than its source;
+the tests skip only when there is no C compiler.
 """
 
 import hashlib
@@ -14,8 +14,8 @@ import hashlib
 import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
-from tristarter.solver import _branch_order
-from tristarter.triplication import admissible_keys
+from tristarter.solver import RESTART_UNIT, _branch_order, luby
+from tristarter.triplication import _forbidden_keys, admissible_keys
 
 from fixtures import T7
 
@@ -58,6 +58,22 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
             inst = encode(build_table(base, key))
             status, sols, *_ = _both(ckernels, inst, _branch_order(inst), 50_000, 1)
             assert status == 1 and len(sols) == 1
+
+
+def test_fd_search_identical_under_restart_orders(ckernels):
+    # `solve` searches seeded shuffled orders on Luby budgets after run 0:
+    # solutions, budget exhaustion and UNSAT wipeouts all meet the tables
+    sat, unsat = hill_climb(31, seed=0), hill_climb(11, seed=7)
+    statuses = set()
+    for base, keys in ((sat, admissible_keys(sat)),
+                       (unsat, sorted(_forbidden_keys(unsat)))):
+        for key in keys:
+            inst = encode(build_table(base, key))
+            for run in range(8):
+                order = _branch_order(inst, _kernels.splitmix64(0) + run)
+                got = _both(ckernels, inst, order, RESTART_UNIT * luby(run), 1)
+                statuses.add(got[0])
+    assert statuses == {0, 1, 2}
 
 
 def test_fd_search_identical_enumerating_all_solutions(ckernels):
@@ -107,6 +123,7 @@ ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_s
     ("ad_off", lambda xs, n: xs.append(xs[-1] - 1), "decreases"),
     ("vc_off", lambda xs, n: xs.pop(), "entries"),
     ("bind_b", lambda xs, n: xs.__setitem__(0, 0), "repeats"),
+    ("ad_flat", lambda xs, n: xs.__setitem__(1, xs[0]), "repeats"),
 ])
 def test_fd_search_rejects_malformed_arrays(ckernels, name, corrupt, message):
     inst = encode(build_table(T7, 1))

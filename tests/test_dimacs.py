@@ -209,7 +209,9 @@ def test_parse_dimacs_non_integer_is_structural(text, lineno):
     ("c tmap 0 10\np cnf 3 0\n", "line 1: 'c tmap 0 10' must map a ternary 0 <= t < 1 "
                                   "to boolean 3t \\+ 1"),
     ("p cnf -3 0\n", "line 1: negative count"),
-], ids=["literal", "tmap", "count"])
+    # boolean 7 would belong to no ternary variable
+    ("p cnf 7 1\n7 0\n", "line 1: 7 booleans is not a multiple of 3"),
+], ids=["literal", "tmap", "count", "bool-count"])
 def test_parse_dimacs_out_of_range_is_structural(text, message):
     with pytest.raises(StructuralError, match=message):
         parse_dimacs_text(text)
