@@ -18,6 +18,12 @@
  * The only difference is on a wipeout, where the tables skip the shrinks
  * the rule makes before it; the caller unwinds the trail past them anyway.
  *
+ * Each call derives the variable -> constraint incidence lists from the
+ * bindings and groups, as `_kernels._incidence` does: every variable's
+ * constraint ids in ascending order.  A shrink queues the constraints of
+ * its variable in that order, so that order is what keeps the LIFO queue,
+ * and therefore every count, equal between the two backends.
+ *
  * Arguments are converted once per call into int32 arrays and validated
  * there, so the search itself reads nothing out of bounds.
  */
@@ -29,7 +35,8 @@
 #include <string.h>
 
 /* Largest array length or index the kernels accept: small enough that the
- * trail (2 * nvars + 2 entries) and every offset fit in int32. */
+ * trail (2 * nvars + 2 entries), the incidence lists (3 * len(bind_a) +
+ * len(ad_flat) entries) and every offset fit in int32. */
 #define MAX_LEN (INT32_MAX / 4)
 
 /* singleton 3-bit domain mask -> its value, else -1 */
@@ -119,7 +126,8 @@ check_offsets(const IntArray *off, const char *name, Py_ssize_t len)
 typedef struct {
     int32_t nvars, nb, ncons;
     const int32_t *ba, *bb, *bc, *bs;   /* bs: binding sign mod 3 */
-    const int32_t *ad_flat, *ad_off, *vc_flat, *vc_off;
+    const int32_t *ad_flat, *ad_off;
+    int32_t *vc_flat, *vc_off;          /* derived by `incidence` */
     uint8_t *dom, *in_q;
     int32_t *queue, qn;
     int32_t *trail_v, tn;
@@ -366,12 +374,12 @@ solution_tuple(const uint8_t *dom, int32_t nvars, int *undetermined)
 
 enum {
     A_FIXED_VARS, A_FIXED_VALS, A_BIND_A, A_BIND_B, A_BIND_C, A_BIND_SIGN,
-    A_AD_FLAT, A_AD_OFF, A_VC_FLAT, A_VC_OFF, A_ORDER, N_ARRAYS
+    A_AD_FLAT, A_AD_OFF, A_ORDER, N_ARRAYS
 };
 
 static const char *const ARRAY_NAMES[N_ARRAYS] = {
     "fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
-    "ad_flat", "ad_off", "vc_flat", "vc_off", "order",
+    "ad_flat", "ad_off", "order",
 };
 
 /* No all-different group names a variable twice: ALLDIFF3 reads each
@@ -412,9 +420,6 @@ validate(IntArray *A, Py_ssize_t nvars)
                            A[k].n, nb);
     if (A[A_AD_OFF].n < 1)
         return invalid("ad_off is empty");
-    if (A[A_VC_OFF].n != nvars + 1)
-        return invalid("vc_off has %zd entries, expected nvars + 1 = %zd",
-                       A[A_VC_OFF].n, nvars + 1);
     Py_ssize_t ncons = nb + A[A_AD_OFF].n - 1;
     if (ncons > MAX_LEN)
         return invalid("too many constraints (%zd)", ncons);
@@ -425,9 +430,7 @@ validate(IntArray *A, Py_ssize_t nvars)
                         nvars) < 0)
             return -1;
     if (check_range(&A[A_FIXED_VALS], "fixed_vals", 0, 3) < 0
-            || check_range(&A[A_VC_FLAT], "vc_flat", 0, ncons) < 0
-            || check_offsets(&A[A_AD_OFF], "ad_off", A[A_AD_FLAT].n) < 0
-            || check_offsets(&A[A_VC_OFF], "vc_off", A[A_VC_FLAT].n) < 0)
+            || check_offsets(&A[A_AD_OFF], "ad_off", A[A_AD_FLAT].n) < 0)
         return -1;
     for (Py_ssize_t c = 0; c < nb; c++) {
         int32_t a = A[A_BIND_A].v[c], b = A[A_BIND_B].v[c], d = A[A_BIND_C].v[c];
@@ -441,6 +444,39 @@ validate(IntArray *A, Py_ssize_t nvars)
     for (Py_ssize_t c = 0; c < nb; c++)
         sign[c] = (sign[c] % 3 + 3) % 3;
     return 0;
+}
+
+/* Fill S->vc_flat / S->vc_off (allocated by the caller with room for
+ * 3 * nb + len(ad_flat) and nvars + 1 entries) with each variable's
+ * constraint ids in ascending order: count each variable's entries into
+ * vc_off[v + 1], sum them to offsets, then place the ids in id order with
+ * vc_off[v] as variable v's cursor, which leaves it at the next variable's
+ * offset, and shift the offsets back by one. */
+static void
+incidence(Search *S)
+{
+    int32_t *off = S->vc_off, *flat = S->vc_flat, nb = S->nb;
+    memset(off, 0, ((size_t)S->nvars + 1) * sizeof(int32_t));
+    for (int32_t c = 0; c < nb; c++) {
+        off[S->ba[c] + 1]++;
+        off[S->bb[c] + 1]++;
+        off[S->bc[c] + 1]++;
+    }
+    for (int32_t g = 0; g + nb < S->ncons; g++)
+        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
+            off[S->ad_flat[i] + 1]++;
+    for (int32_t v = 0; v < S->nvars; v++)
+        off[v + 1] += off[v];
+    for (int32_t c = 0; c < nb; c++) {
+        flat[off[S->ba[c]]++] = c;
+        flat[off[S->bb[c]]++] = c;
+        flat[off[S->bc[c]]++] = c;
+    }
+    for (int32_t g = 0; g + nb < S->ncons; g++)
+        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
+            flat[off[S->ad_flat[i]]++] = nb + g;
+    memmove(off + 1, off, (size_t)S->nvars * sizeof(int32_t));
+    off[0] = 0;
 }
 
 /* The search of `_kernels.fd_search` after its arguments are checked: it
@@ -541,10 +577,10 @@ fd_search(PyObject *self, PyObject *args)
     Py_ssize_t nvars;
     PyObject *seqs[N_ARRAYS];
     long long budget, cap;
-    if (!PyArg_ParseTuple(args, "nOOOOOOOOOOOLL:fd_search", &nvars,
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOOLL:fd_search", &nvars,
                           &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
-                          &seqs[5], &seqs[6], &seqs[7], &seqs[8], &seqs[9],
-                          &seqs[10], &budget, &cap))
+                          &seqs[5], &seqs[6], &seqs[7], &seqs[8], &budget,
+                          &cap))
         return NULL;
     if (nvars < 0 || nvars > MAX_LEN) {
         invalid("nvars = %zd is out of range", nvars);
@@ -571,8 +607,9 @@ fd_search(PyObject *self, PyObject *args)
     S.bs = A[A_BIND_SIGN].v;
     S.ad_flat = A[A_AD_FLAT].v;
     S.ad_off = A[A_AD_OFF].v;
-    S.vc_flat = A[A_VC_FLAT].v;
-    S.vc_off = A[A_VC_OFF].v;
+    S.vc_flat = PyMem_Malloc(((size_t)3 * S.nb + (size_t)A[A_AD_FLAT].n + 1)
+                             * sizeof(int32_t));
+    S.vc_off = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.dom = PyMem_Malloc(nv1);
     S.in_q = PyMem_Calloc((size_t)S.ncons + 1, 1);
     S.queue = PyMem_Malloc(((size_t)S.ncons + 1) * sizeof(int32_t));
@@ -583,11 +620,13 @@ fd_search(PyObject *self, PyObject *args)
     S.f_var = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.f_mark = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.f_vals = PyMem_Malloc(nv1);
-    if (!S.dom || !S.in_q || !S.queue || !S.trail_v || !S.trail_m
-            || !S.f_var || !S.f_mark || !S.f_vals) {
+    if (!S.vc_flat || !S.vc_off || !S.dom || !S.in_q || !S.queue
+            || !S.trail_v || !S.trail_m || !S.f_var || !S.f_mark
+            || !S.f_vals) {
         PyErr_NoMemory();
         goto done;
     }
+    incidence(&S);
     solutions = PyList_New(0);
     if (solutions == NULL)
         goto done;
@@ -600,6 +639,8 @@ done:
     Py_XDECREF(solutions);
     for (int k = 0; k < N_ARRAYS; k++)
         PyMem_Free(A[k].v);
+    PyMem_Free(S.vc_flat);
+    PyMem_Free(S.vc_off);
     PyMem_Free(S.dom);
     PyMem_Free(S.in_q);
     PyMem_Free(S.queue);

@@ -382,18 +382,40 @@ def _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
     return props
 
 
+def _incidence(nvars, bind_a, bind_b, bind_c, ad_flat, ad_off):
+    """CSR lists ``vc_flat[vc_off[v]:vc_off[v + 1]]`` of the constraint ids
+    of each variable ``v``, ascending; group ``g`` has id ``len(bind_a) + g``.
+    """
+    per_var = [[] for _ in range(nvars)]
+    for cid, members in enumerate(zip(bind_a, bind_b, bind_c)):
+        for v in members:
+            per_var[v].append(cid)
+    nb = len(bind_a)
+    for g in range(len(ad_off) - 1):
+        for v in ad_flat[ad_off[g]:ad_off[g + 1]]:
+            per_var[v].append(nb + g)
+    vc_flat = []
+    vc_off = [0]
+    for cons in per_var:
+        vc_flat.extend(cons)
+        vc_off.append(len(vc_flat))
+    return vc_flat, vc_off
+
+
 def fd_search(nvars, fixed_vars, fixed_vals,
               bind_a, bind_b, bind_c, bind_sign,
-              ad_flat, ad_off, vc_flat, vc_off,
+              ad_flat, ad_off,
               order, budget, cap):
     """Chronological backtracking over {0,1,2} domains with propagation.
 
     Constraints are ternary bindings ``(a + sign*b - c) % 3 == 0`` and
-    all-different groups (flattened into ``ad_flat``/``ad_off``);
-    ``vc_flat``/``vc_off`` map each variable to its constraint ids.  Search
-    branches over ``order`` (values tried 0,1,2): the next branch variable
-    is the smallest-domain unassigned one, ties broken by position in
-    ``order``.  Remaining variables must be fixed by propagation.
+    all-different groups (flattened into ``ad_flat``/``ad_off``).  The
+    kernel derives each variable's constraint ids itself (`_incidence`), in
+    ascending id order: that order fixes the LIFO queue, and the C kernel
+    derives the same lists, which keeps every count equal between the two.
+    Search branches over ``order`` (values tried 0,1,2): the next branch
+    variable is the smallest-domain unassigned one, ties broken by position
+    in ``order``.  Remaining variables must be fixed by propagation.
     ``budget`` bounds decisions and ``cap`` bounds collected solutions;
     either <= 0 means unlimited.
 
@@ -403,6 +425,7 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     """
     nb = len(bind_a)
     ncons = nb + len(ad_off) - 1
+    vc_flat, vc_off = _incidence(nvars, bind_a, bind_b, bind_c, ad_flat, ad_off)
     dom = [7] * nvars
     in_q = bytearray(ncons)
     queue = []

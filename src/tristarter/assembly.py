@@ -6,7 +6,7 @@ checked solution yields a pairing of order 3p that is guaranteed strong
 whenever the base was a starter and the solution satisfies the instance.
 `triplicate` runs the whole route: build (which verifies the base), check
 the key, encode, solve (which checks the solution), merge the solution and
-its phi image (`model.apply_phi`), re-verify.
+its phi image (`model.apply_phi`) in one pass, re-verify.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .errors import (
     KeyNotAdmissibleError,
     RefusedError,
 )
-from .model import Solution, SudokuInstance, apply_phi, check_solution, encode, uv_pairs
+from .model import PHI, Solution, SudokuInstance, check_solution, encode, uv_pairs
 from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, solve
-from .starters import Pair, Pairing, VerificationReport, verify_pairing
+from .starters import Pairing, VerificationReport, verify_pairing
 from .triplication import TriplicationTable, build_table, check_key_admissible
 
 
@@ -42,6 +42,12 @@ def crt(residue_p: int, residue_3: int, p: int) -> int:
     return (residue_p % p * c_p + residue_3 % 3 * c_3) % n
 
 
+@lru_cache(maxsize=None)
+def _crt_lift(p: int) -> tuple[int, ...]:
+    """``crt(x, r, p)`` at index ``3 * x + r``, for x in [0, p) and r < 3."""
+    return tuple(crt(x, r, p) for x in range(p) for r in range(3))
+
+
 def crt_merge(
     table: TriplicationTable, solution: Solution, instance: SudokuInstance
 ) -> Pairing:
@@ -58,21 +64,29 @@ def crt_merge(
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    return _merge(table, uv_pairs(instance, solution))
+    lift = _crt_lift(table.p)
+    return Pairing(3 * table.p, tuple(
+        (lift[3 * u + a], lift[3 * v + b])
+        for (u, v), (a, b) in zip(table.extension, uv_pairs(instance, solution))))
 
 
-def _merge(table: TriplicationTable, uv: tuple[Pair, ...]) -> Pairing:
-    """The CRT arithmetic of `crt_merge`, for (U, V) values already checked.
+def _merge_both(table: TriplicationTable, solution: Solution) -> tuple[Pairing, Pairing]:
+    """`crt_merge` of a checked solution and of its phi image, in one pass.
 
-    `build_table` refused every p divisible by 3, so the coefficients are
-    taken once, without `crt`'s check.  Extension entries lie in [0, p) and
-    U, V in {0, 1, 2}, so no residue needs reducing.
+    Extension entries lie in [0, p) and U, V in {0, 1, 2}, so every index
+    into the lift table is in range.
     """
-    c_p, c_3, n = _crt_coefficients(table.p)
-    pairs = tuple(
-        ((u * c_p + u3 * c_3) % n, (v * c_p + v3 * c_3) % n)
-        for (u, v), (u3, v3) in zip(table.extension, uv))
-    return Pairing(n, pairs)
+    lift = _crt_lift(table.p)
+    k = len(table.extension)
+    pairs_a = []
+    pairs_b = []
+    for (u, v), a, b in zip(table.extension, solution[0:2 * k:2], solution[1:2 * k:2]):
+        u *= 3
+        v *= 3
+        pairs_a.append((lift[u + a], lift[v + b]))
+        pairs_b.append((lift[u + PHI[a]], lift[v + PHI[b]]))
+    n = 3 * table.p
+    return Pairing(n, pairs_a), Pairing(n, pairs_b)
 
 
 @dataclass(frozen=True)
@@ -141,8 +155,7 @@ def triplicate(
         return UnsatReport(outcome.status, cause, table, instance, outcome.stats)
 
     # The solver checked the solution, and phi maps solutions to solutions.
-    starter_a = _merge(table, uv_pairs(instance, outcome.solution))
-    starter_b = _merge(table, uv_pairs(instance, apply_phi(outcome.solution)))
+    starter_a, starter_b = _merge_both(table, outcome.solution)
     report_a = verify_pairing(starter_a)
     report_b = verify_pairing(starter_b)
     if not (report_a.is_strong and report_b.is_strong):

@@ -185,6 +185,7 @@ def _cmd_solve(args) -> int:
     outcome = solve(instance, SolverConfig(seed=args.seed))
     print(f"{outcome.status} decisions={outcome.stats.decisions} "
           f"backtracks={outcome.stats.backtracks} "
+          f"propagations={outcome.stats.propagations} "
           f"restarts={outcome.stats.restarts} "
           f"solve_ms={outcome.stats.duration_ms}")
     if outcome.solution is not None:

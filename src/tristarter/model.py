@@ -4,7 +4,8 @@ Variables over {0, 1, 2}, numbered U_i = 2i, V_i = 2i + 1 per extension
 pair i < k, then D_i = 2k + i, then one S per weak pair in ascending pair
 order, then the fixed zero Z last.
 
-An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
+An instance is a set of flat arrays, the form `_kernels.fd_search` takes
+(the kernel derives each variable's constraint ids from them itself):
 
 * Z is the one fixed variable (Z = 0);
 * binding ``cid`` is ``(bind_a + bind_sign * bind_b - bind_c) % 3 == 0``:
@@ -13,10 +14,10 @@ An instance is a set of flat arrays, the form `_kernels.fd_search` takes:
   in the order q regular rows (their three D), then the weak sets by sum
   (their S, plus Z for the zero-sum set, forcing the sums nonzero), then the
   p colors (the U/V at the positions holding the color; color 0 adds Z),
-  which no other module builds (`phi_fixed_var` reads color 0 back);
-* ``vc_flat[vc_off[v]:vc_off[v + 1]]`` lists the constraint ids of variable
-  ``v``, where group ``g`` has id ``len(bind_a) + g``;
-* ``provenance[cid]`` names each constraint for diagnostics.
+  which no other module builds (`phi_fixed_var` reads color 0 back); group
+  ``g`` has constraint id ``len(bind_a) + g``;
+* ``provenance[cid]`` names each constraint for diagnostics; the names are
+  built on first use, not by `encode`.
 
 An all-different over more than three variables cannot hold over three
 values, so such an instance is emitted flagged as trivially unsatisfiable
@@ -28,6 +29,7 @@ weak-set and color cardinalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import StructuralError
@@ -39,6 +41,18 @@ PHI = (0, 2, 1)
 
 #: A total assignment, indexed densely by variable id.
 Solution = tuple[int, ...]
+
+
+def _constraint_names(
+    table: TriplicationTable, weak_sets: dict[int, tuple[int, ...]]
+) -> tuple[str, ...]:
+    """The name of every constraint of the table's instance, by id."""
+    return (tuple(f"difference binding D{i}" for i in range(len(table.extension)))
+            + tuple(f"sum binding S{i}" for i in sorted(
+                i for members in weak_sets.values() for i in members))
+            + tuple(f"row {row} differences" for row in range(1, table.q + 1))
+            + tuple(f"weak set with sum {total}" for total in weak_sets)
+            + tuple(f"color {c}" for c in range(table.p)))
 
 
 @dataclass(frozen=True)
@@ -55,15 +69,17 @@ class SudokuInstance:
     bind_sign: list[int] = field(repr=False)
     ad_flat: list[int] = field(repr=False)
     ad_off: list[int] = field(repr=False)
-    vc_flat: list[int] = field(repr=False)
-    vc_off: list[int] = field(repr=False)
-    provenance: tuple[str, ...] = field(repr=False)
     trivially_unsat_reason: Optional[str] = None
 
+    @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        """The name of each constraint by id, for diagnostics."""
+        return _constraint_names(self.table, compute_weak_sets(self.table))
+
     def search_arrays(self) -> tuple:
-        """The arguments of `_kernels.fd_search` from ``fixed_vars`` to ``vc_off``."""
+        """The arguments of `_kernels.fd_search` from ``fixed_vars`` to ``ad_off``."""
         return ([self.z_id], [0], self.bind_a, self.bind_b, self.bind_c,
-                self.bind_sign, self.ad_flat, self.ad_off, self.vc_flat, self.vc_off)
+                self.bind_sign, self.ad_flat, self.ad_off)
 
 
 def encode(table: TriplicationTable) -> SudokuInstance:
@@ -73,22 +89,17 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     s_pairs = sorted(i for members in weak_sets.values() for i in members)
     s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
     z_id = 3 * k + len(s_pairs)
-    nvars = z_id + 1
 
     bind_a = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
     bind_b = [a + 1 for a in bind_a]
-    bind_c = list(range(2 * k, 3 * k)) + [s_ids[i] for i in s_pairs]
+    bind_c = list(range(2 * k, z_id))
     bind_sign = [-1] * k + [1] * len(s_pairs)
-    provenance = ([f"difference binding D{i}" for i in range(k)]
-                  + [f"sum binding S{i}" for i in s_pairs])
 
-    groups: list[list[int]] = []
-    for row in range(1, table.q + 1):
-        groups.append([2 * k + 3 * row - 2, 2 * k + 3 * row - 1, 2 * k + 3 * row])
-        provenance.append(f"row {row} differences")
-    for total, members in weak_sets.items():
-        groups.append([s_ids[i] for i in members] + ([z_id] if total == 0 else []))
-        provenance.append(f"weak set with sum {total}")
+    # Row r holds D_{3r-2}, D_{3r-1}, D_{3r}, so the rows are D_1 .. D_{k-1}.
+    ad_flat = list(range(2 * k + 1, 3 * k))
+    ad_off = list(range(0, 3 * table.q + 1, 3))
+    groups = [[s_ids[i] for i in members] + ([z_id] if total == 0 else [])
+              for total, members in weak_sets.items()]
     # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
     # with value c, in extension order.
     colors: list[list[int]] = [[] for _ in range(table.p)]
@@ -97,39 +108,21 @@ def encode(table: TriplicationTable) -> SudokuInstance:
         colors[v].append(2 * i + 1)
     colors[0].append(z_id)
     groups.extend(colors)
-    provenance.extend(f"color {c}" for c in range(table.p))
-
-    ad_flat: list[int] = []
-    ad_off = [0]
     for g in groups:
         ad_flat.extend(g)
         ad_off.append(len(ad_flat))
 
-    nb = len(bind_a)
-    per_var: list[list[int]] = [[] for _ in range(nvars)]
-    for cid in range(nb):
-        per_var[bind_a[cid]].append(cid)
-        per_var[bind_b[cid]].append(cid)
-        per_var[bind_c[cid]].append(cid)
-    for gid, g in enumerate(groups):
-        for v in g:
-            per_var[v].append(nb + gid)
-    vc_flat: list[int] = []
-    vc_off = [0]
-    for cons in per_var:
-        vc_flat.extend(cons)
-        vc_off.append(len(vc_flat))
-
     reason = None
     for gid, g in enumerate(groups):
         if len(g) > 3:
-            reason = (f"{provenance[nb + gid]}: {len(g)} mutually distinct "
+            name = _constraint_names(table, weak_sets)[len(bind_a) + table.q + gid]
+            reason = (f"{name}: {len(g)} mutually distinct "
                       "variables cannot fit in three values")
             break
 
     return SudokuInstance(
         table=table,
-        num_variables=nvars,
+        num_variables=z_id + 1,
         s_ids=s_ids,
         z_id=z_id,
         bind_a=bind_a,
@@ -138,9 +131,6 @@ def encode(table: TriplicationTable) -> SudokuInstance:
         bind_sign=bind_sign,
         ad_flat=ad_flat,
         ad_off=ad_off,
-        vc_flat=vc_flat,
-        vc_off=vc_off,
-        provenance=tuple(provenance),
         trivially_unsat_reason=reason,
     )
 

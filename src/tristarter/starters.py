@@ -56,7 +56,7 @@ class Pairing:
         _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(x for pair in self.pairs for x in pair)
+        return tuple([x for pair in self.pairs for x in pair])
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,25 @@ class VerificationReport:
 def pair_sums(pairing: Pairing) -> tuple[int, ...]:
     """Sums (a_i + b_i) mod n in pair order (multiplicity preserved)."""
     n = pairing.modulus
-    return tuple((a + b) % n for a, b in pairing.pairs)
+    return tuple([(a + b) % n for a, b in pairing.pairs])
 
 
 def pair_differences(pairing: Pairing) -> tuple[int, ...]:
     """The 2k signed differences ±(a_i - b_i) mod n, sorted as a multiset."""
     n = pairing.modulus
-    out = []
-    for a, b in pairing.pairs:
-        out.append((a - b) % n)
-        out.append((b - a) % n)
-    return tuple(sorted(out))
+    pairs = pairing.pairs
+    return tuple(sorted([(a - b) % n for a, b in pairs] + [(b - a) % n for a, b in pairs]))
+
+
+def _repeated(values) -> list[int]:
+    """The values that occur more than once, ascending."""
+    seen: set[int] = set()
+    dup: set[int] = set()
+    for x in values:
+        if x in seen:
+            dup.add(x)
+        seen.add(x)
+    return sorted(dup)
 
 
 def verify_pairing(pairing: Pairing) -> VerificationReport:
@@ -92,23 +100,21 @@ def verify_pairing(pairing: Pairing) -> VerificationReport:
 
     Structural problems (wrong length, range) are impossible here because
     `Pairing` validates on construction; every definitional violation is
-    reported as a flag plus a diagnostic, never an exception.
+    reported as a flag plus a diagnostic, never an exception.  Repeats are
+    found by comparing set sizes; the repeated values are listed only when
+    there are some.
     """
     n = pairing.modulus
     diagnostics: list[str] = []
 
     elements = pairing.elements()
-    seen: set[int] = set()
-    dup: set[int] = set()
-    for x in elements:
-        if x in seen:
-            dup.add(x)
-        seen.add(x)
-    for x in sorted(dup):
-        diagnostics.append(f"duplicate element {x}")
-    if 0 in seen:
+    element_set = set(elements)
+    dup = len(element_set) != len(elements)
+    if dup:
+        diagnostics.extend(f"duplicate element {x}" for x in _repeated(elements))
+    if 0 in element_set:
         diagnostics.append("element 0 present")
-    is_partition = not dup and 0 not in seen
+    is_partition = not dup and 0 not in element_set
 
     diffs = pair_differences(pairing)
     diff_set = set(diffs)
@@ -123,17 +129,13 @@ def verify_pairing(pairing: Pairing) -> VerificationReport:
     is_starter = is_partition and not zero_diff and not repeated
 
     sums = pair_sums(pairing)
-    sum_seen: set[int] = set()
-    sum_dup: set[int] = set()
-    for s in sums:
-        if s in sum_seen:
-            sum_dup.add(s)
-        sum_seen.add(s)
-    for s in sorted(sum_dup):
-        diagnostics.append(f"repeated sum {s}")
-    if 0 in sum_seen:
+    sum_set = set(sums)
+    sum_dup = len(sum_set) != len(sums)
+    if sum_dup:
+        diagnostics.extend(f"repeated sum {s}" for s in _repeated(sums))
+    if 0 in sum_set:
         diagnostics.append("zero sum")
-    is_strong = is_starter and not sum_dup and 0 not in sum_seen
+    is_strong = is_starter and not sum_dup and 0 not in sum_set
 
     return VerificationReport(
         is_partition=is_partition,

@@ -145,6 +145,18 @@ def test_merges_always_strong_and_round_trip(p):
             assert reduce_mod(merged, 3) == uv_pairs(inst, sol)
 
 
+@pytest.mark.parametrize("p", [13, 31])
+def test_one_pass_merge_matches_crt_merge(p):
+    # triplicate merges the solution and its phi image in one pass; the
+    # checked two-step route gives the same starters
+    base = hill_climb(p, seed=0)
+    for key in admissible_keys(base):
+        result = triplicate(base, key)
+        table, inst, sol = result.table, result.instance, result.solution
+        assert result.starter_a == crt_merge(table, sol, inst)
+        assert result.starter_b == crt_merge(table, apply_phi(sol), inst)
+
+
 def test_phi_pair_differs():
     result = triplicate(T7, 2)
     assert normalize(result.starter_a) != normalize(result.starter_b)

@@ -113,7 +113,7 @@ def test_fd_search_short_order_matches_pure(ckernels):
 
 
 ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
-               "ad_flat", "ad_off", "vc_flat", "vc_off", "order")
+               "ad_flat", "ad_off", "order")
 
 
 @pytest.mark.parametrize("name, corrupt, message", [
@@ -121,7 +121,7 @@ ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_s
     ("order", lambda xs, n: xs.append(-1), "outside"),
     ("fixed_vals", lambda xs, n: xs.__setitem__(0, 3), "outside"),
     ("ad_off", lambda xs, n: xs.append(xs[-1] - 1), "decreases"),
-    ("vc_off", lambda xs, n: xs.pop(), "entries"),
+    ("ad_flat", lambda xs, n: xs.__setitem__(0, n), "outside"),
     ("bind_b", lambda xs, n: xs.__setitem__(0, 0), "repeats"),
     ("ad_flat", lambda xs, n: xs.__setitem__(1, xs[0]), "repeats"),
 ])

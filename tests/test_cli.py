@@ -146,6 +146,12 @@ def test_encode_census_and_cnf(base_file, tmp_path, capsys):
 def test_solve_prints_status(base_file, capsys):
     code, out, _ = run(["solve", "--base", base_file, "--key", "1"], capsys)
     assert code == 0 and out.startswith("SAT") and " restarts=0 " in out
+    stats = solve(encode(build_table(T7, 1))).stats
+    fields = re.search(
+        r" decisions=(\d+) backtracks=(\d+) propagations=(\d+) restarts=(\d+) ", out)
+    assert fields and tuple(map(int, fields.groups())) == (
+        stats.decisions, stats.backtracks, stats.propagations, stats.restarts)
+    assert stats.propagations > 0
     code, out, _ = run(["solve", "--base", base_file, "--key", "0"], capsys)
     assert code == 0 and out.startswith("UNSAT")
 

@@ -15,6 +15,7 @@ from tristarter import (
 from tristarter import _kernels
 from tristarter.model import phi_fixed_var
 from tristarter.solver import _branch_order, luby
+from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_KEY, T7, T13
 from oracles import prose_enumerate, prose_status
@@ -31,6 +32,20 @@ def test_demo_sat_and_checked(demo_instance):
     ok, _ = check_solution(demo_instance, outcome.solution)
     assert ok
     assert outcome.stats.decisions > 0
+
+
+def test_solve_counts_on_an_order_31_sweep():
+    # The queue is LIFO and a shrink queues its variable's constraints in
+    # ascending id order, so these totals pin the incidence order of both
+    # kernels, which the C-vs-pure identity tests alone would not.
+    base = hill_climb(31, seed=0)
+    totals = [0, 0, 0, 0]
+    for key in admissible_keys(base):
+        stats = solve(encode(build_table(base, key))).stats
+        for i, count in enumerate((stats.decisions, stats.backtracks,
+                                   stats.propagations, stats.restarts)):
+            totals[i] += count
+    assert totals == [2330, 809, 45087, 9]
 
 
 def test_key_zero_unsat():
