@@ -6,8 +6,12 @@
  * them).  Keep the two in step: the queue is a LIFO stack, the branch rule
  * and the value order (0, 1, 2) are the ones of the Python code.
  *
+ * The search has the shape of `_kernels.fd_search`, whose nested `shrink`,
+ * `alldiff` and `propagate` are the functions of the same names here, so a
+ * rule change touches the same-named function on each side.
+ *
  * Propagation looks its revisions up in two tables that module import
- * fills by running the rule of `_kernels._propagate` on every input:
+ * fills by running the rules of `propagate` and `alldiff` on every input:
  * SUPPORT gives a binding's supported masks for each sign and triple of
  * masks, and ALLDIFF3 gives the ordered shrinks (or the wipeout) the
  * all-different rule makes on a group of three for each triple of masks.
@@ -19,7 +23,7 @@
  * the rule makes before it; the caller unwinds the trail past them anyway.
  *
  * Each call derives the variable -> constraint incidence lists from the
- * bindings and groups, as `_kernels._incidence` does: every variable's
+ * bindings and groups, as `_kernels.fd_search` does: every variable's
  * constraint ids in ascending order.  A shrink queues the constraints of
  * its variable in that order, so that order is what keeps the LIFO queue,
  * and therefore every count, equal between the two backends.
@@ -191,9 +195,9 @@ wipeout(Search *S)
     return -1;
 }
 
-/* The all-different rule of `_kernels._propagate` on the distinct
- * variables g[0..n): pigeonhole check, singleton removal and, for n == 3,
- * the Hall pair rule, repeated to a fixpoint.  Returns 0, or -1 on a
+/* `alldiff` of `_kernels.fd_search` on the distinct variables g[0..n):
+ * pigeonhole check, singleton removal and, for n == 3, the Hall pair rule,
+ * repeated to a fixpoint.  Returns 0, or -1 on a
  * wipeout (with shrinks made before it left on the trail). */
 static int
 alldiff(Search *S, const int32_t *g, int32_t n)
@@ -252,7 +256,8 @@ alldiff(Search *S, const int32_t *g, int32_t n)
     return 0;
 }
 
-/* `_kernels._propagate`: revisions made, or -1 on a wipeout. */
+/* `propagate` of `_kernels.fd_search`: revisions made, or -1 on a
+ * wipeout. */
 static int64_t
 propagate(Search *S)
 {

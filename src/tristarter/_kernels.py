@@ -9,6 +9,8 @@ exactly the same values.  The hill climber always runs as Python.
 
 # singleton-value table for 3-bit domain masks
 _SINGLE = (-1, 0, 1, -1, 2, -1, -1, -1)
+# the values in each 3-bit domain mask, ascending
+_VALUES = tuple(tuple(v for v in range(3) if m >> v & 1) for m in range(8))
 
 
 def splitmix64(seed):
@@ -219,189 +221,6 @@ def count_strong_starters(n, cap):
         cur_b = cur_a
 
 
-def _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
-               ad_flat, ad_off, vc_flat, vc_off,
-               in_q, queue, trail_v, trail_m):
-    """Drain the constraint queue to a fixpoint.
-
-    Returns the number of revisions, or -1 on a domain wipeout (queue is
-    left clean either way).  The C kernel replays this rule from tables
-    that it fills by running the rule on every binding sign and every
-    triple of masks.
-    """
-    props = 0
-    while queue:
-        cid = queue.pop()
-        in_q[cid] = 0
-        props += 1
-        if cid < nb:
-            a = bind_a[cid]
-            b = bind_b[cid]
-            c = bind_c[cid]
-            sg = bind_sign[cid]
-            ma = dom[a]
-            mb = dom[b]
-            mc = dom[c]
-            na = 0
-            nbm = 0
-            ncm = 0
-            va = 0
-            while va < 3:
-                if (ma >> va) & 1:
-                    vb = 0
-                    while vb < 3:
-                        if (mb >> vb) & 1:
-                            vc = (va + sg * vb) % 3
-                            if (mc >> vc) & 1:
-                                na |= 1 << va
-                                nbm |= 1 << vb
-                                ncm |= 1 << vc
-                        vb += 1
-                va += 1
-            if na == 0:
-                while queue:
-                    in_q[queue.pop()] = 0
-                return -1
-            if na != ma:
-                trail_v.append(a)
-                trail_m.append(ma)
-                dom[a] = na
-                j = vc_off[a]
-                e = vc_off[a + 1]
-                while j < e:
-                    c2 = vc_flat[j]
-                    if not in_q[c2]:
-                        in_q[c2] = 1
-                        queue.append(c2)
-                    j += 1
-            if nbm != mb:
-                trail_v.append(b)
-                trail_m.append(mb)
-                dom[b] = nbm
-                j = vc_off[b]
-                e = vc_off[b + 1]
-                while j < e:
-                    c2 = vc_flat[j]
-                    if not in_q[c2]:
-                        in_q[c2] = 1
-                        queue.append(c2)
-                    j += 1
-            if ncm != mc:
-                trail_v.append(c)
-                trail_m.append(mc)
-                dom[c] = ncm
-                j = vc_off[c]
-                e = vc_off[c + 1]
-                while j < e:
-                    c2 = vc_flat[j]
-                    if not in_q[c2]:
-                        in_q[c2] = 1
-                        queue.append(c2)
-                    j += 1
-        else:
-            g = cid - nb
-            s = ad_off[g]
-            e = ad_off[g + 1]
-            union = 0
-            i = s
-            while i < e:
-                union |= dom[ad_flat[i]]
-                i += 1
-            if (union & 1) + ((union >> 1) & 1) + ((union >> 2) & 1) < e - s:
-                while queue:
-                    in_q[queue.pop()] = 0
-                return -1
-            changed = 1
-            while changed:
-                changed = 0
-                # remove fixed values from siblings
-                i = s
-                while i < e:
-                    mi = dom[ad_flat[i]]
-                    if mi & (mi - 1) == 0:
-                        j = s
-                        while j < e:
-                            if j != i:
-                                vj = ad_flat[j]
-                                mj = dom[vj]
-                                if mj & mi:
-                                    nm = mj & (7 ^ mi)
-                                    if nm == 0:
-                                        while queue:
-                                            in_q[queue.pop()] = 0
-                                        return -1
-                                    trail_v.append(vj)
-                                    trail_m.append(mj)
-                                    dom[vj] = nm
-                                    k = vc_off[vj]
-                                    e2 = vc_off[vj + 1]
-                                    while k < e2:
-                                        c2 = vc_flat[k]
-                                        if not in_q[c2]:
-                                            in_q[c2] = 1
-                                            queue.append(c2)
-                                        k += 1
-                                    changed = 1
-                            j += 1
-                    i += 1
-                # Hall pair rule: two vars sharing a 2-value domain exclude
-                # those values from the third (gives GAC on triples)
-                if e - s == 3:
-                    i = s
-                    while i < e:
-                        j = i + 1
-                        while j < e:
-                            mi = dom[ad_flat[i]]
-                            if mi == dom[ad_flat[j]] and mi != 7 and mi & (mi - 1) != 0:
-                                k = s
-                                while k < e:
-                                    if k != i and k != j:
-                                        vk = ad_flat[k]
-                                        mk = dom[vk]
-                                        if mk & mi:
-                                            nm = mk & (7 ^ mi)
-                                            if nm == 0:
-                                                while queue:
-                                                    in_q[queue.pop()] = 0
-                                                return -1
-                                            trail_v.append(vk)
-                                            trail_m.append(mk)
-                                            dom[vk] = nm
-                                            k2 = vc_off[vk]
-                                            e2 = vc_off[vk + 1]
-                                            while k2 < e2:
-                                                c2 = vc_flat[k2]
-                                                if not in_q[c2]:
-                                                    in_q[c2] = 1
-                                                    queue.append(c2)
-                                                k2 += 1
-                                            changed = 1
-                                    k += 1
-                            j += 1
-                        i += 1
-    return props
-
-
-def _incidence(nvars, bind_a, bind_b, bind_c, ad_flat, ad_off):
-    """CSR lists ``vc_flat[vc_off[v]:vc_off[v + 1]]`` of the constraint ids
-    of each variable ``v``, ascending; group ``g`` has id ``len(bind_a) + g``.
-    """
-    per_var = [[] for _ in range(nvars)]
-    for cid, members in enumerate(zip(bind_a, bind_b, bind_c)):
-        for v in members:
-            per_var[v].append(cid)
-    nb = len(bind_a)
-    for g in range(len(ad_off) - 1):
-        for v in ad_flat[ad_off[g]:ad_off[g + 1]]:
-            per_var[v].append(nb + g)
-    vc_flat = []
-    vc_off = [0]
-    for cons in per_var:
-        vc_flat.extend(cons)
-        vc_off.append(len(vc_flat))
-    return vc_flat, vc_off
-
-
 def fd_search(nvars, fixed_vars, fixed_vals,
               bind_a, bind_b, bind_c, bind_sign,
               ad_flat, ad_off,
@@ -409,10 +228,12 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     """Chronological backtracking over {0,1,2} domains with propagation.
 
     Constraints are ternary bindings ``(a + sign*b - c) % 3 == 0`` and
-    all-different groups (flattened into ``ad_flat``/``ad_off``).  The
-    kernel derives each variable's constraint ids itself (`_incidence`), in
-    ascending id order: that order fixes the LIFO queue, and the C kernel
-    derives the same lists, which keeps every count equal between the two.
+    all-different groups (flattened into ``ad_flat``/``ad_off``), each
+    naming distinct variables; binding ``i`` has constraint id ``i`` and
+    group ``g`` has id ``len(bind_a) + g``.  A domain shrink queues its
+    variable's constraint ids in ascending order onto a LIFO queue: the C
+    kernel derives the same lists and has the same `shrink`, `alldiff` and
+    `propagate`, which keeps every count equal between the two.
     Search branches over ``order`` (values tried 0,1,2): the next branch
     variable is the smallest-domain unassigned one, ties broken by position
     in ``order``.  Remaining variables must be fixed by propagation.
@@ -424,123 +245,154 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     -1 = a non-branch variable was left undetermined (caller bug).
     """
     nb = len(bind_a)
-    ncons = nb + len(ad_off) - 1
-    vc_flat, vc_off = _incidence(nvars, bind_a, bind_b, bind_c, ad_flat, ad_off)
+    bindings = list(zip(bind_a, bind_b, bind_c, bind_sign))
+    groups = [ad_flat[ad_off[g]:ad_off[g + 1]] for g in range(len(ad_off) - 1)]
+    incidence = [[] for _ in range(nvars)]
+    for cid, members in enumerate([*zip(bind_a, bind_b, bind_c), *groups]):
+        for v in members:
+            incidence[v].append(cid)
+    ncons = nb + len(groups)
     dom = [7] * nvars
-    in_q = bytearray(ncons)
-    queue = []
-    trail_v = []
-    trail_m = []
-    f_vals = []
-    f_mark = []
-    f_var = []
-    solutions = []
-    decisions = 0
-    backtracks = 0
-    props = 0
+    in_q = bytearray(b"\1") * ncons  # every constraint starts queued
+    queue = list(range(ncons))
+    trail = []  # (variable, old mask)
 
-    i = 0
-    while i < len(fixed_vars):
-        v = fixed_vars[i]
-        m = dom[v] & (1 << fixed_vals[i])
-        if m == 0:
-            return 0, solutions, decisions, backtracks, props
+    def shrink(v, m):
+        trail.append((v, dom[v]))
         dom[v] = m
-        i += 1
-    cid = 0
-    while cid < ncons:
-        in_q[cid] = 1
-        queue.append(cid)
-        cid += 1
-    r = _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
-                   ad_flat, ad_off, vc_flat, vc_off,
-                   in_q, queue, trail_v, trail_m)
-    if r < 0:
-        return 0, solutions, decisions, backtracks, 1
-    props += r
+        for c in incidence[v]:
+            if not in_q[c]:
+                in_q[c] = 1
+                queue.append(c)
 
-    nord = len(order)
-    status = 0
-    running = 1
-    while running:
+    def alldiff(g):
+        """Pigeonhole check, then singleton removal and, for three members,
+        the Hall pair rule (two members sharing a 2-value domain exclude
+        those values from the third, which gives GAC on triples), repeated
+        to a fixpoint.  False on a wipeout."""
+        union = 0
+        for v in g:
+            union |= dom[v]
+        if len(_VALUES[union]) < len(g):
+            return False
+        pairs = ((g[0], g[1], g[2]), (g[0], g[2], g[1]),
+                 (g[1], g[2], g[0])) if len(g) == 3 else ()
+        changed = True
+        while changed:
+            changed = False
+            for vi in g:
+                mi = dom[vi]
+                if mi & (mi - 1) == 0:
+                    for vj in g:
+                        if vj != vi and dom[vj] & mi:
+                            nm = dom[vj] & ~mi
+                            if nm == 0:
+                                return False
+                            shrink(vj, nm)
+                            changed = True
+            for vi, vj, vk in pairs:
+                mi = dom[vi]
+                if (mi == dom[vj] and mi != 7 and mi & (mi - 1)
+                        and dom[vk] & mi):
+                    nm = dom[vk] & ~mi
+                    if nm == 0:
+                        return False
+                    shrink(vk, nm)
+                    changed = True
+        return True
+
+    def propagate():
+        """Revise queued constraints to a fixpoint: the number of
+        revisions, or -1 on a wipeout.  The queue ends empty either way."""
+        props = 0
+        while queue:
+            cid = queue.pop()
+            in_q[cid] = 0
+            props += 1
+            if cid < nb:
+                a, b, c, sg = bindings[cid]
+                ma = dom[a]
+                mb = dom[b]
+                mc = dom[c]
+                na = nbm = ncm = 0
+                for va in _VALUES[ma]:
+                    for vb in _VALUES[mb]:
+                        vc = (va + sg * vb) % 3
+                        if mc >> vc & 1:
+                            na |= 1 << va
+                            nbm |= 1 << vb
+                            ncm |= 1 << vc
+                if na:
+                    if na != ma:
+                        shrink(a, na)
+                    if nbm != mb:
+                        shrink(b, nbm)
+                    if ncm != mc:
+                        shrink(c, ncm)
+                    continue
+            elif alldiff(groups[cid - nb]):
+                continue
+            # a wipeout
+            for c in queue:
+                in_q[c] = 0
+            queue.clear()
+            return -1
+        return props
+
+    solutions = []
+    for v, val in zip(fixed_vars, fixed_vals):
+        m = dom[v] & (1 << val)
+        if m == 0:
+            return 0, solutions, 0, 0, 0
+        dom[v] = m
+    props = propagate()
+    if props < 0:
+        return 0, solutions, 0, 0, 1
+    decisions = backtracks = 0
+    frames = []  # [branch variable, values left to try, trail mark]
+    while True:
         branch = -1
-        i = 0
-        while i < nord:
-            mm = dom[order[i]]
-            if mm & (mm - 1):
-                if mm != 7:
-                    branch = order[i]
+        for v in order:
+            m = dom[v]
+            if m & (m - 1):
+                if m != 7:
+                    branch = v
                     break
                 if branch == -1:
-                    branch = order[i]
-            i += 1
+                    branch = v
         if branch == -1:
-            sol = [0] * nvars
-            v = 0
-            ok = 1
-            while v < nvars:
-                val = _SINGLE[dom[v]]
-                if val < 0:
-                    ok = 0
-                    break
-                sol[v] = val
-                v += 1
-            if not ok:
-                status = -1
-                break
-            solutions.append(tuple(sol))
+            sol = tuple(map(_SINGLE.__getitem__, dom))
+            if -1 in sol:
+                return -1, solutions, decisions, backtracks, props
+            solutions.append(sol)
             if 0 < cap <= len(solutions):
-                status = 1
-                break
+                return 1, solutions, decisions, backtracks, props
         else:
-            f_var.append(branch)
-            f_vals.append(dom[branch])
-            f_mark.append(len(trail_v))
-        # pick the next untried value of the innermost frame, backtracking
-        # out of exhausted frames as needed
+            frames.append([branch, dom[branch], len(trail)])
+        # the next untried value of the innermost frame, backtracking out of
+        # exhausted frames as needed
         while True:
-            if not f_var:
-                status = 0
-                running = 0
-                break
-            vals = f_vals[len(f_vals) - 1]
-            mark = f_mark[len(f_mark) - 1]
-            while len(trail_v) > mark:
-                tv = trail_v.pop()
-                dom[tv] = trail_m.pop()
+            if not frames:
+                return 0, solutions, decisions, backtracks, props
+            frame = frames[-1]
+            v, vals, mark = frame
+            while len(trail) > mark:
+                tv, tm = trail.pop()
+                dom[tv] = tm
             if vals == 0:
-                f_var.pop()
-                f_vals.pop()
-                f_mark.pop()
+                frames.pop()
                 continue
-            bit = vals & (-vals)
-            f_vals[len(f_vals) - 1] = vals - bit
+            bit = vals & -vals
+            frame[1] = vals - bit
             decisions += 1
             if 0 < budget < decisions:
-                status = 2
-                running = 0
+                return 2, solutions, decisions, backtracks, props
+            shrink(v, bit)
+            r = propagate()
+            if r >= 0:
+                props += r
                 break
-            vv = f_var[len(f_var) - 1]
-            trail_v.append(vv)
-            trail_m.append(dom[vv])
-            dom[vv] = bit
-            j = vc_off[vv]
-            e = vc_off[vv + 1]
-            while j < e:
-                c2 = vc_flat[j]
-                if not in_q[c2]:
-                    in_q[c2] = 1
-                    queue.append(c2)
-                j += 1
-            r = _propagate(dom, nb, bind_a, bind_b, bind_c, bind_sign,
-                           ad_flat, ad_off, vc_flat, vc_off,
-                           in_q, queue, trail_v, trail_m)
-            if r < 0:
-                backtracks += 1
-                continue
-            props += r
-            break
-    return status, solutions, decisions, backtracks, props
+            backtracks += 1
 
 
 pure_fd_search = fd_search

@@ -25,7 +25,7 @@ from .harness import (
     write_records_csv,
 )
 from .model import check_solution, constraint_census, encode, uv_pairs
-from .solver import SolverConfig, solve
+from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, solve
 from .starters import (
     DEFAULT_ENUMERATION_BOUND,
     enumerate_strong_starters,
@@ -118,7 +118,7 @@ def _cross_check(args, instance):
     if not args.external_solver:
         return None, None
     status, literals = run_external_solver(text, args.external_solver)
-    if status != "SAT":
+    if status != SAT:
         return status, None
     solution = import_dimacs_model(doc, literals)
     ok, violated = check_solution(instance, solution)
@@ -138,7 +138,7 @@ def _cmd_triplicate(args) -> int:
     status, _ = _cross_check(args, result.instance)
     if status is not None:
         native = result.status
-        agree = status == native or (native == "BUDGET_EXHAUSTED")
+        agree = status == native or (native == BUDGET_EXHAUSTED)
         print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
         if not agree:
             raise ExternalSolverError(

@@ -29,6 +29,7 @@ from typing import Iterable, Optional
 
 from .errors import DecodeError, ExternalSolverError, StructuralError
 from .model import Solution, SudokuInstance
+from .solver import SAT, UNSAT
 
 
 # The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign, in
@@ -198,9 +199,9 @@ def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:
         if line.startswith("s "):
             word = line[2:].strip().upper()
             if word.startswith("SAT"):
-                status = "SAT"
+                status = SAT
             elif word.startswith("UNSAT"):
-                status = "UNSAT"
+                status = UNSAT
             else:
                 status = word
         elif line.startswith("v ") or line.startswith("v\t"):
@@ -211,7 +212,7 @@ def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:
                     f"malformed model line in solver output: {line!r}") from None
     if status is None:
         raise ExternalSolverError("no 's' status line in solver output")
-    return status, (literals if status == "SAT" else None)
+    return status, (literals if status == SAT else None)
 
 
 def run_external_solver(

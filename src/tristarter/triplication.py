@@ -49,7 +49,7 @@ def build_table(base: Pairing, key: int) -> TriplicationTable:
     """
     p = base.modulus
     check_base_order(p)
-    if not isinstance(key, int) or not 0 <= key < p:
+    if type(key) is not int or not 0 <= key < p:   # bool is refused too
         raise StructuralError(f"key must lie in [0, {p}), got {key!r}")
     report = verify_pairing(base)
     if not report.is_starter:

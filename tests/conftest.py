@@ -20,7 +20,9 @@ C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tristarter" / "_cke
 def _compile(out_dir: Path) -> Path:
     from setuptools import Distribution, Extension
 
-    dist = Distribution({"ext_modules": [Extension("_ckernels", [str(C_SOURCE)])]})
+    # Python's CFLAGS carry -Wall, so a new warning fails the build
+    ext = Extension("_ckernels", [str(C_SOURCE)], extra_compile_args=["-Werror"])
+    dist = Distribution({"ext_modules": [ext]})
     cmd = dist.get_command_obj("build_ext")
     cmd.build_lib = str(out_dir)
     cmd.build_temp = str(out_dir / "tmp")

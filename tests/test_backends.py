@@ -45,6 +45,31 @@ def test_hill_climb_golden_digest():
         "4817cefaca45d3c9ba5cd2e0b7261d6ef7368358dda00b50184b1583c1dfa5a7"
 
 
+def test_pure_fd_search_golden_digest():
+    # pins the pure search with no compiler present: restart orders at
+    # p = 31, forbidden keys at p = 11 and every solution of the T7 keys
+    def search(inst, order, budget, cap):
+        return _kernels.pure_fd_search(
+            inst.num_variables, *inst.search_arrays(), order, budget, cap)
+
+    results = []
+    base = hill_climb(31, seed=0)
+    for key in admissible_keys(base):
+        inst = encode(build_table(base, key))
+        for run in range(4):
+            order = _branch_order(inst, _kernels.splitmix64(0) + run)
+            results.append(search(inst, order, RESTART_UNIT * luby(run), 1))
+    base = hill_climb(11, seed=7)
+    for key in sorted(_forbidden_keys(base)):
+        inst = encode(build_table(base, key))
+        results.append(search(inst, _branch_order(inst), 3_000, 1))
+    for key in range(7):
+        inst = encode(build_table(T7, key))
+        results.append(search(inst, _branch_order(inst), 0, 10 ** 6))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+        "f0961d4d250d41b54d09d2ee2a381749c5a9ad8c0ce94ba08f5a4a12d22f6562"
+
+
 def test_enumeration_identical_across_backends(ckernels):
     assert ckernels.count_strong_starters(15, 40) == \
         _kernels.pure_count_strong_starters(15, 40)

@@ -46,6 +46,8 @@ def test_build_table_refusals():
         build_table(Pairing(9, tuple((i, i + 1) for i in (1, 3, 5, 7))), 1)  # 3 | p
     with pytest.raises(StructuralError):
         build_table(T7, 7)   # key out of range
+    with pytest.raises(StructuralError):
+        build_table(T7, True)   # bool is not an integer key
     nonstarter = Pairing(7, ((1, 2), (3, 4), (5, 6)))
     with pytest.raises(RefusedError):
         build_table(nonstarter, 1)
