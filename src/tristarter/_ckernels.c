@@ -4,11 +4,13 @@
  * when this extension imports; the Python code stays the reference, and
  * both return exactly the same values (tests/test_backends.py compares
  * them).  Keep the two in step: the queue is a LIFO stack, the branch rule
- * and the value order (0, 1, 2) are the ones of the Python code.
+ * (dom/wdeg), the value order (0, 1, 2), the restart schedule and the
+ * shuffles of the tie-break order are the ones of the Python code.
  *
  * The search has the shape of `_kernels.fd_search`, whose nested `shrink`,
- * `alldiff` and `propagate` are the functions of the same names here, so a
- * rule change touches the same-named function on each side.
+ * `alldiff`, `propagate` and `run` are the functions of the same names
+ * here, and whose restart loop is `search`, so a rule change touches the
+ * same-named function on each side.
  *
  * Propagation looks its revisions up in two tables that module import
  * fills by running the rules of `propagate` and `alldiff` on every input:
@@ -18,9 +20,10 @@
  * Groups of other sizes run the rule itself.  A revision reads nothing but
  * the masks of its distinct variables, so a table entry replays the rule
  * shrink by shrink: the trail, the queue and therefore every decision,
- * backtrack, propagation count and solution stay those of `_kernels`.
- * The only difference is on a wipeout, where the tables skip the shrinks
- * the rule makes before it; the caller unwinds the trail past them anyway.
+ * backtrack, propagation count, weight and solution stay those of
+ * `_kernels`.  The only difference is on a wipeout, where the tables skip
+ * the shrinks the rule makes before it; the caller unwinds the trail past
+ * them anyway.
  *
  * Each call derives the variable -> constraint incidence lists from the
  * bindings and groups, as `_kernels.fd_search` does: every variable's
@@ -34,6 +37,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdarg.h>
 #include <stdint.h>
 #include <string.h>
@@ -132,14 +136,15 @@ typedef struct {
     const int32_t *ba, *bb, *bc, *bs;   /* bs: binding sign mod 3 */
     const int32_t *ad_flat, *ad_off;
     int32_t *vc_flat, *vc_off;          /* derived by `incidence` */
-    uint8_t *dom, *in_q;
+    uint8_t *dom, *root, *in_q;        /* root: dom after the root propagation */
+    int64_t *wdeg;                      /* summed weight of each variable's constraints */
     int32_t *queue, qn;
     int32_t *trail_v, tn;
     uint8_t *trail_m;
     /* branch frames: variable, values left to try, trail mark */
     int32_t *f_var, *f_mark, nf;
     uint8_t *f_vals;
-    long long decisions, backtracks, props;
+    long long decisions, backtracks, props, restarts;
 } Search;
 
 /* SUPPORT[sign mod 3][ma][mb][mc]: the supported masks na | nb << 3 |
@@ -187,9 +192,21 @@ shrink(Search *S, int32_t v, uint8_t m)
     enqueue_var(S, v);
 }
 
-static inline int64_t
-wipeout(Search *S)
+/* A wipeout in the revision of constraint cid: bump its weight, that is
+ * the weighted degree of each of its variables, and empty the queue. */
+static int64_t
+wipeout(Search *S, int32_t cid)
 {
+    if (cid < S->nb) {
+        S->wdeg[S->ba[cid]]++;
+        S->wdeg[S->bb[cid]]++;
+        S->wdeg[S->bc[cid]]++;
+    } else {
+        int32_t g = cid - S->nb;
+        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
+            S->wdeg[S->ad_flat[i]]++;
+    }
+    S->in_q[cid] = 0;
     while (S->qn)
         S->in_q[S->queue[--S->qn]] = 0;
     return -1;
@@ -264,36 +281,39 @@ propagate(Search *S)
     uint8_t *dom = S->dom;
     int64_t props = 0;
     while (S->qn) {
+        /* in_q[cid] stays set while cid is revised, so its own shrinks do
+         * not queue it again */
         int32_t cid = S->queue[--S->qn];
-        S->in_q[cid] = 0;
         props++;
         if (cid < S->nb) {
             int32_t a = S->ba[cid], b = S->bb[cid], c = S->bc[cid];
             uint8_t ma = dom[a], mb = dom[b], mc = dom[c];
             unsigned sup = SUPPORT[S->bs[cid]][ma][mb][mc];
             if (sup == 0)
-                return wipeout(S);
+                return wipeout(S, cid);
             if ((sup & 7) != ma)
                 shrink(S, a, sup & 7);
             if ((sup >> 3 & 7) != mb)
                 shrink(S, b, sup >> 3 & 7);
             if (sup >> 6 != mc)
                 shrink(S, c, (uint8_t)(sup >> 6));
-            continue;
+        } else {
+            int32_t grp = cid - S->nb;
+            const int32_t *g = S->ad_flat + S->ad_off[grp];
+            int32_t n = S->ad_off[grp + 1] - S->ad_off[grp];
+            if (n != 3) {
+                if (alldiff(S, g, n) < 0)
+                    return wipeout(S, cid);
+            } else {
+                const Shrinks *t =
+                    &ALLDIFF3[dom[g[0]] | dom[g[1]] << 3 | dom[g[2]] << 6];
+                if (t->n < 0)
+                    return wipeout(S, cid);
+                for (int k = 0; k < t->n; k++)
+                    shrink(S, g[t->step[k] >> 3], t->step[k] & 7);
+            }
         }
-        int32_t grp = cid - S->nb;
-        const int32_t *g = S->ad_flat + S->ad_off[grp];
-        int32_t n = S->ad_off[grp + 1] - S->ad_off[grp];
-        if (n != 3) {
-            if (alldiff(S, g, n) < 0)
-                return wipeout(S);
-            continue;
-        }
-        const Shrinks *t = &ALLDIFF3[dom[g[0]] | dom[g[1]] << 3 | dom[g[2]] << 6];
-        if (t->n < 0)
-            return wipeout(S);
-        for (int k = 0; k < t->n; k++)
-            shrink(S, g[t->step[k] >> 3], t->step[k] & 7);
+        S->in_q[cid] = 0;
     }
     return props;
 }
@@ -484,46 +504,82 @@ incidence(Search *S)
     off[0] = 0;
 }
 
-/* The search of `_kernels.fd_search` after its arguments are checked: it
- * branches on the smallest-domain unassigned variable of `order`, ties
- * broken by position in `order`.  Returns its status, or -2 with a Python
- * exception set. */
+/* `splitmix64` of `_kernels`: one scramble, never 0. */
+static uint64_t
+splitmix64(uint64_t z)
+{
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return z ? z : 0x9E3779B97F4A7C15ULL;
+}
+
+/* `luby` of `_kernels`: term i (from 0) of 1, 1, 2, 1, 1, 2, 4, 1, ... */
+static long long
+luby(long long i)
+{
+    long long size = 1;
+    int power = 0;
+    while (size < i + 1) {
+        size = 2 * size + 1;
+        power++;
+    }
+    while (size - 1 != i) {
+        size /= 2;
+        power--;
+        i %= size;
+    }
+    return 1LL << power;
+}
+
+/* `shuffled` of `_kernels`: out = a Fisher-Yates shuffle of in[0..n),
+ * drawn from the xorshift64* stream at *state. */
+static void
+shuffle(int32_t *out, const int32_t *in, Py_ssize_t n, uint64_t *state)
+{
+    memcpy(out, in, (size_t)n * sizeof(int32_t));
+    for (Py_ssize_t i = n - 1; i > 0; i--) {
+        uint64_t x = *state;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        *state = x;
+        Py_ssize_t j = (Py_ssize_t)((x * 0x2545F4914F6CDD1DULL)
+                                    % (uint64_t)(i + 1));
+        int32_t t = out[i];
+        out[i] = out[j];
+        out[j] = t;
+    }
+}
+
+/* `run` of `_kernels.fd_search`: one run from the root snapshot, branching
+ * by dom/wdeg over order[0..n), ties to the earliest, with at most `budget`
+ * decisions (<= 0: no bound), counted in *decisions.  Returns its status,
+ * or -2 with a Python exception set. */
 static int
-search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
-       const IntArray *order, long long budget, long long cap,
-       PyObject *solutions)
+run(Search *S, const int32_t *order, Py_ssize_t n, long long budget,
+    long long cap, PyObject *solutions, long long *decisions)
 {
     uint8_t *dom = S->dom;
-    memset(dom, 7, (size_t)S->nvars);
-    for (Py_ssize_t i = 0; i < fixed_vars->n; i++) {
-        int32_t v = fixed_vars->v[i];
-        uint8_t m = dom[v] & (1 << fixed_vals->v[i]);
-        if (m == 0)
-            return 0;
-        dom[v] = m;
-    }
-    for (int32_t cid = 0; cid < S->ncons; cid++) {
-        S->in_q[cid] = 1;
-        S->queue[S->qn++] = cid;
-    }
-    int64_t r = propagate(S);
-    if (r < 0) {
-        S->props = 1;
-        return 0;
-    }
-    S->props += r;
-
+    const int64_t *wdeg = S->wdeg;
+    memcpy(dom, S->root, (size_t)S->nvars);
+    S->tn = 0;
+    S->nf = 0;
     for (;;) {
         int32_t branch = -1;
-        for (Py_ssize_t i = 0; i < order->n; i++) {
-            uint8_t mm = dom[order->v[i]];
+        int64_t best_size = 0, best_w = 0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int32_t v = order[i];
+            uint8_t mm = dom[v];
             if (mm & (mm - 1)) {
-                if (mm != 7) {
-                    branch = order->v[i];
-                    break;
+                int64_t size = mm == 7 ? 3 : 2;
+                /* size / wdeg[v] < best_size / best_w, in integers */
+                if (branch == -1 || size * best_w < best_size * wdeg[v]) {
+                    branch = v;
+                    best_size = size;
+                    best_w = wdeg[v];
                 }
-                if (branch == -1)
-                    branch = order->v[i];
             }
         }
         if (branch == -1) {
@@ -561,11 +617,11 @@ search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
             }
             uint8_t bit = vals & (uint8_t)-vals;
             S->f_vals[top] = vals - bit;
-            S->decisions++;
-            if (0 < budget && budget < S->decisions)
+            ++*decisions;
+            if (0 < budget && budget < *decisions)
                 return 2;
             shrink(S, S->f_var[top], bit);
-            r = propagate(S);
+            int64_t r = propagate(S);
             if (r < 0) {
                 S->backtracks++;
                 continue;
@@ -576,16 +632,77 @@ search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
     }
 }
 
+/* The search of `_kernels.fd_search` after its arguments are checked: the
+ * root propagation, then the runs on the Luby schedule, run i >= 1 over a
+ * shuffle of `order` into `shuffled`.  Returns the status of the last run,
+ * or -2 with a Python exception set. */
+static int
+search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
+       const IntArray *order, long long budget, long long cap,
+       uint64_t seed, long long unit, int32_t *shuffled,
+       PyObject *solutions)
+{
+    uint8_t *dom = S->dom;
+    memset(dom, 7, (size_t)S->nvars);
+    for (Py_ssize_t i = 0; i < fixed_vars->n; i++) {
+        int32_t v = fixed_vars->v[i];
+        uint8_t m = dom[v] & (1 << fixed_vals->v[i]);
+        if (m == 0)
+            return 0;
+        dom[v] = m;
+    }
+    for (int32_t cid = 0; cid < S->ncons; cid++) {
+        S->in_q[cid] = 1;
+        S->queue[S->qn++] = cid;
+    }
+    int64_t r = propagate(S);
+    if (r < 0) {
+        S->props = 1;
+        return 0;
+    }
+    S->props += r;
+    memcpy(S->root, dom, (size_t)S->nvars);
+
+    uint64_t state = splitmix64(seed);
+    long long remaining = budget;
+    const int32_t *run_order = order->v;
+    for (;;) {
+        long long run_budget = remaining;
+        int last = 1;
+        if (unit > 0) {
+            long long l = luby(S->restarts);
+            run_budget = l > LLONG_MAX / unit ? LLONG_MAX : unit * l;
+            last = 0 < remaining && remaining <= run_budget;
+            if (last)
+                run_budget = remaining;
+        }
+        long long d = 0;
+        int status = run(S, run_order, order->n, run_budget, cap, solutions,
+                         &d);
+        if (status != 2 || last || PyList_GET_SIZE(solutions) > 0) {
+            S->decisions += d;
+            return status;
+        }
+        S->decisions += run_budget;
+        if (budget > 0)
+            remaining -= run_budget;
+        S->restarts++;
+        shuffle(shuffled, order->v, order->n, &state);
+        run_order = shuffled;
+    }
+}
+
 static PyObject *
 fd_search(PyObject *self, PyObject *args)
 {
     Py_ssize_t nvars;
     PyObject *seqs[N_ARRAYS];
-    long long budget, cap;
-    if (!PyArg_ParseTuple(args, "nOOOOOOOOOLL:fd_search", &nvars,
+    long long budget, cap, unit;
+    unsigned long long seed;
+    if (!PyArg_ParseTuple(args, "nOOOOOOOOOLLKL:fd_search", &nvars,
                           &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
                           &seqs[5], &seqs[6], &seqs[7], &seqs[8], &budget,
-                          &cap))
+                          &cap, &seed, &unit))
         return NULL;
     if (nvars < 0 || nvars > MAX_LEN) {
         invalid("nvars = %zd is out of range", nvars);
@@ -594,6 +711,7 @@ fd_search(PyObject *self, PyObject *args)
 
     IntArray A[N_ARRAYS] = {{0}};
     Search S = {0};
+    int32_t *shuffled = NULL;
     size_t nv1 = (size_t)nvars + 1;
     int status;
     PyObject *solutions = NULL, *result = NULL;
@@ -616,6 +734,9 @@ fd_search(PyObject *self, PyObject *args)
                              * sizeof(int32_t));
     S.vc_off = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.dom = PyMem_Malloc(nv1);
+    S.root = PyMem_Malloc(nv1);
+    S.wdeg = PyMem_Malloc(nv1 * sizeof(int64_t));
+    shuffled = PyMem_Malloc(((size_t)A[A_ORDER].n + 1) * sizeof(int32_t));
     S.in_q = PyMem_Calloc((size_t)S.ncons + 1, 1);
     S.queue = PyMem_Malloc(((size_t)S.ncons + 1) * sizeof(int32_t));
     S.trail_v = PyMem_Malloc(2 * nv1 * sizeof(int32_t));
@@ -625,21 +746,24 @@ fd_search(PyObject *self, PyObject *args)
     S.f_var = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.f_mark = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.f_vals = PyMem_Malloc(nv1);
-    if (!S.vc_flat || !S.vc_off || !S.dom || !S.in_q || !S.queue
-            || !S.trail_v || !S.trail_m || !S.f_var || !S.f_mark
-            || !S.f_vals) {
+    if (!S.vc_flat || !S.vc_off || !S.dom || !S.root || !S.wdeg || !shuffled
+            || !S.in_q || !S.queue || !S.trail_v || !S.trail_m || !S.f_var
+            || !S.f_mark || !S.f_vals) {
         PyErr_NoMemory();
         goto done;
     }
     incidence(&S);
+    /* every constraint starts at weight 1 */
+    for (int32_t v = 0; v < S.nvars; v++)
+        S.wdeg[v] = S.vc_off[v + 1] - S.vc_off[v];
     solutions = PyList_New(0);
     if (solutions == NULL)
         goto done;
     status = search(&S, &A[A_FIXED_VARS], &A[A_FIXED_VALS], &A[A_ORDER],
-                    budget, cap, solutions);
+                    budget, cap, (uint64_t)seed, unit, shuffled, solutions);
     if (status != -2)
-        result = Py_BuildValue("(iOLLL)", status, solutions, S.decisions,
-                               S.backtracks, S.props);
+        result = Py_BuildValue("(iOLLLL)", status, solutions, S.decisions,
+                               S.backtracks, S.props, S.restarts);
 done:
     Py_XDECREF(solutions);
     for (int k = 0; k < N_ARRAYS; k++)
@@ -647,6 +771,9 @@ done:
     PyMem_Free(S.vc_flat);
     PyMem_Free(S.vc_off);
     PyMem_Free(S.dom);
+    PyMem_Free(S.root);
+    PyMem_Free(S.wdeg);
+    PyMem_Free(shuffled);
     PyMem_Free(S.in_q);
     PyMem_Free(S.queue);
     PyMem_Free(S.trail_v);

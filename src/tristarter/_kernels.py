@@ -221,37 +221,122 @@ def count_strong_starters(n, cap):
         cur_b = cur_a
 
 
+def luby(i):
+    """Term i (from 0) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    size, power = 1, 0
+    while size < i + 1:           # the smallest 2^k - 1 covering term i
+        size = 2 * size + 1
+        power += 1
+    while size - 1 != i:          # descend into the repeated left half
+        size //= 2
+        power -= 1
+        i %= size
+    return 1 << power
+
+
+def shuffled(order, state):
+    """A Fisher-Yates shuffle of ``order`` drawn from the xorshift64* stream
+    of `hill_climb_pairs` at ``state``: ``(new list, new state)``."""
+    out = list(order)
+    i = len(out) - 1
+    while i > 0:
+        state ^= state >> 12
+        state = (state ^ (state << 25)) & 0xFFFFFFFFFFFFFFFF
+        state ^= state >> 27
+        j = ((state * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) % (i + 1)
+        out[i], out[j] = out[j], out[i]
+        i -= 1
+    return out, state
+
+
+def _validate(nvars, fixed_vars, fixed_vals, bind_a, bind_b, bind_c,
+              bind_sign, ad_flat, ad_off, order):
+    """Raise the `ValueError` of the C kernel's `validate` for the same
+    malformed arguments, with the same message."""
+    if nvars < 0:
+        raise ValueError(f"nvars = {nvars} is out of range")
+    if len(fixed_vals) != len(fixed_vars):
+        raise ValueError(f"fixed_vals has {len(fixed_vals)} entries, "
+                         f"fixed_vars {len(fixed_vars)}")
+    for name, xs in (("bind_b", bind_b), ("bind_c", bind_c),
+                     ("bind_sign", bind_sign)):
+        if len(xs) != len(bind_a):
+            raise ValueError(f"{name} has {len(xs)} entries, "
+                             f"bind_a {len(bind_a)}")
+    if not ad_off:
+        raise ValueError("ad_off is empty")
+    for name, xs, hi in (
+            ("fixed_vars", fixed_vars, nvars), ("bind_a", bind_a, nvars),
+            ("bind_b", bind_b, nvars), ("bind_c", bind_c, nvars),
+            ("ad_flat", ad_flat, nvars), ("order", order, nvars),
+            ("fixed_vals", fixed_vals, 3), ("ad_off", ad_off, len(ad_flat) + 1)):
+        for i, x in enumerate(xs):
+            if not 0 <= x < hi:
+                raise ValueError(f"{name}[{i}] = {x} is outside [0, {hi})")
+    for i in range(1, len(ad_off)):
+        if ad_off[i] < ad_off[i - 1]:
+            raise ValueError(f"ad_off decreases at index {i}")
+    for c, members in enumerate(zip(bind_a, bind_b, bind_c)):
+        if len(set(members)) < 3:
+            raise ValueError(f"binding {c} repeats a variable")
+    for g in range(len(ad_off) - 1):
+        members = ad_flat[ad_off[g]:ad_off[g + 1]]
+        if len(set(members)) < len(members):
+            raise ValueError(f"all-different group {g} repeats a variable")
+
+
 def fd_search(nvars, fixed_vars, fixed_vals,
               bind_a, bind_b, bind_c, bind_sign,
               ad_flat, ad_off,
-              order, budget, cap):
-    """Chronological backtracking over {0,1,2} domains with propagation.
+              order, budget, cap, seed, unit):
+    """Restarted backtracking over {0,1,2} domains with propagation.
 
     Constraints are ternary bindings ``(a + sign*b - c) % 3 == 0`` and
     all-different groups (flattened into ``ad_flat``/``ad_off``), each
     naming distinct variables; binding ``i`` has constraint id ``i`` and
     group ``g`` has id ``len(bind_a) + g``.  A domain shrink queues its
-    variable's constraint ids in ascending order onto a LIFO queue: the C
+    variable's constraint ids in ascending order onto a LIFO queue, except
+    the constraint being revised (every revision is idempotent): the C
     kernel derives the same lists and has the same `shrink`, `alldiff` and
     `propagate`, which keeps every count equal between the two.
-    Search branches over ``order`` (values tried 0,1,2): the next branch
-    variable is the smallest-domain unassigned one, ties broken by position
-    in ``order``.  Remaining variables must be fixed by propagation.
-    ``budget`` bounds decisions and ``cap`` bounds collected solutions;
-    either <= 0 means unlimited.
 
-    Returns ``(status, solutions, decisions, backtracks, propagations)``
-    with status 0 = space exhausted, 1 = cap reached, 2 = budget exhausted,
-    -1 = a non-branch variable was left undetermined (caller bug).
+    The branch rule is dom/wdeg (Boussemart, Hemery, Lecoutre and Sais,
+    ECAI 2004): every constraint weighs 1 plus the number of wipeouts its
+    revisions caused during this call, and the next branch variable is the
+    unfixed one of the run's order with the least domain size over the
+    summed weight of its constraints, ties going to the earliest; values
+    are tried 0, 1, 2.  Variables outside ``order`` must be fixed by
+    propagation.
+
+    The root is propagated once; each run starts from it.  Run i may spend
+    ``unit * luby(i)`` decisions (Luby, Sinclair and Zuckerman, IPL 1993)
+    and breaks ties in ``order`` for i = 0, and in a `shuffled` copy of it
+    for i >= 1, drawn from one stream seeded by ``splitmix64(seed)``.  A
+    run that ends within its budget or finds a solution ends the call, so
+    status 0 is still a proof.  ``unit`` <= 0 means a single run.
+    ``budget`` bounds the decisions summed over all runs and ``cap`` the
+    collected solutions; either <= 0 means unlimited.
+
+    Returns ``(status, solutions, decisions, backtracks, propagations,
+    restarts)`` with status 0 = space exhausted, 1 = cap reached, 2 =
+    budget exhausted (the last run counts the decision it refused, so
+    ``decisions`` is then ``budget + 1``), -1 = a non-branch variable was
+    left undetermined (caller bug).  Raises `ValueError` on the malformed
+    arrays the C kernel refuses.
     """
+    _validate(nvars, fixed_vars, fixed_vals, bind_a, bind_b, bind_c,
+              bind_sign, ad_flat, ad_off, order)
     nb = len(bind_a)
     bindings = list(zip(bind_a, bind_b, bind_c, bind_sign))
     groups = [ad_flat[ad_off[g]:ad_off[g + 1]] for g in range(len(ad_off) - 1)]
+    scopes = [*zip(bind_a, bind_b, bind_c), *groups]
     incidence = [[] for _ in range(nvars)]
-    for cid, members in enumerate([*zip(bind_a, bind_b, bind_c), *groups]):
+    for cid, members in enumerate(scopes):
         for v in members:
             incidence[v].append(cid)
-    ncons = nb + len(groups)
+    ncons = len(scopes)
+    # the summed weight of each variable's constraints
+    wdeg = [len(cids) for cids in incidence]
     dom = [7] * nvars
     in_q = bytearray(b"\1") * ncons  # every constraint starts queued
     queue = list(range(ncons))
@@ -303,11 +388,13 @@ def fd_search(nvars, fixed_vars, fixed_vals,
 
     def propagate():
         """Revise queued constraints to a fixpoint: the number of
-        revisions, or -1 on a wipeout.  The queue ends empty either way."""
+        revisions, or -1 on a wipeout, which bumps the weight of the
+        constraint that caused it.  The queue ends empty either way."""
         props = 0
         while queue:
+            # in_q[cid] stays set while cid is revised, so its own shrinks
+            # do not queue it again
             cid = queue.pop()
-            in_q[cid] = 0
             props += 1
             if cid < nb:
                 a, b, c, sg = bindings[cid]
@@ -322,77 +409,110 @@ def fd_search(nvars, fixed_vars, fixed_vals,
                             na |= 1 << va
                             nbm |= 1 << vb
                             ncm |= 1 << vc
-                if na:
+                ok = na != 0
+                if ok:
                     if na != ma:
                         shrink(a, na)
                     if nbm != mb:
                         shrink(b, nbm)
                     if ncm != mc:
                         shrink(c, ncm)
-                    continue
-            elif alldiff(groups[cid - nb]):
+            else:
+                ok = alldiff(groups[cid - nb])
+            in_q[cid] = 0
+            if ok:
                 continue
             # a wipeout
+            for v in scopes[cid]:
+                wdeg[v] += 1
             for c in queue:
                 in_q[c] = 0
             queue.clear()
             return -1
         return props
 
+    def run(order, budget):
+        """One run from the root: ``(status, decisions, backtracks,
+        propagations)``."""
+        dom[:] = root
+        trail.clear()
+        decisions = backtracks = props = 0
+        frames = []  # [branch variable, values left to try, trail mark]
+        while True:
+            branch = -1
+            for v in order:
+                m = dom[v]
+                if m & (m - 1):
+                    size = 3 if m == 7 else 2
+                    # size / wdeg[v] < best_size / best_w, in integers
+                    if branch == -1 or size * best_w < best_size * wdeg[v]:
+                        branch, best_size, best_w = v, size, wdeg[v]
+            if branch == -1:
+                sol = tuple(map(_SINGLE.__getitem__, dom))
+                if -1 in sol:
+                    return -1, decisions, backtracks, props
+                solutions.append(sol)
+                if 0 < cap <= len(solutions):
+                    return 1, decisions, backtracks, props
+            else:
+                frames.append([branch, dom[branch], len(trail)])
+            # the next untried value of the innermost frame, backtracking
+            # out of exhausted frames as needed
+            while True:
+                if not frames:
+                    return 0, decisions, backtracks, props
+                frame = frames[-1]
+                v, vals, mark = frame
+                while len(trail) > mark:
+                    tv, tm = trail.pop()
+                    dom[tv] = tm
+                if vals == 0:
+                    frames.pop()
+                    continue
+                bit = vals & -vals
+                frame[1] = vals - bit
+                decisions += 1
+                if 0 < budget < decisions:
+                    return 2, decisions, backtracks, props
+                shrink(v, bit)
+                r = propagate()
+                if r >= 0:
+                    props += r
+                    break
+                backtracks += 1
+
     solutions = []
     for v, val in zip(fixed_vars, fixed_vals):
         m = dom[v] & (1 << val)
         if m == 0:
-            return 0, solutions, 0, 0, 0
+            return 0, solutions, 0, 0, 0, 0
         dom[v] = m
     props = propagate()
     if props < 0:
-        return 0, solutions, 0, 0, 1
-    decisions = backtracks = 0
-    frames = []  # [branch variable, values left to try, trail mark]
+        return 0, solutions, 0, 0, 1, 0
+    root = dom[:]
+    state = splitmix64(seed)
+    decisions = backtracks = restarts = 0
+    remaining = budget
+    run_order = order
     while True:
-        branch = -1
-        for v in order:
-            m = dom[v]
-            if m & (m - 1):
-                if m != 7:
-                    branch = v
-                    break
-                if branch == -1:
-                    branch = v
-        if branch == -1:
-            sol = tuple(map(_SINGLE.__getitem__, dom))
-            if -1 in sol:
-                return -1, solutions, decisions, backtracks, props
-            solutions.append(sol)
-            if 0 < cap <= len(solutions):
-                return 1, solutions, decisions, backtracks, props
-        else:
-            frames.append([branch, dom[branch], len(trail)])
-        # the next untried value of the innermost frame, backtracking out of
-        # exhausted frames as needed
-        while True:
-            if not frames:
-                return 0, solutions, decisions, backtracks, props
-            frame = frames[-1]
-            v, vals, mark = frame
-            while len(trail) > mark:
-                tv, tm = trail.pop()
-                dom[tv] = tm
-            if vals == 0:
-                frames.pop()
-                continue
-            bit = vals & -vals
-            frame[1] = vals - bit
-            decisions += 1
-            if 0 < budget < decisions:
-                return 2, solutions, decisions, backtracks, props
-            shrink(v, bit)
-            r = propagate()
-            if r >= 0:
-                props += r
-                break
-            backtracks += 1
+        run_budget = remaining
+        last = True
+        if unit > 0:
+            run_budget = unit * luby(restarts)
+            last = 0 < remaining <= run_budget
+            if last:
+                run_budget = remaining
+        status, d, b, p = run(run_order, run_budget)
+        backtracks += b
+        props += p
+        if status != 2 or last or solutions:
+            return status, solutions, decisions + d, backtracks, props, restarts
+        decisions += run_budget
+        if budget > 0:
+            remaining -= run_budget
+        restarts += 1
+        run_order, state = shuffled(order, state)
 
 
 pure_fd_search = fd_search

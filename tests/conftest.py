@@ -4,7 +4,9 @@ Tests that compare the C and pure kernels, or that need the C speed for an
 exhaustive search, take it.  When the extension is not importable, or the
 imported file is older than its source (an in-place build from before an
 edit), it is compiled from source into a temporary directory; tests that
-use it skip only when there is no C compiler.
+use it skip only when there is no C compiler.  ``fd_search_backends``
+gives the pure `fd_search` and, where a compiler exists, the C one, for
+tests that must also run without a compiler.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tristarter" / "_ckernels.c"
+COMPILER = (sysconfig.get_config_var("CC") or "cc").split()[0]
 
 
 def _compile(out_dir: Path) -> Path:
@@ -32,7 +35,8 @@ def _compile(out_dir: Path) -> Path:
 
 
 @pytest.fixture(scope="session")
-def ckernels(tmp_path_factory):
+def _compiled(tmp_path_factory):
+    """The C extension, compiled when needed; None without a compiler."""
     try:
         from tristarter import _ckernels
     except ImportError:
@@ -40,12 +44,25 @@ def ckernels(tmp_path_factory):
     else:
         if Path(_ckernels.__file__).stat().st_mtime >= C_SOURCE.stat().st_mtime:
             return _ckernels
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) to build the kernels")
+    if shutil.which(COMPILER) is None:
+        return None
     path = _compile(tmp_path_factory.mktemp("ckernels"))
     spec = importlib.util.spec_from_file_location("_ckernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
+
+@pytest.fixture(scope="session")
+def ckernels(_compiled):
+    if _compiled is None:
+        pytest.skip(f"no C compiler ({COMPILER}) to build the kernels")
+    return _compiled
+
+
+@pytest.fixture(scope="session")
+def fd_search_backends(_compiled):
+    from tristarter import _kernels
+
+    pure = [_kernels.pure_fd_search]
+    return pure if _compiled is None else pure + [_compiled.fd_search]

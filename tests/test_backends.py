@@ -14,19 +14,19 @@ import hashlib
 import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
-from tristarter.solver import RESTART_UNIT, _branch_order, luby
+from tristarter.solver import RESTART_UNIT, _branch_order
 from tristarter.triplication import _forbidden_keys, admissible_keys
 
 from fixtures import T7
 
 
-def _both(ckernels, inst, order, budget, cap, fixed=None):
+def _both(ckernels, inst, order, budget, cap, seed=0, unit=0, fixed=None):
     flat = list(inst.search_arrays())
     if fixed is not None:
         flat[0], flat[1] = fixed
-    got = ckernels.fd_search(inst.num_variables, *flat, order, budget, cap)
-    want = _kernels.pure_fd_search(inst.num_variables, *flat, order, budget, cap)
-    assert got == want
+    args = (inst.num_variables, *flat, order, budget, cap, seed, unit)
+    got = ckernels.fd_search(*args)
+    assert got == _kernels.pure_fd_search(*args)
     return got
 
 
@@ -46,28 +46,28 @@ def test_hill_climb_golden_digest():
 
 
 def test_pure_fd_search_golden_digest():
-    # pins the pure search with no compiler present: restart orders at
-    # p = 31, forbidden keys at p = 11 and every solution of the T7 keys
-    def search(inst, order, budget, cap):
+    # pins the pure search with no compiler present: restarts on a short
+    # unit at p = 31, forbidden keys at p = 11 and every solution of the
+    # T7 keys
+    def search(inst, budget, cap, seed, unit):
         return _kernels.pure_fd_search(
-            inst.num_variables, *inst.search_arrays(), order, budget, cap)
+            inst.num_variables, *inst.search_arrays(), _branch_order(inst),
+            budget, cap, seed, unit)
 
     results = []
     base = hill_climb(31, seed=0)
     for key in admissible_keys(base):
         inst = encode(build_table(base, key))
-        for run in range(4):
-            order = _branch_order(inst, _kernels.splitmix64(0) + run)
-            results.append(search(inst, order, RESTART_UNIT * luby(run), 1))
+        results.append(search(inst, 2_000, 1, 0, 8))
     base = hill_climb(11, seed=7)
     for key in sorted(_forbidden_keys(base)):
         inst = encode(build_table(base, key))
-        results.append(search(inst, _branch_order(inst), 3_000, 1))
+        results.append(search(inst, 3_000, 1, 0, RESTART_UNIT))
     for key in range(7):
         inst = encode(build_table(T7, key))
-        results.append(search(inst, _branch_order(inst), 0, 10 ** 6))
+        results.append(search(inst, 0, 10 ** 6, 0, 0))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == \
-        "f0961d4d250d41b54d09d2ee2a381749c5a9ad8c0ce94ba08f5a4a12d22f6562"
+        "8893363f5f9e6faf2ec0c888c66d3e37a9655b580eb7da01df6fb90c6947b49d"
 
 
 def test_enumeration_identical_across_backends(ckernels):
@@ -81,24 +81,27 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
         base = hill_climb(31, seed=seed)
         for key in admissible_keys(base):
             inst = encode(build_table(base, key))
-            status, sols, *_ = _both(ckernels, inst, _branch_order(inst), 50_000, 1)
+            status, sols, *_ = _both(ckernels, inst, _branch_order(inst), 50_000,
+                                     1, 0, RESTART_UNIT)
             assert status == 1 and len(sols) == 1
 
 
 def test_fd_search_identical_under_restart_orders(ckernels):
-    # `solve` searches seeded shuffled orders on Luby budgets after run 0:
-    # solutions, budget exhaustion and UNSAT wipeouts all meet the tables
+    # short units restart often, so shuffled orders and carried weights
+    # meet solutions, budget exhaustion and UNSAT wipeouts
     sat, unsat = hill_climb(31, seed=0), hill_climb(11, seed=7)
     statuses = set()
+    restarts = 0
     for base, keys in ((sat, admissible_keys(sat)),
                        (unsat, sorted(_forbidden_keys(unsat)))):
         for key in keys:
             inst = encode(build_table(base, key))
-            for run in range(8):
-                order = _branch_order(inst, _kernels.splitmix64(0) + run)
-                got = _both(ckernels, inst, order, RESTART_UNIT * luby(run), 1)
+            for seed, unit, budget in ((0, 4, 100), (1, 4, 2_000), (-1, 32, 2_000)):
+                got = _both(ckernels, inst, _branch_order(inst), budget, 1,
+                            seed, unit)
                 statuses.add(got[0])
-    assert statuses == {0, 1, 2}
+                restarts = max(restarts, got[5])
+    assert statuses == {0, 1, 2} and restarts > 1
 
 
 def test_fd_search_identical_enumerating_all_solutions(ckernels):
@@ -127,7 +130,7 @@ def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
     inst = encode(build_table(T7, 1))
     z = inst.z_id
     got = _both(ckernels, inst, _branch_order(inst), 0, 1, fixed=([z, z], [0, 1]))
-    assert got == (0, [], 0, 0, 0)
+    assert got == (0, [], 0, 0, 0, 0)
 
 
 def test_fd_search_short_order_matches_pure(ckernels):
@@ -150,13 +153,18 @@ ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_s
     ("bind_b", lambda xs, n: xs.__setitem__(0, 0), "repeats"),
     ("ad_flat", lambda xs, n: xs.__setitem__(1, xs[0]), "repeats"),
 ])
-def test_fd_search_rejects_malformed_arrays(ckernels, name, corrupt, message):
+def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
+                                            message):
     inst = encode(build_table(T7, 1))
     arrays = dict(zip(ARRAY_NAMES, map(list, (
         *inst.search_arrays(), _branch_order(inst)))))
     corrupt(arrays[name], inst.num_variables)
-    with pytest.raises(ValueError, match=message):
-        ckernels.fd_search(inst.num_variables, *arrays.values(), 0, 1)
+    errors = []
+    for fd_search in fd_search_backends:
+        with pytest.raises(ValueError, match=message) as error:
+            fd_search(inst.num_variables, *arrays.values(), 0, 1, 0, 0)
+        errors.append(str(error.value))
+    assert len(set(errors)) == 1     # the same message from each backend
 
 
 def test_splitmix_reference_values():
