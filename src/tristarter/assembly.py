@@ -4,9 +4,11 @@ A residue mod 3p is recovered from its residues mod p and mod 3 via the
 Chinese Remainder Theorem; merging the extension with the (U, V) part of a
 checked solution yields a pairing of order 3p that is guaranteed strong
 whenever the base was a starter and the solution satisfies the instance.
-`triplicate` runs the whole route: build (which verifies the base), check
-the key, encode, solve (which checks the solution), merge the solution and
-its phi image (`model.apply_phi`) in one pass, re-verify.
+`triplicate` runs the whole route: build, check the key, encode, search,
+merge the solution and its phi image (`model.apply_phi`) in one pass, and
+strong-verify both merges, its one check of a SAT key: the merge reads only
+U and V, and both merges are strong exactly when those values satisfy every
+row, weak set and color group with D = U - V and S = U + V.
 """
 
 from __future__ import annotations
@@ -15,37 +17,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import (
-    InternalConsistencyError,
-    KeyNotAdmissibleError,
-    RefusedError,
-)
-from .model import PHI, Solution, SudokuInstance, check_solution, encode, uv_pairs
-from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, solve
-from .starters import Pairing, VerificationReport, verify_pairing
+from .errors import InternalConsistencyError, KeyNotAdmissibleError, RefusedError
+from .model import PHI, Solution, SudokuInstance, check_solution, encode
+from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, _search
+from .starters import Pairing
 from .triplication import TriplicationTable, build_table, check_key_admissible
 
 
 @lru_cache(maxsize=None)
-def _crt_coefficients(p: int) -> tuple[int, int, int]:
-    n = 3 * p
-    inv3 = pow(3, -1, p)
-    invp = pow(p, -1, 3)
-    return 3 * inv3 % n, p * invp % n, n
+def _crt_lift(p: int) -> tuple[int, ...]:
+    """The x in [0, 3p) with x = r (mod p) and x = s (mod 3) at index 3r + s."""
+    lift = [0] * (3 * p)
+    for x in range(3 * p):
+        lift[3 * (x % p) + x % 3] = x
+    return tuple(lift)
 
 
 def crt(residue_p: int, residue_3: int, p: int) -> int:
     """The unique x in [0, 3p) with x = residue_p (mod p), x = residue_3 (mod 3)."""
-    if p % 3 == 0:
-        raise RefusedError(f"p must be coprime to 3, got {p}")
-    c_p, c_3, n = _crt_coefficients(p)
-    return (residue_p % p * c_p + residue_3 % 3 * c_3) % n
-
-
-@lru_cache(maxsize=None)
-def _crt_lift(p: int) -> tuple[int, ...]:
-    """``crt(x, r, p)`` at index ``3 * x + r``, for x in [0, p) and r < 3."""
-    return tuple(crt(x, r, p) for x in range(p) for r in range(3))
+    if p < 1 or p % 3 == 0:
+        raise RefusedError(f"p must be positive and coprime to 3, got {p}")
+    return _crt_lift(p)[3 * (residue_p % p) + residue_3 % 3]
 
 
 def crt_merge(
@@ -64,14 +56,11 @@ def crt_merge(
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    lift = _crt_lift(table.p)
-    return Pairing(3 * table.p, tuple(
-        (lift[3 * u + a], lift[3 * v + b])
-        for (u, v), (a, b) in zip(table.extension, uv_pairs(instance, solution))))
+    return _merge_both(table, solution)[0]
 
 
 def _merge_both(table: TriplicationTable, solution: Solution) -> tuple[Pairing, Pairing]:
-    """`crt_merge` of a checked solution and of its phi image, in one pass.
+    """The merges of a solution and of its phi image, in one pass.
 
     Extension entries lie in [0, p) and U, V in {0, 1, 2}, so every index
     into the lift table is in range.
@@ -91,15 +80,16 @@ def _merge_both(table: TriplicationTable, solution: Solution) -> tuple[Pairing, 
 
 @dataclass(frozen=True)
 class TriplicationResult:
-    """SAT outcome: both phi-paired starters plus everything to re-check them."""
+    """SAT outcome: both phi-paired starters plus everything to re-check them.
+
+    ``starter_a.report`` and ``starter_b.report`` certify the U/V part of
+    ``solution``, the only part the merge reads; its D, S and Z are unchecked."""
 
     starter_a: Pairing
     starter_b: Pairing
     table: TriplicationTable
     instance: SudokuInstance
     solution: Solution
-    report_a: VerificationReport
-    report_b: VerificationReport
     stats: SolveStats
 
     @property
@@ -132,10 +122,10 @@ def triplicate(
     reports UNSAT with the violated condition as its cause).
     """
     table = build_table(base, key)
-    if not table.base_report.is_strong and not allow_nonstrong:
+    if not base.report.is_strong and not allow_nonstrong:
         raise RefusedError(
             "base is a starter but not strong ("
-            + "; ".join(table.base_report.diagnostics) + ")")
+            + "; ".join(base.report.diagnostics) + ")")
     admissible, reason = check_key_admissible(base, key)
     if not admissible and not force:
         raise KeyNotAdmissibleError(
@@ -144,7 +134,7 @@ def triplicate(
             "pass force=True (--force on the command line) to attempt it anyway")
 
     instance = encode(table)
-    outcome = solve(instance, config)
+    outcome = _search(instance, config)
     if outcome.status != SAT:
         if instance.trivially_unsat_reason is not None:
             cause = instance.trivially_unsat_reason
@@ -154,24 +144,18 @@ def triplicate(
             cause = None if admissible else reason
         return UnsatReport(outcome.status, cause, table, instance, outcome.stats)
 
-    # The solver checked the solution, and phi maps solutions to solutions.
+    # The one check of the solution.  It also keeps the merges apart: they
+    # coincide only where every U and V is 0, which merges to no starter.
     starter_a, starter_b = _merge_both(table, outcome.solution)
-    report_a = verify_pairing(starter_a)
-    report_b = verify_pairing(starter_b)
-    if not (report_a.is_strong and report_b.is_strong):
+    if not (starter_a.report.is_strong and starter_b.report.is_strong):
         raise InternalConsistencyError(
             "merged pairing failed strong verification although the base "
-            "was a starter and the solution checked out; this is a bug")
-    if starter_a.pairs == starter_b.pairs:
-        raise InternalConsistencyError(
-            "identity and phi merges coincide; this is a bug")
+            "was a starter; the solver returned a wrong solution")
     return TriplicationResult(
         starter_a=starter_a,
         starter_b=starter_b,
         table=table,
         instance=instance,
         solution=outcome.solution,
-        report_a=report_a,
-        report_b=report_b,
         stats=outcome.stats,
     )

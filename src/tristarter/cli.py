@@ -31,7 +31,6 @@ from .starters import (
     enumerate_strong_starters,
     hill_climb,
     kernel_backend,
-    verify_pairing,
 )
 from .triplication import build_table
 
@@ -62,13 +61,9 @@ def _report_obj(result, base, key) -> dict:
         obj["starter_a"] = pairing_to_obj(result.starter_a)
         obj["starter_b"] = pairing_to_obj(result.starter_b)
         obj["verification"] = {
-            "a": {"is_partition": result.report_a.is_partition,
-                  "is_starter": result.report_a.is_starter,
-                  "is_strong": result.report_a.is_strong},
-            "b": {"is_partition": result.report_b.is_partition,
-                  "is_starter": result.report_b.is_starter,
-                  "is_strong": result.report_b.is_strong},
-        }
+            name: {flag: getattr(starter.report, flag)
+                   for flag in ("is_partition", "is_starter", "is_strong")}
+            for name, starter in (("a", result.starter_a), ("b", result.starter_b))}
     else:
         obj["cause"] = result.cause
     return obj
@@ -76,7 +71,7 @@ def _report_obj(result, base, key) -> dict:
 
 def _cmd_verify(args) -> int:
     pairing = load_starter(args.starter)
-    report = verify_pairing(pairing)
+    report = pairing.report
     print(f"order {pairing.modulus}: partition={report.is_partition} "
           f"starter={report.is_starter} strong={report.is_strong}")
     for line in report.diagnostics:
@@ -202,7 +197,7 @@ def _cmd_invert(args) -> int:
     if verdict.failed_difference is not None:
         print(f"row with difference {verdict.failed_difference} admits no valid ordering")
     for cand in verdict.candidates:
-        flags = cand.report
+        flags = cand.base.report
         print(f"candidate key={cand.key} starter={flags.is_starter} "
               f"strong={flags.is_strong}: "
               + " ".join(f"{a},{b}" for a, b in cand.base.pairs))

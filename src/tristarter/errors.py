@@ -37,3 +37,9 @@ class ExternalSolverError(TristarterError):
 
 class InternalConsistencyError(TristarterError):
     """A guaranteed invariant failed; indicates a bug, not bad input."""
+
+
+def require_int(name: str, value, low: int, high: int = 2**63 - 1) -> None:
+    """Refuse ``value`` unless it is an int, not a bool, in [low, high] (C's LLONG_MAX)."""
+    if type(value) is not int or not low <= value <= high:
+        raise StructuralError(f"{name} must be an integer in [{low}, {high}], got {value!r}")

@@ -93,7 +93,7 @@ def _record_for(base: Pairing, key: int, seed: Optional[int]) -> RunRecord:
     status = _STATUS_SHORT.get(result.status, result.status)
     digest = ""
     if isinstance(result, TriplicationResult):
-        # triplicate strong-verified the starter (result.report_a).
+        # triplicate strong-verified the starter (result.starter_a.report).
         digest = starter_digest(result.starter_a)
     return RunRecord(
         order_base=base.modulus,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RefusedError
-from .starters import Pair, Pairing, VerificationReport, verify_pairing
+from .starters import Pair, Pairing, verify_pairing
 from .triplication import check_base_order
 
 FALSE = "False"
@@ -40,7 +40,6 @@ INCONCLUSIVE = "Inconclusive"
 class Candidate:
     base: Pairing
     key: int
-    report: VerificationReport
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def group_rows(starter: Pairing) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     of difference representative d, for d = 0..q.
     """
     p = base_order_of(starter.modulus)
-    report = verify_pairing(starter)
+    report = verify_pairing(starter)   # not .report: a census would keep one per starter
     if not report.is_starter:
         raise RefusedError(
             "input is not a starter: " + "; ".join(report.diagnostics))
@@ -117,5 +116,5 @@ def inverse_test(starter: Pairing) -> InverseVerdict:
     candidates = []
     for combo in itertools.product(*per_row):
         base = Pairing(p, tuple(ordering[0] for ordering in combo))
-        candidates.append(Candidate(base, t, verify_pairing(base)))
+        candidates.append(Candidate(base, t))
     return InverseVerdict(status=INCONCLUSIVE, key=t, candidates=tuple(candidates))

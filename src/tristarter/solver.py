@@ -27,6 +27,8 @@ earlier variable is nonzero.
 `enumerate_solutions` runs one search with neither restarts nor the phi
 fix, so its result is the complete, phi-closed solution set.  Everything
 is deterministic for a fixed (instance, config) apart from wall-clock time.
+`solve` and `enumerate_solutions` check each solution with `check_solution`;
+`assembly.triplicate` calls `_search`, and verifies its merged starters instead.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .errors import InternalConsistencyError, SearchBudgetError, StructuralError
+from .errors import InternalConsistencyError, SearchBudgetError, StructuralError, require_int
 from .model import Solution, SudokuInstance, check_solution, phi_fixed_var
 
 SAT = "SAT"
@@ -57,9 +59,9 @@ class SolverConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
-        if self.step_budget < 1:
-            raise StructuralError(
-                f"step_budget must be at least 1, got {self.step_budget!r}")
+        if type(self.seed) is not int:   # bool is refused too
+            raise StructuralError(f"seed must be an integer, got {self.seed!r}")
+        require_int("step_budget", self.step_budget, 1)
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,17 @@ def _branch_order(instance: SudokuInstance) -> list[int]:
     return list(range(2 * len(instance.table.extension)))
 
 
-def _checked(
-    instance: SudokuInstance, status: int, solutions: list[Solution]
-) -> list[Solution]:
-    if status == -1:
-        raise InternalConsistencyError(
-            "propagation left a derived variable undetermined")
+def _run_kernel(instance: SudokuInstance, arrays: tuple, budget: int, cap: int,
+                seed: int, unit: int) -> tuple:
+    """One `_kernels.fd_search` call; its status -1, a bug, raises here."""
+    result = _kernels.fd_search(
+        instance.num_variables, *arrays, _branch_order(instance), budget, cap, seed, unit)
+    if result[0] == -1:
+        raise InternalConsistencyError("propagation left a derived variable undetermined")
+    return result
+
+
+def _checked(instance: SudokuInstance, solutions: list[Solution]) -> list[Solution]:
     for sol in solutions:
         ok, violated = check_solution(instance, sol)
         if not ok:
@@ -97,8 +104,8 @@ def _checked(
     return solutions
 
 
-def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
-    """Decide the instance; SAT outcomes carry a checked total assignment."""
+def _search(instance: SudokuInstance, config: SolverConfig) -> SolveOutcome:
+    """`solve` without its `check_solution` of the solution."""
     if instance.trivially_unsat_reason is not None:
         return SolveOutcome(UNSAT, None, SolveStats(0, 0, 0, 0, 0))
     start = time.perf_counter()
@@ -106,17 +113,23 @@ def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> So
     fixed = phi_fixed_var(instance)
     if fixed is not None:
         arrays = ([instance.z_id, fixed], [0, 1]) + arrays[2:]
-    status, raw, decisions, backtracks, props, restarts = _kernels.fd_search(
-        instance.num_variables, *arrays, _branch_order(instance),
-        config.step_budget, 1, config.seed, RESTART_UNIT)
+    status, raw, decisions, backtracks, props, restarts = _run_kernel(
+        instance, arrays, config.step_budget, 1, config.seed, RESTART_UNIT)
     duration_ms = int(round((time.perf_counter() - start) * 1000))
     stats = SolveStats(decisions, backtracks, props, restarts, duration_ms)
-    solutions = _checked(instance, status, raw)
-    if solutions:
-        return SolveOutcome(SAT, solutions[0], stats)
+    if raw:
+        return SolveOutcome(SAT, raw[0], stats)
     if status == 2:
         return SolveOutcome(BUDGET_EXHAUSTED, None, stats)
     return SolveOutcome(UNSAT, None, stats)
+
+
+def solve(instance: SudokuInstance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
+    """Decide the instance; SAT outcomes carry a checked total assignment."""
+    outcome = _search(instance, config)
+    if outcome.solution is not None:
+        _checked(instance, [outcome.solution])
+    return outcome
 
 
 def enumerate_solutions(
@@ -130,15 +143,12 @@ def enumerate_solutions(
     the step budget raises `SearchBudgetError` rather than returning a
     truncated set silently.
     """
-    if cap < 1:
-        raise StructuralError(f"enumeration needs a cap >= 1, got {cap!r}")
+    require_int("cap", cap, 1)
     if instance.trivially_unsat_reason is not None:
         return []
-    status, raw, decisions, *_ = _kernels.fd_search(
-        instance.num_variables, *instance.search_arrays(), _branch_order(instance),
-        config.step_budget, cap, 0, 0)    # one run: no seed, no restarts
-    solutions = _checked(instance, status, raw)
+    status, raw, decisions, *_ = _run_kernel(   # one run: no seed, no restarts
+        instance, instance.search_arrays(), config.step_budget, cap, 0, 0)
     if status == 2:
         raise SearchBudgetError(
             f"enumeration stopped after {decisions} decisions")
-    return solutions
+    return _checked(instance, raw)

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import _kernels
-from .errors import InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError
+from .errors import (
+    InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError, require_int)
 
 Pair = tuple[int, int]
 
@@ -57,6 +59,11 @@ class Pairing:
 
     def elements(self) -> tuple[int, ...]:
         return tuple([x for pair in self.pairs for x in pair])
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """`verify_pairing` of this pairing, run on first use and kept."""
+        return verify_pairing(self)
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,7 @@ def normalize(pairing: Pairing) -> Pairing:
 
 def reduce_mod(pairing: Pairing, m: int) -> tuple[Pair, ...]:
     """Entrywise reduction mod a divisor m of the order, in pair and entry order."""
-    if not isinstance(m, int) or m < 2:
-        raise StructuralError(f"reduction modulus must be an integer >= 2, got {m!r}")
+    require_int("reduction modulus", m, 2)
     if pairing.modulus % m != 0:
         raise StructuralError(f"{m} does not divide the order {pairing.modulus}")
     return tuple((a % m, b % m) for a, b in pairing.pairs)
@@ -195,6 +201,8 @@ def enumerate_strong_starters(
     """
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise StructuralError(f"order must be an odd integer >= 3, got {n!r}")
+    if cap is not None:
+        require_int("cap", cap, 0)
     if bound > DEFAULT_ENUMERATION_BOUND:
         warnings.warn(
             f"enumeration bound {bound} above the default "
@@ -224,7 +232,7 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
             f"hill climb for order {n} exhausted {max_steps} steps "
             f"(seed {seed}); retry with another seed or a larger budget")
     result = Pairing(n, tuple(pairs))
-    if not verify_pairing(result).is_strong:
+    if not result.report.is_strong:
         raise InternalConsistencyError(
             f"hill climb returned a non-strong pairing for order {n}")
     return result

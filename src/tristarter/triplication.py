@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RefusedError, StructuralError
-from .starters import Pair, Pairing, VerificationReport, pair_sums, verify_pairing
+from .errors import RefusedError, require_int
+from .starters import Pair, Pairing
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class TriplicationTable:
     key: int
     q: int
     extension: tuple[Pair, ...]
-    base_report: VerificationReport
 
     @property
     def p(self) -> int:
@@ -44,17 +43,15 @@ def build_table(base: Pairing, key: int) -> TriplicationTable:
     """Build the triplication table for (base, key).
 
     The base order must pass `check_base_order` and the base must verify as
-    a starter.  Strongness is not required here; `assembly.triplicate`
-    checks it.
+    a starter (``base.report``, verified once per base).  Strongness is not
+    required here; `assembly.triplicate` checks it.
     """
     p = base.modulus
     check_base_order(p)
-    if type(key) is not int or not 0 <= key < p:   # bool is refused too
-        raise StructuralError(f"key must lie in [0, {p}), got {key!r}")
-    report = verify_pairing(base)
-    if not report.is_starter:
+    require_int("key", key, 0, p - 1)
+    if not base.report.is_starter:
         raise RefusedError(
-            "base is not a starter: " + "; ".join(report.diagnostics))
+            "base is not a starter: " + "; ".join(base.report.diagnostics))
     t = key
     ext: list[Pair] = [(t, t)]
     for x, y in base.pairs:
@@ -66,7 +63,6 @@ def build_table(base: Pairing, key: int) -> TriplicationTable:
         key=key,
         q=len(base.pairs),
         extension=tuple(ext),
-        base_report=report,
     )
 
 
@@ -88,7 +84,7 @@ def compute_weak_sets(table: TriplicationTable) -> dict[int, tuple[int, ...]]:
 
 def _forbidden_keys(base: Pairing) -> set[int]:
     """A solvable instance requires the key to avoid 0 and the base pair sums."""
-    return {0, *pair_sums(base)}
+    return {0, *base.report.pair_sums}
 
 
 def check_key_admissible(base: Pairing, key: int) -> tuple[bool, str]:

@@ -79,7 +79,7 @@ def test_criterion_01_golden_end_to_end():
     result = triplicate(T7, DEMO_KEY)
     assert isinstance(result, TriplicationResult)
     assert result.starter_a.modulus == 21
-    assert result.report_a.is_strong and result.report_b.is_strong
+    assert result.starter_a.report.is_strong and result.starter_b.report.is_strong
 
     table = build_table(T7, DEMO_KEY)
     instance = encode(table)
@@ -111,7 +111,7 @@ def test_criterion_03_admissible_key_sweep(sweep_tables):
     for p, key, result in sweep_tables:
         assert isinstance(result, TriplicationResult), f"p={p} key={key}: {result.status}"
         assert result.starter_a.modulus == 3 * p
-        assert result.report_a.is_strong and result.report_b.is_strong
+        assert result.starter_a.report.is_strong and result.starter_b.report.is_strong
         count += 1
     expected = sum((p - 1) // 2 for p in SWEEP_ORDERS)
     assert count == expected
@@ -175,7 +175,7 @@ def test_criterion_07_inverse_examples():
     assert len(v2.candidates) == 1
     cand = v2.candidates[0]
     assert cand.base.pairs == T13.pairs and cand.key == T13_KEY
-    assert cand.report.is_starter and not cand.report.is_strong
+    assert cand.base.report.is_starter and not cand.base.report.is_strong
 
     blocked = triplicate(T13, 3, allow_nonstrong=True)
     assert isinstance(blocked, UnsatReport) and blocked.status == "UNSAT"

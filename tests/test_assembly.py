@@ -1,6 +1,7 @@
 import pytest
 
 from tristarter import (
+    InternalConsistencyError,
     KeyNotAdmissibleError,
     RefusedError,
     SolverConfig,
@@ -8,6 +9,7 @@ from tristarter import (
     UnsatReport,
     apply_phi,
     build_table,
+    check_solution,
     crt,
     crt_merge,
     encode,
@@ -20,6 +22,8 @@ from tristarter import (
     uv_pairs,
     verify_pairing,
 )
+from tristarter import solver
+from tristarter.assembly import _merge_both
 from tristarter.triplication import admissible_keys
 
 from fixtures import (
@@ -54,8 +58,9 @@ def test_crt_bijection(p):
 
 
 def test_crt_refuses_multiple_of_three():
-    with pytest.raises(RefusedError):
-        crt(1, 1, 9)
+    for p in (9, -7):   # and a p below 1, which has no residues to lift
+        with pytest.raises(RefusedError):
+            crt(1, 1, p)
 
 
 def test_known_solution_merges_exactly():
@@ -85,7 +90,7 @@ def test_pipeline_demo():
     result = triplicate(T7, DEMO_KEY)
     assert isinstance(result, TriplicationResult)
     assert result.starter_a.modulus == 21
-    assert result.report_a.is_strong and result.report_b.is_strong
+    assert result.starter_a.report.is_strong and result.starter_b.report.is_strong
     assert result.starter_a.pairs != result.starter_b.pairs
 
 
@@ -106,7 +111,7 @@ def test_pipeline_nonstrong_base_needs_override():
     result = triplicate(T13, T13_KEY, allow_nonstrong=True)
     assert isinstance(result, TriplicationResult)
     assert result.starter_a.modulus == 39
-    assert result.report_a.is_strong
+    assert result.starter_a.report.is_strong
 
 
 def test_pipeline_t13_key3_reports_weak_set():
@@ -160,10 +165,57 @@ def test_one_pass_merge_matches_crt_merge(p):
 def test_phi_pair_differs():
     result = triplicate(T7, 2)
     assert normalize(result.starter_a) != normalize(result.starter_b)
-    assert result.report_b.is_strong
+    assert result.starter_b.report.is_strong
 
 
 def test_budget_exhaustion_reported():
     result = triplicate(T7, DEMO_KEY, config=SolverConfig(step_budget=2))
     assert isinstance(result, UnsatReport)
     assert result.status == "BUDGET_EXHAUSTED"
+
+
+# the bases of a p = 13 and a p = 31 key sweep
+SWEEP_BASES = {p: hill_climb(p, seed=1) for p in (13, 31)}
+
+
+@pytest.mark.parametrize("p, key", [
+    (p, key) for p, base in SWEEP_BASES.items() for key in admissible_keys(base)])
+def test_merged_verification_refuses_every_single_uv_change(p, key):
+    # The merged starters are strong exactly when the U/V values satisfy the
+    # instance (with D = U - V, S = U + V), which lets their verification be
+    # triplicate's one check of a SAT key.  Every change of one U or V value,
+    # D, S and Z re-derived, must be refused by check_solution and by the
+    # verification of both merges.  Changes to D, S or Z alone are left out:
+    # the merge reads only U and V, so no merged starter can see them.
+    result = triplicate(SWEEP_BASES[p], key)
+    assert isinstance(result, TriplicationResult)
+    instance = result.instance
+    uv = [list(pair) for pair in uv_pairs(instance, result.solution)]
+    changes = 0
+    for i in range(len(uv)):
+        for side in (0, 1):
+            for step in (1, 2):
+                changed = [list(pair) for pair in uv]
+                changed[i][side] = (changed[i][side] + step) % 3
+                sol = solution_from_uv(instance, changed)
+                assert not check_solution(instance, sol)[0]
+                starter_a, starter_b = _merge_both(result.table, sol)
+                assert not verify_pairing(starter_a).is_strong
+                assert not verify_pairing(starter_b).is_strong
+                changes += 1
+    assert changes == 4 * len(uv)
+
+
+def test_a_wrong_kernel_solution_is_caught(monkeypatch, fd_search_backends):
+    # triplicate checks the kernel's solution only through the merged
+    # starters; one flipped U must still raise, on every backend
+    for fd_search in fd_search_backends:
+        def flipped(*args, fd_search=fd_search):
+            status, solutions, *counts = fd_search(*args)
+            sol = list(solutions[0])
+            sol[0] = (sol[0] + 1) % 3
+            return (status, [tuple(sol)], *counts)
+
+        monkeypatch.setattr(solver._kernels, "fd_search", flipped)
+        with pytest.raises(InternalConsistencyError, match="strong verification"):
+            triplicate(T7, DEMO_KEY)

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from tristarter import RefusedError, hill_climb, verify_pairing
+from tristarter import RefusedError, check_solution, hill_climb, verify_pairing
 from tristarter.files import load_starter
 from tristarter.harness import (
     CSV_HEADER,
@@ -39,6 +41,34 @@ def test_repeat_subseries_refuses_a_nonstrong_starter():
     # the series harness refuses T13 (a starter, not strong) as a base
     with pytest.raises(RefusedError, match="not strong"):
         run_key_sweep(T13)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` at every name a tristarter module binds it to; the list
+    collects the arguments of each call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tristarter") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_key_sweep_verifies_its_base_once_and_checks_no_solution(monkeypatch):
+    # each SAT key is checked only through its two merged starters, and the
+    # base is verified once, by hill_climb or on the first key
+    verified = _count_calls(monkeypatch, verify_pairing)
+    checked = _count_calls(monkeypatch, check_solution)
+    base = hill_climb(13, seed=1)
+    records = run_key_sweep(base)
+    assert len(records) == 6 and all(r.status == "SAT" for r in records)
+    assert [args for args in verified if args[0].modulus == 13] == [(base,)]
+    assert sum(args[0].modulus == 39 for args in verified) == 2 * len(records)
+    assert checked == []
 
 
 def test_digest_is_normalization_invariant():

@@ -60,7 +60,7 @@ def test_example2_inconclusive_unique_candidate():
     cand = verdict.candidates[0]
     assert cand.base.pairs == T13.pairs
     assert cand.key == T13_KEY
-    assert cand.report.is_starter and not cand.report.is_strong
+    assert cand.base.report.is_starter and not cand.base.report.is_strong
 
 
 def test_reconstruct_candidates_empty_for_false_input():

@@ -96,6 +96,22 @@ def test_step_budget_below_one_refused():
             SolverConfig(step_budget=budget)
 
 
+def test_solver_config_refuses_what_the_kernels_cannot_take(
+        monkeypatch, demo_instance, fd_search_backends):
+    # True once ran as a budget of 1, 2**63 overflowed the C kernel's long
+    # long at solve time, and a float seed failed inside the kernel
+    for field, value in (("step_budget", True), ("step_budget", 2**63),
+                         ("step_budget", 2.0), ("seed", 1.5), ("seed", False)):
+        with pytest.raises(StructuralError, match=field):
+            SolverConfig(**{field: value})
+    # the largest budget and a seed past 64 bits run on every backend
+    config = SolverConfig(seed=2**70 + 3, step_budget=2**63 - 1)
+    for fd_search in fd_search_backends:
+        monkeypatch.setattr(_kernels, "fd_search", fd_search)
+        assert solve(demo_instance, config).status == "SAT"
+        assert len(enumerate_solutions(demo_instance, 2**63 - 1, config)) == 216
+
+
 def test_luby_sequence():
     assert [luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
@@ -186,8 +202,9 @@ def test_enumeration_cap_required(demo_instance):
     assert len(sols) == 3
     with pytest.raises(TypeError):
         enumerate_solutions(demo_instance)  # no cap
-    with pytest.raises(StructuralError):
-        enumerate_solutions(demo_instance, cap=0)
+    for cap in (0, -1, True, 2.0, 2**63):
+        with pytest.raises(StructuralError):
+            enumerate_solutions(demo_instance, cap=cap)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])

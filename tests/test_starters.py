@@ -170,6 +170,9 @@ def test_enumeration_matches_matching_filter_oracle(n):
 def test_enumeration_bound_refusal():
     with pytest.raises(RefusedError):
         enumerate_strong_starters(23)
+    for cap in (-1, True, 2.0, 2**63):   # -1 once returned count=2, starters=()
+        with pytest.raises(StructuralError, match="cap"):
+            enumerate_strong_starters(7, cap=cap)
     with pytest.warns(UserWarning):
         with pytest.raises(RefusedError):
             enumerate_strong_starters(27, bound=25)
