@@ -40,14 +40,12 @@ def crt(residue_p: int, residue_3: int, p: int) -> int:
     return _crt_lift(p)[3 * (residue_p % p) + residue_3 % 3]
 
 
-def crt_merge(
-    table: TriplicationTable, solution: Solution, instance: SudokuInstance
-) -> Pairing:
-    """Merge extension and solution pairwise into a pairing of order 3p.
+def crt_merge(instance: SudokuInstance, solution: Solution) -> Pairing:
+    """Merge the instance's extension with the solution into a pairing of order 3p.
 
-    The solution must satisfy the instance encoded from the table; otherwise
-    the strongness guarantee would not apply and the merge is refused.  For
-    the phi-paired starter, merge ``apply_phi(solution)``.
+    The solution must satisfy the instance; otherwise the strongness
+    guarantee would not apply and the merge is refused.  For the
+    phi-paired starter, merge ``apply_phi(solution)``.
     """
     ok, violated = check_solution(instance, solution)
     if not ok:
@@ -56,7 +54,7 @@ def crt_merge(
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    return _merge_both(table, solution)[0]
+    return _merge_both(instance.table, solution)[0]
 
 
 def _merge_both(table: TriplicationTable, solution: Solution) -> tuple[Pairing, Pairing]:
@@ -87,7 +85,6 @@ class TriplicationResult:
 
     starter_a: Pairing
     starter_b: Pairing
-    table: TriplicationTable
     instance: SudokuInstance
     solution: Solution
     stats: SolveStats
@@ -103,7 +100,6 @@ class UnsatReport:
 
     status: str
     cause: Optional[str]
-    table: TriplicationTable
     instance: SudokuInstance
     stats: SolveStats
 
@@ -142,7 +138,7 @@ def triplicate(
             cause = f"step budget {config.step_budget} exhausted"
         else:
             cause = None if admissible else reason
-        return UnsatReport(outcome.status, cause, table, instance, outcome.stats)
+        return UnsatReport(outcome.status, cause, instance, outcome.stats)
 
     # The one check of the solution.  It also keeps the merges apart: they
     # coincide only where every U and V is 0, which merges to no starter.
@@ -154,7 +150,6 @@ def triplicate(
     return TriplicationResult(
         starter_a=starter_a,
         starter_b=starter_b,
-        table=table,
         instance=instance,
         solution=outcome.solution,
         stats=outcome.stats,

@@ -46,7 +46,7 @@ def _report_obj(result, base, key) -> dict:
         "order_result": 3 * base.modulus,
         "key": key,
         "base": pairing_to_obj(base),
-        "extension": [list(p) for p in result.table.extension],
+        "extension": [list(p) for p in result.instance.table.extension],
         "stats": {
             "decisions": result.stats.decisions,
             "backtracks": result.stats.backtracks,
@@ -196,11 +196,11 @@ def _cmd_invert(args) -> int:
     print(f"verdict: {verdict.status} (key {verdict.key})")
     if verdict.failed_difference is not None:
         print(f"row with difference {verdict.failed_difference} admits no valid ordering")
-    for cand in verdict.candidates:
-        flags = cand.base.report
-        print(f"candidate key={cand.key} starter={flags.is_starter} "
+    for base in verdict.candidates:
+        flags = base.report
+        print(f"candidate key={verdict.key} starter={flags.is_starter} "
               f"strong={flags.is_strong}: "
-              + " ".join(f"{a},{b}" for a, b in cand.base.pairs))
+              + " ".join(f"{a},{b}" for a, b in base.pairs))
     return EXIT_OK
 
 

@@ -44,8 +44,12 @@ _FORBIDDEN = {
 @dataclass(frozen=True)
 class CnfDocument:
     num_ternary: int
-    num_bools: int
     clauses: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_bools(self) -> int:
+        """Three one-hot booleans per ternary variable."""
+        return 3 * self.num_ternary
 
 
 def export_dimacs(instance: SudokuInstance) -> CnfDocument:
@@ -67,11 +71,7 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
             nx, ny = -first[x], -first[y]
             clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
 
-    return CnfDocument(
-        num_ternary=n,
-        num_bools=3 * n,
-        clauses=tuple(clauses),
-    )
+    return CnfDocument(num_ternary=n, clauses=tuple(clauses))
 
 
 def to_dimacs_text(doc: CnfDocument) -> str:
@@ -149,11 +149,7 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             raise StructuralError(
                 f"line {lineno}: 'c tmap {t} {base}' must map a ternary "
                 f"0 <= t < {num_ternary} to boolean 3t + 1")
-    return CnfDocument(
-        num_ternary=num_ternary,
-        num_bools=num_bools,
-        clauses=tuple(clauses),
-    )
+    return CnfDocument(num_ternary=num_ternary, clauses=tuple(clauses))
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:

@@ -43,3 +43,9 @@ def require_int(name: str, value, low: int, high: int = 2**63 - 1) -> None:
     """Refuse ``value`` unless it is an int, not a bool, in [low, high] (C's LLONG_MAX)."""
     if type(value) is not int or not low <= value <= high:
         raise StructuralError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def require_seed(value) -> None:
+    """Refuse a seed unless it is an int, not a bool; any size is a seed."""
+    if type(value) is not int:
+        raise StructuralError(f"seed must be an integer, got {value!r}")

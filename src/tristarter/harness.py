@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from . import _kernels
 from .assembly import TriplicationResult, triplicate
-from .errors import RefusedError, TristarterError
+from .errors import TristarterError, require_int, require_seed
 from .inverse import INCONCLUSIVE, base_order_of, inverse_test
 from .solver import BUDGET_EXHAUSTED
 from .starters import (
@@ -43,7 +43,6 @@ _STATUS_SHORT = {BUDGET_EXHAUSTED: "BUDGET"}
 @dataclass(frozen=True)
 class RunRecord:
     order_base: int
-    order_result: int
     key: int
     status: str           # SAT | UNSAT | BUDGET
     solve_ms: int
@@ -54,7 +53,7 @@ class RunRecord:
 
     def row(self) -> list:
         return [
-            self.order_base, self.order_result, self.key, self.status,
+            self.order_base, 3 * self.order_base, self.key, self.status,
             self.solve_ms, self.decisions, self.backtracks,
             self.starter_digest, "" if self.seed is None else self.seed,
         ]
@@ -71,9 +70,18 @@ class SamplingSummary:
     order: int
     samples: int
     inconclusive: int
-    fraction: float
     generation_failures: int
-    sampler: str          # uniform | hill-climb
+
+    @property
+    def fraction(self) -> float:
+        """Inconclusive share of the tested samples; 0.0 when none was tested."""
+        tested = self.samples - self.generation_failures
+        return self.inconclusive / tested if tested else 0.0
+
+    @property
+    def sampler(self) -> str:
+        """'uniform' up to the enumeration bound, else 'hill-climb'."""
+        return "uniform" if self.order <= DEFAULT_ENUMERATION_BOUND else "hill-climb"
 
 
 def starter_digest(pairing: Pairing) -> str:
@@ -97,7 +105,6 @@ def _record_for(base: Pairing, key: int, seed: Optional[int]) -> RunRecord:
         digest = starter_digest(result.starter_a)
     return RunRecord(
         order_base=base.modulus,
-        order_result=3 * base.modulus,
         key=key,
         status=status,
         solve_ms=result.stats.duration_ms,
@@ -120,6 +127,7 @@ def run_key_sweep(base: Pairing) -> list[RunRecord]:
 
 def run_order_sweep(orders: Sequence[int], seed: int = 0) -> OrderSweepResult:
     """Per order: hill-climb a base, pick a seeded random admissible key, run."""
+    require_seed(seed)
     records = []
     failures = []
     for idx, order in enumerate(orders):
@@ -148,23 +156,18 @@ def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSum
     failures are counted, not fatal.  An order the inverse test refuses is
     refused before any sampling.
     """
-    if samples < 1:
-        raise RefusedError(f"samples must be >= 1, got {samples}")
+    require_int("order", order, 1)
+    require_int("samples", samples, 1)
+    require_seed(seed)
     base_order_of(order)
-    if order <= DEFAULT_ENUMERATION_BOUND:
-        sampler = "uniform"
-        inconclusive, failures = _sample_uniform(order, samples, seed)
-    else:
-        sampler = "hill-climb"
-        inconclusive, failures = _sample_hill_climb(order, samples, seed)
-    tested = samples - failures
+    # The same rule as `SamplingSummary.sampler`.
+    sample = _sample_uniform if order <= DEFAULT_ENUMERATION_BOUND else _sample_hill_climb
+    inconclusive, failures = sample(order, samples, seed)
     return SamplingSummary(
         order=order,
         samples=samples,
         inconclusive=inconclusive,
-        fraction=inconclusive / tested if tested else 0.0,
         generation_failures=failures,
-        sampler=sampler,
     )
 
 

@@ -17,9 +17,9 @@ so a passing ordering *is* the construction row (x, y), (t+x, t+y),
 distinct first pairs.  Any group with no passing ordering proves the
 starter is not a triplication image (verdict False); otherwise the
 verdict is Inconclusive and every combination of passing orderings yields
-a candidate (base, key): the base is the first pairs, oriented to [1, q]
-representatives and ordered by ascending difference, and rebuilding its
-table reproduces the observed rows by construction.
+a candidate base for the key t: its first pairs, oriented to [1, q]
+representatives and ordered by ascending difference.  Rebuilding the table
+of (base, t) reproduces the observed rows by construction.
 """
 
 from __future__ import annotations
@@ -37,16 +37,12 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class Candidate:
-    base: Pairing
-    key: int
-
-
-@dataclass(frozen=True)
 class InverseVerdict:
+    """The verdict and, when Inconclusive, the candidate bases, all with key ``key``."""
+
     status: str
     key: int
-    candidates: tuple[Candidate, ...]
+    candidates: tuple[Pairing, ...]
     failed_difference: Optional[int] = None
 
 
@@ -68,7 +64,9 @@ def group_rows(starter: Pairing) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     of difference representative d, for d = 0..q.
     """
     p = base_order_of(starter.modulus)
-    report = verify_pairing(starter)   # not .report: a census would keep one per starter
+    report = starter.__dict__.get("report")   # the cached `Pairing.report`, if any
+    if report is None:
+        report = verify_pairing(starter)   # not .report: a census would keep one per starter
     if not report.is_starter:
         raise RefusedError(
             "input is not a starter: " + "; ".join(report.diagnostics))
@@ -113,8 +111,6 @@ def inverse_test(starter: Pairing) -> InverseVerdict:
             return InverseVerdict(
                 status=FALSE, key=t, candidates=(), failed_difference=d)
         per_row.append(orderings)
-    candidates = []
-    for combo in itertools.product(*per_row):
-        base = Pairing(p, tuple(ordering[0] for ordering in combo))
-        candidates.append(Candidate(base, t))
-    return InverseVerdict(status=INCONCLUSIVE, key=t, candidates=tuple(candidates))
+    candidates = tuple(Pairing(p, tuple(ordering[0] for ordering in combo))
+                       for combo in itertools.product(*per_row))
+    return InverseVerdict(status=INCONCLUSIVE, key=t, candidates=candidates)

@@ -61,8 +61,6 @@ class SudokuInstance:
 
     table: TriplicationTable
     num_variables: int
-    s_ids: dict[int, int] = field(repr=False)
-    z_id: int
     bind_a: list[int] = field(repr=False)
     bind_b: list[int] = field(repr=False)
     bind_c: list[int] = field(repr=False)
@@ -70,6 +68,11 @@ class SudokuInstance:
     ad_flat: list[int] = field(repr=False)
     ad_off: list[int] = field(repr=False)
     trivially_unsat_reason: Optional[str] = None
+
+    @property
+    def z_id(self) -> int:
+        """The fixed zero Z, numbered last."""
+        return self.num_variables - 1
 
     @cached_property
     def provenance(self) -> tuple[str, ...]:
@@ -123,8 +126,6 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     return SudokuInstance(
         table=table,
         num_variables=z_id + 1,
-        s_ids=s_ids,
-        z_id=z_id,
         bind_a=bind_a,
         bind_b=bind_b,
         bind_c=bind_c,
@@ -183,7 +184,10 @@ def apply_phi(solution: Solution) -> Solution:
 
 
 def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
-    """Build a total solution from (U_i, V_i) values, inducing D, S and Z."""
+    """Build a total solution from (U_i, V_i) values, inducing D, S and Z.
+
+    Every bound variable c takes ``a + sign * b`` from its binding; Z stays 0.
+    """
     k = len(instance.table.extension)
     if len(uv) != k:
         raise StructuralError(f"expected {k} (U, V) pairs, got {len(uv)}")
@@ -193,10 +197,9 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
             raise StructuralError(f"pair {i} outside {{0, 1, 2}}: {(u, v)!r}")
         values[2 * i] = u
         values[2 * i + 1] = v
-        values[2 * k + i] = (u - v) % 3
-        if i in instance.s_ids:
-            values[instance.s_ids[i]] = (u + v) % 3
-    values[instance.z_id] = 0
+    for a, b, c, sign in zip(
+            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
+        values[c] = (values[a] + sign * values[b]) % 3
     return tuple(values)
 
 

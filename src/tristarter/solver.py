@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .errors import InternalConsistencyError, SearchBudgetError, StructuralError, require_int
+from .errors import InternalConsistencyError, SearchBudgetError, require_int, require_seed
 from .model import Solution, SudokuInstance, check_solution, phi_fixed_var
 
 SAT = "SAT"
@@ -59,8 +59,7 @@ class SolverConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
-        if type(self.seed) is not int:   # bool is refused too
-            raise StructuralError(f"seed must be an integer, got {self.seed!r}")
+        require_seed(self.seed)
         require_int("step_budget", self.step_budget, 1)
 
 

@@ -18,7 +18,8 @@ from typing import Optional
 
 from . import _kernels
 from .errors import (
-    InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError, require_int)
+    InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError, require_int,
+    require_seed)
 
 Pair = tuple[int, int]
 
@@ -27,6 +28,12 @@ DEFAULT_HILL_CLIMB_STEPS = 1_000_000
 
 # orders with no strong starter; everything else odd >= 7 works
 _NO_STRONG_STARTER = frozenset({3, 5, 9})
+
+
+def _require_odd_order(name: str, n) -> None:
+    """Refuse ``n`` unless it is an odd int, not a bool, of at least 3."""
+    if type(n) is not int or n < 3 or n % 2 == 0:
+        raise StructuralError(f"{name} must be an odd integer >= 3, got {n!r}")
 
 
 def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None:
@@ -52,8 +59,7 @@ class Pairing:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 3 or self.modulus % 2 == 0:
-            raise StructuralError(f"modulus must be an odd integer >= 3, got {self.modulus!r}")
+        _require_odd_order("modulus", self.modulus)
         object.__setattr__(self, "pairs", tuple(tuple(pair) for pair in self.pairs))
         _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
 
@@ -199,10 +205,10 @@ def enumerate_strong_starters(
     the search).  Orders above ``bound`` are refused; raising the bound past
     the default emits a warning because the search space grows steeply.
     """
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise StructuralError(f"order must be an odd integer >= 3, got {n!r}")
+    _require_odd_order("order", n)
     if cap is not None:
         require_int("cap", cap, 0)
+    require_int("bound", bound, 0)
     if bound > DEFAULT_ENUMERATION_BOUND:
         warnings.warn(
             f"enumeration bound {bound} above the default "
@@ -222,8 +228,9 @@ def enumerate_strong_starters(
 
 def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS) -> Pairing:
     """Generate a strong starter of order n; deterministic for fixed (n, seed)."""
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise StructuralError(f"order must be an odd integer >= 3, got {n!r}")
+    _require_odd_order("order", n)
+    require_seed(seed)
+    require_int("max_steps", max_steps, 1)
     if n in _NO_STRONG_STARTER:
         raise RefusedError(f"no strong starter of order {n} exists")
     pairs = _kernels.hill_climb_pairs(n, seed, max_steps)

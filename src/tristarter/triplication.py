@@ -24,12 +24,16 @@ from .starters import Pair, Pairing
 class TriplicationTable:
     base: Pairing
     key: int
-    q: int
     extension: tuple[Pair, ...]
 
     @property
     def p(self) -> int:
         return self.base.modulus
+
+    @property
+    def q(self) -> int:
+        """Pairs of the base, and rows of the table."""
+        return len(self.base.pairs)
 
 
 def check_base_order(p: int) -> None:
@@ -58,12 +62,7 @@ def build_table(base: Pairing, key: int) -> TriplicationTable:
         ext.append((x, y))
         ext.append(((t + x) % p, (t + y) % p))
         ext.append(((t - y) % p, (t - x) % p))
-    return TriplicationTable(
-        base=base,
-        key=key,
-        q=len(base.pairs),
-        extension=tuple(ext),
-    )
+    return TriplicationTable(base=base, key=key, extension=tuple(ext))
 
 
 def row_differences(table: TriplicationTable) -> tuple[int, ...]:

@@ -81,13 +81,12 @@ def test_criterion_01_golden_end_to_end():
     assert result.starter_a.modulus == 21
     assert result.starter_a.report.is_strong and result.starter_b.report.is_strong
 
-    table = build_table(T7, DEMO_KEY)
-    instance = encode(table)
+    instance = encode(build_table(T7, DEMO_KEY))
     known = solution_from_uv(instance, DEMO_SIGMA3)
     ok, violated = check_solution(instance, known)
     assert ok, violated
-    assert crt_merge(table, known, instance).pairs == DEMO_STARTER_A
-    assert crt_merge(table, apply_phi(known), instance).pairs == DEMO_STARTER_B
+    assert crt_merge(instance, known).pairs == DEMO_STARTER_A
+    assert crt_merge(instance, apply_phi(known)).pairs == DEMO_STARTER_B
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("1 golden end-to-end", f"{elapsed * 1000:.0f} ms")
@@ -137,7 +136,7 @@ def test_criterion_04_merge_invariants(small_order_solutions):
     merges = 0
     for p, key, table, instance, sols in small_order_solutions:
         for sol in sols:
-            merged = crt_merge(table, sol, instance)
+            merged = crt_merge(instance, sol)
             assert verify_pairing(merged).is_strong
             assert merged.modulus == 3 * p
             assert reduce_mod(merged, p) == table.extension
@@ -174,8 +173,8 @@ def test_criterion_07_inverse_examples():
     assert v2.status == "Inconclusive"
     assert len(v2.candidates) == 1
     cand = v2.candidates[0]
-    assert cand.base.pairs == T13.pairs and cand.key == T13_KEY
-    assert cand.base.report.is_starter and not cand.base.report.is_strong
+    assert cand.pairs == T13.pairs and v2.key == T13_KEY
+    assert cand.report.is_starter and not cand.report.is_strong
 
     blocked = triplicate(T13, 3, allow_nonstrong=True)
     assert isinstance(blocked, UnsatReport) and blocked.status == "UNSAT"
@@ -197,8 +196,8 @@ def test_criterion_08_round_trip_sampling():
             verdict = inverse_test(result.starter_a)
             assert verdict.status == "Inconclusive", f"p={p} seed={seed} key={key}"
             canon = normalize(base)
-            assert any(normalize(c.base) == canon and c.key == key
-                       for c in verdict.candidates)
+            assert verdict.key == key
+            assert any(normalize(c) == canon for c in verdict.candidates)
             checked += 1
     assert checked == 60
     report("8 pipeline round trips", "60 random (base, key) runs reconstructed")
@@ -226,7 +225,7 @@ def test_criterion_09_sampling_statistic():
 def test_criterion_10_table_guarantees(sweep_tables):
     tables = 0
     for p, key, result in sweep_tables:
-        table = result.table
+        table = result.instance.table
         deltas = row_differences(table)
         assert deltas[0] == 0
         base_diffs = []

@@ -64,26 +64,23 @@ def test_crt_refuses_multiple_of_three():
 
 
 def test_known_solution_merges_exactly():
-    table = build_table(T7, DEMO_KEY)
-    inst = encode(table)
+    inst = encode(build_table(T7, DEMO_KEY))
     sol = solution_from_uv(inst, DEMO_SIGMA3)
-    assert crt_merge(table, sol, inst).pairs == DEMO_STARTER_A
-    assert crt_merge(table, apply_phi(sol), inst).pairs == DEMO_STARTER_B
+    assert crt_merge(inst, sol).pairs == DEMO_STARTER_A
+    assert crt_merge(inst, apply_phi(sol)).pairs == DEMO_STARTER_B
 
 
 def test_merge_reconstructs_worked_starter():
-    table = build_table(T7, S21_KEY)
-    inst = encode(table)
+    inst = encode(build_table(T7, S21_KEY))
     sol = solution_from_uv(inst, list(S21_MOD3))
-    assert crt_merge(table, sol, inst).pairs == S21.pairs
+    assert crt_merge(inst, sol).pairs == S21.pairs
 
 
 def test_merge_refuses_invalid_solution():
-    table = build_table(T7, DEMO_KEY)
-    inst = encode(table)
+    inst = encode(build_table(T7, DEMO_KEY))
     bad = (0,) * inst.num_variables
     with pytest.raises(RefusedError):
-        crt_merge(table, bad, inst)
+        crt_merge(inst, bad)
 
 
 def test_pipeline_demo():
@@ -132,7 +129,7 @@ def test_ex2_starter_reachable_from_t13():
         by_mod13[(b % 13, a % 13)] = (b % 3, a % 3)
     uv = [by_mod13[pair] for pair in table.extension]
     sol = solution_from_uv(inst, uv)
-    merged = crt_merge(table, sol, inst)
+    merged = crt_merge(inst, sol)
     assert normalize(merged) == normalize(EX2_S39)
 
 
@@ -143,7 +140,7 @@ def test_merges_always_strong_and_round_trip(p):
         table = build_table(base, key)
         inst = encode(table)
         for sol in enumerate_solutions(inst, cap=4):
-            merged = crt_merge(table, sol, inst)
+            merged = crt_merge(inst, sol)
             assert verify_pairing(merged).is_strong
             assert merged.modulus == 3 * p
             assert reduce_mod(merged, p) == table.extension
@@ -157,9 +154,9 @@ def test_one_pass_merge_matches_crt_merge(p):
     base = hill_climb(p, seed=0)
     for key in admissible_keys(base):
         result = triplicate(base, key)
-        table, inst, sol = result.table, result.instance, result.solution
-        assert result.starter_a == crt_merge(table, sol, inst)
-        assert result.starter_b == crt_merge(table, apply_phi(sol), inst)
+        inst, sol = result.instance, result.solution
+        assert result.starter_a == crt_merge(inst, sol)
+        assert result.starter_b == crt_merge(inst, apply_phi(sol))
 
 
 def test_phi_pair_differs():
@@ -199,7 +196,7 @@ def test_merged_verification_refuses_every_single_uv_change(p, key):
                 changed[i][side] = (changed[i][side] + step) % 3
                 sol = solution_from_uv(instance, changed)
                 assert not check_solution(instance, sol)[0]
-                starter_a, starter_b = _merge_both(result.table, sol)
+                starter_a, starter_b = _merge_both(instance.table, sol)
                 assert not verify_pairing(starter_a).is_strong
                 assert not verify_pairing(starter_b).is_strong
                 changes += 1

@@ -349,6 +349,16 @@ def test_triplicate_external_model_is_checked(base_file, tmp_path, capsys, monke
     assert err.startswith("error: external model violates ")
 
 
+def test_readme_library_example_runs(capsys):
+    # The README's Python block runs as shown, so it cannot drift from the API.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == lines[2] == "True"
+    assert lines[-1] == "Inconclusive 1"
+
+
 def test_readme_usage_matches_the_parser():
     # The README's usage block names every subcommand and every series mode,
     # and nothing else; each `--mode` the README shows is a real choice.

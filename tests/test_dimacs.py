@@ -80,7 +80,7 @@ def test_p31_sweep_text_golden():
 
 def test_text_of_every_clause_length():
     doc = CnfDocument(
-        num_ternary=2, num_bools=6,
+        num_ternary=2,
         clauses=((), (1,), (-2, 3), (4, -5, 6), (1, 2, 3, 4), (-1, -2, -3, -4, -5)))
     assert to_dimacs_text(doc) == (
         "c ternary 2 one-hot booleans 6\n"
@@ -92,6 +92,8 @@ def test_text_of_every_clause_length():
         "4 -5 6 0\n"
         "1 2 3 4 0\n"
         "-1 -2 -3 -4 -5 0\n")
+    # the boolean count is derived, so the text always parses back
+    assert parse_dimacs_text(to_dimacs_text(doc)) == doc
 
 
 def _one_hot(values):
@@ -157,7 +159,7 @@ def test_decode_rejects_non_one_hot(demo_doc):
 def test_single_variable_document():
     # one unconstrained ternary variable: 3 bools, 1 ALO + 3 AMO clauses
     doc = CnfDocument(
-        num_ternary=1, num_bools=3,
+        num_ternary=1,
         clauses=((1, 2, 3), (-1, -2), (-1, -3), (-2, -3)))
     assert import_dimacs_model(doc, [-1, 2, -3]) == (1,)
     text = to_dimacs_text(doc)
@@ -233,4 +235,4 @@ def test_parse_dimacs_tmap_must_state_the_numbering(text, lineno):
 def test_parse_dimacs_tmap_stating_the_numbering_is_harmless():
     # a lone line for ternary 1 states the rule; no coverage is required
     doc = parse_dimacs_text("c tmap 1 4\np cnf 6 1\n1 0\n")
-    assert doc == CnfDocument(num_ternary=2, num_bools=6, clauses=((1,),))
+    assert doc == CnfDocument(num_ternary=2, clauses=((1,),))

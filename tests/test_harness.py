@@ -21,7 +21,7 @@ def test_key_sweep_demo_base():
     records = run_key_sweep(T7)
     assert [r.key for r in records] == [1, 2, 4]
     assert all(r.status == "SAT" for r in records)
-    assert all(r.order_base == 7 and r.order_result == 21 for r in records)
+    assert all(r.order_base == 7 and r.row()[1] == 21 for r in records)
     assert all(r.starter_digest for r in records)
 
 

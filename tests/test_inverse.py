@@ -39,6 +39,31 @@ def test_group_rows_refusals():
         group_rows(nonstarter)
 
 
+def test_each_starter_is_verified_once_and_none_is_cached(monkeypatch):
+    # A hill-climbed sample carries the report hill_climb verified; the
+    # inverse test reuses it.  A fresh pairing is verified without caching,
+    # so a census of thousands of starters keeps no report per starter.
+    from tristarter import inverse, starters
+
+    calls = []
+    real = starters.verify_pairing
+
+    def counting(pairing):
+        calls.append(pairing)
+        return real(pairing)
+
+    monkeypatch.setattr(starters, "verify_pairing", counting)
+    monkeypatch.setattr(inverse, "verify_pairing", counting)
+    for seed in range(20):
+        inverse_test(hill_climb(21, seed=seed))
+    assert len(calls) == 20
+    fresh = Pairing(21, calls[0].pairs)
+    calls.clear()
+    assert inverse_test(fresh).status in ("False", "Inconclusive")
+    assert calls == [fresh]
+    assert "report" not in fresh.__dict__
+
+
 def test_example1_row3_has_no_valid_ordering():
     groups, t = group_rows(EX1_S21)
     assert _passing_orderings(groups[3], t, 7) == ()
@@ -58,9 +83,8 @@ def test_example2_inconclusive_unique_candidate():
     assert verdict.key == T13_KEY
     assert len(verdict.candidates) == 1
     cand = verdict.candidates[0]
-    assert cand.base.pairs == T13.pairs
-    assert cand.key == T13_KEY
-    assert cand.base.report.is_starter and not cand.base.report.is_strong
+    assert cand.pairs == T13.pairs
+    assert cand.report.is_starter and not cand.report.is_strong
 
 
 def test_reconstruct_candidates_empty_for_false_input():
@@ -71,9 +95,8 @@ def test_round_trip_demo():
     result = triplicate(T7, DEMO_KEY)
     verdict = inverse_test(result.starter_a)
     assert verdict.status == "Inconclusive"
-    assert any(
-        normalize(c.base) == normalize(T7) and c.key == DEMO_KEY
-        for c in verdict.candidates)
+    assert verdict.key == DEMO_KEY
+    assert any(normalize(c) == normalize(T7) for c in verdict.candidates)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -86,9 +109,8 @@ def test_round_trip_all_admissible_keys(p):
         for starter in (result.starter_a, result.starter_b):
             verdict = inverse_test(starter)
             assert verdict.status == "Inconclusive"
-            assert any(
-                normalize(c.base) == canon and c.key == key
-                for c in verdict.candidates)
+            assert verdict.key == key
+            assert any(normalize(c) == canon for c in verdict.candidates)
 
 
 def test_candidates_validated_against_rows():
@@ -98,7 +120,7 @@ def test_candidates_validated_against_rows():
     verdict = inverse_test(EX2_S39)
     groups, t = group_rows(EX2_S39)
     for cand in verdict.candidates:
-        table = build_table(cand.base, cand.key)
+        table = build_table(cand, verdict.key)
         for row in range(1, 7):
             got = sorted(tuple(sorted(pr)) for pr in table.extension[3 * row - 2: 3 * row + 1])
             want = sorted(tuple(sorted(pr)) for pr in groups[row])
@@ -208,10 +230,9 @@ def test_order21_image_census_two_ways(all21):
     images = set()
     for base in bases:
         for key in keys_of(base):
-            table = bt(base, key)
-            inst = encode(table)
+            inst = encode(bt(base, key))
             for sol in enumerate_solutions(inst, cap=10_000):
-                images.add(starter_digest(crt_merge(table, sol, inst)))
+                images.add(starter_digest(crt_merge(inst, sol)))
 
     assert images == inconclusive
     assert len(images) == IMAGE_COUNTS[21]

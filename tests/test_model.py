@@ -13,6 +13,7 @@ from tristarter import (
     uv_pairs,
 )
 from tristarter.model import constraint_census, phi_fixed_var
+from tristarter.triplication import compute_weak_sets
 
 from fixtures import (
     DEMO_SIGMA3,
@@ -58,7 +59,7 @@ def test_census_formula_across_keys():
         assert census["difference_bindings"] == 3 * q + 1
         assert census["row_all_different"] == q
         assert census["color_all_different"] == p
-        assert census["sum_bindings"] == len(inst.s_ids)
+        assert census["sum_bindings"] == sum(map(len, compute_weak_sets(inst.table).values()))
 
 
 @pytest.mark.parametrize("base", [T7, hill_climb(31, seed=0)], ids=["T7", "p31"])
@@ -72,9 +73,9 @@ def test_variable_numbering_is_the_fixed_rule(base):
         k = len(inst.table.extension)
         bindings = list(zip(inst.bind_a, inst.bind_b, inst.bind_c, inst.bind_sign))
         assert bindings[:k] == [(2 * i, 2 * i + 1, 2 * k + i, -1) for i in range(k)]
-        s_pairs = sorted(inst.s_ids)
-        assert [inst.s_ids[i] for i in s_pairs] == list(range(3 * k, 3 * k + len(s_pairs)))
-        assert bindings[k:] == [(2 * i, 2 * i + 1, inst.s_ids[i], 1) for i in s_pairs]
+        s_pairs = sorted(i for members in compute_weak_sets(inst.table).values()
+                         for i in members)
+        assert bindings[k:] == [(2 * i, 2 * i + 1, 3 * k + j, 1) for j, i in enumerate(s_pairs)]
         assert inst.z_id == inst.num_variables - 1 == 3 * k + len(s_pairs)
         uv = [(rng.randrange(3), rng.randrange(3)) for _ in range(k)]
         assert uv_pairs(inst, solution_from_uv(inst, uv)) == tuple(uv)

@@ -14,6 +14,7 @@ from tristarter import (
     reduce_mod,
     verify_pairing,
 )
+from tristarter.harness import run_inverse_sampling, run_order_sweep
 from tristarter.starters import pair_differences
 from tristarter.triplication import build_table
 
@@ -192,6 +193,38 @@ def test_hill_climb_deterministic():
 def test_hill_climb_refuses_impossible_orders(n):
     with pytest.raises(RefusedError):
         hill_climb(n)
+
+
+REFUSED_INPUTS = {
+    "hill_climb seed=1.5": ("seed", lambda: hill_climb(7, seed=1.5)),
+    "hill_climb seed='3'": ("seed", lambda: hill_climb(7, seed="3")),
+    "hill_climb seed=True": ("seed", lambda: hill_climb(7, seed=True)),
+    "hill_climb max_steps=0": ("max_steps", lambda: hill_climb(7, max_steps=0)),
+    "hill_climb max_steps=-1": ("max_steps", lambda: hill_climb(7, max_steps=-1)),
+    "hill_climb max_steps=True": ("max_steps", lambda: hill_climb(7, max_steps=True)),
+    "hill_climb max_steps=2.0": ("max_steps", lambda: hill_climb(7, max_steps=2.0)),
+    "enumerate bound='x'": ("bound", lambda: enumerate_strong_starters(15, bound="x")),
+    "enumerate bound=True": ("bound", lambda: enumerate_strong_starters(15, bound=True)),
+    "enumerate bound=2.5": ("bound", lambda: enumerate_strong_starters(15, bound=2.5)),
+    "enumerate bound=-1": ("bound", lambda: enumerate_strong_starters(15, bound=-1)),
+    "sampling samples=True": ("samples", lambda: run_inverse_sampling(21, True)),
+    "sampling samples=2.5": ("samples", lambda: run_inverse_sampling(21, 2.5)),
+    "sampling samples=0": ("samples", lambda: run_inverse_sampling(21, 0)),
+    "sampling seed=True": ("seed", lambda: run_inverse_sampling(21, 5, seed=True)),
+    "sampling seed=1.5": ("seed", lambda: run_inverse_sampling(21, 5, seed=1.5)),
+    "sampling order=21.0": ("order", lambda: run_inverse_sampling(21.0, 5)),
+    "order sweep seed=True": ("seed", lambda: run_order_sweep([7], seed=True)),
+    "order sweep seed='1'": ("seed", lambda: run_order_sweep([7], seed="1")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_integer_inputs_follow_one_rule(case):
+    # Counts, budgets and bounds are ints, not bools, in range; a seed is any
+    # int but a bool.  Anything else is malformed input, refused by name.
+    name, call = REFUSED_INPUTS[case]
+    with pytest.raises(StructuralError, match=name):
+        call()
 
 
 def test_hill_climb_budget_error_is_retriable():
