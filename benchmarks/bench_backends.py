@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tristarter import _kernels, build_table, encode, hill_climb  # noqa: E402
-from tristarter.solver import RESTART_UNIT, _branch_order  # noqa: E402
+from tristarter.solver import RESTART_UNIT  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
 
 
@@ -50,15 +50,12 @@ def bench_enumerate(count_strong_starters, order):
 
 def bench_solver(fd_search, p, seed=1000):
     base = hill_climb(p, seed=seed + p)
-    prepared = []
-    for key in admissible_keys(base):
-        inst = encode(build_table(base, key))
-        prepared.append((inst.num_variables, inst.search_arrays(),
-                         _branch_order(inst)))
+    prepared = [encode(build_table(base, key)).search_arrays()
+                for key in admissible_keys(base)]
 
     def run():   # the searches of `solve`, without its phi fix
-        for nvars, flat, order in prepared:
-            status, sols, *_ = fd_search(nvars, *flat, order, 0, 1, 0, RESTART_UNIT)
+        for arrays in prepared:
+            status, sols, *_ = fd_search(*arrays, 0, 1, 0, RESTART_UNIT)
             assert status == 1 and sols
 
     return timed(run, 1)

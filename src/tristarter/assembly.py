@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import InternalConsistencyError, KeyNotAdmissibleError, RefusedError
-from .model import PHI, Solution, SudokuInstance, check_solution, encode
+from .errors import InternalConsistencyError, KeyNotAdmissibleError, RefusedError, require_int
+from .model import PHI, Solution, SudokuInstance, check_solution, encode, uv_pairs
 from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, _search
 from .starters import Pairing
-from .triplication import TriplicationTable, build_table, check_key_admissible
+from .triplication import build_table, check_key_admissible
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +35,8 @@ def _crt_lift(p: int) -> tuple[int, ...]:
 
 def crt(residue_p: int, residue_3: int, p: int) -> int:
     """The unique x in [0, 3p) with x = residue_p (mod p), x = residue_3 (mod 3)."""
+    for name, value in (("residue_p", residue_p), ("residue_3", residue_3), ("p", p)):
+        require_int(name, value, -2**63)
     if p < 1 or p % 3 == 0:
         raise RefusedError(f"p must be positive and coprime to 3, got {p}")
     return _crt_lift(p)[3 * (residue_p % p) + residue_3 % 3]
@@ -54,20 +56,20 @@ def crt_merge(instance: SudokuInstance, solution: Solution) -> Pairing:
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    return _merge_both(instance.table, solution)[0]
+    return _merge_both(instance, solution)[0]
 
 
-def _merge_both(table: TriplicationTable, solution: Solution) -> tuple[Pairing, Pairing]:
+def _merge_both(instance: SudokuInstance, solution: Solution) -> tuple[Pairing, Pairing]:
     """The merges of a solution and of its phi image, in one pass.
 
     Extension entries lie in [0, p) and U, V in {0, 1, 2}, so every index
     into the lift table is in range.
     """
+    table = instance.table
     lift = _crt_lift(table.p)
-    k = len(table.extension)
     pairs_a = []
     pairs_b = []
-    for (u, v), a, b in zip(table.extension, solution[0:2 * k:2], solution[1:2 * k:2]):
+    for (u, v), (a, b) in zip(table.extension, uv_pairs(instance, solution)):
         u *= 3
         v *= 3
         pairs_a.append((lift[u + a], lift[v + b]))
@@ -142,7 +144,7 @@ def triplicate(
 
     # The one check of the solution.  It also keeps the merges apart: they
     # coincide only where every U and V is 0, which merges to no starter.
-    starter_a, starter_b = _merge_both(table, outcome.solution)
+    starter_a, starter_b = _merge_both(instance, outcome.solution)
     if not (starter_a.report.is_strong and starter_b.report.is_strong):
         raise InternalConsistencyError(
             "merged pairing failed strong verification although the base "

@@ -29,8 +29,6 @@ def pairing_from_obj(obj: dict, where: str = "starter object") -> Pairing:
         raise StructuralError(f"{where}: expected an object with 'order' and 'pairs'")
     order = obj["order"]
     pairs = obj["pairs"]
-    if not isinstance(order, int):
-        raise StructuralError(f"{where}: 'order' must be an integer")
     if not isinstance(pairs, list):
         raise StructuralError(f"{where}: 'pairs' must be a list")
     try:

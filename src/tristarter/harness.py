@@ -172,13 +172,8 @@ def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSum
 
 
 def _sample_uniform(order: int, samples: int, seed: int) -> tuple[int, int]:
-    """(inconclusive, failures) over seeded uniform draws from the enumeration."""
-    try:
-        starters = enumerate_strong_starters(order, cap=sys.maxsize).starters
-    except TristarterError:
-        starters = ()
-    if not starters:
-        return 0, samples
+    """(inconclusive, 0) over seeded uniform draws from the enumeration."""
+    starters = enumerate_strong_starters(order, cap=sys.maxsize).starters
     flags = [inverse_test(s).status == INCONCLUSIVE for s in starters]
     hits = sum(flags[derive_seed(seed, i) % len(flags)] for i in range(samples))
     return hits, 0

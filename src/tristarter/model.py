@@ -80,9 +80,11 @@ class SudokuInstance:
         return _constraint_names(self.table, compute_weak_sets(self.table))
 
     def search_arrays(self) -> tuple:
-        """The arguments of `_kernels.fd_search` from ``fixed_vars`` to ``ad_off``."""
-        return ([self.z_id], [0], self.bind_a, self.bind_b, self.bind_c,
-                self.bind_sign, self.ad_flat, self.ad_off)
+        """The arguments of `_kernels.fd_search` before ``budget``: Z fixed
+        to 0, and the branch variables U0, V0, U1, ... in run 0's tie-break order."""
+        return (self.num_variables, [self.z_id], [0], self.bind_a, self.bind_b,
+                self.bind_c, self.bind_sign, self.ad_flat, self.ad_off,
+                list(range(2 * len(self.table.extension))))
 
 
 def encode(table: TriplicationTable) -> SudokuInstance:
@@ -136,21 +138,22 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     )
 
 
-def _check_total(instance: SudokuInstance, solution: Solution) -> None:
-    if len(solution) != instance.num_variables:
-        raise StructuralError(
-            f"assignment covers {len(solution)} of "
-            f"{instance.num_variables} variables")
-    for v in solution:
-        if v not in (0, 1, 2):
-            raise StructuralError(f"value {v!r} outside {{0, 1, 2}}")
+def _require_ternary(name: str, values) -> None:
+    """Refuse any value that is not an int, not a bool, in {0, 1, 2}."""
+    for v in values:
+        if type(v) is not int or not 0 <= v <= 2:
+            raise StructuralError(f"{name} holds {v!r}, not an int in {{0, 1, 2}}")
 
 
 def check_solution(
     instance: SudokuInstance, solution: Solution
 ) -> tuple[bool, tuple[str, ...]]:
     """Evaluate every constraint; violations come back as provenance strings."""
-    _check_total(instance, solution)
+    if len(solution) != instance.num_variables:
+        raise StructuralError(
+            f"assignment covers {len(solution)} of "
+            f"{instance.num_variables} variables")
+    _require_ternary("solution", solution)
     violated = ["dummy variable"] if solution[instance.z_id] != 0 else []
     for cid, (a, b, c, sign) in enumerate(zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign)):
@@ -193,10 +196,9 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
         raise StructuralError(f"expected {k} (U, V) pairs, got {len(uv)}")
     values = [0] * instance.num_variables
     for i, (u, v) in enumerate(uv):
-        if u not in (0, 1, 2) or v not in (0, 1, 2):
-            raise StructuralError(f"pair {i} outside {{0, 1, 2}}: {(u, v)!r}")
         values[2 * i] = u
         values[2 * i + 1] = v
+    _require_ternary("uv", values[:2 * k])
     for a, b, c, sign in zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
         values[c] = (values[a] + sign * values[b]) % 3

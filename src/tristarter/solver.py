@@ -48,8 +48,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 DEFAULT_STEP_BUDGET = 50_000_000
 
 #: Decisions of a unit Luby run.  The median key of an order-31 sweep
-#: finishes within run 0 (ROADMAP, "Re-measured after restarts" and
-#: "dom/wdeg with the restart loop in the kernel").
+#: finishes within run 0 (ROADMAP, "The solver after PR 15").
 RESTART_UNIT = 128
 
 
@@ -79,16 +78,9 @@ class SolveOutcome:
     stats: SolveStats
 
 
-def _branch_order(instance: SudokuInstance) -> list[int]:
-    """U0, V0, U1, V1, ...: the branch variables, in run 0's tie-break order."""
-    return list(range(2 * len(instance.table.extension)))
-
-
-def _run_kernel(instance: SudokuInstance, arrays: tuple, budget: int, cap: int,
-                seed: int, unit: int) -> tuple:
+def _run_kernel(arrays: tuple, budget: int, cap: int, seed: int, unit: int) -> tuple:
     """One `_kernels.fd_search` call; its status -1, a bug, raises here."""
-    result = _kernels.fd_search(
-        instance.num_variables, *arrays, _branch_order(instance), budget, cap, seed, unit)
+    result = _kernels.fd_search(*arrays, budget, cap, seed, unit)
     if result[0] == -1:
         raise InternalConsistencyError("propagation left a derived variable undetermined")
     return result
@@ -110,10 +102,10 @@ def _search(instance: SudokuInstance, config: SolverConfig) -> SolveOutcome:
     start = time.perf_counter()
     arrays = instance.search_arrays()
     fixed = phi_fixed_var(instance)
-    if fixed is not None:
-        arrays = ([instance.z_id, fixed], [0, 1]) + arrays[2:]
+    if fixed is not None:   # replace fixed_vars and fixed_vals
+        arrays = (arrays[0], [instance.z_id, fixed], [0, 1]) + arrays[3:]
     status, raw, decisions, backtracks, props, restarts = _run_kernel(
-        instance, arrays, config.step_budget, 1, config.seed, RESTART_UNIT)
+        arrays, config.step_budget, 1, config.seed, RESTART_UNIT)
     duration_ms = int(round((time.perf_counter() - start) * 1000))
     stats = SolveStats(decisions, backtracks, props, restarts, duration_ms)
     if raw:
@@ -146,7 +138,7 @@ def enumerate_solutions(
     if instance.trivially_unsat_reason is not None:
         return []
     status, raw, decisions, *_ = _run_kernel(   # one run: no seed, no restarts
-        instance, instance.search_arrays(), config.step_budget, cap, 0, 0)
+        instance.search_arrays(), config.step_budget, cap, 0, 0)
     if status == 2:
         raise SearchBudgetError(
             f"enumeration stopped after {decisions} decisions")

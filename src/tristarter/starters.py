@@ -32,8 +32,9 @@ _NO_STRONG_STARTER = frozenset({3, 5, 9})
 
 def _require_odd_order(name: str, n) -> None:
     """Refuse ``n`` unless it is an odd int, not a bool, of at least 3."""
-    if type(n) is not int or n < 3 or n % 2 == 0:
-        raise StructuralError(f"{name} must be an odd integer >= 3, got {n!r}")
+    require_int(name, n, 3)
+    if n % 2 == 0:
+        raise StructuralError(f"{name} must be odd, got {n!r}")
 
 
 def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None:
@@ -80,7 +81,6 @@ class VerificationReport:
     is_starter: bool
     is_strong: bool
     pair_sums: tuple[int, ...]
-    pair_differences: tuple[int, ...]
     diagnostics: tuple[str, ...] = field(default=())
 
 
@@ -129,12 +129,12 @@ def verify_pairing(pairing: Pairing) -> VerificationReport:
         diagnostics.append("element 0 present")
     is_partition = not dup and 0 not in element_set
 
-    diffs = pair_differences(pairing)
-    diff_set = set(diffs)
+    diff_set = ({(a - b) % n for a, b in pairing.pairs}
+                | {(b - a) % n for a, b in pairing.pairs})
     zero_diff = 0 in diff_set
     if zero_diff:
         diagnostics.append("zero difference (pair with equal entries)")
-    repeated = len(diffs) != len(diff_set)
+    repeated = len(diff_set) != n - 1   # the 2k signed differences are not distinct
     if repeated or zero_diff:
         missing = sorted(set(range(1, n)) - diff_set)
         if missing:
@@ -155,7 +155,6 @@ def verify_pairing(pairing: Pairing) -> VerificationReport:
         is_starter=is_starter,
         is_strong=is_strong,
         pair_sums=sums,
-        pair_differences=diffs,
         diagnostics=tuple(diagnostics),
     )
 

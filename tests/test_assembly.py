@@ -196,7 +196,7 @@ def test_merged_verification_refuses_every_single_uv_change(p, key):
                 changed[i][side] = (changed[i][side] + step) % 3
                 sol = solution_from_uv(instance, changed)
                 assert not check_solution(instance, sol)[0]
-                starter_a, starter_b = _merge_both(instance.table, sol)
+                starter_a, starter_b = _merge_both(instance, sol)
                 assert not verify_pairing(starter_a).is_strong
                 assert not verify_pairing(starter_b).is_strong
                 changes += 1

@@ -14,17 +14,14 @@ import hashlib
 import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
-from tristarter.solver import RESTART_UNIT, _branch_order
+from tristarter.solver import RESTART_UNIT
 from tristarter.triplication import _forbidden_keys, admissible_keys
 
 from fixtures import T7
 
 
-def _both(ckernels, inst, order, budget, cap, seed=0, unit=0, fixed=None):
-    flat = list(inst.search_arrays())
-    if fixed is not None:
-        flat[0], flat[1] = fixed
-    args = (inst.num_variables, *flat, order, budget, cap, seed, unit)
+def _both(ckernels, arrays, budget, cap, seed=0, unit=0):
+    args = (*arrays, budget, cap, seed, unit)
     got = ckernels.fd_search(*args)
     assert got == _kernels.pure_fd_search(*args)
     return got
@@ -50,9 +47,7 @@ def test_pure_fd_search_golden_digest():
     # unit at p = 31, forbidden keys at p = 11 and every solution of the
     # T7 keys
     def search(inst, budget, cap, seed, unit):
-        return _kernels.pure_fd_search(
-            inst.num_variables, *inst.search_arrays(), _branch_order(inst),
-            budget, cap, seed, unit)
+        return _kernels.pure_fd_search(*inst.search_arrays(), budget, cap, seed, unit)
 
     results = []
     base = hill_climb(31, seed=0)
@@ -81,7 +76,7 @@ def test_fd_search_identical_on_order_31_sweeps(ckernels):
         base = hill_climb(31, seed=seed)
         for key in admissible_keys(base):
             inst = encode(build_table(base, key))
-            status, sols, *_ = _both(ckernels, inst, _branch_order(inst), 50_000,
+            status, sols, *_ = _both(ckernels, inst.search_arrays(), 50_000,
                                      1, 0, RESTART_UNIT)
             assert status == 1 and len(sols) == 1
 
@@ -97,8 +92,7 @@ def test_fd_search_identical_under_restart_orders(ckernels):
         for key in keys:
             inst = encode(build_table(base, key))
             for seed, unit, budget in ((0, 4, 100), (1, 4, 2_000), (-1, 32, 2_000)):
-                got = _both(ckernels, inst, _branch_order(inst), budget, 1,
-                            seed, unit)
+                got = _both(ckernels, inst.search_arrays(), budget, 1, seed, unit)
                 statuses.add(got[0])
                 restarts = max(restarts, got[5])
     assert statuses == {0, 1, 2} and restarts > 1
@@ -107,13 +101,13 @@ def test_fd_search_identical_under_restart_orders(ckernels):
 def test_fd_search_identical_enumerating_all_solutions(ckernels):
     for key in range(7):
         inst = encode(build_table(T7, key))
-        _both(ckernels, inst, _branch_order(inst), 0, 10 ** 6)
+        _both(ckernels, inst.search_arrays(), 0, 10 ** 6)
 
 
 def test_fd_search_identical_on_budget_exhaustion(ckernels):
     base = hill_climb(31, seed=0)
     inst = encode(build_table(base, admissible_keys(base)[0]))
-    status, _, decisions, *_ = _both(ckernels, inst, _branch_order(inst), 3, 1)
+    status, _, decisions, *_ = _both(ckernels, inst.search_arrays(), 3, 1)
     assert (status, decisions) == (2, 4)
 
 
@@ -122,22 +116,23 @@ def test_fd_search_identical_on_inadmissible_key(ckernels):
     key = 8
     assert key in pair_sums(base)
     inst = encode(build_table(base, key))
-    status, sols, decisions, *_ = _both(ckernels, inst, _branch_order(inst), 0, 1)
+    status, sols, decisions, *_ = _both(ckernels, inst.search_arrays(), 0, 1)
     assert status == 0 and sols == [] and decisions > 0
 
 
 def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
     inst = encode(build_table(T7, 1))
     z = inst.z_id
-    got = _both(ckernels, inst, _branch_order(inst), 0, 1, fixed=([z, z], [0, 1]))
+    nvars, _, _, *rest = inst.search_arrays()
+    got = _both(ckernels, (nvars, [z, z], [0, 1], *rest), 0, 1)
     assert got == (0, [], 0, 0, 0, 0)
 
 
 def test_fd_search_short_order_matches_pure(ckernels):
     # branch variables missing from the order leave variables undetermined
     inst = encode(build_table(T7, 1))
-    order = _branch_order(inst)[:2]
-    assert _both(ckernels, inst, order, 0, 1)[0] == -1
+    *arrays, order = inst.search_arrays()
+    assert _both(ckernels, (*arrays, order[:2]), 0, 1)[0] == -1
 
 
 ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
@@ -156,13 +151,13 @@ ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_s
 def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
                                             message):
     inst = encode(build_table(T7, 1))
-    arrays = dict(zip(ARRAY_NAMES, map(list, (
-        *inst.search_arrays(), _branch_order(inst)))))
-    corrupt(arrays[name], inst.num_variables)
+    nvars, *flat = inst.search_arrays()
+    arrays = dict(zip(ARRAY_NAMES, map(list, flat)))
+    corrupt(arrays[name], nvars)
     errors = []
     for fd_search in fd_search_backends:
         with pytest.raises(ValueError, match=message) as error:
-            fd_search(inst.num_variables, *arrays.values(), 0, 1, 0, 0)
+            fd_search(nvars, *arrays.values(), 0, 1, 0, 0)
         errors.append(str(error.value))
     assert len(set(errors)) == 1     # the same message from each backend
 

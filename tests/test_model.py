@@ -108,6 +108,28 @@ def test_partial_assignment_is_structural_error(demo_instance):
         check_solution(demo_instance, (3,) * demo_instance.num_variables)
 
 
+# the demo U/V with every 0 and 1 written as False and True
+BOOL_UV = [tuple(x if x == 2 else bool(x) for x in pair) for pair in DEMO_SIGMA3]
+
+REFUSED_VALUES = {
+    "uv of bools": ("uv", lambda inst: solution_from_uv(inst, BOOL_UV)),
+    "uv with 3": ("uv", lambda inst: solution_from_uv(inst, [(3, 0)] + DEMO_SIGMA3[1:])),
+    "solution with True": ("solution", lambda inst: check_solution(
+        inst, (True,) + solution_from_uv(inst, DEMO_SIGMA3)[1:])),
+    "solution with 1.0": ("solution", lambda inst: check_solution(
+        inst, (1.0,) + solution_from_uv(inst, DEMO_SIGMA3)[1:])),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_VALUES)
+def test_ternary_values_follow_one_rule(demo_instance, case):
+    # A value is an int, not a bool, in {0, 1, 2}, the test `Pairing` applies
+    # to its entries; anything else is malformed input, refused by name.
+    name, call = REFUSED_VALUES[case]
+    with pytest.raises(StructuralError, match=name):
+        call(demo_instance)
+
+
 def test_apply_phi_transposes(demo_instance):
     sol = solution_from_uv(demo_instance, DEMO_SIGMA3)
     phi = apply_phi(sol)

@@ -15,7 +15,6 @@ from tristarter import (
 from tristarter import _kernels
 from tristarter.model import phi_fixed_var
 from tristarter._kernels import luby
-from tristarter.solver import _branch_order
 from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_KEY, T7, T13
@@ -78,13 +77,11 @@ def test_determinism(demo_instance):
 
 def test_random_order_still_sat(demo_instance):
     # the orders of restarts after run 0
-    linear = _branch_order(demo_instance)
+    *arrays, linear = demo_instance.search_arrays()
     for seed in (0, 1, 2):
         order, _ = _kernels.shuffled(linear, _kernels.splitmix64(seed))
         assert order != linear and sorted(order) == sorted(linear)
-        status, sols, *_ = _kernels.fd_search(
-            demo_instance.num_variables, *demo_instance.search_arrays(), order,
-            0, 1, 0, 0)
+        status, sols, *_ = _kernels.fd_search(*arrays, order, 0, 1, 0, 0)
         assert status == 1
         ok, _ = check_solution(demo_instance, sols[0])
         assert ok
@@ -150,12 +147,10 @@ def test_phi_fix_keeps_one_solution_per_orbit(ckernels):
         fixed = phi_fixed_var(inst)
         arrays = inst.search_arrays()
         assert inst.table.extension[fixed // 2][fixed % 2] == 0   # a color-0 member
-        fixed_arrays = ([inst.z_id, fixed], [0, 1]) + arrays[2:]
-        order = _branch_order(inst)
+        fixed_arrays = (arrays[0], [inst.z_id, fixed], [0, 1]) + arrays[3:]
         counts = []
         for flat in (arrays, fixed_arrays):
-            status, sols, *_ = ckernels.fd_search(
-                inst.num_variables, *flat, order, 0, 10 ** 6, 0, 0)
+            status, sols, *_ = ckernels.fd_search(*flat, 0, 10 ** 6, 0, 0)
             assert status == 0, f"p={base.modulus} key={key}: over the cap"
             counts.append(len(sols))
         assert counts[0] == 2 * counts[1], f"p={base.modulus} key={key}: {counts}"

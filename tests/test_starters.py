@@ -7,6 +7,7 @@ from tristarter import (
     RefusedError,
     SearchBudgetError,
     StructuralError,
+    crt,
     enumerate_strong_starters,
     hill_climb,
     normalize,
@@ -122,7 +123,7 @@ def test_flag_chain_property(pairing):
     if report.is_starter:
         assert report.is_partition
         # differences of a starter cover the nonzero residues exactly
-        assert report.pair_differences == tuple(range(1, pairing.modulus))
+        assert pair_differences(pairing) == tuple(range(1, pairing.modulus))
     assert verify_pairing(normalize(pairing)).is_starter == report.is_starter
 
 
@@ -215,6 +216,9 @@ REFUSED_INPUTS = {
     "sampling order=21.0": ("order", lambda: run_inverse_sampling(21.0, 5)),
     "order sweep seed=True": ("seed", lambda: run_order_sweep([7], seed=True)),
     "order sweep seed='1'": ("seed", lambda: run_order_sweep([7], seed="1")),
+    "crt p=7.0": ("p", lambda: crt(1, 1, 7.0)),
+    "crt residue_p=5.0": ("residue_p", lambda: crt(5.0, 1, 7)),
+    "crt residue_3=True": ("residue_3", lambda: crt(5, True, 7)),
 }
 
 
