@@ -15,15 +15,16 @@
  * Propagation looks its revisions up in two tables that module import
  * fills by running the rules of `propagate` and `alldiff` on every input:
  * SUPPORT gives a binding's supported masks for each sign and triple of
- * masks, and ALLDIFF3 gives the ordered shrinks (or the wipeout) the
- * all-different rule makes on a group of three for each triple of masks.
- * Groups of other sizes run the rule itself.  A revision reads nothing but
- * the masks of its distinct variables, so a table entry replays the rule
- * shrink by shrink: the trail, the queue and therefore every decision,
- * backtrack, propagation count, weight and solution stay those of
- * `_kernels`.  The only difference is on a wipeout, where the tables skip
- * the shrinks the rule makes before it; the caller unwinds the trail past
- * them anyway.
+ * masks, and ALLDIFF gives the ordered shrinks (or the wipeout) the
+ * all-different rule makes on a group of n <= 3 members for each size and
+ * tuple of masks.  A group of n >= 4 members is a wipeout at once: three
+ * values cannot separate four variables, so the rule's pigeonhole check
+ * refuses it before any shrink.  A revision reads nothing but the masks of
+ * its distinct variables, so a table entry replays the rule shrink by
+ * shrink: the trail, the queue and therefore every decision, backtrack,
+ * propagation count, weight and solution stay those of `_kernels`.  The
+ * only difference is on a wipeout, where the tables skip the shrinks the
+ * rule makes before it; the caller unwinds the trail past them anyway.
  *
  * Each call derives the variable -> constraint incidence lists from the
  * bindings and groups, as `_kernels.fd_search` does: every variable's
@@ -156,15 +157,16 @@ static uint16_t SUPPORT[3][8][8][8];
  * of a group of three shrinks at most twice. */
 #define MAX_STEPS 6
 
-/* ALLDIFF3[m0 | m1 << 3 | m2 << 6]: the shrinks the all-different rule
- * makes on a group of three members with those masks, in order, each as
+/* The shrinks the all-different rule makes on a group, in order, each as
  * position << 3 | new mask; n = -1 on a wipeout. */
 typedef struct {
     int8_t n;
     uint8_t step[MAX_STEPS];
 } Shrinks;
 
-static Shrinks ALLDIFF3[512];
+/* ALLDIFF[n][m0 | m1 << 3 | m2 << 6]: the shrinks on a group of n <= 3
+ * members with the masks m0 .. m(n-1); the masks past the n-th are 0. */
+static Shrinks ALLDIFF[4][512];
 
 /* Queue every constraint of variable v not already queued. */
 static inline void
@@ -212,65 +214,59 @@ wipeout(Search *S, int32_t cid)
     return -1;
 }
 
-/* `alldiff` of `_kernels.fd_search` on the distinct variables g[0..n):
- * pigeonhole check, singleton removal and, for n == 3, the Hall pair rule,
- * repeated to a fixpoint.  Returns 0, or -1 on a
- * wipeout (with shrinks made before it left on the trail). */
-static int
-alldiff(Search *S, const int32_t *g, int32_t n)
+/* `alldiff` of `_kernels.fd_search` on the masks of a group of n <= 3
+ * distinct variables: pigeonhole check, singleton removal and, for n == 3,
+ * the Hall pair rule, repeated to a fixpoint on a local copy of the masks.
+ * Records each shrink in t, or sets t->n = -1 on a wipeout. */
+static void
+alldiff(const uint8_t *masks, int n, Shrinks *t)
 {
-    uint8_t *dom = S->dom;
+    uint8_t m[3];
     unsigned uni = 0;
-    for (int32_t i = 0; i < n; i++)
-        uni |= dom[g[i]];
-    if ((int32_t)((uni & 1) + ((uni >> 1) & 1) + ((uni >> 2) & 1)) < n)
-        return -1;
+    t->n = 0;
+    for (int i = 0; i < n; i++)
+        uni |= m[i] = masks[i];
+    if ((int)((uni & 1) + ((uni >> 1) & 1) + ((uni >> 2) & 1)) < n)
+        goto wiped;
     int changed = 1;
     while (changed) {
         changed = 0;
         /* remove fixed values from siblings */
-        for (int32_t i = 0; i < n; i++) {
-            uint8_t mi = dom[g[i]];
+        for (int i = 0; i < n; i++) {
+            uint8_t mi = m[i];
             if (mi & (mi - 1))
                 continue;
-            for (int32_t j = 0; j < n; j++) {
-                if (j == i)
+            for (int j = 0; j < n; j++) {
+                if (j == i || !(m[j] & mi))
                     continue;
-                uint8_t mj = dom[g[j]];
-                if (mj & mi) {
-                    uint8_t nm = mj & (7 ^ mi);
-                    if (nm == 0)
-                        return -1;
-                    shrink(S, g[j], nm);
-                    changed = 1;
-                }
+                if (!(m[j] &= 7 ^ mi))
+                    goto wiped;
+                t->step[t->n++] = (uint8_t)(j << 3 | m[j]);
+                changed = 1;
             }
         }
         /* Hall pair rule: two variables sharing a 2-value domain
          * exclude those values from the third */
         if (n != 3)
             continue;
-        for (int32_t i = 0; i < n; i++) {
-            for (int32_t j = i + 1; j < n; j++) {
-                uint8_t mi = dom[g[i]];
-                if (!(mi == dom[g[j]] && mi != 7 && (mi & (mi - 1))))
+        for (int i = 0; i < n; i++) {
+            for (int j = i + 1; j < n; j++) {
+                uint8_t mi = m[i];
+                if (!(mi == m[j] && mi != 7 && (mi & (mi - 1))))
                     continue;
-                for (int32_t k = 0; k < n; k++) {
-                    if (k == i || k == j)
-                        continue;
-                    uint8_t mk = dom[g[k]];
-                    if (mk & mi) {
-                        uint8_t nm = mk & (7 ^ mi);
-                        if (nm == 0)
-                            return -1;
-                        shrink(S, g[k], nm);
-                        changed = 1;
-                    }
-                }
+                int k = 3 - i - j;
+                if (!(m[k] & mi))
+                    continue;
+                if (!(m[k] &= 7 ^ mi))
+                    goto wiped;
+                t->step[t->n++] = (uint8_t)(k << 3 | m[k]);
+                changed = 1;
             }
         }
     }
-    return 0;
+    return;
+wiped:
+    t->n = -1;
 }
 
 /* `propagate` of `_kernels.fd_search`: revisions made, or -1 on a
@@ -301,26 +297,24 @@ propagate(Search *S)
             int32_t grp = cid - S->nb;
             const int32_t *g = S->ad_flat + S->ad_off[grp];
             int32_t n = S->ad_off[grp + 1] - S->ad_off[grp];
-            if (n != 3) {
-                if (alldiff(S, g, n) < 0)
-                    return wipeout(S, cid);
-            } else {
-                const Shrinks *t =
-                    &ALLDIFF3[dom[g[0]] | dom[g[1]] << 3 | dom[g[2]] << 6];
-                if (t->n < 0)
-                    return wipeout(S, cid);
-                for (int k = 0; k < t->n; k++)
-                    shrink(S, g[t->step[k] >> 3], t->step[k] & 7);
-            }
+            if (n > 3)
+                return wipeout(S, cid);
+            unsigned key = 0;
+            for (int32_t i = 0; i < n; i++)
+                key |= (unsigned)dom[g[i]] << 3 * i;
+            const Shrinks *t = &ALLDIFF[n][key];
+            if (t->n < 0)
+                return wipeout(S, cid);
+            for (int k = 0; k < t->n; k++)
+                shrink(S, g[t->step[k] >> 3], t->step[k] & 7);
         }
         S->in_q[cid] = 0;
     }
     return props;
 }
 
-/* Fill SUPPORT and ALLDIFF3 by running the rules on every combination of
- * masks: the binding loop directly, `alldiff` on a three-variable search
- * with no constraints to queue, reading its shrinks back off the trail. */
+/* Fill SUPPORT and ALLDIFF by running the rules on every combination of
+ * masks. */
 static void
 build_tables(void)
 {
@@ -347,29 +341,11 @@ build_tables(void)
                         (uint16_t)(na | nbm << 3 | ncm << 6);
                 }
 
-    static const int32_t g[3] = {0, 1, 2};
-    int32_t vc_off[4] = {0}, trail_v[MAX_STEPS];
-    uint8_t dom[3], trail_m[MAX_STEPS];
-    Search S = {.nvars = 3, .vc_off = vc_off, .dom = dom,
-                .trail_v = trail_v, .trail_m = trail_m};
-    for (int m = 0; m < 512; m++) {
-        Shrinks *t = &ALLDIFF3[m];
-        dom[0] = m & 7;
-        dom[1] = m >> 3 & 7;
-        dom[2] = (uint8_t)(m >> 6);
-        S.tn = 0;
-        if (alldiff(&S, g, 3) < 0) {
-            t->n = -1;
-            continue;
+    for (int n = 0; n <= 3; n++)
+        for (int key = 0; key < 512; key++) {
+            uint8_t m[3] = {key & 7, key >> 3 & 7, key >> 6};
+            alldiff(m, n, &ALLDIFF[n][key]);
         }
-        /* each trail entry holds a step's old mask; undoing the steps from
-         * the last leaves the step's new mask in dom */
-        t->n = (int8_t)S.tn;
-        for (int k = S.tn; k-- > 0;) {
-            t->step[k] = (uint8_t)(trail_v[k] << 3 | dom[trail_v[k]]);
-            dom[trail_v[k]] = trail_m[k];
-        }
-    }
 }
 
 /* A solution tuple from the all-singleton domains; NULL with *undetermined
@@ -407,7 +383,7 @@ static const char *const ARRAY_NAMES[N_ARRAYS] = {
     "ad_flat", "ad_off", "order",
 };
 
-/* No all-different group names a variable twice: ALLDIFF3 reads each
+/* No all-different group names a variable twice: ALLDIFF reads each
  * member's domain separately, so an aliased group would diverge from the
  * rule of `_kernels`.  The members are already checked to be in range. */
 static int
@@ -693,7 +669,7 @@ search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
 }
 
 static PyObject *
-fd_search(PyObject *self, PyObject *args)
+fd_search(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t nvars;
     PyObject *seqs[N_ARRAYS];
@@ -808,7 +784,7 @@ starter_list(const int32_t *sa, const int32_t *sb, int32_t depth,
 }
 
 static PyObject *
-count_strong_starters(PyObject *self, PyObject *args)
+count_strong_starters(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n;
     long long cap;
@@ -915,7 +891,7 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
     "C versions of `_kernels.fd_search` and "
     "`_kernels.count_strong_starters`.",
-    -1, methods,
+    -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

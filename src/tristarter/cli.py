@@ -25,7 +25,7 @@ from .harness import (
     write_records_csv,
 )
 from .model import check_solution, constraint_census, encode, uv_pairs
-from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, solve
+from .solver import SAT, UNSAT, SolverConfig, solve
 from .starters import (
     DEFAULT_ENUMERATION_BOUND,
     enumerate_strong_starters,
@@ -132,12 +132,14 @@ def _cmd_triplicate(args) -> int:
     )
     status, _ = _cross_check(args, result.instance)
     if status is not None:
+        # only SAT against UNSAT is a disagreement; any other pair is undecided
         native = result.status
-        agree = status == native or (native == BUDGET_EXHAUSTED)
-        print(f"external solver: {status} ({'agrees' if agree else 'DISAGREES'})")
-        if not agree:
+        if {status, native} == {SAT, UNSAT}:
+            print(f"external solver: {status} (DISAGREES)")
             raise ExternalSolverError(
                 f"external solver says {status}, native says {native}")
+        print(f"external solver: {status} "
+              f"({'agrees' if status == native else 'undecided'})")
 
     prefix = args.out or f"{Path(args.base).stem}-k{args.key}"
     report_path = Path(f"{prefix}.report.json")

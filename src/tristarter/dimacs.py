@@ -225,11 +225,12 @@ def run_external_solver(
     with tempfile.TemporaryDirectory(prefix="tristarter-cnf-") as tmp:
         cnf_path = Path(tmp) / "instance.cnf"
         cnf_path.write_text(cnf_text)
+        # split before substituting, so the path stays one argument
+        argv = shlex.split(command_template)
         if "{cnf}" in command_template:
-            command = command_template.replace("{cnf}", str(cnf_path))
-            argv = shlex.split(command)
+            argv = [arg.replace("{cnf}", str(cnf_path)) for arg in argv]
         else:
-            argv = shlex.split(command_template) + [str(cnf_path)]
+            argv.append(str(cnf_path))
         try:
             proc = subprocess.run(
                 argv, capture_output=True, text=True, timeout=timeout, check=False)

@@ -195,9 +195,11 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
     if len(uv) != k:
         raise StructuralError(f"expected {k} (U, V) pairs, got {len(uv)}")
     values = [0] * instance.num_variables
-    for i, (u, v) in enumerate(uv):
-        values[2 * i] = u
-        values[2 * i + 1] = v
+    for i, pair in enumerate(uv):
+        try:
+            values[2 * i], values[2 * i + 1] = pair
+        except (TypeError, ValueError):
+            raise StructuralError(f"uv[{i}] is not a (U, V) pair: {pair!r}") from None
     _require_ternary("uv", values[:2 * k])
     for a, b, c, sign in zip(
             instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):

@@ -23,8 +23,9 @@ COMPILER = (sysconfig.get_config_var("CC") or "cc").split()[0]
 def _compile(out_dir: Path) -> Path:
     from setuptools import Distribution, Extension
 
-    # Python's CFLAGS carry -Wall, so a new warning fails the build
-    ext = Extension("_ckernels", [str(C_SOURCE)], extra_compile_args=["-Werror"])
+    # Python's CFLAGS carry -Wall; with -Wextra, a new warning fails the build
+    ext = Extension("_ckernels", [str(C_SOURCE)],
+                    extra_compile_args=["-Wextra", "-Werror"])
     dist = Distribution({"ext_modules": [ext]})
     cmd = dist.get_command_obj("build_ext")
     cmd.build_lib = str(out_dir)

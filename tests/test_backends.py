@@ -17,7 +17,7 @@ from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
 from tristarter.solver import RESTART_UNIT
 from tristarter.triplication import _forbidden_keys, admissible_keys
 
-from fixtures import T7
+from fixtures import T7, T13
 
 
 def _both(ckernels, arrays, budget, cap, seed=0, unit=0):
@@ -126,6 +126,23 @@ def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
     nvars, _, _, *rest = inst.search_arrays()
     got = _both(ckernels, (nvars, [z, z], [0, 1], *rest), 0, 1)
     assert got == (0, [], 0, 0, 0, 0)
+
+
+def test_fd_search_identical_on_every_group_size(ckernels):
+    # encode makes groups of 2 and 3 members, and of 4 only in the T13
+    # instances below, whose weak set of 4 no three values separate and which
+    # the solver therefore skips; T7's key-1 arrays take one appended group
+    # of 0, 1 or 2 members, enumerated to completion
+    for key in (0, 1, 3, 8, 10, 11):
+        inst = encode(build_table(T13, key))
+        assert inst.trivially_unsat_reason
+        assert _both(ckernels, inst.search_arrays(), 0, 1)[0] == 0
+    *head, ad_flat, ad_off, order = encode(build_table(T7, 1)).search_arrays()
+    for group in ([], [0], [0, 2]):
+        arrays = (*head, [*ad_flat, *group], [*ad_off, len(ad_flat) + len(group)],
+                  order)
+        status, sols, *_ = _both(ckernels, arrays, 0, 10 ** 6)
+        assert status == 0 and sols
 
 
 def test_fd_search_short_order_matches_pure(ckernels):

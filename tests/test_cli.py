@@ -336,6 +336,17 @@ def test_triplicate_external_disagreement(base_file, tmp_path, capsys, monkeypat
     assert err.startswith("error: external solver says UNSAT, native says SAT")
 
 
+def test_triplicate_external_undecided(base_file, tmp_path, capsys, monkeypatch):
+    # an undecided external answer contradicts nothing, as in `solve`
+    monkeypatch.chdir(tmp_path)
+    cmd = fake_solver(tmp_path, "s UNKNOWN\n")
+    code, out, _ = run(["triplicate", "--base", base_file, "--key", "1",
+                        "--external-solver", cmd], capsys)
+    assert code == 0
+    assert "external solver: UNKNOWN (undecided)" in out
+    assert "SAT: strong starter of order 21" in out
+
+
 def test_triplicate_external_model_is_checked(base_file, tmp_path, capsys, monkeypatch):
     # every ternary variable 0: decodes, but breaks the all-different groups
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,15 @@ def test_external_bridge_sat(demo_instance, demo_doc):
     decoded = import_dimacs_model(demo_doc, literals)
     ok, _ = check_solution(demo_instance, decoded)
     assert ok
+
+
+def test_external_bridge_cnf_path_with_a_space(demo_doc, tmp_path, monkeypatch):
+    # {cnf} stands for one argument, whatever the temporary directory is called
+    spaced = tmp_path / "tmp dir"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    status, literals = run_external_solver(to_dimacs_text(demo_doc), TOYSAT_CMD)
+    assert status == "SAT" and check_cnf(demo_doc, literals)
 
 
 def test_external_bridge_bad_command():

@@ -114,6 +114,10 @@ BOOL_UV = [tuple(x if x == 2 else bool(x) for x in pair) for pair in DEMO_SIGMA3
 REFUSED_VALUES = {
     "uv of bools": ("uv", lambda inst: solution_from_uv(inst, BOOL_UV)),
     "uv with 3": ("uv", lambda inst: solution_from_uv(inst, [(3, 0)] + DEMO_SIGMA3[1:])),
+    "uv with a triple": ("uv", lambda inst: solution_from_uv(
+        inst, [(0, 1, 2)] + DEMO_SIGMA3[1:])),
+    "uv with a single": ("uv", lambda inst: solution_from_uv(inst, [(0,)] + DEMO_SIGMA3[1:])),
+    "uv with a bare int": ("uv", lambda inst: solution_from_uv(inst, [0] + DEMO_SIGMA3[1:])),
     "solution with True": ("solution", lambda inst: check_solution(
         inst, (True,) + solution_from_uv(inst, DEMO_SIGMA3)[1:])),
     "solution with 1.0": ("solution", lambda inst: check_solution(
