@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the C kernels against their pure-Python reference.
 
-`fd_search` and `count_strong_starters` are timed on both the C extension
-(`_ckernels`, built by `python setup.py build_ext --inplace`) and the pure
-definitions in `_kernels.py`; the hill climber has only the pure version.
+`fd_search`, `count_strong_starters` and `dimacs_text` are timed on both
+the C extension (`_ckernels`, built by `python setup.py build_ext
+--inplace`) and the pure definitions in `_kernels.py`; the hill climber has
+only the pure version.
 Run from the repo root:
 
     python benchmarks/bench_backends.py [--quick]
@@ -19,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tristarter import _kernels, build_table, encode, hill_climb  # noqa: E402
+from tristarter.dimacs import export_dimacs  # noqa: E402
 from tristarter.solver import RESTART_UNIT  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
 
@@ -61,6 +63,18 @@ def bench_solver(fd_search, p, seed=1000):
     return timed(run, 1)
 
 
+def bench_dimacs(dimacs_text, p, seed=1000, repeat=5):
+    base = hill_climb(p, seed=seed + p)
+    docs = [export_dimacs(encode(build_table(base, key)))
+            for key in admissible_keys(base)]
+
+    def run():   # the text of every key's document, as `to_dimacs_text` writes it
+        for doc in docs:
+            dimacs_text(doc.num_ternary, doc.clauses)
+
+    return timed(run, repeat)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -74,6 +88,7 @@ def main() -> int:
     climbs = 200 if args.quick else 2000
     enum_order = 15 if args.quick else 21
     solver_p = 31 if args.quick else 43
+    dimacs_p = 31 if args.quick else 79
 
     # (name, unit, pure timing, C timing or None)
     rows = [
@@ -85,6 +100,9 @@ def main() -> int:
         (f"fd_search key sweep p={solver_p}", "s",
          lambda: bench_solver(_kernels.pure_fd_search, solver_p),
          lambda: bench_solver(_kernels.fd_search, solver_p)),
+        (f"dimacs_text key sweep p={dimacs_p}", "ms",
+         lambda: bench_dimacs(_kernels.pure_dimacs_text, dimacs_p) * 1000,
+         lambda: bench_dimacs(_kernels.dimacs_text, dimacs_p) * 1000),
     ]
 
     width = max(len(name) for name, *_ in rows) + 2

@@ -1,9 +1,10 @@
 /*
- * C versions of two kernels of `_kernels.py`: `fd_search` and
- * `count_strong_starters`.  `_kernels` binds them over its own definitions
- * when this extension imports; the Python code stays the reference, and
- * both return exactly the same values (tests/test_backends.py compares
- * them).  Keep the two in step: the queue is a LIFO stack, the branch rule
+ * C versions of three kernels of `_kernels.py`: `fd_search`,
+ * `count_strong_starters` and the DIMACS writer `dimacs_text`.  `_kernels`
+ * binds them over its own definitions when this extension imports; the
+ * Python code stays the reference, and both return exactly the same values
+ * and raise the same errors (tests/test_backends.py compares them).  Keep
+ * the two searches in step: the queue is a LIFO stack, the branch rule
  * (dom/wdeg), the value order (0, 1, 2), the restart schedule and the
  * shuffles of the tie-break order are the ones of the Python code.
  *
@@ -877,6 +878,182 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* dimacs_text                                                         */
+
+/* Largest num_ternary: a tmap line takes at most 47 bytes, so the text
+ * stays within a Py_ssize_t (`_kernels.MAX_TERNARY`). */
+#define MAX_TERNARY (PY_SSIZE_T_MAX / 64)
+
+/* A growing output buffer. */
+typedef struct {
+    char *s;
+    size_t len, cap;
+} Text;
+
+/* Room for `more` bytes past the end; 0, or -1 with MemoryError set. */
+static int
+reserve(Text *t, size_t more)
+{
+    if (t->cap - t->len >= more)
+        return 0;
+    size_t cap = 2 * t->cap;
+    if (cap - t->len < more)
+        cap = t->len + more;
+    char *s = PyMem_Realloc(t->s, cap);
+    if (s == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    t->s = s;
+    t->cap = cap;
+    return 0;
+}
+
+/* Write x in decimal at p; returns the end. */
+static inline char *
+put_int(char *p, long long x)
+{
+    char digits[20];
+    int n = 0;
+    unsigned long long u = (unsigned long long)x;
+    if (x < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* Write the NUL-terminated s at p; returns the end. */
+static inline char *
+put_str(char *p, const char *s)
+{
+    size_t n = strlen(s);
+    memcpy(p, s, n);
+    return p + n;
+}
+
+/* Raise tristarter.errors.StructuralError; returns NULL. */
+static PyObject *
+structural(const char *format, ...)
+{
+    PyObject *errors = PyImport_ImportModule("tristarter.errors");
+    if (errors == NULL)
+        return NULL;
+    PyObject *cls = PyObject_GetAttrString(errors, "StructuralError");
+    Py_DECREF(errors);
+    if (cls == NULL)
+        return NULL;
+    va_list args;
+    va_start(args, format);
+    PyErr_FormatV(cls, format, args);
+    va_end(args);
+    Py_DECREF(cls);
+    return NULL;
+}
+
+/* The header, tmap and problem lines, then each clause as it is checked:
+ * one pass over the literals writes the same bytes as the %-templates of
+ * `_kernels.dimacs_text` and refuses the same documents, with the same
+ * messages. */
+static PyObject *
+dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *nt_obj, *clauses;
+    if (!PyArg_ParseTuple(args, "OO:dimacs_text", &nt_obj, &clauses))
+        return NULL;
+    long long nt = -1;
+    int overflow = 0;
+    if (PyLong_CheckExact(nt_obj)) {
+        nt = PyLong_AsLongLongAndOverflow(nt_obj, &overflow);
+        if (nt == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (overflow || nt < 0 || nt > MAX_TERNARY)
+        return structural("num_ternary must be an integer in [0, %zd], got %R",
+                          (Py_ssize_t)MAX_TERNARY, nt_obj);
+    if (!PyTuple_CheckExact(clauses)) {
+        PyObject *name = PyType_GetName(Py_TYPE(clauses));
+        if (name != NULL) {
+            structural("clauses must be a tuple, got %U", name);
+            Py_DECREF(name);
+        }
+        return NULL;
+    }
+
+    long long nb = 3 * nt;
+    Py_ssize_t nc = PyTuple_GET_SIZE(clauses);
+    char scratch[20];
+    /* a literal takes at most sign, digits and one separator */
+    size_t lit_bytes = (size_t)(put_int(scratch, nb) - scratch) + 2;
+    Text t = {NULL, 0, 0};
+    PyObject *result = NULL;
+    if (reserve(&t, (size_t)nt * 47 + 128 + (size_t)nc * (3 * lit_bytes + 3)) < 0)
+        goto done;
+    char *p = put_str(t.s, "c ternary ");
+    p = put_int(p, nt);
+    p = put_str(p, " one-hot booleans ");
+    p = put_int(p, nb);
+    *p++ = '\n';
+    for (long long i = 0; i < nt; i++) {
+        p = put_str(p, "c tmap ");
+        p = put_int(p, i);
+        *p++ = ' ';
+        p = put_int(p, 3 * i + 1);
+        *p++ = '\n';
+    }
+    p = put_str(p, "p cnf ");
+    p = put_int(p, nb);
+    *p++ = ' ';
+    p = put_int(p, nc);
+    *p++ = '\n';
+    t.len = (size_t)(p - t.s);
+
+    for (Py_ssize_t i = 0; i < nc; i++) {
+        PyObject *clause = PyTuple_GET_ITEM(clauses, i);
+        if (!PyTuple_CheckExact(clause)) {
+            structural("clause %zd is not a tuple: %R", i, clause);
+            goto done;
+        }
+        Py_ssize_t k = PyTuple_GET_SIZE(clause);
+        if (reserve(&t, (size_t)k * lit_bytes + 3) < 0)
+            goto done;
+        p = t.s + t.len;
+        for (Py_ssize_t j = 0; j < k; j++) {
+            PyObject *item = PyTuple_GET_ITEM(clause, j);
+            long long lit = 0;
+            if (PyLong_CheckExact(item)) {
+                lit = PyLong_AsLongLongAndOverflow(item, &overflow);
+                if (lit == -1 && PyErr_Occurred())
+                    goto done;
+            }
+            if (overflow || lit == 0 || lit < -nb || lit > nb) {
+                structural("clause %zd: literal %R is not a nonzero int in "
+                           "[-%lld, %lld]", i, item, nb, nb);
+                goto done;
+            }
+            if (j)
+                *p++ = ' ';
+            p = put_int(p, lit);
+        }
+        p = put_str(p, " 0\n");
+        t.len = (size_t)(p - t.s);
+    }
+
+    result = PyUnicode_New((Py_ssize_t)t.len, 127);
+    if (result != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(result), t.s, t.len);
+done:
+    PyMem_Free(t.s);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
     {"fd_search", fd_search, METH_VARARGS,
@@ -884,13 +1061,15 @@ static PyMethodDef methods[] = {
     {"count_strong_starters", count_strong_starters, METH_VARARGS,
      "C version of `_kernels.count_strong_starters`; same arguments and "
      "result."},
+    {"dimacs_text", dimacs_text, METH_VARARGS,
+     "C version of `_kernels.dimacs_text`; same arguments and result."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
-    "C versions of `_kernels.fd_search` and "
-    "`_kernels.count_strong_starters`.",
+    "C versions of `_kernels.fd_search`, "
+    "`_kernels.count_strong_starters` and `_kernels.dimacs_text`.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -1,11 +1,18 @@
-"""Hot kernels: hill climbing, exhaustive enumeration, ternary FD search.
+"""Hot kernels: hill climbing, exhaustive enumeration, ternary FD search
+and the DIMACS text writer.
 
-This module is the reference implementation of all three.  When the C
-extension `_ckernels` (built by `setup.py`) imports, its `fd_search` and
-`count_strong_starters` replace the ones defined here, which stay reachable
-as `pure_fd_search` and `pure_count_strong_starters`; the two return
-exactly the same values.  The hill climber always runs as Python.
+This module is the reference implementation of all four.  When the C
+extension `_ckernels` (built by `setup.py`) imports, its `fd_search`,
+`count_strong_starters` and `dimacs_text` replace the ones defined here,
+which stay reachable as `pure_fd_search`, `pure_count_strong_starters` and
+`pure_dimacs_text`; the two return exactly the same values and raise the
+same errors.  The hill climber always runs as Python.
 """
+
+import itertools
+import sys
+
+from .errors import StructuralError, require_int
 
 # singleton-value table for 3-bit domain masks
 _SINGLE = (-1, 0, 1, -1, 2, -1, -1, -1)
@@ -515,11 +522,51 @@ def fd_search(nvars, fixed_vars, fixed_vals,
         run_order, state = shuffled(order, state)
 
 
+# Largest num_ternary: a tmap line takes at most 47 bytes, so the text
+# stays within a Py_ssize_t (MAX_TERNARY in the C writer).
+MAX_TERNARY = sys.maxsize // 64
+
+
+def dimacs_text(num_ternary, clauses):
+    """The DIMACS text of a document (see `dimacs.to_dimacs_text`).
+
+    Refuses with a `StructuralError`, naming the first offending clause,
+    every document whose text `dimacs.parse_dimacs_text` would refuse or
+    read back as another document: ``clauses`` must be a tuple of tuples,
+    and each literal an int (not a bool), nonzero and within
+    ±3 · ``num_ternary``.
+    """
+    require_int("num_ternary", num_ternary, 0, MAX_TERNARY)
+    if type(clauses) is not tuple:
+        raise StructuralError(f"clauses must be a tuple, got {type(clauses).__name__}")
+    num_bools = 3 * num_ternary
+    for i, clause in enumerate(clauses):
+        if type(clause) is not tuple:
+            raise StructuralError(f"clause {i} is not a tuple: {clause!r}")
+        for lit in clause:
+            if type(lit) is not int or not 0 < abs(lit) <= num_bools:
+                raise StructuralError(f"clause {i}: literal {lit!r} is not a nonzero "
+                                      f"int in [-{num_bools}, {num_bools}]")
+    # One %-template per clause, applied once to the flat literal sequence,
+    # so the integer formatting runs in C rather than once per clause.
+    longest = max(map(len, clauses), default=0)
+    templates = [" ".join(["%d"] * k) + " 0\n" for k in range(longest + 1)]
+    body = "".join(map(templates.__getitem__, map(len, clauses)))
+    n = num_ternary
+    tmap = "c tmap %d %d\n" * n
+    tmap_fields = itertools.chain.from_iterable(enumerate(range(1, 3 * n + 1, 3)))
+    return (f"c ternary {n} one-hot booleans {num_bools}\n"
+            + tmap % tuple(tmap_fields)
+            + f"p cnf {num_bools} {len(clauses)}\n"
+            + body % tuple(itertools.chain.from_iterable(clauses)))
+
+
 pure_fd_search = fd_search
 pure_count_strong_starters = count_strong_starters
+pure_dimacs_text = dimacs_text
 
 try:
-    from ._ckernels import count_strong_starters, fd_search
+    from ._ckernels import count_strong_starters, dimacs_text, fd_search
 except ImportError:  # extension not built: the definitions above run
     BACKEND = "pure"
 else:

@@ -10,7 +10,9 @@ order (one-hot block, fix-zero unit, bindings, all-different pairs) and the
 text bytes are a contract: golden sha256 digests in the tests pin them.  The
 numbering is a fixed rule, not data: the ``c tmap t 3t+1`` comments restate
 it for readers of the text, and the parser refuses any tmap comment that
-disagrees with it.
+disagrees with it.  The writer, `_kernels.dimacs_text` (C or pure Python),
+refuses every document whose text the parser would refuse, so each text it
+writes parses back to the document it came from.
 
 External solvers are invoked as a command template receiving the CNF path
 and are expected to print SAT-competition style output (`s SATISFIABLE` /
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from . import _kernels
 from .errors import DecodeError, ExternalSolverError, StructuralError
 from .model import Solution, SudokuInstance
 from .solver import SAT, UNSAT
@@ -75,18 +78,15 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
 
 
 def to_dimacs_text(doc: CnfDocument) -> str:
-    # One %-template per clause, applied once to the flat literal sequence,
-    # so the integer formatting runs in C rather than once per clause.
-    longest = max(map(len, doc.clauses), default=0)
-    templates = [" ".join(["%d"] * k) + " 0\n" for k in range(longest + 1)]
-    body = "".join(map(templates.__getitem__, map(len, doc.clauses)))
-    n = doc.num_ternary
-    tmap = "c tmap %d %d\n" * n
-    tmap_fields = itertools.chain.from_iterable(enumerate(range(1, 3 * n + 1, 3)))
-    return (f"c ternary {n} one-hot booleans {doc.num_bools}\n"
-            + tmap % tuple(tmap_fields)
-            + f"p cnf {doc.num_bools} {len(doc.clauses)}\n"
-            + body % tuple(itertools.chain.from_iterable(doc.clauses)))
+    """The DIMACS text of ``doc``, which `parse_dimacs_text` reads back as ``doc``.
+
+    Written by `_kernels.dimacs_text` (in C when the extension is built).
+    A document whose text the parser would refuse or read back differently
+    is refused with a `StructuralError`: a ``num_ternary`` that is not a
+    non-negative int, and, naming the clause, a clause that is not a tuple
+    or a literal that is not an int, is 0 or lies outside ±``num_bools``.
+    """
+    return _kernels.dimacs_text(doc.num_ternary, doc.clauses)
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:

@@ -245,6 +245,7 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
 
 
 def kernel_backend() -> str:
-    """'compiled' when the C extension supplies `fd_search` and
-    `count_strong_starters`, else 'pure' (the hill climber is always pure)."""
+    """'compiled' when the C extension supplies `fd_search`,
+    `count_strong_starters` and `dimacs_text`, else 'pure' (the hill climber
+    is always pure)."""
     return _kernels.BACKEND

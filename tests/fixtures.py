@@ -1,6 +1,7 @@
 """Golden values used across the test suite."""
 
 from tristarter import Pairing
+from tristarter._kernels import MAX_TERNARY
 
 # order-7 base and its order-21 derivation (key 1)
 T7 = Pairing(7, ((2, 3), (4, 6), (1, 5)))
@@ -51,3 +52,33 @@ IMAGE_COUNTS = {21: 648}
 
 # orders 7 <= p <= 49 with gcd(p, 6) = 1
 SWEEP_ORDERS = (7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, 41, 43, 47, 49)
+
+# (num_ternary, clauses) of documents whose text the parser would refuse or
+# read back as another document, and the writer's message for each
+_LIT = "literal {} is not a nonzero int in [-{n}, {n}]"
+MALFORMED_DOCUMENTS = {
+    "beyond": (1, ((7,),), "clause 0: " + _LIT.format(7, n=3)),
+    "above": (2, ((-6, 6), (7,)), "clause 1: " + _LIT.format(7, n=6)),
+    "below": (2, ((1, 2), (-7, 3)), "clause 1: " + _LIT.format(-7, n=6)),
+    "zero": (1, ((0, 1),), "clause 0: " + _LIT.format(0, n=3)),
+    "no-ternary": (0, ((1,),), "clause 0: " + _LIT.format(1, n=0)),
+    "huge": (1, ((1, -2 ** 64),), "clause 0: " + _LIT.format(-2 ** 64, n=3)),
+    "float": (1, ((2.7,),), "clause 0: " + _LIT.format(2.7, n=3)),
+    "bool": (1, ((1,), (True,)), "clause 1: " + _LIT.format(True, n=3)),
+    "list-clause": (1, ((1,), [2]), "clause 1 is not a tuple: [2]"),
+    "int-clause": (1, (1,), "clause 0 is not a tuple: 1"),
+    "list-of-clauses": (1, [(1,)], "clauses must be a tuple, got list"),
+    "negative-count": (-1, (), f"num_ternary must be an integer in [0, {MAX_TERNARY}], got -1"),
+    "bool-count": (True, ((1,),),
+                   f"num_ternary must be an integer in [0, {MAX_TERNARY}], got True"),
+}
+
+
+def random_document(rng, max_ternary=12, max_clauses=40, max_length=6):
+    """(num_ternary, clauses) of a random well-formed document."""
+    n = rng.randrange(max_ternary + 1)
+    lits = [lit for b in range(1, 3 * n + 1) for lit in (b, -b)]
+    clauses = tuple(
+        tuple(rng.choice(lits) for _ in range(rng.randrange(max_length + 1) if lits else 0))
+        for _ in range(rng.randrange(max_clauses + 1)))
+    return n, clauses

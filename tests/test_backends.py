@@ -1,23 +1,28 @@
 """C/pure kernel agreement.
 
 `_kernels.py` is the reference.  The C extension `_ckernels` replaces its
-`fd_search` and `count_strong_starters` when built; the pure definitions
-stay reachable as `_kernels.pure_*`.  These tests require the two to return
-identical values, so a seed denotes the same starter and a search reports
-the same counts on every build.  The ``ckernels`` fixture (conftest.py)
-compiles the extension when it is not importable or older than its source;
-the tests skip only when there is no C compiler.
+`fd_search`, `count_strong_starters` and `dimacs_text` when built; the pure
+definitions stay reachable as `_kernels.pure_*`.  These tests require the
+two to return identical values, so a seed denotes the same starter, a
+search reports the same counts and a document has the same text on every
+build.  The ``ckernels`` fixture (conftest.py) compiles the extension when
+it is not importable or older than its source; the tests skip only when
+there is no C compiler.
 """
 
 import hashlib
+import os
+import random
 
 import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
+from tristarter.dimacs import CnfDocument, export_dimacs, parse_dimacs_text
+from tristarter.errors import StructuralError
 from tristarter.solver import RESTART_UNIT
 from tristarter.triplication import _forbidden_keys, admissible_keys
 
-from fixtures import T7, T13
+from fixtures import DEMO_KEY, MALFORMED_DOCUMENTS, T7, T13, random_document
 
 
 def _both(ckernels, arrays, budget, cap, seed=0, unit=0):
@@ -31,6 +36,7 @@ def test_backend_flag_consistency():
     compiled = _kernels.fd_search is not _kernels.pure_fd_search
     assert compiled == (_kernels.count_strong_starters
                         is not _kernels.pure_count_strong_starters)
+    assert compiled == (_kernels.dimacs_text is not _kernels.pure_dimacs_text)
     assert _kernels.BACKEND == ("compiled" if compiled else "pure")
 
 
@@ -177,6 +183,47 @@ def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
             fd_search(nvars, *arrays.values(), 0, 1, 0, 0)
         errors.append(str(error.value))
     assert len(set(errors)) == 1     # the same message from each backend
+
+
+def _same_text(ckernels, num_ternary, clauses):
+    text = ckernels.dimacs_text(num_ternary, clauses)
+    pure = _kernels.pure_dimacs_text(num_ternary, clauses)
+    if text != pure:   # name the first difference: a diff of megabytes takes minutes
+        at = len(os.path.commonprefix([text, pure]))
+        pytest.fail(f"byte {at}: C {text[at:at + 40]!r}, pure {pure[at:at + 40]!r}")
+    return text
+
+
+def test_dimacs_text_identical_on_the_golden_documents(ckernels):
+    # the documents whose pure text test_dimacs.py pins by digest
+    docs = [export_dimacs(encode(build_table(T7, DEMO_KEY)))]
+    base = hill_climb(31, seed=0)
+    docs += [export_dimacs(encode(build_table(base, key))) for key in admissible_keys(base)]
+    for doc in docs:
+        _same_text(ckernels, doc.num_ternary, doc.clauses)
+
+
+def test_dimacs_text_identical_on_edge_documents(ckernels):
+    docs = [(0, ()), (0, ((),)),
+            (2, ((), (1,), (-2, 3), (4, -5, 6), (1, 2, 3, 4), (-1, -2, -3, -4, -5)))]
+    # literals at +-num_bools on each side of a change in its digit count
+    for n in (1, 3, 4, 33, 34, 333, 334, 3333, 3334, 10 ** 5):
+        b = 3 * n
+        docs.append((n, ((b,), (-b,), (1, -b, b, -1))))
+    rng = random.Random(20)
+    docs += [random_document(rng) for _ in range(300)]
+    for n, clauses in docs:
+        text = _same_text(ckernels, n, clauses)
+        assert parse_dimacs_text(text) == CnfDocument(n, clauses)
+
+
+@pytest.mark.parametrize("num_ternary, clauses, message",
+                         list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
+def test_dimacs_text_refuses_alike(ckernels, num_ternary, clauses, message):
+    for dimacs_text in (ckernels.dimacs_text, _kernels.pure_dimacs_text):
+        with pytest.raises(StructuralError) as error:
+            dimacs_text(num_ternary, clauses)
+        assert type(error.value) is StructuralError and str(error.value) == message
 
 
 def test_splitmix_reference_values():

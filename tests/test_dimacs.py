@@ -20,7 +20,7 @@ from tristarter.dimacs import (
 from tristarter.errors import ExternalSolverError, StructuralError
 from tristarter.triplication import admissible_keys
 
-from fixtures import DEMO_KEY, T7
+from fixtures import DEMO_KEY, MALFORMED_DOCUMENTS, T7, random_document
 
 TOYSAT = Path(__file__).parent / "toysat.py"
 TOYSAT_CMD = f"{sys.executable} {TOYSAT} {{cnf}}"
@@ -95,6 +95,23 @@ def test_text_of_every_clause_length():
         "-1 -2 -3 -4 -5 0\n")
     # the boolean count is derived, so the text always parses back
     assert parse_dimacs_text(to_dimacs_text(doc)) == doc
+
+
+@pytest.mark.parametrize("num_ternary, clauses, message",
+                         list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
+def test_writer_refuses_documents_that_would_not_parse_back(num_ternary, clauses, message):
+    # "0 1 0" would parse as two clauses, 2.7 would be written as 2, and 7
+    # lies beyond the 3 booleans the parser would accept
+    with pytest.raises(StructuralError) as error:
+        to_dimacs_text(CnfDocument(num_ternary, clauses))
+    assert str(error.value) == message
+
+
+def test_every_written_document_parses_back():
+    rng = random.Random(2026)
+    for _ in range(300):
+        doc = CnfDocument(*random_document(rng))
+        assert parse_dimacs_text(to_dimacs_text(doc)) == doc
 
 
 def _one_hot(values):
