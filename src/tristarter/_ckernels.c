@@ -27,8 +27,12 @@
  * only difference is on a wipeout, where the tables skip the shrinks the
  * rule makes before it; the caller unwinds the trail past them anyway.
  *
- * Each call derives the variable -> constraint incidence lists from the
- * bindings and groups, as `_kernels.fd_search` does: every variable's
+ * An instance is one constraint table: constraint cid names the variables
+ * scope_flat[scope_off[cid] .. scope_off[cid + 1]).  The first
+ * len(bind_sign) constraints are the bindings, three wide from offset 0, so
+ * `propagate` reads binding cid at scope_flat + 3 * cid; the all-different
+ * groups follow.  Each call derives the variable -> constraint incidence
+ * lists from the table, as `_kernels.fd_search` does: every variable's
  * constraint ids in ascending order.  A shrink queues the constraints of
  * its variable in that order, so that order is what keeps the LIFO queue,
  * and therefore every count, equal between the two backends.
@@ -45,8 +49,9 @@
 #include <string.h>
 
 /* Largest array length or index the kernels accept: small enough that the
- * trail (2 * nvars + 2 entries), the incidence lists (3 * len(bind_a) +
- * len(ad_flat) entries) and every offset fit in int32. */
+ * trail (2 * nvars + 2 entries), the incidence lists (at most
+ * len(scope_flat) entries), the constraint count and every offset fit in
+ * int32. */
 #define MAX_LEN (INT32_MAX / 4)
 
 /* singleton 3-bit domain mask -> its value, else -1 */
@@ -135,8 +140,8 @@ check_offsets(const IntArray *off, const char *name, Py_ssize_t len)
 
 typedef struct {
     int32_t nvars, nb, ncons;
-    const int32_t *ba, *bb, *bc, *bs;   /* bs: binding sign mod 3 */
-    const int32_t *ad_flat, *ad_off;
+    const int32_t *flat, *off;          /* the constraint table */
+    const int32_t *bs;                  /* binding sign mod 3 */
     int32_t *vc_flat, *vc_off;          /* derived by `incidence` */
     uint8_t *dom, *root, *in_q;        /* root: dom after the root propagation */
     int64_t *wdeg;                      /* summed weight of each variable's constraints */
@@ -183,7 +188,7 @@ enqueue_var(Search *S, int32_t v)
 }
 
 /* Shrink dom[v] to m, trailing the old mask.  Every call is a strict
- * shrink (bindings and groups are checked to name distinct variables), so a
+ * shrink (constraints are checked to name distinct variables), so a
  * variable has at most two entries on the trail and 2 * nvars suffice. */
 static inline void
 shrink(Search *S, int32_t v, uint8_t m)
@@ -200,15 +205,8 @@ shrink(Search *S, int32_t v, uint8_t m)
 static int64_t
 wipeout(Search *S, int32_t cid)
 {
-    if (cid < S->nb) {
-        S->wdeg[S->ba[cid]]++;
-        S->wdeg[S->bb[cid]]++;
-        S->wdeg[S->bc[cid]]++;
-    } else {
-        int32_t g = cid - S->nb;
-        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
-            S->wdeg[S->ad_flat[i]]++;
-    }
+    for (int32_t i = S->off[cid]; i < S->off[cid + 1]; i++)
+        S->wdeg[S->flat[i]]++;
     S->in_q[cid] = 0;
     while (S->qn)
         S->in_q[S->queue[--S->qn]] = 0;
@@ -283,7 +281,8 @@ propagate(Search *S)
         int32_t cid = S->queue[--S->qn];
         props++;
         if (cid < S->nb) {
-            int32_t a = S->ba[cid], b = S->bb[cid], c = S->bc[cid];
+            const int32_t *sc = S->flat + 3 * cid;
+            int32_t a = sc[0], b = sc[1], c = sc[2];
             uint8_t ma = dom[a], mb = dom[b], mc = dom[c];
             unsigned sup = SUPPORT[S->bs[cid]][ma][mb][mc];
             if (sup == 0)
@@ -295,9 +294,8 @@ propagate(Search *S)
             if (sup >> 6 != mc)
                 shrink(S, c, (uint8_t)(sup >> 6));
         } else {
-            int32_t grp = cid - S->nb;
-            const int32_t *g = S->ad_flat + S->ad_off[grp];
-            int32_t n = S->ad_off[grp + 1] - S->ad_off[grp];
+            const int32_t *g = S->flat + S->off[cid];
+            int32_t n = S->off[cid + 1] - S->off[cid];
             if (n > 3)
                 return wipeout(S, cid);
             unsigned key = 0;
@@ -375,20 +373,20 @@ solution_tuple(const uint8_t *dom, int32_t nvars, int *undetermined)
 }
 
 enum {
-    A_FIXED_VARS, A_FIXED_VALS, A_BIND_A, A_BIND_B, A_BIND_C, A_BIND_SIGN,
-    A_AD_FLAT, A_AD_OFF, A_ORDER, N_ARRAYS
+    A_FIXED_VARS, A_FIXED_VALS, A_SCOPE_FLAT, A_SCOPE_OFF, A_BIND_SIGN,
+    A_ORDER, N_ARRAYS
 };
 
 static const char *const ARRAY_NAMES[N_ARRAYS] = {
-    "fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
-    "ad_flat", "ad_off", "order",
+    "fixed_vars", "fixed_vals", "scope_flat", "scope_off", "bind_sign",
+    "order",
 };
 
-/* No all-different group names a variable twice: ALLDIFF reads each
- * member's domain separately, so an aliased group would diverge from the
- * rule of `_kernels`.  The members are already checked to be in range. */
+/* No constraint names a variable twice: SUPPORT and ALLDIFF read each
+ * member's domain separately, so an aliased scope would diverge from the
+ * rules of `_kernels`.  The members are already checked to be in range. */
 static int
-check_groups(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
+check_scopes(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
 {
     int32_t *seen = PyMem_Malloc((size_t)(nvars ? nvars : 1) * sizeof(int32_t));
     if (seen == NULL) {
@@ -397,12 +395,12 @@ check_groups(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
     }
     memset(seen, 0xff, (size_t)nvars * sizeof(int32_t));   /* all -1 */
     int rc = 0;
-    for (Py_ssize_t g = 0; rc == 0 && g + 1 < off->n; g++)
-        for (int32_t i = off->v[g]; rc == 0 && i < off->v[g + 1]; i++) {
+    for (Py_ssize_t c = 0; rc == 0 && c + 1 < off->n; c++)
+        for (int32_t i = off->v[c]; rc == 0 && i < off->v[c + 1]; i++) {
             int32_t v = flat->v[i];
-            if (seen[v] == g)
-                rc = invalid("all-different group %zd repeats a variable", g);
-            seen[v] = (int32_t)g;
+            if (seen[v] == c)
+                rc = invalid("constraint %zd repeats a variable", c);
+            seen[v] = (int32_t)c;
         }
     PyMem_Free(seen);
     return rc;
@@ -412,34 +410,29 @@ check_groups(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
 static int
 validate(IntArray *A, Py_ssize_t nvars)
 {
-    Py_ssize_t nb = A[A_BIND_A].n;
+    const IntArray *off = &A[A_SCOPE_OFF];
+    Py_ssize_t nb = A[A_BIND_SIGN].n;
     if (A[A_FIXED_VALS].n != A[A_FIXED_VARS].n)
         return invalid("fixed_vals has %zd entries, fixed_vars %zd",
                        A[A_FIXED_VALS].n, A[A_FIXED_VARS].n);
-    for (int k = A_BIND_B; k <= A_BIND_SIGN; k++)
-        if (A[k].n != nb)
-            return invalid("%s has %zd entries, bind_a %zd", ARRAY_NAMES[k],
-                           A[k].n, nb);
-    if (A[A_AD_OFF].n < 1)
-        return invalid("ad_off is empty");
-    Py_ssize_t ncons = nb + A[A_AD_OFF].n - 1;
-    if (ncons > MAX_LEN)
-        return invalid("too many constraints (%zd)", ncons);
-    static const int var_arrays[] = {A_FIXED_VARS, A_BIND_A, A_BIND_B,
-                                     A_BIND_C, A_AD_FLAT, A_ORDER};
+    if (off->n < 1)
+        return invalid("scope_off is empty");
+    if (nb > off->n - 1)
+        return invalid("bind_sign has %zd entries for %zd constraints", nb,
+                       off->n - 1);
+    static const int var_arrays[] = {A_FIXED_VARS, A_SCOPE_FLAT, A_ORDER};
     for (size_t i = 0; i < sizeof var_arrays / sizeof *var_arrays; i++)
         if (check_range(&A[var_arrays[i]], ARRAY_NAMES[var_arrays[i]], 0,
                         nvars) < 0)
             return -1;
     if (check_range(&A[A_FIXED_VALS], "fixed_vals", 0, 3) < 0
-            || check_offsets(&A[A_AD_OFF], "ad_off", A[A_AD_FLAT].n) < 0)
+            || check_offsets(off, "scope_off", A[A_SCOPE_FLAT].n) < 0)
         return -1;
-    for (Py_ssize_t c = 0; c < nb; c++) {
-        int32_t a = A[A_BIND_A].v[c], b = A[A_BIND_B].v[c], d = A[A_BIND_C].v[c];
-        if (a == b || a == d || b == d)
-            return invalid("binding %zd repeats a variable", c);
-    }
-    if (check_groups(&A[A_AD_FLAT], &A[A_AD_OFF], nvars) < 0)
+    for (Py_ssize_t c = 0; c < nb; c++)
+        if (off->v[c] != 3 * c || off->v[c + 1] != 3 * c + 3)
+            return invalid("binding %zd is not three wide at offset %zd", c,
+                           3 * c);
+    if (check_scopes(&A[A_SCOPE_FLAT], off, nvars) < 0)
         return -1;
     /* the sign enters only mod 3 (Python modulo: result in 0..2) */
     int32_t *sign = A[A_BIND_SIGN].v;
@@ -449,34 +442,23 @@ validate(IntArray *A, Py_ssize_t nvars)
 }
 
 /* Fill S->vc_flat / S->vc_off (allocated by the caller with room for
- * 3 * nb + len(ad_flat) and nvars + 1 entries) with each variable's
- * constraint ids in ascending order: count each variable's entries into
- * vc_off[v + 1], sum them to offsets, then place the ids in id order with
- * vc_off[v] as variable v's cursor, which leaves it at the next variable's
- * offset, and shift the offsets back by one. */
+ * len(scope_flat) and nvars + 1 entries) with each variable's constraint
+ * ids in ascending order: count each variable's entries into vc_off[v + 1],
+ * sum them to offsets, then place the ids in id order with vc_off[v] as
+ * variable v's cursor, which leaves it at the next variable's offset, and
+ * shift the offsets back by one. */
 static void
 incidence(Search *S)
 {
-    int32_t *off = S->vc_off, *flat = S->vc_flat, nb = S->nb;
+    int32_t *off = S->vc_off, *flat = S->vc_flat;
     memset(off, 0, ((size_t)S->nvars + 1) * sizeof(int32_t));
-    for (int32_t c = 0; c < nb; c++) {
-        off[S->ba[c] + 1]++;
-        off[S->bb[c] + 1]++;
-        off[S->bc[c] + 1]++;
-    }
-    for (int32_t g = 0; g + nb < S->ncons; g++)
-        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
-            off[S->ad_flat[i] + 1]++;
+    for (int32_t i = S->off[0]; i < S->off[S->ncons]; i++)
+        off[S->flat[i] + 1]++;
     for (int32_t v = 0; v < S->nvars; v++)
         off[v + 1] += off[v];
-    for (int32_t c = 0; c < nb; c++) {
-        flat[off[S->ba[c]]++] = c;
-        flat[off[S->bb[c]]++] = c;
-        flat[off[S->bc[c]]++] = c;
-    }
-    for (int32_t g = 0; g + nb < S->ncons; g++)
-        for (int32_t i = S->ad_off[g]; i < S->ad_off[g + 1]; i++)
-            flat[off[S->ad_flat[i]]++] = nb + g;
+    for (int32_t c = 0; c < S->ncons; c++)
+        for (int32_t i = S->off[c]; i < S->off[c + 1]; i++)
+            flat[off[S->flat[i]]++] = c;
     memmove(off + 1, off, (size_t)S->nvars * sizeof(int32_t));
     off[0] = 0;
 }
@@ -676,10 +658,9 @@ fd_search(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *seqs[N_ARRAYS];
     long long budget, cap, unit;
     unsigned long long seed;
-    if (!PyArg_ParseTuple(args, "nOOOOOOOOOLLKL:fd_search", &nvars,
-                          &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
-                          &seqs[5], &seqs[6], &seqs[7], &seqs[8], &budget,
-                          &cap, &seed, &unit))
+    if (!PyArg_ParseTuple(args, "nOOOOOOLLKL:fd_search", &nvars, &seqs[0],
+                          &seqs[1], &seqs[2], &seqs[3], &seqs[4], &seqs[5],
+                          &budget, &cap, &seed, &unit))
         return NULL;
     if (nvars < 0 || nvars > MAX_LEN) {
         invalid("nvars = %zd is out of range", nvars);
@@ -699,16 +680,12 @@ fd_search(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
 
     S.nvars = (int32_t)nvars;
-    S.nb = (int32_t)A[A_BIND_A].n;
-    S.ncons = S.nb + (int32_t)A[A_AD_OFF].n - 1;
-    S.ba = A[A_BIND_A].v;
-    S.bb = A[A_BIND_B].v;
-    S.bc = A[A_BIND_C].v;
+    S.nb = (int32_t)A[A_BIND_SIGN].n;
+    S.ncons = (int32_t)A[A_SCOPE_OFF].n - 1;
+    S.flat = A[A_SCOPE_FLAT].v;
+    S.off = A[A_SCOPE_OFF].v;
     S.bs = A[A_BIND_SIGN].v;
-    S.ad_flat = A[A_AD_FLAT].v;
-    S.ad_off = A[A_AD_OFF].v;
-    S.vc_flat = PyMem_Malloc(((size_t)3 * S.nb + (size_t)A[A_AD_FLAT].n + 1)
-                             * sizeof(int32_t));
+    S.vc_flat = PyMem_Malloc(((size_t)A[A_SCOPE_FLAT].n + 1) * sizeof(int32_t));
     S.vc_off = PyMem_Malloc(nv1 * sizeof(int32_t));
     S.dom = PyMem_Malloc(nv1);
     S.root = PyMem_Malloc(nv1);

@@ -256,8 +256,8 @@ def shuffled(order, state):
     return out, state
 
 
-def _validate(nvars, fixed_vars, fixed_vals, bind_a, bind_b, bind_c,
-              bind_sign, ad_flat, ad_off, order):
+def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
+              order):
     """Raise the `ValueError` of the C kernel's `validate` for the same
     malformed arguments, with the same message."""
     if nvars < 0:
@@ -265,47 +265,44 @@ def _validate(nvars, fixed_vars, fixed_vals, bind_a, bind_b, bind_c,
     if len(fixed_vals) != len(fixed_vars):
         raise ValueError(f"fixed_vals has {len(fixed_vals)} entries, "
                          f"fixed_vars {len(fixed_vars)}")
-    for name, xs in (("bind_b", bind_b), ("bind_c", bind_c),
-                     ("bind_sign", bind_sign)):
-        if len(xs) != len(bind_a):
-            raise ValueError(f"{name} has {len(xs)} entries, "
-                             f"bind_a {len(bind_a)}")
-    if not ad_off:
-        raise ValueError("ad_off is empty")
+    if not scope_off:
+        raise ValueError("scope_off is empty")
+    nb, ncons = len(bind_sign), len(scope_off) - 1
+    if nb > ncons:
+        raise ValueError(f"bind_sign has {nb} entries for {ncons} constraints")
     for name, xs, hi in (
-            ("fixed_vars", fixed_vars, nvars), ("bind_a", bind_a, nvars),
-            ("bind_b", bind_b, nvars), ("bind_c", bind_c, nvars),
-            ("ad_flat", ad_flat, nvars), ("order", order, nvars),
-            ("fixed_vals", fixed_vals, 3), ("ad_off", ad_off, len(ad_flat) + 1)):
+            ("fixed_vars", fixed_vars, nvars), ("scope_flat", scope_flat, nvars),
+            ("order", order, nvars), ("fixed_vals", fixed_vals, 3),
+            ("scope_off", scope_off, len(scope_flat) + 1)):
         for i, x in enumerate(xs):
             if not 0 <= x < hi:
                 raise ValueError(f"{name}[{i}] = {x} is outside [0, {hi})")
-    for i in range(1, len(ad_off)):
-        if ad_off[i] < ad_off[i - 1]:
-            raise ValueError(f"ad_off decreases at index {i}")
-    for c, members in enumerate(zip(bind_a, bind_b, bind_c)):
-        if len(set(members)) < 3:
-            raise ValueError(f"binding {c} repeats a variable")
-    for g in range(len(ad_off) - 1):
-        members = ad_flat[ad_off[g]:ad_off[g + 1]]
+    for i in range(1, len(scope_off)):
+        if scope_off[i] < scope_off[i - 1]:
+            raise ValueError(f"scope_off decreases at index {i}")
+    for c in range(nb):
+        if scope_off[c] != 3 * c or scope_off[c + 1] != 3 * c + 3:
+            raise ValueError(f"binding {c} is not three wide at offset {3 * c}")
+    for c in range(ncons):
+        members = scope_flat[scope_off[c]:scope_off[c + 1]]
         if len(set(members)) < len(members):
-            raise ValueError(f"all-different group {g} repeats a variable")
+            raise ValueError(f"constraint {c} repeats a variable")
 
 
-def fd_search(nvars, fixed_vars, fixed_vals,
-              bind_a, bind_b, bind_c, bind_sign,
-              ad_flat, ad_off,
+def fd_search(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               order, budget, cap, seed, unit):
     """Restarted backtracking over {0,1,2} domains with propagation.
 
-    Constraints are ternary bindings ``(a + sign*b - c) % 3 == 0`` and
-    all-different groups (flattened into ``ad_flat``/``ad_off``), each
-    naming distinct variables; binding ``i`` has constraint id ``i`` and
-    group ``g`` has id ``len(bind_a) + g``.  A domain shrink queues its
-    variable's constraint ids in ascending order onto a LIFO queue, except
-    the constraint being revised (every revision is idempotent): the C
-    kernel derives the same lists and has the same `shrink`, `alldiff` and
-    `propagate`, which keeps every count equal between the two.
+    Constraint ``cid`` names the distinct variables
+    ``scope_flat[scope_off[cid]:scope_off[cid + 1]]``.  The first
+    ``len(bind_sign)`` constraints are ternary bindings, three wide from
+    offset 0: binding ``cid`` is ``(a, b, c) = scope_flat[3 * cid:3 * cid +
+    3]`` with ``(a + bind_sign[cid] * b - c) % 3 == 0``.  The rest are
+    all-different groups.  A domain shrink queues its variable's constraint
+    ids in ascending order onto a LIFO queue, except the constraint being
+    revised (every revision is idempotent): the C kernel derives the same
+    lists and has the same `shrink`, `alldiff` and `propagate`, which keeps
+    every count equal between the two.
 
     The branch rule is dom/wdeg (Boussemart, Hemery, Lecoutre and Sais,
     ECAI 2004): every constraint weighs 1 plus the number of wipeouts its
@@ -331,12 +328,11 @@ def fd_search(nvars, fixed_vars, fixed_vals,
     left undetermined (caller bug).  Raises `ValueError` on the malformed
     arrays the C kernel refuses.
     """
-    _validate(nvars, fixed_vars, fixed_vals, bind_a, bind_b, bind_c,
-              bind_sign, ad_flat, ad_off, order)
-    nb = len(bind_a)
-    bindings = list(zip(bind_a, bind_b, bind_c, bind_sign))
-    groups = [ad_flat[ad_off[g]:ad_off[g + 1]] for g in range(len(ad_off) - 1)]
-    scopes = [*zip(bind_a, bind_b, bind_c), *groups]
+    _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
+              order)
+    nb = len(bind_sign)
+    scopes = [scope_flat[scope_off[c]:scope_off[c + 1]]
+              for c in range(len(scope_off) - 1)]
     incidence = [[] for _ in range(nvars)]
     for cid, members in enumerate(scopes):
         for v in members:
@@ -404,7 +400,8 @@ def fd_search(nvars, fixed_vars, fixed_vals,
             cid = queue.pop()
             props += 1
             if cid < nb:
-                a, b, c, sg = bindings[cid]
+                a, b, c = scopes[cid]
+                sg = bind_sign[cid]
                 ma = dom[a]
                 mb = dom[b]
                 mc = dom[c]
@@ -425,7 +422,7 @@ def fd_search(nvars, fixed_vars, fixed_vals,
                     if ncm != mc:
                         shrink(c, ncm)
             else:
-                ok = alldiff(groups[cid - nb])
+                ok = alldiff(scopes[cid])
             in_q[cid] = 0
             if ok:
                 continue

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .assembly import TriplicationResult, triplicate
 from .dimacs import export_dimacs, import_dimacs_model, run_external_solver, to_dimacs_text
-from .errors import ExternalSolverError, RefusedError, StructuralError
+from .errors import DecodeError, ExternalSolverError, RefusedError, StructuralError
 from .files import load_starter, pairing_to_obj, save_starter
 from .harness import (
     run_inverse_sampling,
@@ -115,7 +115,10 @@ def _cross_check(args, instance):
     status, literals = run_external_solver(text, args.external_solver)
     if status != SAT:
         return status, None
-    solution = import_dimacs_model(doc, literals)
+    try:
+        solution = import_dimacs_model(doc, literals)
+    except DecodeError as exc:   # a malformed model is the solver's failure
+        raise ExternalSolverError(f"external model does not decode: {exc}") from exc
     ok, violated = check_solution(instance, solution)
     if not ok:
         raise ExternalSolverError(f"external model violates {violated[0]}")

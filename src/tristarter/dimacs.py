@@ -64,13 +64,12 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
         for clause in ((b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
 
     clauses.append((first[instance.z_id],))
-    for a, b, c, sign in zip(
-            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
+    for a, b, c, sign in instance.bindings():
         na, nb, nc = -first[a], -first[b], -first[c]
         clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign]])
-    ad_flat, ad_off = instance.ad_flat, instance.ad_off
-    for gid in range(len(ad_off) - 1):
-        for x, y in itertools.combinations(ad_flat[ad_off[gid]:ad_off[gid + 1]], 2):
+    flat, off = instance.scope_flat, instance.scope_off
+    for cid in range(len(instance.bind_sign), len(off) - 1):
+        for x, y in itertools.combinations(flat[off[cid]:off[cid + 1]], 2):
             nx, ny = -first[x], -first[y]
             clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
 
@@ -92,9 +91,9 @@ def to_dimacs_text(doc: CnfDocument) -> str:
 def parse_dimacs_text(text: str) -> CnfDocument:
     """Parse DIMACS text back into a document of ``num_bools / 3`` ternaries.
 
-    The declared variable count must be a multiple of 3, literals must lie
-    within it, and every ``c tmap t b`` comment must state the fixed
-    numbering ``b == 3t + 1`` for a ternary ``t`` of the document.
+    There must be one problem line, its variable count a multiple of 3 and
+    every literal within it, and every ``c tmap t b`` comment must state the
+    fixed numbering ``b == 3t + 1`` for a ternary ``t`` of the document.
     """
     num_bools = None
     declared_clauses = None
@@ -115,6 +114,8 @@ def parse_dimacs_text(text: str) -> CnfDocument:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise StructuralError(f"line {lineno}: bad problem line {line!r}")
+            if num_bools is not None:
+                raise StructuralError(f"line {lineno}: second problem line {line!r}")
             num_bools, declared_clauses = _ints(fields[2:], lineno)
             if num_bools < 0 or declared_clauses < 0:
                 raise StructuralError(f"line {lineno}: negative count in {line!r}")

@@ -32,9 +32,7 @@ def pairing_from_obj(obj: dict, where: str = "starter object") -> Pairing:
     if not isinstance(pairs, list):
         raise StructuralError(f"{where}: 'pairs' must be a list")
     try:
-        return Pairing(order, tuple(tuple(p) for p in pairs))
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{where}: {exc}") from exc
+        return Pairing(order, pairs)
     except StructuralError as exc:
         raise StructuralError(f"{where}: {exc}") from exc
 

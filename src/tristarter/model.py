@@ -4,18 +4,21 @@ Variables over {0, 1, 2}, numbered U_i = 2i, V_i = 2i + 1 per extension
 pair i < k, then D_i = 2k + i, then one S per weak pair in ascending pair
 order, then the fixed zero Z last.
 
-An instance is a set of flat arrays, the form `_kernels.fd_search` takes
-(the kernel derives each variable's constraint ids from them itself):
+An instance is one constraint table, the form `_kernels.fd_search` takes
+(the kernel derives each variable's constraint ids from it itself):
 
 * Z is the one fixed variable (Z = 0);
-* binding ``cid`` is ``(bind_a + bind_sign * bind_b - bind_c) % 3 == 0``:
-  first D_i = U_i - V_i for every pair, then S_i = U_i + V_i per weak pair;
-* the all-different groups are CSR rows ``ad_flat[ad_off[g]:ad_off[g + 1]]``,
-  in the order q regular rows (their three D), then the weak sets by sum
-  (their S, plus Z for the zero-sum set, forcing the sums nonzero), then the
-  p colors (the U/V at the positions holding the color; color 0 adds Z),
-  which no other module builds (`phi_fixed_var` reads color 0 back); group
-  ``g`` has constraint id ``len(bind_a) + g``;
+* constraint ``cid`` names the variables
+  ``scope_flat[scope_off[cid]:scope_off[cid + 1]]``;
+* the first ``len(bind_sign)`` constraints are the bindings: binding ``cid``
+  is three variables wide at offset ``3 * cid``, ``(a, b, c)`` with
+  ``(a + bind_sign[cid] * b - c) % 3 == 0``, first D_i = U_i - V_i for every
+  pair, then S_i = U_i + V_i per weak pair;
+* the all-different groups follow: q regular rows (their three D), then the
+  weak sets by sum (their S, plus Z for the zero-sum set, forcing the sums
+  nonzero), then the p colors (the U/V at the positions holding the color;
+  color 0 adds Z), which no other module builds (`phi_fixed_var` reads
+  color 0 back);
 * ``provenance[cid]`` names each constraint for diagnostics; the names are
   built on first use, not by `encode`.
 
@@ -28,9 +31,10 @@ weak-set and color cardinalities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import StructuralError
 from .starters import Pair
@@ -61,12 +65,9 @@ class SudokuInstance:
 
     table: TriplicationTable
     num_variables: int
-    bind_a: list[int] = field(repr=False)
-    bind_b: list[int] = field(repr=False)
-    bind_c: list[int] = field(repr=False)
+    scope_flat: list[int] = field(repr=False)
+    scope_off: list[int] = field(repr=False)
     bind_sign: list[int] = field(repr=False)
-    ad_flat: list[int] = field(repr=False)
-    ad_off: list[int] = field(repr=False)
     trivially_unsat_reason: Optional[str] = None
 
     @property
@@ -79,11 +80,17 @@ class SudokuInstance:
         """The name of each constraint by id, for diagnostics."""
         return _constraint_names(self.table, compute_weak_sets(self.table))
 
+    def bindings(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(a, b, c, sign)`` of each binding in constraint id order, read
+        at stride 3 from the start of ``scope_flat``."""
+        flat, end = self.scope_flat, 3 * len(self.bind_sign)
+        return zip(flat[0:end:3], flat[1:end:3], flat[2:end:3], self.bind_sign)
+
     def search_arrays(self) -> tuple:
         """The arguments of `_kernels.fd_search` before ``budget``: Z fixed
         to 0, and the branch variables U0, V0, U1, ... in run 0's tie-break order."""
-        return (self.num_variables, [self.z_id], [0], self.bind_a, self.bind_b,
-                self.bind_c, self.bind_sign, self.ad_flat, self.ad_off,
+        return (self.num_variables, [self.z_id], [0], self.scope_flat,
+                self.scope_off, self.bind_sign,
                 list(range(2 * len(self.table.extension))))
 
 
@@ -91,18 +98,22 @@ def encode(table: TriplicationTable) -> SudokuInstance:
     """Encode the table's constraint problem (classes 0 through 3)."""
     k = len(table.extension)
     weak_sets = compute_weak_sets(table)
-    s_pairs = sorted(i for members in weak_sets.values() for i in members)
+    s_pairs = sorted(itertools.chain.from_iterable(weak_sets.values()))
     s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
     z_id = 3 * k + len(s_pairs)
 
-    bind_a = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
-    bind_b = [a + 1 for a in bind_a]
-    bind_c = list(range(2 * k, z_id))
+    # Binding j is (U_i, V_i, D_i) for i = j < k, then (U_i, V_i, S_i) per
+    # weak pair i.
+    uv = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
+    scope_flat = [0] * (3 * len(uv))
+    scope_flat[0::3] = uv
+    scope_flat[1::3] = [u + 1 for u in uv]
+    scope_flat[2::3] = range(2 * k, z_id)
     bind_sign = [-1] * k + [1] * len(s_pairs)
 
     # Row r holds D_{3r-2}, D_{3r-1}, D_{3r}, so the rows are D_1 .. D_{k-1}.
-    ad_flat = list(range(2 * k + 1, 3 * k))
-    ad_off = list(range(0, 3 * table.q + 1, 3))
+    scope_flat += range(2 * k + 1, 3 * k)
+    scope_off = list(range(0, len(scope_flat) + 1, 3))   # all three wide so far
     groups = [[s_ids[i] for i in members] + ([z_id] if total == 0 else [])
               for total, members in weak_sets.items()]
     # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
@@ -113,27 +124,21 @@ def encode(table: TriplicationTable) -> SudokuInstance:
         colors[v].append(2 * i + 1)
     colors[0].append(z_id)
     groups.extend(colors)
-    for g in groups:
-        ad_flat.extend(g)
-        ad_off.append(len(ad_flat))
-
     reason = None
-    for gid, g in enumerate(groups):
-        if len(g) > 3:
-            name = _constraint_names(table, weak_sets)[len(bind_a) + table.q + gid]
+    for g in groups:
+        if len(g) > 3 and reason is None:
+            name = _constraint_names(table, weak_sets)[len(scope_off) - 1]
             reason = (f"{name}: {len(g)} mutually distinct "
                       "variables cannot fit in three values")
-            break
+        scope_flat.extend(g)
+        scope_off.append(len(scope_flat))
 
     return SudokuInstance(
         table=table,
         num_variables=z_id + 1,
-        bind_a=bind_a,
-        bind_b=bind_b,
-        bind_c=bind_c,
+        scope_flat=scope_flat,
+        scope_off=scope_off,
         bind_sign=bind_sign,
-        ad_flat=ad_flat,
-        ad_off=ad_off,
         trivially_unsat_reason=reason,
     )
 
@@ -155,18 +160,16 @@ def check_solution(
             f"{instance.num_variables} variables")
     _require_ternary("solution", solution)
     violated = ["dummy variable"] if solution[instance.z_id] != 0 else []
-    for cid, (a, b, c, sign) in enumerate(zip(
-            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign)):
-        if (solution[a] + sign * solution[b] - solution[c]) % 3 != 0:
+    for cid, (a, b, c, sign) in enumerate(instance.bindings()):
+        if (solution[a] + sign * solution[b] - solution[c]) % 3:
             violated.append(instance.provenance[cid])
-    nb = len(instance.bind_a)
-    ad_flat, ad_off = instance.ad_flat, instance.ad_off
-    for gid in range(len(ad_off) - 1):
+    flat, off = instance.scope_flat, instance.scope_off
+    for cid in range(len(instance.bind_sign), len(off) - 1):
         seen = 0
-        for var in ad_flat[ad_off[gid]:ad_off[gid + 1]]:
+        for var in flat[off[cid]:off[cid + 1]]:
             bit = 1 << solution[var]
             if seen & bit:
-                violated.append(instance.provenance[nb + gid])
+                violated.append(instance.provenance[cid])
                 break
             seen |= bit
     return not violated, tuple(violated)
@@ -177,7 +180,7 @@ def phi_fixed_var(instance: SudokuInstance) -> Optional[int]:
 
     The colors are the last p groups, and color 0 ends with Z.
     """
-    first = instance.ad_flat[instance.ad_off[-1 - instance.table.p]]
+    first = instance.scope_flat[instance.scope_off[-1 - instance.table.p]]
     return None if first == instance.z_id else first
 
 
@@ -201,8 +204,7 @@ def solution_from_uv(instance: SudokuInstance, uv: list[Pair]) -> Solution:
         except (TypeError, ValueError):
             raise StructuralError(f"uv[{i}] is not a (U, V) pair: {pair!r}") from None
     _require_ternary("uv", values[:2 * k])
-    for a, b, c, sign in zip(
-            instance.bind_a, instance.bind_b, instance.bind_c, instance.bind_sign):
+    for a, b, c, sign in instance.bindings():
         values[c] = (values[a] + sign * values[b]) % 3
     return tuple(values)
 
@@ -216,9 +218,9 @@ def uv_pairs(instance: SudokuInstance, solution: Solution) -> tuple[Pair, ...]:
 def constraint_census(instance: SudokuInstance) -> dict[str, int]:
     """Counts per constraint family, read off the array layout."""
     k = len(instance.table.extension)
-    groups = len(instance.ad_off) - 1
-    return {"fix_zero": 1, "difference_bindings": k,
-            "sum_bindings": len(instance.bind_a) - k,
-            "row_all_different": instance.table.q,
-            "weak_all_different": groups - instance.table.q - instance.table.p,
-            "color_all_different": instance.table.p}
+    q, p = instance.table.q, instance.table.p
+    nb = len(instance.bind_sign)
+    return {"fix_zero": 1, "difference_bindings": k, "sum_bindings": nb - k,
+            "row_all_different": q,
+            "weak_all_different": len(instance.scope_off) - 1 - nb - q - p,
+            "color_all_different": p}

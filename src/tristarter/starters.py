@@ -12,6 +12,7 @@ table is order-sensitive), so nothing here canonicalizes implicitly;
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -35,6 +36,15 @@ def _require_odd_order(name: str, n) -> None:
     require_int(name, n, 3)
     if n % 2 == 0:
         raise StructuralError(f"{name} must be odd, got {n!r}")
+
+
+def _not_pairs(pairs) -> str:
+    """Why `tuple` could not read ``pairs`` as a sequence of pairs."""
+    if isinstance(pairs, Iterable):
+        for i, pair in enumerate(pairs):
+            if not isinstance(pair, Iterable):
+                return f"pair {i} is not a pair: {pair!r}"
+    return f"pairs must be a sequence of pairs, got {pairs!r}"
 
 
 def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None:
@@ -61,7 +71,11 @@ class Pairing:
 
     def __post_init__(self):
         _require_odd_order("modulus", self.modulus)
-        object.__setattr__(self, "pairs", tuple(tuple(pair) for pair in self.pairs))
+        try:
+            pairs = tuple(map(tuple, self.pairs))
+        except TypeError:
+            raise StructuralError(_not_pairs(self.pairs)) from None
+        object.__setattr__(self, "pairs", pairs)
         _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
 
     def elements(self) -> tuple[int, ...]:

@@ -74,11 +74,11 @@ def row_differences(table: TriplicationTable) -> tuple[int, ...]:
 def compute_weak_sets(table: TriplicationTable) -> dict[int, tuple[int, ...]]:
     """Weak sets of the table: sum -> extension indices, sums ascending."""
     p = table.p
-    by_sum: dict[int, list[int]] = {}
+    by_sum: list[list[int]] = [[] for _ in range(p)]
     for i, (u, v) in enumerate(table.extension):
-        by_sum.setdefault((u + v) % p, []).append(i)
-    return {s: tuple(by_sum[s]) for s in sorted(by_sum)
-            if s == 0 or len(by_sum[s]) > 1}
+        by_sum[(u + v) % p].append(i)
+    return {s: tuple(members) for s, members in enumerate(by_sum)
+            if len(members) > 1 or (s == 0 and members)}
 
 
 def _forbidden_keys(base: Pairing) -> set[int]:

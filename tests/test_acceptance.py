@@ -241,10 +241,10 @@ def test_criterion_10_table_guarantees(sweep_tables):
         assert all(len(members) <= 3 for members in weak.values())
         assert len(weak.get(0, ())) <= 2
 
-        # the color groups are the instance's last p all-different groups
+        # the color groups are the instance's last p constraints
         instance = result.instance
-        off = instance.ad_off[-p - 1:]
-        colors = [instance.ad_flat[off[c]:off[c + 1]] for c in range(p)]
+        off = instance.scope_off[-p - 1:]
+        colors = [instance.scope_flat[off[c]:off[c + 1]] for c in range(p)]
         assert all(len(g) == 3 for g in colors)
         assert colors[0][-1] == instance.z_id
         tables += 1

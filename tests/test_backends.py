@@ -11,6 +11,7 @@ there is no C compiler.
 """
 
 import hashlib
+import inspect
 import os
 import random
 
@@ -143,10 +144,11 @@ def test_fd_search_identical_on_every_group_size(ckernels):
         inst = encode(build_table(T13, key))
         assert inst.trivially_unsat_reason
         assert _both(ckernels, inst.search_arrays(), 0, 1)[0] == 0
-    *head, ad_flat, ad_off, order = encode(build_table(T7, 1)).search_arrays()
+    *head, scope_flat, scope_off, bind_sign, order = \
+        encode(build_table(T7, 1)).search_arrays()
     for group in ([], [0], [0, 2]):
-        arrays = (*head, [*ad_flat, *group], [*ad_off, len(ad_flat) + len(group)],
-                  order)
+        arrays = (*head, [*scope_flat, *group],
+                  [*scope_off, len(scope_flat) + len(group)], bind_sign, order)
         status, sols, *_ = _both(ckernels, arrays, 0, 10 ** 6)
         assert status == 0 and sols
 
@@ -158,18 +160,21 @@ def test_fd_search_short_order_matches_pure(ckernels):
     assert _both(ckernels, (*arrays, order[:2]), 0, 1)[0] == -1
 
 
-ARRAY_NAMES = ("fixed_vars", "fixed_vals", "bind_a", "bind_b", "bind_c", "bind_sign",
-               "ad_flat", "ad_off", "order")
+# the array arguments of fd_search: those between nvars and budget
+_PARAMETERS = list(inspect.signature(_kernels.pure_fd_search).parameters)
+ARRAY_NAMES = tuple(_PARAMETERS[1:_PARAMETERS.index("budget")])
 
 
 @pytest.mark.parametrize("name, corrupt, message", [
-    ("bind_a", lambda xs, n: xs.__setitem__(0, n), "outside"),
+    ("scope_flat", lambda xs, n: xs.__setitem__(0, n), "outside"),    # a binding
     ("order", lambda xs, n: xs.append(-1), "outside"),
     ("fixed_vals", lambda xs, n: xs.__setitem__(0, 3), "outside"),
-    ("ad_off", lambda xs, n: xs.append(xs[-1] - 1), "decreases"),
-    ("ad_flat", lambda xs, n: xs.__setitem__(0, n), "outside"),
-    ("bind_b", lambda xs, n: xs.__setitem__(0, 0), "repeats"),
-    ("ad_flat", lambda xs, n: xs.__setitem__(1, xs[0]), "repeats"),
+    ("scope_off", lambda xs, n: xs.append(xs[-1] - 1), "decreases"),
+    ("scope_flat", lambda xs, n: xs.__setitem__(-1, n), "outside"),   # a color
+    ("scope_flat", lambda xs, n: xs.__setitem__(1, xs[0]), "repeats"),
+    ("scope_flat", lambda xs, n: xs.__setitem__(-1, xs[-2]), "repeats"),
+    ("scope_off", lambda xs, n: xs.__setitem__(1, 2), "not three wide"),
+    ("bind_sign", lambda xs, n: xs.extend([1] * n), "entries for"),
 ])
 def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
                                             message):

@@ -314,6 +314,16 @@ def test_solve_external_malformed_model(base_file, tmp_path, capsys):
     assert err.startswith("error: malformed model line")
 
 
+def test_solve_external_undecodable_model(base_file, tmp_path, capsys):
+    # three true booleans for ternary 0: an external-solver failure, not bad input
+    cmd = fake_solver(tmp_path, "s SATISFIABLE\nv 1 2 3 0\n")
+    code, _, err = run(["solve", "--base", base_file, "--key", "1",
+                        "--external-solver", cmd], capsys)
+    assert code == 1
+    assert err.startswith("error: external model does not decode: "
+                          "ternary variable 0 has 3 true booleans")
+
+
 def test_solve_external_model_is_checked(base_file, tmp_path, capsys):
     # every ternary variable 0: decodes, but breaks the all-different groups
     doc = export_dimacs(encode(build_table(T7, 1)))

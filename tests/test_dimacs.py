@@ -240,7 +240,9 @@ def test_parse_dimacs_non_integer_is_structural(text, lineno):
     ("p cnf -3 0\n", "line 1: negative count"),
     # boolean 7 would belong to no ternary variable
     ("p cnf 7 1\n7 0\n", "line 1: 7 booleans is not a multiple of 3"),
-], ids=["literal", "tmap", "count", "bool-count"])
+    # a second header would re-count the clauses read under the first
+    ("p cnf 3 1\n1 0\np cnf 6 1\n", "line 3: second problem line 'p cnf 6 1'"),
+], ids=["literal", "tmap", "count", "bool-count", "second-header"])
 def test_parse_dimacs_out_of_range_is_structural(text, message):
     with pytest.raises(StructuralError, match=message):
         parse_dimacs_text(text)

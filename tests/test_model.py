@@ -43,11 +43,10 @@ def test_demo_census(demo_instance):
         "weak_all_different": 4,   # one zero-sum plus three nonzero
         "color_all_different": 7,
     }
-    nb = len(demo_instance.bind_a)
-    off = demo_instance.ad_off
+    off = demo_instance.scope_off
     weak_sizes = sorted(
-        off[g + 1] - off[g] for g in range(len(off) - 1)
-        if demo_instance.provenance[nb + g].startswith("weak"))
+        off[cid + 1] - off[cid] for cid in range(len(off) - 1)
+        if demo_instance.provenance[cid].startswith("weak"))
     assert weak_sizes == [2, 2, 2, 2]  # the zero-sum set pairs S2 with Z
 
 
@@ -71,7 +70,9 @@ def test_variable_numbering_is_the_fixed_rule(base):
     for key in range(base.modulus):
         inst = encode(build_table(base, key))
         k = len(inst.table.extension)
-        bindings = list(zip(inst.bind_a, inst.bind_b, inst.bind_c, inst.bind_sign))
+        flat = inst.scope_flat
+        bindings = [(*flat[3 * cid:3 * cid + 3], sign)
+                    for cid, sign in enumerate(inst.bind_sign)]
         assert bindings[:k] == [(2 * i, 2 * i + 1, 2 * k + i, -1) for i in range(k)]
         s_pairs = sorted(i for members in compute_weak_sets(inst.table).values()
                          for i in members)
@@ -156,9 +157,8 @@ def test_phi_fixed_var_is_first_of_color0(base):
     # the variable solve fixes to 1 leads the group that holds Z
     for key in range(base.modulus):
         inst = encode(build_table(base, key))
-        nb = len(inst.bind_a)
-        gid = inst.provenance.index("color 0") - nb
-        group = inst.ad_flat[inst.ad_off[gid]:inst.ad_off[gid + 1]]
+        cid = inst.provenance.index("color 0")
+        group = inst.scope_flat[inst.scope_off[cid]:inst.scope_off[cid + 1]]
         fixed = phi_fixed_var(inst)
         assert fixed is not None and fixed != inst.z_id
         assert group[0] == fixed and inst.z_id in group
@@ -169,9 +169,8 @@ def test_trivially_unsat_flag_for_type4_weak_set():
     inst = encode(build_table(T13, 3))
     assert inst.trivially_unsat_reason is not None
     assert "weak set with sum 1" in inst.trivially_unsat_reason
-    nb = len(inst.bind_a)
-    off = inst.ad_off
-    big = [inst.provenance[nb + g] for g in range(len(off) - 1) if off[g + 1] - off[g] > 3]
+    off = inst.scope_off
+    big = [inst.provenance[cid] for cid in range(len(off) - 1) if off[cid + 1] - off[cid] > 3]
     assert big and big[0] == "weak set with sum 1"
 
 

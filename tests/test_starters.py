@@ -34,6 +34,16 @@ def test_pairing_validates_range():
         Pairing(7, ((1, -1), (2, 3), (4, 5)))
 
 
+@pytest.mark.parametrize("pairs, message", [
+    (((2, 3), 4, (1, 5)), "pair 1 is not a pair: 4"),
+    (None, "pairs must be a sequence of pairs, got None"),
+    (5, "pairs must be a sequence of pairs, got 5"),
+], ids=["int-pair", "none", "int"])
+def test_pairing_refuses_malformed_pairs(pairs, message):
+    with pytest.raises(StructuralError, match=message):
+        Pairing(7, pairs)
+
+
 def test_pairing_rejects_even_modulus():
     with pytest.raises(StructuralError):
         Pairing(8, ((1, 2), (3, 4), (5, 6)))

@@ -87,10 +87,10 @@ def test_row_differences_constant_per_row():
 
 
 def color_groups(instance):
-    """The last p CSR groups of the instance, color 0 first."""
+    """The scopes of the instance's last p constraints, color 0 first."""
     p = instance.table.p
-    off = instance.ad_off[-p - 1:]
-    return [instance.ad_flat[off[c]:off[c + 1]] for c in range(p)]
+    off = instance.scope_off[-p - 1:]
+    return [instance.scope_flat[off[c]:off[c + 1]] for c in range(p)]
 
 
 def test_demo_weak_sets():
