@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the C kernels against their pure-Python reference.
 
-`fd_search`, `count_strong_starters` and `dimacs_text` are timed on both
-the C extension (`_ckernels`, built by `python setup.py build_ext
+`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
+are timed on both the C extension (`_ckernels`, built by `python setup.py build_ext
 --inplace`) and the pure definitions in `_kernels.py`; the hill climber has
 only the pure version.
 Run from the repo root:
@@ -63,6 +63,18 @@ def bench_solver(fd_search, p, seed=1000):
     return timed(run, 1)
 
 
+def bench_export(dimacs_clauses, p, seed=1000, repeat=5):
+    base = hill_climb(p, seed=seed + p)
+    prepared = [encode(build_table(base, key)).search_arrays()[:6]
+                for key in admissible_keys(base)]
+
+    def run():   # the clauses of every key's document, as `export_dimacs` builds them
+        for arrays in prepared:
+            dimacs_clauses(*arrays)
+
+    return timed(run, repeat)
+
+
 def bench_dimacs(dimacs_text, p, seed=1000, repeat=5):
     base = hill_climb(p, seed=seed + p)
     docs = [export_dimacs(encode(build_table(base, key)))
@@ -100,6 +112,9 @@ def main() -> int:
         (f"fd_search key sweep p={solver_p}", "s",
          lambda: bench_solver(_kernels.pure_fd_search, solver_p),
          lambda: bench_solver(_kernels.fd_search, solver_p)),
+        (f"dimacs_clauses key sweep p={dimacs_p}", "ms",
+         lambda: bench_export(_kernels.pure_dimacs_clauses, dimacs_p) * 1000,
+         lambda: bench_export(_kernels.dimacs_clauses, dimacs_p) * 1000),
         (f"dimacs_text key sweep p={dimacs_p}", "ms",
          lambda: bench_dimacs(_kernels.pure_dimacs_text, dimacs_p) * 1000,
          lambda: bench_dimacs(_kernels.dimacs_text, dimacs_p) * 1000),

@@ -1,12 +1,13 @@
 /*
- * C versions of three kernels of `_kernels.py`: `fd_search`,
- * `count_strong_starters` and the DIMACS writer `dimacs_text`.  `_kernels`
- * binds them over its own definitions when this extension imports; the
- * Python code stays the reference, and both return exactly the same values
- * and raise the same errors (tests/test_backends.py compares them).  Keep
- * the two searches in step: the queue is a LIFO stack, the branch rule
- * (dom/wdeg), the value order (0, 1, 2), the restart schedule and the
- * shuffles of the tie-break order are the ones of the Python code.
+ * C versions of four kernels of `_kernels.py`: `fd_search`,
+ * `count_strong_starters`, the DIMACS clause builder `dimacs_clauses` and
+ * the DIMACS writer `dimacs_text`.  `_kernels` binds them over its own
+ * definitions when this extension imports; the Python code stays the
+ * reference, and both return exactly the same values and raise the same
+ * errors (tests/test_backends.py compares them).  Keep the two searches in
+ * step: the queue is a LIFO stack, the branch rule (dom/wdeg), the value
+ * order (0, 1, 2), the restart schedule and the shuffles of the tie-break
+ * order are the ones of the Python code.
  *
  * The search has the shape of `_kernels.fd_search`, whose nested `shrink`,
  * `alldiff`, `propagate` and `run` are the functions of the same names
@@ -38,7 +39,11 @@
  * and therefore every count, equal between the two backends.
  *
  * Arguments are converted once per call into int32 arrays and validated
- * there, so the search itself reads nothing out of bounds.
+ * there, so the search itself reads nothing out of bounds.  `dimacs_clauses`
+ * takes the same arrays (all but `order`) through the same validation and
+ * keeps the clause order of `_kernels.dimacs_clauses`, the one place that
+ * order is documented: one-hot block, fixed units, the 18 forbidden triples
+ * of each binding, then each group's member pairs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -441,6 +446,20 @@ validate(IntArray *A, Py_ssize_t nvars)
     return 0;
 }
 
+/* Convert the first n array arguments of `seqs` into A (the rest stay
+ * empty) and validate them for nvars variables; 0, or -1 with ValueError
+ * set.  The caller frees A[k].v. */
+static int
+load_arrays(Py_ssize_t nvars, PyObject *const *seqs, int n, IntArray *A)
+{
+    if (nvars < 0 || nvars > MAX_LEN)
+        return invalid("nvars = %zd is out of range", nvars);
+    for (int k = 0; k < n; k++)
+        if (to_array(seqs[k], ARRAY_NAMES[k], &A[k]) < 0)
+            return -1;
+    return validate(A, nvars);
+}
+
 /* Fill S->vc_flat / S->vc_off (allocated by the caller with room for
  * len(scope_flat) and nvars + 1 entries) with each variable's constraint
  * ids in ascending order: count each variable's entries into vc_off[v + 1],
@@ -662,10 +681,6 @@ fd_search(PyObject *Py_UNUSED(self), PyObject *args)
                           &seqs[1], &seqs[2], &seqs[3], &seqs[4], &seqs[5],
                           &budget, &cap, &seed, &unit))
         return NULL;
-    if (nvars < 0 || nvars > MAX_LEN) {
-        invalid("nvars = %zd is out of range", nvars);
-        return NULL;
-    }
 
     IntArray A[N_ARRAYS] = {{0}};
     Search S = {0};
@@ -673,10 +688,7 @@ fd_search(PyObject *Py_UNUSED(self), PyObject *args)
     size_t nv1 = (size_t)nvars + 1;
     int status;
     PyObject *solutions = NULL, *result = NULL;
-    for (int k = 0; k < N_ARRAYS; k++)
-        if (to_array(seqs[k], ARRAY_NAMES[k], &A[k]) < 0)
-            goto done;
-    if (validate(A, nvars) < 0)
+    if (load_arrays(nvars, seqs, N_ARRAYS, A) < 0)
         goto done;
 
     S.nvars = (int32_t)nvars;
@@ -851,6 +863,127 @@ done:
     PyMem_Free(sum_used);
     PyMem_Free(sa);
     PyMem_Free(sb);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* dimacs_clauses                                                      */
+
+/* The clause tuple being filled, and the literal objects it shares. */
+typedef struct {
+    PyObject *tuple;
+    Py_ssize_t n;           /* clauses placed */
+    PyObject **lit;         /* lit[l]: the int l, for 0 < |l| <= 3 * nvars */
+} Clauses;
+
+/* Place the clause of the first k of l0, l1, l2; 0, or -1 with a Python
+ * error set.  A tuple of ints is in no reference cycle, so it leaves the
+ * garbage collector's lists at once, as the collector itself would
+ * untrack it on its next pass. */
+static inline int
+add_clause(Clauses *C, int k, long l0, long l1, long l2)
+{
+    PyObject *t = PyTuple_New(k);
+    if (t == NULL)
+        return -1;
+    const long ls[3] = {l0, l1, l2};
+    for (int j = 0; j < k; j++) {
+        PyObject *x = C->lit[ls[j]];
+        Py_INCREF(x);
+        PyTuple_SET_ITEM(t, j, x);
+    }
+    PyObject_GC_UnTrack(t);
+    PyTuple_SET_ITEM(C->tuple, C->n++, t);
+    return 0;
+}
+
+/* `_kernels.dimacs_clauses`: counts the clauses, then fills one tuple in
+ * the same order, every literal one shared object. */
+static PyObject *
+dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_ssize_t nvars;
+    PyObject *seqs[A_ORDER];
+    if (!PyArg_ParseTuple(args, "nOOOOO:dimacs_clauses", &nvars, &seqs[0],
+                          &seqs[1], &seqs[2], &seqs[3], &seqs[4]))
+        return NULL;
+
+    IntArray A[N_ARRAYS] = {{0}};
+    Clauses C = {NULL, 0, NULL};
+    PyObject **lits = NULL, *result = NULL;
+    long nbools = 0;
+    if (load_arrays(nvars, seqs, A_ORDER, A) < 0)
+        goto done;
+
+    const int32_t *flat = A[A_SCOPE_FLAT].v, *off = A[A_SCOPE_OFF].v;
+    const int32_t *sign = A[A_BIND_SIGN].v;     /* mod 3 after `validate` */
+    Py_ssize_t nb = A[A_BIND_SIGN].n, ncons = A[A_SCOPE_OFF].n - 1;
+    /* 4 per ternary, 1 per fixed variable, 18 per binding, 3 per member pair
+     * of each group; a group of m <= MAX_LEN members keeps this in int64 */
+    int64_t count = 4 * (int64_t)nvars + A[A_FIXED_VARS].n + 18 * (int64_t)nb;
+    for (Py_ssize_t c = nb; c < ncons; c++) {
+        int64_t m = off[c + 1] - off[c];
+        count += 3 * (m * (m - 1) / 2);
+    }
+    if (count > PY_SSIZE_T_MAX) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    nbools = 3 * (long)nvars;
+    lits = PyMem_Calloc(2 * (size_t)nbools + 1, sizeof(PyObject *));
+    if (lits == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    C.lit = lits + nbools;
+    for (long l = 1; l <= nbools; l++)
+        if ((C.lit[l] = PyLong_FromLong(l)) == NULL
+                || (C.lit[-l] = PyLong_FromLong(-l)) == NULL)
+            goto done;
+    C.tuple = PyTuple_New((Py_ssize_t)count);
+    if (C.tuple == NULL)
+        goto done;
+
+    for (long b = 1; b <= nbools; b += 3)
+        if (add_clause(&C, 3, b, b + 1, b + 2) < 0
+                || add_clause(&C, 2, -b, -b - 1, 0) < 0
+                || add_clause(&C, 2, -b, -b - 2, 0) < 0
+                || add_clause(&C, 2, -b - 1, -b - 2, 0) < 0)
+            goto done;
+    for (Py_ssize_t i = 0; i < A[A_FIXED_VARS].n; i++)
+        if (add_clause(&C, 1, 3L * A[A_FIXED_VARS].v[i] + 1 + A[A_FIXED_VALS].v[i],
+                       0, 0) < 0)
+            goto done;
+    for (Py_ssize_t c = 0; c < nb; c++) {
+        const int32_t *sc = flat + 3 * c;
+        long na = -(3L * sc[0] + 1), nbm = -(3L * sc[1] + 1), nc = -(3L * sc[2] + 1);
+        /* the violating (va, vb, vc), in itertools.product order */
+        for (int va = 0; va < 3; va++)
+            for (int vb = 0; vb < 3; vb++)
+                for (int vc = 0; vc < 3; vc++)
+                    if ((va + sign[c] * vb - vc) % 3 != 0
+                            && add_clause(&C, 3, na - va, nbm - vb, nc - vc) < 0)
+                        goto done;
+    }
+    for (Py_ssize_t c = nb; c < ncons; c++)
+        for (int32_t i = off[c]; i < off[c + 1]; i++)
+            for (int32_t j = i + 1; j < off[c + 1]; j++) {
+                long nx = -(3L * flat[i] + 1), ny = -(3L * flat[j] + 1);
+                for (int v = 0; v < 3; v++)
+                    if (add_clause(&C, 2, nx - v, ny - v, 0) < 0)
+                        goto done;
+            }
+    result = C.tuple;
+    C.tuple = NULL;
+done:
+    Py_XDECREF(C.tuple);
+    if (lits != NULL) {
+        for (size_t l = 0; l <= 2 * (size_t)nbools; l++)
+            Py_XDECREF(lits[l]);
+        PyMem_Free(lits);
+    }
+    for (int k = 0; k < N_ARRAYS; k++)
+        PyMem_Free(A[k].v);
     return result;
 }
 
@@ -1038,6 +1171,8 @@ static PyMethodDef methods[] = {
     {"count_strong_starters", count_strong_starters, METH_VARARGS,
      "C version of `_kernels.count_strong_starters`; same arguments and "
      "result."},
+    {"dimacs_clauses", dimacs_clauses, METH_VARARGS,
+     "C version of `_kernels.dimacs_clauses`; same arguments and result."},
     {"dimacs_text", dimacs_text, METH_VARARGS,
      "C version of `_kernels.dimacs_text`; same arguments and result."},
     {NULL, NULL, 0, NULL},
@@ -1045,8 +1180,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
-    "C versions of `_kernels.fd_search`, "
-    "`_kernels.count_strong_starters` and `_kernels.dimacs_text`.",
+    "C versions of `_kernels.fd_search`, `_kernels.count_strong_starters`, "
+    "`_kernels.dimacs_clauses` and `_kernels.dimacs_text`.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

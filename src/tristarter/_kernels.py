@@ -1,12 +1,16 @@
-"""Hot kernels: hill climbing, exhaustive enumeration, ternary FD search
-and the DIMACS text writer.
+"""Hot kernels: hill climbing, exhaustive enumeration, ternary FD search,
+the DIMACS clause builder and the DIMACS text writer.
 
-This module is the reference implementation of all four.  When the C
+This module is the reference implementation of all five.  When the C
 extension `_ckernels` (built by `setup.py`) imports, its `fd_search`,
-`count_strong_starters` and `dimacs_text` replace the ones defined here,
-which stay reachable as `pure_fd_search`, `pure_count_strong_starters` and
-`pure_dimacs_text`; the two return exactly the same values and raise the
-same errors.  The hill climber always runs as Python.
+`count_strong_starters`, `dimacs_clauses` and `dimacs_text` replace the
+ones defined here, which stay reachable as `pure_fd_search`,
+`pure_count_strong_starters`, `pure_dimacs_clauses` and `pure_dimacs_text`;
+the two return exactly the same values and raise the same errors.  The
+hill climber always runs as Python.
+
+`dimacs_clauses` is where the one-hot numbering and the clause order of
+`dimacs.export_dimacs` live.
 """
 
 import itertools
@@ -519,6 +523,46 @@ def fd_search(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
         run_order, state = shuffled(order, state)
 
 
+# The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign mod
+# 3, in itertools.product order: the forbidden combinations of one binding.
+_FORBIDDEN = tuple(
+    tuple(v for v in itertools.product(range(3), repeat=3)
+          if (v[0] + sign * v[1] - v[2]) % 3 != 0)
+    for sign in range(3))
+
+
+def dimacs_clauses(nvars, fixed_vars, fixed_vals, scope_flat, scope_off,
+                   bind_sign):
+    """The one-hot CNF clauses of a constraint table (the arrays of
+    `fd_search` before ``order``), as a tuple of literal tuples.
+
+    Boolean 3t + v + 1 is "ternary t == v".  The clauses come in this
+    order: for each ternary, at least one value and three pairwise at most
+    one; the unit clause of each fixed variable's value; for each binding,
+    one clause forbidding each of its 18 violating value triples, in
+    ``itertools.product`` order; for each all-different group, every member
+    pair in ``itertools.combinations`` order, forbidding a shared value 0,
+    1 and 2.  Raises the `ValueError` of `fd_search` on malformed arrays.
+    """
+    _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
+              ())
+    first = range(1, 3 * nvars + 1, 3)   # first[t]: boolean "ternary t == 0"
+    clauses = [
+        clause for b in first
+        for clause in ((b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
+
+    clauses += [(first[v] + val,) for v, val in zip(fixed_vars, fixed_vals)]
+    for cid, sign in enumerate(bind_sign):
+        a, b, c = scope_flat[3 * cid:3 * cid + 3]
+        na, nb, nc = -first[a], -first[b], -first[c]
+        clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign % 3]])
+    for cid in range(len(bind_sign), len(scope_off) - 1):
+        for x, y in itertools.combinations(scope_flat[scope_off[cid]:scope_off[cid + 1]], 2):
+            nx, ny = -first[x], -first[y]
+            clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
+    return tuple(clauses)
+
+
 # Largest num_ternary: a tmap line takes at most 47 bytes, so the text
 # stays within a Py_ssize_t (MAX_TERNARY in the C writer).
 MAX_TERNARY = sys.maxsize // 64
@@ -560,10 +604,11 @@ def dimacs_text(num_ternary, clauses):
 
 pure_fd_search = fd_search
 pure_count_strong_starters = count_strong_starters
+pure_dimacs_clauses = dimacs_clauses
 pure_dimacs_text = dimacs_text
 
 try:
-    from ._ckernels import count_strong_starters, dimacs_text, fd_search
+    from ._ckernels import count_strong_starters, dimacs_clauses, dimacs_text, fd_search
 except ImportError:  # extension not built: the definitions above run
     BACKEND = "pure"
 else:

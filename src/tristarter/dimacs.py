@@ -7,12 +7,14 @@ standard DIMACS (`p cnf <vars> <clauses>`, clauses terminated by 0).
 
 The variable numbering (boolean 3t + v + 1 is "ternary t == v"), the clause
 order (one-hot block, fix-zero unit, bindings, all-different pairs) and the
-text bytes are a contract: golden sha256 digests in the tests pin them.  The
-numbering is a fixed rule, not data: the ``c tmap t 3t+1`` comments restate
-it for readers of the text, and the parser refuses any tmap comment that
-disagrees with it.  The writer, `_kernels.dimacs_text` (C or pure Python),
-refuses every document whose text the parser would refuse, so each text it
-writes parses back to the document it came from.
+text bytes are a contract: golden sha256 digests in the tests pin them.
+The numbering and the clause order live in `_kernels.dimacs_clauses` (C or
+pure Python), which `export_dimacs` calls.  The numbering is a fixed rule,
+not data: the ``c tmap t 3t+1`` comments restate it for readers of the
+text, and the parser refuses any tmap comment that disagrees with it.  The
+writer, `_kernels.dimacs_text` (C or pure Python), refuses every document
+whose text the parser would refuse, so each text it writes parses back to
+the document it came from.
 
 External solvers are invoked as a command template receiving the CNF path
 and are expected to print SAT-competition style output (`s SATISFIABLE` /
@@ -21,7 +23,6 @@ and are expected to print SAT-competition style output (`s SATISFIABLE` /
 
 from __future__ import annotations
 
-import itertools
 import shlex
 import subprocess
 import tempfile
@@ -33,15 +34,6 @@ from . import _kernels
 from .errors import DecodeError, ExternalSolverError, StructuralError
 from .model import Solution, SudokuInstance
 from .solver import SAT, UNSAT
-
-
-# The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign, in
-# itertools.product order: the forbidden combinations of one binding.
-_FORBIDDEN = {
-    sign: tuple(v for v in itertools.product(range(3), repeat=3)
-                if (v[0] + sign * v[1] - v[2]) % 3 != 0)
-    for sign in (1, -1)
-}
 
 
 @dataclass(frozen=True)
@@ -56,24 +48,14 @@ class CnfDocument:
 
 
 def export_dimacs(instance: SudokuInstance) -> CnfDocument:
-    """One-hot CNF encoding of the whole instance."""
-    n = instance.num_variables
-    first = tuple(range(1, 3 * n + 1, 3))   # first[t]: boolean "ternary t == 0"
-    clauses: list[tuple[int, ...]] = [
-        clause for b in first
-        for clause in ((b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
+    """One-hot CNF encoding of the whole instance.
 
-    clauses.append((first[instance.z_id],))
-    for a, b, c, sign in instance.bindings():
-        na, nb, nc = -first[a], -first[b], -first[c]
-        clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign]])
-    flat, off = instance.scope_flat, instance.scope_off
-    for cid in range(len(instance.bind_sign), len(off) - 1):
-        for x, y in itertools.combinations(flat[off[cid]:off[cid + 1]], 2):
-            nx, ny = -first[x], -first[y]
-            clauses.extend(((nx, ny), (nx - 1, ny - 1), (nx - 2, ny - 2)))
-
-    return CnfDocument(num_ternary=n, clauses=tuple(clauses))
+    The clauses are built by `_kernels.dimacs_clauses` (in C when the
+    extension is built) from the arrays `fd_search` takes, in the order it
+    documents: one-hot block, the Z unit, bindings, all-different pairs.
+    """
+    return CnfDocument(instance.num_variables,
+                       _kernels.dimacs_clauses(*instance.search_arrays()[:6]))
 
 
 def to_dimacs_text(doc: CnfDocument) -> str:
@@ -161,16 +143,36 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
             f"line {lineno}: non-integer field in {' '.join(tokens)!r}") from None
 
 
+def _model(doc: CnfDocument, literals: Iterable[int]) -> set[int]:
+    """The literals of a boolean model, 0 (a line terminator) left out.
+
+    A literal outside ±``num_bools``, or one whose negation the model also
+    names, is refused with a `DecodeError` naming it.
+    """
+    model: set[int] = set()
+    for lit in literals:
+        if lit == 0:
+            continue
+        if not -doc.num_bools <= lit <= doc.num_bools:
+            raise DecodeError(f"model literal {lit} is outside "
+                              f"[-{doc.num_bools}, {doc.num_bools}]")
+        if -lit in model:
+            raise DecodeError(f"model names both {-lit} and {lit}")
+        model.add(lit)
+    return model
+
+
 def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> Solution:
     """Decode a boolean model (iterable of signed literals) to ternary values.
 
     Every ternary variable must have exactly one of its three booleans true;
-    anything else names the offending variable in a `DecodeError`.
+    anything else names the offending variable in a `DecodeError`, as do a
+    literal outside the document and a literal named with both signs.
     """
-    true_lits = {lit for lit in literals if lit > 0}
+    model = _model(doc, literals)
     values = []
     for t in range(doc.num_ternary):
-        hits = [v for v in range(3) if 3 * t + v + 1 in true_lits]
+        hits = [v for v in range(3) if 3 * t + v + 1 in model]
         if len(hits) != 1:
             raise DecodeError(
                 f"ternary variable {t} has {len(hits)} true booleans, expected 1")
@@ -179,12 +181,13 @@ def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> Solution:
 
 
 def check_cnf(doc: CnfDocument, literals: Iterable[int]) -> bool:
-    """True when the literal set satisfies every clause (for cross-checks)."""
-    true_lits = {lit for lit in literals if lit != 0}
-    for clause in doc.clauses:
-        if not any(lit in true_lits for lit in clause):
-            return False
-    return True
+    """True when the model satisfies every clause (for cross-checks).
+
+    Raises `DecodeError`, as `import_dimacs_model` does, on a literal
+    outside the document or one named with both signs.
+    """
+    model = _model(doc, literals)
+    return all(any(lit in model for lit in clause) for clause in doc.clauses)
 
 
 def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:

@@ -1,13 +1,14 @@
 """C/pure kernel agreement.
 
 `_kernels.py` is the reference.  The C extension `_ckernels` replaces its
-`fd_search`, `count_strong_starters` and `dimacs_text` when built; the pure
-definitions stay reachable as `_kernels.pure_*`.  These tests require the
-two to return identical values, so a seed denotes the same starter, a
-search reports the same counts and a document has the same text on every
-build.  The ``ckernels`` fixture (conftest.py) compiles the extension when
-it is not importable or older than its source; the tests skip only when
-there is no C compiler.
+`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
+when built; the pure definitions stay reachable as `_kernels.pure_*`.
+These tests require the two to return identical values, so a seed denotes
+the same starter, a search reports the same counts and an instance has the
+same clauses and a document the same text on every build.  The
+``ckernels`` fixture (conftest.py) compiles the extension when it is not
+importable or older than its source; the tests skip only when there is no
+C compiler.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ def test_backend_flag_consistency():
     compiled = _kernels.fd_search is not _kernels.pure_fd_search
     assert compiled == (_kernels.count_strong_starters
                         is not _kernels.pure_count_strong_starters)
+    assert compiled == (_kernels.dimacs_clauses is not _kernels.pure_dimacs_clauses)
     assert compiled == (_kernels.dimacs_text is not _kernels.pure_dimacs_text)
     assert _kernels.BACKEND == ("compiled" if compiled else "pure")
 
@@ -163,9 +165,12 @@ def test_fd_search_short_order_matches_pure(ckernels):
 # the array arguments of fd_search: those between nvars and budget
 _PARAMETERS = list(inspect.signature(_kernels.pure_fd_search).parameters)
 ARRAY_NAMES = tuple(_PARAMETERS[1:_PARAMETERS.index("budget")])
+# those of dimacs_clauses: the same but order
+CLAUSE_ARRAY_NAMES = tuple(inspect.signature(_kernels.pure_dimacs_clauses).parameters)[1:]
 
 
-@pytest.mark.parametrize("name, corrupt, message", [
+# (array, corruption given the array and nvars, message)
+MALFORMED_ARRAYS = [
     ("scope_flat", lambda xs, n: xs.__setitem__(0, n), "outside"),    # a binding
     ("order", lambda xs, n: xs.append(-1), "outside"),
     ("fixed_vals", lambda xs, n: xs.__setitem__(0, 3), "outside"),
@@ -175,19 +180,35 @@ ARRAY_NAMES = tuple(_PARAMETERS[1:_PARAMETERS.index("budget")])
     ("scope_flat", lambda xs, n: xs.__setitem__(-1, xs[-2]), "repeats"),
     ("scope_off", lambda xs, n: xs.__setitem__(1, 2), "not three wide"),
     ("bind_sign", lambda xs, n: xs.extend([1] * n), "entries for"),
-])
-def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
-                                            message):
-    inst = encode(build_table(T7, 1))
-    nvars, *flat = inst.search_arrays()
+]
+
+
+def _refused_alike(kernels, names, name, corrupt, message, *tail):
+    """Each kernel, given the ``names`` arrays of T7's key 1 with ``name``
+    corrupted and then ``tail``, raises the same `ValueError`."""
+    nvars, *flat = encode(build_table(T7, 1)).search_arrays()
     arrays = dict(zip(ARRAY_NAMES, map(list, flat)))
     corrupt(arrays[name], nvars)
     errors = []
-    for fd_search in fd_search_backends:
+    for kernel in kernels:
         with pytest.raises(ValueError, match=message) as error:
-            fd_search(nvars, *arrays.values(), 0, 1, 0, 0)
+            kernel(nvars, *(arrays[a] for a in names), *tail)
         errors.append(str(error.value))
     assert len(set(errors)) == 1     # the same message from each backend
+
+
+@pytest.mark.parametrize("name, corrupt, message", MALFORMED_ARRAYS)
+def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
+                                            message):
+    _refused_alike(fd_search_backends, ARRAY_NAMES, name, corrupt, message,
+                   0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("name, corrupt, message",
+                         [case for case in MALFORMED_ARRAYS if case[0] != "order"])
+def test_dimacs_clauses_rejects_malformed_arrays(ckernels, name, corrupt, message):
+    _refused_alike((ckernels.dimacs_clauses, _kernels.pure_dimacs_clauses),
+                   CLAUSE_ARRAY_NAMES, name, corrupt, message)
 
 
 def _same_text(ckernels, num_ternary, clauses):
@@ -229,6 +250,37 @@ def test_dimacs_text_refuses_alike(ckernels, num_ternary, clauses, message):
         with pytest.raises(StructuralError) as error:
             dimacs_text(num_ternary, clauses)
         assert type(error.value) is StructuralError and str(error.value) == message
+
+
+def _same_clauses(ckernels, arrays):
+    clauses = ckernels.dimacs_clauses(*arrays)
+    assert clauses == _kernels.pure_dimacs_clauses(*arrays)
+    return clauses
+
+
+def test_dimacs_clauses_identical_on_the_golden_instances(ckernels):
+    # the instances whose pure text test_dimacs.py pins by digest
+    instances = [encode(build_table(T7, DEMO_KEY))]
+    base = hill_climb(31, seed=0)
+    instances += [encode(build_table(base, key)) for key in admissible_keys(base)]
+    for inst in instances:
+        _same_clauses(ckernels, inst.search_arrays()[:6])
+
+
+def test_dimacs_clauses_identical_on_every_group_size(ckernels):
+    # the T13 keys with a weak set of 4 members, and T7's key-1 arrays with
+    # an appended group of 0, 1 or 2 members (0, 0 and 3 clauses more)
+    for key in (0, 1, 3, 8, 10, 11):
+        inst = encode(build_table(T13, key))
+        assert inst.trivially_unsat_reason
+        _same_clauses(ckernels, inst.search_arrays()[:6])
+    *head, scope_flat, scope_off, bind_sign, _ = \
+        encode(build_table(T7, 1)).search_arrays()
+    plain = _same_clauses(ckernels, (*head, scope_flat, scope_off, bind_sign))
+    for group, more in (([], ()), ([0], ()), ([0, 2], ((-1, -7), (-2, -8), (-3, -9)))):
+        arrays = (*head, [*scope_flat, *group],
+                  [*scope_off, len(scope_flat) + len(group)], bind_sign)
+        assert _same_clauses(ckernels, arrays) == plain + more
 
 
 def test_splitmix_reference_values():

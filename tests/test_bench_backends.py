@@ -24,4 +24,5 @@ def test_bench_backends_runs_on_tiny_inputs():
     assert bench.bench_hill_climb(2) > 0
     assert bench.bench_enumerate(_kernels.pure_count_strong_starters, 7) > 0
     assert bench.bench_solver(_kernels.pure_fd_search, 7) > 0
+    assert bench.bench_export(_kernels.pure_dimacs_clauses, 7, repeat=1) > 0
     assert bench.bench_dimacs(_kernels.pure_dimacs_text, 7, repeat=1) > 0

@@ -324,6 +324,23 @@ def test_solve_external_undecodable_model(base_file, tmp_path, capsys):
                           "ternary variable 0 has 3 true booleans")
 
 
+@pytest.mark.parametrize("extra, named", [
+    ("-1", "model names both 1 and -1"), ("999", "model literal 999 is outside ")],
+    ids=["both-signs", "foreign"])
+def test_solve_external_model_naming_a_literal_twice_or_beyond(
+        base_file, tmp_path, capsys, extra, named):
+    # a true solution's one-hot literals plus one more: not a model to trust
+    values = solve(encode(build_table(T7, 1))).solution
+    literals = " ".join(str(3 * t + v + 1) for t, v in enumerate(values))
+    assert values[0] == 0
+    cmd = fake_solver(tmp_path, f"s SATISFIABLE\nv {literals} {extra} 0\n")
+    code, out, err = run(["solve", "--base", base_file, "--key", "1",
+                          "--external-solver", cmd], capsys)
+    assert code == 1
+    assert "solution_uv" not in out
+    assert err.startswith(f"error: external model does not decode: {named}")
+
+
 def test_solve_external_model_is_checked(base_file, tmp_path, capsys):
     # every ternary variable 0: decodes, but breaks the all-different groups
     doc = export_dimacs(encode(build_table(T7, 1)))

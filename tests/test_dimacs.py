@@ -174,6 +174,22 @@ def test_decode_rejects_non_one_hot(demo_doc):
         import_dimacs_model(demo_doc, [-1, -2, -3])
 
 
+@pytest.mark.parametrize("literals, message", [
+    ([1, -1], "model names both 1 and -1"),
+    ([1, -1, -2, -3], "model names both 1 and -1"),
+    ([-2, 1, 2], "model names both -2 and 2"),
+    ([1, 99], "model literal 99 is outside [-3, 3]"),
+    ([-4], "model literal -4 is outside [-3, 3]"),
+], ids=["both-signs", "both-signs-one-hot", "both-signs-negative-first", "above", "below"])
+def test_models_naming_both_signs_or_foreign_literals_are_refused(literals, message):
+    # {1, -1} satisfied both unit clauses, and 99 was ignored
+    doc = CnfDocument(1, ((1,), (-1,)))
+    for read in (check_cnf, import_dimacs_model):
+        with pytest.raises(DecodeError) as error:
+            read(doc, literals)
+        assert str(error.value) == message
+
+
 def test_single_variable_document():
     # one unconstrained ternary variable: 3 bools, 1 ALO + 3 AMO clauses
     doc = CnfDocument(
