@@ -38,11 +38,15 @@
  * its variable in that order, so that order is what keeps the LIFO queue,
  * and therefore every count, equal between the two backends.
  *
- * Arguments are converted once per call into int32 arrays and validated
- * there, so the search itself reads nothing out of bounds.  `dimacs_clauses`
- * takes the same arrays (all but `order`) through the same validation and
- * keeps the clause order of `_kernels.dimacs_clauses`, the one place that
- * order is documented: one-hot block, fixed units, the 18 forbidden triples
+ * `load_arrays` checks each argument once, by the rules, in the order and
+ * with the messages of `_kernels._validate`: every array entry, in the pass
+ * that converts it to int32, must be an exact int (not a bool) in its
+ * array's range (binding signs in [-1, 2): -1, 0 and 1 cover every sign
+ * mod 3), and then come the checks that span whole arrays.  The search
+ * itself then reads nothing out of bounds.  `dimacs_clauses` takes the
+ * same arrays (all but `order`) through the same checks and keeps the
+ * clause order of `_kernels.dimacs_clauses`, the one place that order is
+ * documented: one-hot block, fixed units, the 18 forbidden triples
  * of each binding, then each group's member pairs.
  */
 
@@ -81,63 +85,39 @@ invalid(const char *format, ...)
     return -1;
 }
 
-/* Copy a list or tuple of ints into a new int32 array. */
+/* Copy a list or tuple into a new int32 array, refusing in the same pass
+ * any entry that is not an exact int in [lo, hi) (`bool` is a subclass,
+ * so it is refused too); lo and hi lie within int32. */
 static int
-to_array(PyObject *seq, const char *name, IntArray *out)
+to_array(PyObject *seq, const char *name, int64_t lo, int64_t hi,
+         IntArray *out)
 {
     PyObject *fast = PySequence_Fast(seq, name);
     if (fast == NULL)
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    if (n > MAX_LEN) {
-        Py_DECREF(fast);
-        return invalid("%s is too long (%zd items)", name, n);
-    }
-    out->v = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t));
-    out->n = n;
-    if (out->v == NULL) {
+    int rc = 0;
+    if (n > MAX_LEN)
+        rc = invalid("%s is too long (%zd items)", name, n);
+    else if ((out->v = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t)))
+             == NULL) {
         PyErr_NoMemory();
-        Py_DECREF(fast);
-        return -1;
+        rc = -1;
     }
+    out->n = n;
     PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long x = PyLong_AsLong(items[i]);
-        if (x == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
-        }
-        if (x < INT32_MIN || x > INT32_MAX) {
-            Py_DECREF(fast);
-            return invalid("%s[%zd] = %ld is out of range", name, i, x);
-        }
-        out->v[i] = (int32_t)x;
+    for (Py_ssize_t i = 0; rc == 0 && i < n; i++) {
+        int overflow = 1;
+        long long x = PyLong_CheckExact(items[i])
+            ? PyLong_AsLongLongAndOverflow(items[i], &overflow) : 0;
+        if (overflow || x < lo || x >= hi)
+            rc = invalid("%s[%zd] = %R is outside [%lld, %lld)", name, i,
+                         items[i], (long long)lo, (long long)hi);
+        else
+            out->v[i] = (int32_t)x;
     }
     Py_DECREF(fast);
-    return 0;
-}
-
-/* Every entry in [lo, hi). */
-static int
-check_range(const IntArray *a, const char *name, int64_t lo, int64_t hi)
-{
-    for (Py_ssize_t i = 0; i < a->n; i++)
-        if (a->v[i] < lo || a->v[i] >= hi)
-            return invalid("%s[%zd] = %d is outside [%lld, %lld)", name, i,
-                           (int)a->v[i], (long long)lo, (long long)hi);
-    return 0;
-}
-
-/* Non-decreasing offsets into an array of length `len`. */
-static int
-check_offsets(const IntArray *off, const char *name, Py_ssize_t len)
-{
-    if (check_range(off, name, 0, (int64_t)len + 1) < 0)
-        return -1;
-    for (Py_ssize_t i = 1; i < off->n; i++)
-        if (off->v[i] < off->v[i - 1])
-            return invalid("%s decreases at index %zd", name, i);
-    return 0;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -411,10 +391,23 @@ check_scopes(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
     return rc;
 }
 
-/* Length and range checks that make every index of the search valid. */
+/* Convert the first n array arguments of `seqs` into A (the rest stay
+ * empty), each entry in its range, then check what spans whole arrays, so
+ * every index of the search is valid; 0, or -1 with ValueError set.  The
+ * caller frees A[k].v. */
 static int
-validate(IntArray *A, Py_ssize_t nvars)
+load_arrays(Py_ssize_t nvars, PyObject *const *seqs, int n, IntArray *A)
 {
+    if (nvars < 0 || nvars > MAX_LEN)
+        return invalid("nvars = %zd is out of range", nvars);
+    for (int k = 0; k < n; k++) {
+        int64_t hi = k == A_FIXED_VALS ? 3
+            : k == A_SCOPE_OFF ? A[A_SCOPE_FLAT].n + 1
+            : k == A_BIND_SIGN ? 2 : nvars;
+        if (to_array(seqs[k], ARRAY_NAMES[k], k == A_BIND_SIGN ? -1 : 0, hi,
+                     &A[k]) < 0)
+            return -1;
+    }
     const IntArray *off = &A[A_SCOPE_OFF];
     Py_ssize_t nb = A[A_BIND_SIGN].n;
     if (A[A_FIXED_VALS].n != A[A_FIXED_VARS].n)
@@ -425,39 +418,20 @@ validate(IntArray *A, Py_ssize_t nvars)
     if (nb > off->n - 1)
         return invalid("bind_sign has %zd entries for %zd constraints", nb,
                        off->n - 1);
-    static const int var_arrays[] = {A_FIXED_VARS, A_SCOPE_FLAT, A_ORDER};
-    for (size_t i = 0; i < sizeof var_arrays / sizeof *var_arrays; i++)
-        if (check_range(&A[var_arrays[i]], ARRAY_NAMES[var_arrays[i]], 0,
-                        nvars) < 0)
-            return -1;
-    if (check_range(&A[A_FIXED_VALS], "fixed_vals", 0, 3) < 0
-            || check_offsets(off, "scope_off", A[A_SCOPE_FLAT].n) < 0)
-        return -1;
+    for (Py_ssize_t i = 1; i < off->n; i++)
+        if (off->v[i] < off->v[i - 1])
+            return invalid("scope_off decreases at index %zd", i);
     for (Py_ssize_t c = 0; c < nb; c++)
         if (off->v[c] != 3 * c || off->v[c + 1] != 3 * c + 3)
             return invalid("binding %zd is not three wide at offset %zd", c,
                            3 * c);
     if (check_scopes(&A[A_SCOPE_FLAT], off, nvars) < 0)
         return -1;
-    /* the sign enters only mod 3 (Python modulo: result in 0..2) */
+    /* the sign enters only mod 3: -1, 0, 1 become 2, 0, 1 */
     int32_t *sign = A[A_BIND_SIGN].v;
     for (Py_ssize_t c = 0; c < nb; c++)
-        sign[c] = (sign[c] % 3 + 3) % 3;
+        sign[c] = (sign[c] + 3) % 3;
     return 0;
-}
-
-/* Convert the first n array arguments of `seqs` into A (the rest stay
- * empty) and validate them for nvars variables; 0, or -1 with ValueError
- * set.  The caller frees A[k].v. */
-static int
-load_arrays(Py_ssize_t nvars, PyObject *const *seqs, int n, IntArray *A)
-{
-    if (nvars < 0 || nvars > MAX_LEN)
-        return invalid("nvars = %zd is out of range", nvars);
-    for (int k = 0; k < n; k++)
-        if (to_array(seqs[k], ARRAY_NAMES[k], &A[k]) < 0)
-            return -1;
-    return validate(A, nvars);
 }
 
 /* Fill S->vc_flat / S->vc_off (allocated by the caller with room for
@@ -916,7 +890,7 @@ dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
 
     const int32_t *flat = A[A_SCOPE_FLAT].v, *off = A[A_SCOPE_OFF].v;
-    const int32_t *sign = A[A_BIND_SIGN].v;     /* mod 3 after `validate` */
+    const int32_t *sign = A[A_BIND_SIGN].v;     /* mod 3 after `load_arrays` */
     Py_ssize_t nb = A[A_BIND_SIGN].n, ncons = A[A_SCOPE_OFF].n - 1;
     /* 4 per ternary, 1 per fixed variable, 18 per binding, 3 per member pair
      * of each group; a group of m <= MAX_LEN members keeps this in int64 */

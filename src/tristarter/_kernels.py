@@ -9,6 +9,11 @@ ones defined here, which stay reachable as `pure_fd_search`,
 the two return exactly the same values and raise the same errors.  The
 hill climber always runs as Python.
 
+`fd_search` and `dimacs_clauses` check their arguments once, in `_validate`
+(`load_arrays` in C): every array entry must be an exact int (not a bool)
+in its array's range, a variable id in [0, nvars), a value in [0, 3) and a
+binding sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3.
+
 `dimacs_clauses` is where the one-hot numbering and the clause order of
 `dimacs.export_dimacs` live.
 """
@@ -18,6 +23,9 @@ import sys
 
 from .errors import StructuralError, require_int
 
+# Largest order, nvars and array length (MAX_LEN in the C kernels): small
+# enough that every index and count of the C kernels fits in int32.
+MAX_LEN = (2**31 - 1) // 4
 # singleton-value table for 3-bit domain masks
 _SINGLE = (-1, 0, 1, -1, 2, -1, -1, -1)
 # the values in each 3-bit domain mask, ascending
@@ -165,7 +173,10 @@ def count_strong_starters(n, cap):
     the smallest unused element, pruning on reused difference classes and on
     zero/reused sums.  Returns ``(count, collected)`` where ``collected``
     holds up to ``cap`` starters as pair lists (``cap <= 0`` collects none).
+    Raises `ValueError` unless ``n`` is odd and in [1, `MAX_LEN`].
     """
+    if not 1 <= n <= MAX_LEN or n % 2 == 0:
+        raise ValueError(f"order must be odd and positive, got {n}")
     q = (n - 1) // 2
     used = bytearray(n)
     diff_used = bytearray(q + 1)
@@ -262,10 +273,22 @@ def shuffled(order, state):
 
 def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               order):
-    """Raise the `ValueError` of the C kernel's `validate` for the same
-    malformed arguments, with the same message."""
-    if nvars < 0:
+    """Check each argument once, as the C kernels' `load_arrays` does, in
+    the same order and with the same `ValueError` messages: ``nvars``, then
+    each array's length and entries in argument order, then the checks that
+    span whole arrays."""
+    if not 0 <= nvars <= MAX_LEN:
         raise ValueError(f"nvars = {nvars} is out of range")
+    for name, xs, lo, hi in (
+            ("fixed_vars", fixed_vars, 0, nvars), ("fixed_vals", fixed_vals, 0, 3),
+            ("scope_flat", scope_flat, 0, nvars),
+            ("scope_off", scope_off, 0, len(scope_flat) + 1),
+            ("bind_sign", bind_sign, -1, 2), ("order", order, 0, nvars)):
+        if len(xs) > MAX_LEN:
+            raise ValueError(f"{name} is too long ({len(xs)} items)")
+        for i, x in enumerate(xs):
+            if type(x) is not int or not lo <= x < hi:
+                raise ValueError(f"{name}[{i}] = {x!r} is outside [{lo}, {hi})")
     if len(fixed_vals) != len(fixed_vars):
         raise ValueError(f"fixed_vals has {len(fixed_vals)} entries, "
                          f"fixed_vars {len(fixed_vars)}")
@@ -274,13 +297,6 @@ def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
     nb, ncons = len(bind_sign), len(scope_off) - 1
     if nb > ncons:
         raise ValueError(f"bind_sign has {nb} entries for {ncons} constraints")
-    for name, xs, hi in (
-            ("fixed_vars", fixed_vars, nvars), ("scope_flat", scope_flat, nvars),
-            ("order", order, nvars), ("fixed_vals", fixed_vals, 3),
-            ("scope_off", scope_off, len(scope_flat) + 1)):
-        for i, x in enumerate(xs):
-            if not 0 <= x < hi:
-                raise ValueError(f"{name}[{i}] = {x} is outside [0, {hi})")
     for i in range(1, len(scope_off)):
         if scope_off[i] < scope_off[i - 1]:
             raise ValueError(f"scope_off decreases at index {i}")
@@ -329,8 +345,9 @@ def fd_search(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
     restarts)`` with status 0 = space exhausted, 1 = cap reached, 2 =
     budget exhausted (the last run counts the decision it refused, so
     ``decisions`` is then ``budget + 1``), -1 = a non-branch variable was
-    left undetermined (caller bug).  Raises `ValueError` on the malformed
-    arrays the C kernel refuses.
+    left undetermined (caller bug).  Raises `ValueError`, naming the
+    argument, on a malformed one (see `_validate`): each array entry must be
+    an exact int in its array's range, a sign -1, 0 or 1.
     """
     _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               order)
@@ -542,7 +559,8 @@ def dimacs_clauses(nvars, fixed_vars, fixed_vals, scope_flat, scope_off,
     one clause forbidding each of its 18 violating value triples, in
     ``itertools.product`` order; for each all-different group, every member
     pair in ``itertools.combinations`` order, forbidding a shared value 0,
-    1 and 2.  Raises the `ValueError` of `fd_search` on malformed arrays.
+    1 and 2.  Raises the `ValueError` of `fd_search` on malformed arrays:
+    each entry must be an exact int in its array's range, a sign -1, 0 or 1.
     """
     _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               ())

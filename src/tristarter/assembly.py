@@ -24,7 +24,7 @@ from .starters import Pairing
 from .triplication import build_table, check_key_admissible
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)   # a sweep merges over one base; older tables are freed
 def _crt_lift(p: int) -> tuple[int, ...]:
     """The x in [0, 3p) with x = r (mod p) and x = s (mod 3) at index 3r + s."""
     lift = [0] * (3 * p)
@@ -39,7 +39,9 @@ def crt(residue_p: int, residue_3: int, p: int) -> int:
         require_int(name, value, -2**63)
     if p < 1 or p % 3 == 0:
         raise RefusedError(f"p must be positive and coprime to 3, got {p}")
-    return _crt_lift(p)[3 * (residue_p % p) + residue_3 % 3]
+    # x = r + p*k is r mod p, and r + p*p*(s - r) = s mod 3 since p*p = 1 mod 3
+    r = residue_p % p
+    return r + p * ((residue_3 % 3 - r) * p % 3)
 
 
 def crt_merge(instance: SudokuInstance, solution: Solution) -> Pairing:

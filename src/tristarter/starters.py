@@ -104,13 +104,6 @@ def pair_sums(pairing: Pairing) -> tuple[int, ...]:
     return tuple([(a + b) % n for a, b in pairing.pairs])
 
 
-def pair_differences(pairing: Pairing) -> tuple[int, ...]:
-    """The 2k signed differences ±(a_i - b_i) mod n, sorted as a multiset."""
-    n = pairing.modulus
-    pairs = pairing.pairs
-    return tuple(sorted([(a - b) % n for a, b in pairs] + [(b - a) % n for a, b in pairs]))
-
-
 def _repeated(values) -> list[int]:
     """The values that occur more than once, ascending."""
     seen: set[int] = set()

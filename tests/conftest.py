@@ -4,14 +4,16 @@ Tests that compare the C and pure kernels, or that need the C speed for an
 exhaustive search, take it.  When the extension is not importable, or the
 imported file is older than its source (an in-place build from before an
 edit), it is compiled from source into a temporary directory; tests that
-use it skip only when there is no C compiler.  ``fd_search_backends``
-gives the pure `fd_search` and, where a compiler exists, the C one, for
-tests that must also run without a compiler.
+use it skip only when there is no C compiler.  ``kernel_backends`` gives
+the pure kernels and, where a compiler exists, the C ones, each with the
+attributes `fd_search`, `count_strong_starters`, `dimacs_clauses` and
+`dimacs_text`, for tests that must also run without a compiler.
 """
 
 import importlib.util
 import shutil
 import sysconfig
+import types
 from pathlib import Path
 
 import pytest
@@ -62,8 +64,10 @@ def ckernels(_compiled):
 
 
 @pytest.fixture(scope="session")
-def fd_search_backends(_compiled):
+def kernel_backends(_compiled):
     from tristarter import _kernels
 
-    pure = [_kernels.pure_fd_search]
-    return pure if _compiled is None else pure + [_compiled.fd_search]
+    names = ("fd_search", "count_strong_starters", "dimacs_clauses", "dimacs_text")
+    pure = types.SimpleNamespace(**{name: getattr(_kernels, "pure_" + name)
+                                    for name in names})
+    return [pure] if _compiled is None else [pure, _compiled]

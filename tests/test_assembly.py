@@ -23,7 +23,7 @@ from tristarter import (
     verify_pairing,
 )
 from tristarter import solver
-from tristarter.assembly import _merge_both
+from tristarter.assembly import _crt_lift, _merge_both
 from tristarter.triplication import admissible_keys
 
 from fixtures import (
@@ -55,6 +55,27 @@ def test_crt_bijection(p):
         for r3 in range(3):
             x = crt(rp, r3, p)
             assert x % p == rp and x % 3 == r3
+
+
+def test_crt_closed_form_matches_the_lift_table():
+    # crt answers one query without building the 3p-entry table the merge
+    # reads: the two agree for small p, and a 61-bit p costs nothing
+    for p in (1, 2, 4, 5, 7, 11, 13, 31):
+        lift = _crt_lift(p)
+        for rp in range(-p, 2 * p):
+            for r3 in range(-3, 6):
+                assert crt(rp, r3, p) == lift[3 * (rp % p) + r3 % 3]
+    p = 2**61 - 1
+    for rp, r3 in ((5, 2), (0, 0), (p - 1, 1), (-1, -1), (2**62, 7)):
+        x = crt(rp, r3, p)
+        assert 0 <= x < 3 * p and x % p == rp % p and x % 3 == r3 % 3
+
+
+def test_only_the_last_lift_table_is_kept():
+    # a sweep merges over one base; the tables of earlier orders are freed
+    triplicate(T7, DEMO_KEY)
+    triplicate(hill_climb(11, seed=0), 1)
+    assert _crt_lift.cache_info().currsize == 1
 
 
 def test_crt_refuses_multiple_of_three():
@@ -203,11 +224,11 @@ def test_merged_verification_refuses_every_single_uv_change(p, key):
     assert changes == 4 * len(uv)
 
 
-def test_a_wrong_kernel_solution_is_caught(monkeypatch, fd_search_backends):
+def test_a_wrong_kernel_solution_is_caught(monkeypatch, kernel_backends):
     # triplicate checks the kernel's solution only through the merged
     # starters; one flipped U must still raise, on every backend
-    for fd_search in fd_search_backends:
-        def flipped(*args, fd_search=fd_search):
+    for kernels in kernel_backends:
+        def flipped(*args, fd_search=kernels.fd_search):
             status, solutions, *counts = fd_search(*args)
             sol = list(solutions[0])
             sol[0] = (sol[0] + 1) % 3

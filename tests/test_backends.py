@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import os
 import random
+import re
 
 import pytest
 
@@ -169,7 +170,14 @@ ARRAY_NAMES = tuple(_PARAMETERS[1:_PARAMETERS.index("budget")])
 CLAUSE_ARRAY_NAMES = tuple(inspect.signature(_kernels.pure_dimacs_clauses).parameters)[1:]
 
 
-# (array, corruption given the array and nvars, message)
+# The arrays of T7's key 1, which each case below corrupts.
+NVARS, *T7_ARRAYS = encode(build_table(T7, 1)).search_arrays()
+
+# (array, corruption given the array and nvars, message); the "nvars"
+# corruption returns the new nvars.  Every case runs on every backend
+# present, through `fd_search` and, but for `order`, `dimacs_clauses`.
+# An array longer than MAX_LEN is refused too, but is not tested: building
+# one takes gigabytes.
 MALFORMED_ARRAYS = [
     ("scope_flat", lambda xs, n: xs.__setitem__(0, n), "outside"),    # a binding
     ("order", lambda xs, n: xs.append(-1), "outside"),
@@ -180,35 +188,64 @@ MALFORMED_ARRAYS = [
     ("scope_flat", lambda xs, n: xs.__setitem__(-1, xs[-2]), "repeats"),
     ("scope_off", lambda xs, n: xs.__setitem__(1, 2), "not three wide"),
     ("bind_sign", lambda xs, n: xs.extend([1] * n), "entries for"),
+    # each entry must be an exact int in its array's range, checked once
+    *(pytest.param(name, lambda xs, n, x=x: xs.__setitem__(0, x),
+                   rf"^{name}\[0\] = {re.escape(repr(x))} is outside \[{lo}, {hi}\)$",
+                   id=f"{name}={label}")
+      for name, x, label, lo, hi in (("scope_flat", 1.0, "1.0", 0, NVARS),
+                                     ("fixed_vals", True, "True", 0, 3),
+                                     ("scope_flat", 2**40, "2**40", 0, NVARS),
+                                     ("fixed_vars", 2**70, "2**70", 0, NVARS),
+                                     ("bind_sign", 2, "2", -1, 2),
+                                     ("bind_sign", 2**40, "2**40", -1, 2))),
+    pytest.param("nvars", lambda _, n: _kernels.MAX_LEN + 1,
+                 rf"^nvars = {_kernels.MAX_LEN + 1} is out of range$",
+                 id="nvars=MAX_LEN+1"),
 ]
 
 
 def _refused_alike(kernels, names, name, corrupt, message, *tail):
     """Each kernel, given the ``names`` arrays of T7's key 1 with ``name``
     corrupted and then ``tail``, raises the same `ValueError`."""
-    nvars, *flat = encode(build_table(T7, 1)).search_arrays()
-    arrays = dict(zip(ARRAY_NAMES, map(list, flat)))
-    corrupt(arrays[name], nvars)
+    nvars = NVARS
+    arrays = dict(zip(ARRAY_NAMES, map(list, T7_ARRAYS)))
+    if name == "nvars":
+        nvars = corrupt(None, nvars)
+    else:
+        corrupt(arrays[name], nvars)
     errors = []
     for kernel in kernels:
         with pytest.raises(ValueError, match=message) as error:
             kernel(nvars, *(arrays[a] for a in names), *tail)
-        errors.append(str(error.value))
-    assert len(set(errors)) == 1     # the same message from each backend
+        errors.append((type(error.value), str(error.value)))
+    # the same type and message from each backend
+    assert len(set(errors)) == 1 and errors[0][0] is ValueError
 
 
 @pytest.mark.parametrize("name, corrupt, message", MALFORMED_ARRAYS)
-def test_fd_search_rejects_malformed_arrays(fd_search_backends, name, corrupt,
+def test_fd_search_rejects_malformed_arrays(kernel_backends, name, corrupt,
                                             message):
-    _refused_alike(fd_search_backends, ARRAY_NAMES, name, corrupt, message,
-                   0, 1, 0, 0)
+    _refused_alike([k.fd_search for k in kernel_backends], ARRAY_NAMES, name,
+                   corrupt, message, 0, 1, 0, 0)
 
 
 @pytest.mark.parametrize("name, corrupt, message",
                          [case for case in MALFORMED_ARRAYS if case[0] != "order"])
-def test_dimacs_clauses_rejects_malformed_arrays(ckernels, name, corrupt, message):
-    _refused_alike((ckernels.dimacs_clauses, _kernels.pure_dimacs_clauses),
+def test_dimacs_clauses_rejects_malformed_arrays(kernel_backends, name, corrupt,
+                                                 message):
+    _refused_alike([k.dimacs_clauses for k in kernel_backends],
                    CLAUSE_ARRAY_NAMES, name, corrupt, message)
+
+
+@pytest.mark.parametrize("n", [8, 0, -3, _kernels.MAX_LEN + 1, _kernels.MAX_LEN + 2],
+                         ids=["8", "0", "-3", "MAX_LEN+1", "MAX_LEN+2"])
+def test_count_strong_starters_refuses_alike(kernel_backends, n):
+    # MAX_LEN + 2 is odd: only the upper bound refuses it
+    for kernels in kernel_backends:
+        with pytest.raises(ValueError) as error:
+            kernels.count_strong_starters(n, 0)
+        assert type(error.value) is ValueError
+        assert str(error.value) == f"order must be odd and positive, got {n}"
 
 
 def _same_text(ckernels, num_ternary, clauses):
@@ -245,10 +282,10 @@ def test_dimacs_text_identical_on_edge_documents(ckernels):
 
 @pytest.mark.parametrize("num_ternary, clauses, message",
                          list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
-def test_dimacs_text_refuses_alike(ckernels, num_ternary, clauses, message):
-    for dimacs_text in (ckernels.dimacs_text, _kernels.pure_dimacs_text):
+def test_dimacs_text_refuses_alike(kernel_backends, num_ternary, clauses, message):
+    for kernels in kernel_backends:
         with pytest.raises(StructuralError) as error:
-            dimacs_text(num_ternary, clauses)
+            kernels.dimacs_text(num_ternary, clauses)
         assert type(error.value) is StructuralError and str(error.value) == message
 
 

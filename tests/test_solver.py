@@ -94,7 +94,7 @@ def test_step_budget_below_one_refused():
 
 
 def test_solver_config_refuses_what_the_kernels_cannot_take(
-        monkeypatch, demo_instance, fd_search_backends):
+        monkeypatch, demo_instance, kernel_backends):
     # True once ran as a budget of 1, 2**63 overflowed the C kernel's long
     # long at solve time, and a float seed failed inside the kernel
     for field, value in (("step_budget", True), ("step_budget", 2**63),
@@ -103,8 +103,8 @@ def test_solver_config_refuses_what_the_kernels_cannot_take(
             SolverConfig(**{field: value})
     # the largest budget and a seed past 64 bits run on every backend
     config = SolverConfig(seed=2**70 + 3, step_budget=2**63 - 1)
-    for fd_search in fd_search_backends:
-        monkeypatch.setattr(_kernels, "fd_search", fd_search)
+    for kernels in kernel_backends:
+        monkeypatch.setattr(_kernels, "fd_search", kernels.fd_search)
         assert solve(demo_instance, config).status == "SAT"
         assert len(enumerate_solutions(demo_instance, 2**63 - 1, config)) == 216
 

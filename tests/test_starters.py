@@ -16,7 +16,6 @@ from tristarter import (
     verify_pairing,
 )
 from tristarter.harness import run_inverse_sampling, run_order_sweep
-from tristarter.starters import pair_differences
 from tristarter.triplication import build_table
 
 from fixtures import S21, S21_KEY, S21_MOD3, S21_MOD7, T7, T7_SUMS, STRONG_COUNTS
@@ -89,10 +88,6 @@ def test_pair_sums_demo():
     assert len(set(sums21)) == 10 and 0 not in sums21
 
 
-def test_pair_differences_cover_group():
-    assert pair_differences(T7) == tuple(range(1, 7))
-
-
 def test_reduce_mod_identity():
     assert reduce_mod(T7, 7) == T7.pairs
 
@@ -133,7 +128,9 @@ def test_flag_chain_property(pairing):
     if report.is_starter:
         assert report.is_partition
         # differences of a starter cover the nonzero residues exactly
-        assert pair_differences(pairing) == tuple(range(1, pairing.modulus))
+        n = pairing.modulus
+        differences = [d % n for a, b in pairing.pairs for d in (a - b, b - a)]
+        assert sorted(differences) == list(range(1, n))
     assert verify_pairing(normalize(pairing)).is_starter == report.is_starter
 
 
