@@ -38,11 +38,12 @@
  * its variable in that order, so that order is what keeps the LIFO queue,
  * and therefore every count, equal between the two backends.
  *
- * `load_arrays` checks each argument once, by the rules, in the order and
- * with the messages of `_kernels._validate`: every array entry, in the pass
- * that converts it to int32, must be an exact int (not a bool) in its
- * array's range (binding signs in [-1, 2): -1, 0 and 1 cover every sign
- * mod 3), and then come the checks that span whole arrays.  The search
+ * The kernels keep the contract stated in `_kernels`: ValueError only, every
+ * checked int read by `exact_int`, MAX_LEN the one size bound, and nothing
+ * imported from the package.  `load_arrays` checks each argument once, in
+ * the order of `_kernels._validate`: nvars, every array entry in the pass
+ * that converts it to int32 (binding signs in [-1, 2): -1, 0 and 1 cover
+ * every sign mod 3), then the checks that span whole arrays.  The search
  * itself then reads nothing out of bounds.  `dimacs_clauses` takes the
  * same arrays (all but `order`) through the same checks and keeps the
  * clause order of `_kernels.dimacs_clauses`, the one place that order is
@@ -57,10 +58,11 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Largest array length or index the kernels accept: small enough that the
- * trail (2 * nvars + 2 entries), the incidence lists (at most
- * len(scope_flat) entries), the constraint count and every offset fit in
- * int32. */
+/* Largest size the kernels accept (`_kernels.MAX_LEN`): an array length,
+ * nvars, an order or num_ternary.  Small enough that the trail (2 * nvars +
+ * 2 entries), the incidence lists (at most len(scope_flat) entries), the
+ * constraint count and every offset fit in int32, and that the tmap lines
+ * of `dimacs_text`, at most 47 bytes each, fit in 47 * MAX_LEN bytes. */
 #define MAX_LEN (INT32_MAX / 4)
 
 /* singleton 3-bit domain mask -> its value, else -1 */
@@ -85,9 +87,25 @@ invalid(const char *format, ...)
     return -1;
 }
 
+/* The one rule for an int argument: 1 when o is an exact int (`bool` is a
+ * subclass, so it is refused) in [lo, hi], stored in *x; else 0, with no
+ * error set.  The type test comes first, so nothing else is converted.  The
+ * three tests after it are joined with &, not &&: with && the literal loop
+ * of `dimacs_text` ran about 4% slower on order-79 documents (gcc -O3). */
+static inline int
+exact_int(PyObject *o, long long lo, long long hi, long long *x)
+{
+    if (!PyLong_CheckExact(o))
+        return 0;
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    *x = v;
+    return (overflow == 0) & (lo <= v) & (v <= hi);
+}
+
 /* Copy a list or tuple into a new int32 array, refusing in the same pass
- * any entry that is not an exact int in [lo, hi) (`bool` is a subclass,
- * so it is refused too); lo and hi lie within int32. */
+ * any entry that is not an exact int in [lo, hi); lo and hi lie within
+ * int32. */
 static int
 to_array(PyObject *seq, const char *name, int64_t lo, int64_t hi,
          IntArray *out)
@@ -107,10 +125,8 @@ to_array(PyObject *seq, const char *name, int64_t lo, int64_t hi,
     out->n = n;
     PyObject **items = PySequence_Fast_ITEMS(fast);
     for (Py_ssize_t i = 0; rc == 0 && i < n; i++) {
-        int overflow = 1;
-        long long x = PyLong_CheckExact(items[i])
-            ? PyLong_AsLongLongAndOverflow(items[i], &overflow) : 0;
-        if (overflow || x < lo || x >= hi)
+        long long x;
+        if (!exact_int(items[i], lo, hi - 1, &x))
             rc = invalid("%s[%zd] = %R is outside [%lld, %lld)", name, i,
                          items[i], (long long)lo, (long long)hi);
         else
@@ -391,19 +407,20 @@ check_scopes(const IntArray *flat, const IntArray *off, Py_ssize_t nvars)
     return rc;
 }
 
-/* Convert the first n array arguments of `seqs` into A (the rest stay
- * empty), each entry in its range, then check what spans whole arrays, so
- * every index of the search is valid; 0, or -1 with ValueError set.  The
- * caller frees A[k].v. */
+/* Read nvars into *nvars and convert the first n array arguments of `seqs`
+ * into A (the rest stay empty), each entry in its range, then check what
+ * spans whole arrays, so every index of the search is valid; 0, or -1 with
+ * ValueError set.  The caller frees A[k].v. */
 static int
-load_arrays(Py_ssize_t nvars, PyObject *const *seqs, int n, IntArray *A)
+load_arrays(PyObject *nvars_obj, PyObject *const *seqs, int n, IntArray *A,
+            long long *nvars)
 {
-    if (nvars < 0 || nvars > MAX_LEN)
-        return invalid("nvars = %zd is out of range", nvars);
+    if (!exact_int(nvars_obj, 0, MAX_LEN, nvars))
+        return invalid("nvars = %R is out of range", nvars_obj);
     for (int k = 0; k < n; k++) {
         int64_t hi = k == A_FIXED_VALS ? 3
             : k == A_SCOPE_OFF ? A[A_SCOPE_FLAT].n + 1
-            : k == A_BIND_SIGN ? 2 : nvars;
+            : k == A_BIND_SIGN ? 2 : *nvars;
         if (to_array(seqs[k], ARRAY_NAMES[k], k == A_BIND_SIGN ? -1 : 0, hi,
                      &A[k]) < 0)
             return -1;
@@ -425,7 +442,7 @@ load_arrays(Py_ssize_t nvars, PyObject *const *seqs, int n, IntArray *A)
         if (off->v[c] != 3 * c || off->v[c + 1] != 3 * c + 3)
             return invalid("binding %zd is not three wide at offset %zd", c,
                            3 * c);
-    if (check_scopes(&A[A_SCOPE_FLAT], off, nvars) < 0)
+    if (check_scopes(&A[A_SCOPE_FLAT], off, (Py_ssize_t)*nvars) < 0)
         return -1;
     /* the sign enters only mod 3: -1, 0, 1 become 2, 0, 1 */
     int32_t *sign = A[A_BIND_SIGN].v;
@@ -647,11 +664,10 @@ search(Search *S, const IntArray *fixed_vars, const IntArray *fixed_vals,
 static PyObject *
 fd_search(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_ssize_t nvars;
-    PyObject *seqs[N_ARRAYS];
-    long long budget, cap, unit;
+    PyObject *nvars_obj, *seqs[N_ARRAYS];
+    long long nvars = 0, budget, cap, unit;
     unsigned long long seed;
-    if (!PyArg_ParseTuple(args, "nOOOOOOLLKL:fd_search", &nvars, &seqs[0],
+    if (!PyArg_ParseTuple(args, "OOOOOOOLLKL:fd_search", &nvars_obj, &seqs[0],
                           &seqs[1], &seqs[2], &seqs[3], &seqs[4], &seqs[5],
                           &budget, &cap, &seed, &unit))
         return NULL;
@@ -659,11 +675,11 @@ fd_search(PyObject *Py_UNUSED(self), PyObject *args)
     IntArray A[N_ARRAYS] = {{0}};
     Search S = {0};
     int32_t *shuffled = NULL;
-    size_t nv1 = (size_t)nvars + 1;
     int status;
     PyObject *solutions = NULL, *result = NULL;
-    if (load_arrays(nvars, seqs, N_ARRAYS, A) < 0)
+    if (load_arrays(nvars_obj, seqs, N_ARRAYS, A, &nvars) < 0)
         goto done;
+    size_t nv1 = (size_t)nvars + 1;
 
     S.nvars = (int32_t)nvars;
     S.nb = (int32_t)A[A_BIND_SIGN].n;
@@ -750,13 +766,13 @@ starter_list(const int32_t *sa, const int32_t *sb, int32_t depth,
 static PyObject *
 count_strong_starters(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_ssize_t n;
-    long long cap;
-    if (!PyArg_ParseTuple(args, "nL:count_strong_starters", &n, &cap))
+    PyObject *n_obj;
+    long long n, cap;
+    if (!PyArg_ParseTuple(args, "OL:count_strong_starters", &n_obj, &cap))
         return NULL;
     /* an odd order folds every difference into 1..q */
-    if (n < 1 || n > MAX_LEN || n % 2 == 0) {
-        invalid("order must be odd and positive, got %zd", n);
+    if (!exact_int(n_obj, 1, MAX_LEN, &n) || n % 2 == 0) {
+        invalid("order must be odd and positive, got %R", n_obj);
         return NULL;
     }
 
@@ -876,9 +892,9 @@ add_clause(Clauses *C, int k, long l0, long l1, long l2)
 static PyObject *
 dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_ssize_t nvars;
-    PyObject *seqs[A_ORDER];
-    if (!PyArg_ParseTuple(args, "nOOOOO:dimacs_clauses", &nvars, &seqs[0],
+    PyObject *nvars_obj, *seqs[A_ORDER];
+    long long nvars = 0;
+    if (!PyArg_ParseTuple(args, "OOOOOO:dimacs_clauses", &nvars_obj, &seqs[0],
                           &seqs[1], &seqs[2], &seqs[3], &seqs[4]))
         return NULL;
 
@@ -886,7 +902,7 @@ dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
     Clauses C = {NULL, 0, NULL};
     PyObject **lits = NULL, *result = NULL;
     long nbools = 0;
-    if (load_arrays(nvars, seqs, A_ORDER, A) < 0)
+    if (load_arrays(nvars_obj, seqs, A_ORDER, A, &nvars) < 0)
         goto done;
 
     const int32_t *flat = A[A_SCOPE_FLAT].v, *off = A[A_SCOPE_OFF].v;
@@ -964,10 +980,6 @@ done:
 /* ------------------------------------------------------------------ */
 /* dimacs_text                                                         */
 
-/* Largest num_ternary: a tmap line takes at most 47 bytes, so the text
- * stays within a Py_ssize_t (`_kernels.MAX_TERNARY`). */
-#define MAX_TERNARY (PY_SSIZE_T_MAX / 64)
-
 /* A growing output buffer. */
 typedef struct {
     char *s;
@@ -1022,49 +1034,27 @@ put_str(char *p, const char *s)
     return p + n;
 }
 
-/* Raise tristarter.errors.StructuralError; returns NULL. */
-static PyObject *
-structural(const char *format, ...)
-{
-    PyObject *errors = PyImport_ImportModule("tristarter.errors");
-    if (errors == NULL)
-        return NULL;
-    PyObject *cls = PyObject_GetAttrString(errors, "StructuralError");
-    Py_DECREF(errors);
-    if (cls == NULL)
-        return NULL;
-    va_list args;
-    va_start(args, format);
-    PyErr_FormatV(cls, format, args);
-    va_end(args);
-    Py_DECREF(cls);
-    return NULL;
-}
-
 /* The header, tmap and problem lines, then each clause as it is checked:
  * one pass over the literals writes the same bytes as the %-templates of
  * `_kernels.dimacs_text` and refuses the same documents, with the same
- * messages. */
+ * ValueError messages. */
 static PyObject *
 dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *nt_obj, *clauses;
+    long long nt;
     if (!PyArg_ParseTuple(args, "OO:dimacs_text", &nt_obj, &clauses))
         return NULL;
-    long long nt = -1;
-    int overflow = 0;
-    if (PyLong_CheckExact(nt_obj)) {
-        nt = PyLong_AsLongLongAndOverflow(nt_obj, &overflow);
-        if (nt == -1 && PyErr_Occurred())
-            return NULL;
+    if (!exact_int(nt_obj, 0, MAX_LEN, &nt)) {
+        invalid("num_ternary must be an integer in [0, %d], got %R", MAX_LEN,
+                nt_obj);
+        return NULL;
     }
-    if (overflow || nt < 0 || nt > MAX_TERNARY)
-        return structural("num_ternary must be an integer in [0, %zd], got %R",
-                          (Py_ssize_t)MAX_TERNARY, nt_obj);
     if (!PyTuple_CheckExact(clauses)) {
-        PyObject *name = PyType_GetName(Py_TYPE(clauses));
+        PyObject *name = PyObject_GetAttrString((PyObject *)Py_TYPE(clauses),
+                                                "__name__");
         if (name != NULL) {
-            structural("clauses must be a tuple, got %U", name);
+            invalid("clauses must be a tuple, got %U", name);
             Py_DECREF(name);
         }
         return NULL;
@@ -1101,7 +1091,7 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
     for (Py_ssize_t i = 0; i < nc; i++) {
         PyObject *clause = PyTuple_GET_ITEM(clauses, i);
         if (!PyTuple_CheckExact(clause)) {
-            structural("clause %zd is not a tuple: %R", i, clause);
+            invalid("clause %zd is not a tuple: %R", i, clause);
             goto done;
         }
         Py_ssize_t k = PyTuple_GET_SIZE(clause);
@@ -1110,15 +1100,10 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
         p = t.s + t.len;
         for (Py_ssize_t j = 0; j < k; j++) {
             PyObject *item = PyTuple_GET_ITEM(clause, j);
-            long long lit = 0;
-            if (PyLong_CheckExact(item)) {
-                lit = PyLong_AsLongLongAndOverflow(item, &overflow);
-                if (lit == -1 && PyErr_Occurred())
-                    goto done;
-            }
-            if (overflow || lit == 0 || lit < -nb || lit > nb) {
-                structural("clause %zd: literal %R is not a nonzero int in "
-                           "[-%lld, %lld]", i, item, nb, nb);
+            long long lit;
+            if (!exact_int(item, -nb, nb, &lit) || lit == 0) {
+                invalid("clause %zd: literal %R is not a nonzero int in "
+                        "[-%lld, %lld]", i, item, nb, nb);
                 goto done;
             }
             if (j)

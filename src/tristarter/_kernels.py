@@ -9,22 +9,27 @@ ones defined here, which stay reachable as `pure_fd_search`,
 the two return exactly the same values and raise the same errors.  The
 hill climber always runs as Python.
 
-`fd_search` and `dimacs_clauses` check their arguments once, in `_validate`
-(`load_arrays` in C): every array entry must be an exact int (not a bool)
-in its array's range, a variable id in [0, nvars), a value in [0, 3) and a
-binding sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3.
+The four have one contract.  They refuse only with `ValueError`, with the
+same message on both backends.  Every int they check passes one rule
+(`exact_int` in C), an exact int, not a bool, in its range: ``nvars``,
+each array entry (a variable id in [0, nvars), a value in [0, 3), a binding
+sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3), the order of
+`count_strong_starters`, and the ``num_ternary`` and literals of
+`dimacs_text`.  `MAX_LEN` bounds every size.  `fd_search` and
+`dimacs_clauses` check their arguments once, in `_validate` (`load_arrays`
+in C).  The callers check the rest, the search-control scalars and that
+the arrays are lists or tuples, as `solver.SolverConfig` and
+`starters.enumerate_strong_starters` do.
 
 `dimacs_clauses` is where the one-hot numbering and the clause order of
 `dimacs.export_dimacs` live.
 """
 
 import itertools
-import sys
 
-from .errors import StructuralError, require_int
-
-# Largest order, nvars and array length (MAX_LEN in the C kernels): small
-# enough that every index and count of the C kernels fits in int32.
+# Largest order, nvars, num_ternary and array length (MAX_LEN in the C
+# kernels): small enough that every index and count of the C kernels fits
+# in int32.
 MAX_LEN = (2**31 - 1) // 4
 # singleton-value table for 3-bit domain masks
 _SINGLE = (-1, 0, 1, -1, 2, -1, -1, -1)
@@ -173,10 +178,11 @@ def count_strong_starters(n, cap):
     the smallest unused element, pruning on reused difference classes and on
     zero/reused sums.  Returns ``(count, collected)`` where ``collected``
     holds up to ``cap`` starters as pair lists (``cap <= 0`` collects none).
-    Raises `ValueError` unless ``n`` is odd and in [1, `MAX_LEN`].
+    Raises `ValueError` unless ``n`` is an int (not a bool), odd and in
+    [1, `MAX_LEN`]; ``cap`` is the caller's to check.
     """
-    if not 1 <= n <= MAX_LEN or n % 2 == 0:
-        raise ValueError(f"order must be odd and positive, got {n}")
+    if type(n) is not int or not 1 <= n <= MAX_LEN or n % 2 == 0:
+        raise ValueError(f"order must be odd and positive, got {n!r}")
     q = (n - 1) // 2
     used = bytearray(n)
     diff_used = bytearray(q + 1)
@@ -277,8 +283,8 @@ def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
     the same order and with the same `ValueError` messages: ``nvars``, then
     each array's length and entries in argument order, then the checks that
     span whole arrays."""
-    if not 0 <= nvars <= MAX_LEN:
-        raise ValueError(f"nvars = {nvars} is out of range")
+    if type(nvars) is not int or not 0 <= nvars <= MAX_LEN:
+        raise ValueError(f"nvars = {nvars!r} is out of range")
     for name, xs, lo, hi in (
             ("fixed_vars", fixed_vars, 0, nvars), ("fixed_vals", fixed_vals, 0, 3),
             ("scope_flat", scope_flat, 0, nvars),
@@ -346,8 +352,9 @@ def fd_search(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
     budget exhausted (the last run counts the decision it refused, so
     ``decisions`` is then ``budget + 1``), -1 = a non-branch variable was
     left undetermined (caller bug).  Raises `ValueError`, naming the
-    argument, on a malformed one (see `_validate`): each array entry must be
-    an exact int in its array's range, a sign -1, 0 or 1.
+    argument, on a malformed ``nvars`` or array (see `_validate`): each must
+    be an exact int in its range, a sign -1, 0 or 1.  ``budget``, ``cap``,
+    ``seed`` and ``unit`` are the caller's to check.
     """
     _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               order)
@@ -581,31 +588,28 @@ def dimacs_clauses(nvars, fixed_vars, fixed_vals, scope_flat, scope_off,
     return tuple(clauses)
 
 
-# Largest num_ternary: a tmap line takes at most 47 bytes, so the text
-# stays within a Py_ssize_t (MAX_TERNARY in the C writer).
-MAX_TERNARY = sys.maxsize // 64
-
-
 def dimacs_text(num_ternary, clauses):
     """The DIMACS text of a document (see `dimacs.to_dimacs_text`).
 
-    Refuses with a `StructuralError`, naming the first offending clause,
-    every document whose text `dimacs.parse_dimacs_text` would refuse or
-    read back as another document: ``clauses`` must be a tuple of tuples,
-    and each literal an int (not a bool), nonzero and within
-    ±3 · ``num_ternary``.
+    Refuses with a `ValueError`, naming the first offending clause, every
+    document whose text `dimacs.parse_dimacs_text` would refuse or read back
+    as another document: ``num_ternary`` must be an int (not a bool) in
+    [0, `MAX_LEN`], ``clauses`` a tuple of tuples, and each literal an int
+    (not a bool), nonzero and within ±3 · ``num_ternary``.
     """
-    require_int("num_ternary", num_ternary, 0, MAX_TERNARY)
+    if type(num_ternary) is not int or not 0 <= num_ternary <= MAX_LEN:
+        raise ValueError(f"num_ternary must be an integer in [0, {MAX_LEN}], "
+                         f"got {num_ternary!r}")
     if type(clauses) is not tuple:
-        raise StructuralError(f"clauses must be a tuple, got {type(clauses).__name__}")
+        raise ValueError(f"clauses must be a tuple, got {type(clauses).__name__}")
     num_bools = 3 * num_ternary
     for i, clause in enumerate(clauses):
         if type(clause) is not tuple:
-            raise StructuralError(f"clause {i} is not a tuple: {clause!r}")
+            raise ValueError(f"clause {i} is not a tuple: {clause!r}")
         for lit in clause:
             if type(lit) is not int or not 0 < abs(lit) <= num_bools:
-                raise StructuralError(f"clause {i}: literal {lit!r} is not a nonzero "
-                                      f"int in [-{num_bools}, {num_bools}]")
+                raise ValueError(f"clause {i}: literal {lit!r} is not a nonzero "
+                                 f"int in [-{num_bools}, {num_bools}]")
     # One %-template per clause, applied once to the flat literal sequence,
     # so the integer formatting runs in C rather than once per clause.
     longest = max(map(len, clauses), default=0)

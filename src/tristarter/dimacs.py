@@ -14,7 +14,8 @@ not data: the ``c tmap t 3t+1`` comments restate it for readers of the
 text, and the parser refuses any tmap comment that disagrees with it.  The
 writer, `_kernels.dimacs_text` (C or pure Python), refuses every document
 whose text the parser would refuse, so each text it writes parses back to
-the document it came from.
+the document it came from; `to_dimacs_text` turns its `ValueError` into a
+`StructuralError` with the same message.
 
 External solvers are invoked as a command template receiving the CNF path
 and are expected to print SAT-competition style output (`s SATISFIABLE` /
@@ -63,11 +64,15 @@ def to_dimacs_text(doc: CnfDocument) -> str:
 
     Written by `_kernels.dimacs_text` (in C when the extension is built).
     A document whose text the parser would refuse or read back differently
-    is refused with a `StructuralError`: a ``num_ternary`` that is not a
-    non-negative int, and, naming the clause, a clause that is not a tuple
-    or a literal that is not an int, is 0 or lies outside ±``num_bools``.
+    is refused with a `StructuralError`, the kernel's `ValueError` message:
+    a ``num_ternary`` that is not an int in [0, `_kernels.MAX_LEN`], and,
+    naming the clause, a clause that is not a tuple or a literal that is not
+    an int, is 0 or lies outside ±``num_bools``.
     """
-    return _kernels.dimacs_text(doc.num_ternary, doc.clauses)
+    try:
+        return _kernels.dimacs_text(doc.num_ternary, doc.clauses)
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:

@@ -96,9 +96,9 @@ def _checked(instance: SudokuInstance, solutions: list[Solution]) -> list[Soluti
 
 
 def _search(instance: SudokuInstance, config: SolverConfig) -> SolveOutcome:
-    """`solve` without its `check_solution` of the solution."""
-    if instance.trivially_unsat_reason is not None:
-        return SolveOutcome(UNSAT, None, SolveStats(0, 0, 0, 0, 0))
+    """`solve` without its `check_solution` of the solution.  An instance
+    `encode` flags as trivially unsatisfiable takes the same path: the root
+    propagation wipes out its group of four or more members."""
     start = time.perf_counter()
     arrays = instance.search_arrays()
     fixed = phi_fixed_var(instance)
@@ -135,8 +135,6 @@ def enumerate_solutions(
     truncated set silently.
     """
     require_int("cap", cap, 1)
-    if instance.trivially_unsat_reason is not None:
-        return []
     status, raw, decisions, *_ = _run_kernel(   # one run: no seed, no restarts
         instance.search_arrays(), config.step_budget, cap, 0, 0)
     if status == 2:

@@ -1,7 +1,7 @@
 """Golden values used across the test suite."""
 
 from tristarter import Pairing
-from tristarter._kernels import MAX_TERNARY
+from tristarter._kernels import MAX_LEN
 
 # order-7 base and its order-21 derivation (key 1)
 T7 = Pairing(7, ((2, 3), (4, 6), (1, 5)))
@@ -68,9 +68,12 @@ MALFORMED_DOCUMENTS = {
     "list-clause": (1, ((1,), [2]), "clause 1 is not a tuple: [2]"),
     "int-clause": (1, (1,), "clause 0 is not a tuple: 1"),
     "list-of-clauses": (1, [(1,)], "clauses must be a tuple, got list"),
-    "negative-count": (-1, (), f"num_ternary must be an integer in [0, {MAX_TERNARY}], got -1"),
+    "negative-count": (-1, (), f"num_ternary must be an integer in [0, {MAX_LEN}], got -1"),
     "bool-count": (True, ((1,),),
-                   f"num_ternary must be an integer in [0, {MAX_TERNARY}], got True"),
+                   f"num_ternary must be an integer in [0, {MAX_LEN}], got True"),
+    "count-beyond-MAX_LEN": (MAX_LEN + 1, (),
+                             f"num_ternary must be an integer in [0, {MAX_LEN}], "
+                             f"got {MAX_LEN + 1}"),
 }
 
 

@@ -21,7 +21,6 @@ import pytest
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
 from tristarter.dimacs import CnfDocument, export_dimacs, parse_dimacs_text
-from tristarter.errors import StructuralError
 from tristarter.solver import RESTART_UNIT
 from tristarter.triplication import _forbidden_keys, admissible_keys
 
@@ -140,9 +139,9 @@ def test_fd_search_identical_on_conflicting_fixed_variable(ckernels):
 
 def test_fd_search_identical_on_every_group_size(ckernels):
     # encode makes groups of 2 and 3 members, and of 4 only in the T13
-    # instances below, whose weak set of 4 no three values separate and which
-    # the solver therefore skips; T7's key-1 arrays take one appended group
-    # of 0, 1 or 2 members, enumerated to completion
+    # instances below, whose weak set of 4 no three values separate, so the
+    # root propagation wipes it out; T7's key-1 arrays take one appended
+    # group of 0, 1 or 2 members, enumerated to completion
     for key in (0, 1, 3, 8, 10, 11):
         inst = encode(build_table(T13, key))
         assert inst.trivially_unsat_reason
@@ -198,9 +197,12 @@ MALFORMED_ARRAYS = [
                                      ("fixed_vars", 2**70, "2**70", 0, NVARS),
                                      ("bind_sign", 2, "2", -1, 2),
                                      ("bind_sign", 2**40, "2**40", -1, 2))),
-    pytest.param("nvars", lambda _, n: _kernels.MAX_LEN + 1,
-                 rf"^nvars = {_kernels.MAX_LEN + 1} is out of range$",
-                 id="nvars=MAX_LEN+1"),
+    # nvars passes the same rule: an exact int in [0, MAX_LEN]
+    *(pytest.param("nvars", lambda _, n, x=x: x,
+                   rf"^nvars = {re.escape(repr(x))} is out of range$",
+                   id=f"nvars={label}")
+      for x, label in ((_kernels.MAX_LEN + 1, "MAX_LEN+1"), (1.0, "1.0"),
+                       (True, "True"), (2**70, "2**70"))),
 ]
 
 
@@ -237,15 +239,18 @@ def test_dimacs_clauses_rejects_malformed_arrays(kernel_backends, name, corrupt,
                    CLAUSE_ARRAY_NAMES, name, corrupt, message)
 
 
-@pytest.mark.parametrize("n", [8, 0, -3, _kernels.MAX_LEN + 1, _kernels.MAX_LEN + 2],
-                         ids=["8", "0", "-3", "MAX_LEN+1", "MAX_LEN+2"])
+@pytest.mark.parametrize("n", [8, 0, -3, _kernels.MAX_LEN + 1, _kernels.MAX_LEN + 2,
+                               7.0, True, 2**70],
+                         ids=["8", "0", "-3", "MAX_LEN+1", "MAX_LEN+2",
+                              "7.0", "True", "2**70"])
 def test_count_strong_starters_refuses_alike(kernel_backends, n):
-    # MAX_LEN + 2 is odd: only the upper bound refuses it
+    # MAX_LEN + 2 is odd: only the upper bound refuses it; 7.0 and True
+    # (odd, in range) are refused for their type
     for kernels in kernel_backends:
         with pytest.raises(ValueError) as error:
             kernels.count_strong_starters(n, 0)
         assert type(error.value) is ValueError
-        assert str(error.value) == f"order must be odd and positive, got {n}"
+        assert str(error.value) == f"order must be odd and positive, got {n!r}"
 
 
 def _same_text(ckernels, num_ternary, clauses):
@@ -283,10 +288,12 @@ def test_dimacs_text_identical_on_edge_documents(ckernels):
 @pytest.mark.parametrize("num_ternary, clauses, message",
                          list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
 def test_dimacs_text_refuses_alike(kernel_backends, num_ternary, clauses, message):
+    # the kernels refuse with ValueError; `to_dimacs_text` makes it the
+    # user's StructuralError (test_dimacs.py)
     for kernels in kernel_backends:
-        with pytest.raises(StructuralError) as error:
+        with pytest.raises(ValueError) as error:
             kernels.dimacs_text(num_ternary, clauses)
-        assert type(error.value) is StructuralError and str(error.value) == message
+        assert type(error.value) is ValueError and str(error.value) == message
 
 
 def _same_clauses(ckernels, arrays):

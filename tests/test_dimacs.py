@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
+import shlex
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +235,22 @@ def test_external_bridge_bad_command():
     text = to_dimacs_text(export_dimacs(encode(build_table(T7, DEMO_KEY))))
     with pytest.raises(ExternalSolverError):
         run_external_solver(text, "/nonexistent/solver {cnf}")
+
+
+def test_external_bridge_timeout_kills_the_solver(demo_doc, tmp_path):
+    # a solver that would sleep 30 s is stopped at the timeout, and the
+    # child, once it has written its pid, is gone (killed and reaped)
+    pidfile = tmp_path / "solver.pid"
+    code = (f"import os, time; open({str(pidfile)!r}, 'w').write(str(os.getpid())); "
+            "time.sleep(30)")
+    command = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    start = time.monotonic()
+    with pytest.raises(ExternalSolverError, match="timed out"):
+        run_external_solver(to_dimacs_text(demo_doc), command, timeout=0.5)
+    assert time.monotonic() - start < 5
+    if pidfile.exists():
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pidfile.read_text()), 0)
 
 
 def test_malformed_model_line_is_solver_error():
