@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the C kernels against their pure-Python reference.
 
-`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
-are timed on both the C extension (`_ckernels`, built by `python setup.py build_ext
+`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
+`dimacs_text` are timed on both the C extension (`_ckernels`, built by `python setup.py build_ext
 --inplace`) and the pure definitions in `_kernels.py`; the hill climber has
 only the pure version.
 Run from the repo root:
@@ -48,6 +48,17 @@ def bench_enumerate(count_strong_starters, order):
         assert count > 0
 
     return timed(run, 1)
+
+
+def bench_encode(encode_table, p, seed=1000, repeat=20):
+    base = hill_climb(p, seed=seed + p)
+    tables = [build_table(base, key) for key in admissible_keys(base)]
+
+    def run():   # the table of every key, as `encode` builds it
+        for table in tables:
+            encode_table(table.p, table.extension)
+
+    return timed(run, repeat)
 
 
 def bench_solver(fd_search, p, seed=1000):
@@ -106,6 +117,10 @@ def main() -> int:
     rows = [
         (f"hill_climb_pairs(21) x{climbs}", "ms/starter",
          lambda: bench_hill_climb(climbs) * 1000, None),
+        *((f"encode_table key sweep p={p}", "ms",
+           lambda p=p: bench_encode(_kernels.pure_encode_table, p) * 1000,
+           lambda p=p: bench_encode(_kernels.encode_table, p) * 1000)
+          for p in (31, 79)),
         (f"count_strong_starters({enum_order})", "s",
          lambda: bench_enumerate(_kernels.pure_count_strong_starters, enum_order),
          lambda: bench_enumerate(_kernels.count_strong_starters, enum_order)),

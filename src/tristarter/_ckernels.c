@@ -1,7 +1,7 @@
 /*
- * C versions of four kernels of `_kernels.py`: `fd_search`,
- * `count_strong_starters`, the DIMACS clause builder `dimacs_clauses` and
- * the DIMACS writer `dimacs_text`.  `_kernels` binds them over its own
+ * C versions of five kernels of `_kernels.py`: the table encoder
+ * `encode_table`, `fd_search`, `count_strong_starters`, the DIMACS clause
+ * builder `dimacs_clauses` and the DIMACS writer `dimacs_text`.  `_kernels` binds them over its own
  * definitions when this extension imports; the Python code stays the
  * reference, and both return exactly the same values and raise the same
  * errors (tests/test_backends.py compares them).  Keep the two searches in
@@ -48,7 +48,9 @@
  * same arrays (all but `order`) through the same checks and keeps the
  * clause order of `_kernels.dimacs_clauses`, the one place that order is
  * documented: one-hot block, fixed units, the 18 forbidden triples
- * of each binding, then each group's member pairs.
+ * of each binding, then each group's member pairs.  `encode_table` builds
+ * the table these take from a triplication table, in the layout `model`
+ * documents, and refuses what `_kernels.encode_table` refuses.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -134,6 +136,182 @@ to_array(PyObject *seq, const char *name, int64_t lo, int64_t hi,
     }
     Py_DECREF(fast);
     return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* encode_table                                                        */
+
+/* A new list of the ints v[0 .. n). */
+static PyObject *
+int_list(const int32_t *v, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    if (list == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *x = PyLong_FromLong(v[i]);
+        if (x == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, x);
+    }
+    return list;
+}
+
+/* Read the k pairs of the extension into val (U_i = val[2i], V_i =
+ * val[2i + 1]), each an exact int in [0, p); 0, or -1 with ValueError set. */
+static int
+load_pairs(PyObject *const *items, Py_ssize_t k, long long p, int32_t *val)
+{
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *pair = items[i];
+        long long u, v;
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2
+                || !exact_int(PyTuple_GET_ITEM(pair, 0), 0, p - 1, &u)
+                || !exact_int(PyTuple_GET_ITEM(pair, 1), 0, p - 1, &v))
+            return invalid("extension[%zd] = %R is not a pair of ints in "
+                           "[0, %lld)", i, pair, p);
+        val[2 * i] = (int32_t)u;
+        val[2 * i + 1] = (int32_t)v;
+    }
+    return 0;
+}
+
+/* `_kernels.encode_table`, with the same checks in the same order.  Two
+ * counting sorts replace its lists of lists: the weak pairs by sum (a sum
+ * is weak when it has two or more pairs, or is 0 with one) and the U/V
+ * variables by value, each placed in ascending index order, so the weak
+ * sets come in ascending sum order and each color in extension order with
+ * U_i before V_i.  O(k + p) for k pairs. */
+static PyObject *
+encode_table(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *p_obj, *ext;
+    long long p;
+    if (!PyArg_ParseTuple(args, "OO:encode_table", &p_obj, &ext))
+        return NULL;
+    if (!exact_int(p_obj, 1, MAX_LEN, &p)) {
+        invalid("p = %R is out of range", p_obj);
+        return NULL;
+    }
+    PyObject *fast = PySequence_Fast(ext, "extension");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t npairs = PySequence_Fast_GET_SIZE(fast);
+    int32_t *val = NULL, *sid = NULL, *by_sum = NULL, *by_color = NULL;
+    int32_t *flat = NULL, *off = NULL, *sign = NULL;
+    PyObject *lists[3] = {NULL, NULL, NULL}, *result = NULL;
+    if (npairs % 3 != 1) {
+        invalid("extension has %zd pairs, not 3q + 1", npairs);
+        goto done;
+    }
+    /* every list returned has at most p + 10k + 1 entries */
+    if (p + 10 * (long long)npairs + 1 > MAX_LEN) {
+        invalid("p + 10 * len(extension) + 1 = %lld exceeds %d",
+                p + 10 * (long long)npairs + 1, MAX_LEN);
+        goto done;
+    }
+    int32_t k = (int32_t)npairs;
+    val = PyMem_Malloc(2 * (size_t)k * sizeof(int32_t));
+    sid = PyMem_Malloc((size_t)k * sizeof(int32_t));
+    by_sum = PyMem_Calloc((size_t)p, sizeof(int32_t));
+    by_color = PyMem_Calloc((size_t)p, sizeof(int32_t));
+    if (!val || !sid || !by_sum || !by_color) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (load_pairs(PySequence_Fast_ITEMS(fast), k, p, val) < 0)
+        goto done;
+
+    /* count the pairs of each sum and the variables of each value, then
+     * number the S of the weak pairs in index order */
+    for (Py_ssize_t i = 0; i < k; i++) {
+        by_sum[(val[2 * i] + val[2 * i + 1]) % p]++;
+        by_color[val[2 * i]]++;
+        by_color[val[2 * i + 1]]++;
+    }
+    int32_t k3 = 3 * k, ns = 0, nweak = 0;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        int32_t s = (int32_t)((val[2 * i] + val[2 * i + 1]) % p);
+        sid[i] = by_sum[s] > (s != 0) ? k3 + ns++ : -1;
+    }
+    for (int32_t s = 0; s < p; s++)
+        nweak += by_sum[s] > (s != 0);
+    int32_t z = k3 + ns, nb = k + ns, zero = by_sum[0] > 0;
+    /* bindings, rows (k - 1 D's), weak sets with Z in the zero-sum set,
+     * colors with Z in color 0 */
+    int32_t nflat = 3 * nb + (k - 1) + ns + zero + (2 * k + 1);
+    int32_t noff = nb + (k - 1) / 3 + 1 + nweak + (int32_t)p;
+    flat = PyMem_Malloc((size_t)nflat * sizeof(int32_t));
+    off = PyMem_Malloc((size_t)noff * sizeof(int32_t));
+    sign = PyMem_Malloc((size_t)nb * sizeof(int32_t));
+    if (!flat || !off || !sign) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* binding j is (U_i, V_i, D_i) for i = j < k, then (U_i, V_i, S_i) per
+     * weak pair i; every binding and row is three wide */
+    int32_t j = 0;
+    for (int32_t i = 0; i < k; i++) {
+        flat[3 * j] = 2 * i;
+        flat[3 * j + 1] = 2 * i + 1;
+        flat[3 * j + 2] = 2 * k + i;
+        sign[j++] = -1;
+    }
+    for (int32_t i = 0; i < k; i++)
+        if (sid[i] >= 0) {
+            flat[3 * j] = 2 * i;
+            flat[3 * j + 1] = 2 * i + 1;
+            flat[3 * j + 2] = sid[i];
+            sign[j++] = 1;
+        }
+    int32_t pos = 3 * nb, c = 0;
+    for (int32_t i = 1; i < k; i++)
+        flat[pos++] = 2 * k + i;
+    for (; 3 * c <= pos; c++)
+        off[c] = 3 * c;
+    /* turn each count into its group's start and close the group */
+    for (int32_t s = 0; s < p; s++)
+        if (by_sum[s] > (s != 0)) {
+            int32_t n = by_sum[s];
+            by_sum[s] = pos;
+            pos += n + (s == 0);
+            off[c++] = pos;
+        }
+    for (int32_t v = 0; v < p; v++) {
+        int32_t n = by_color[v];
+        by_color[v] = pos;
+        pos += n + (v == 0);
+        off[c++] = pos;
+    }
+    for (int32_t i = 0; i < k; i++)
+        if (sid[i] >= 0)
+            flat[by_sum[(val[2 * i] + val[2 * i + 1]) % p]++] = sid[i];
+    if (zero)
+        flat[by_sum[0]] = z;
+    for (int32_t x = 0; x < 2 * k; x++)
+        flat[by_color[val[x]]++] = x;
+    flat[by_color[0]] = z;
+
+    lists[0] = int_list(flat, nflat);
+    lists[1] = int_list(off, noff);
+    lists[2] = int_list(sign, nb);
+    if (lists[0] && lists[1] && lists[2])
+        result = Py_BuildValue("(iOOO)", z + 1, lists[0], lists[1], lists[2]);
+done:
+    Py_DECREF(fast);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(lists[i]);
+    PyMem_Free(val);
+    PyMem_Free(sid);
+    PyMem_Free(by_sum);
+    PyMem_Free(by_color);
+    PyMem_Free(flat);
+    PyMem_Free(off);
+    PyMem_Free(sign);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1125,6 +1303,8 @@ done:
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
+    {"encode_table", encode_table, METH_VARARGS,
+     "C version of `_kernels.encode_table`; same arguments and result."},
     {"fd_search", fd_search, METH_VARARGS,
      "C version of `_kernels.fd_search`; same arguments and result."},
     {"count_strong_starters", count_strong_starters, METH_VARARGS,
@@ -1139,8 +1319,9 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
-    "C versions of `_kernels.fd_search`, `_kernels.count_strong_starters`, "
-    "`_kernels.dimacs_clauses` and `_kernels.dimacs_text`.",
+    "C versions of `_kernels.encode_table`, `_kernels.fd_search`, "
+    "`_kernels.count_strong_starters`, `_kernels.dimacs_clauses` and "
+    "`_kernels.dimacs_text`.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

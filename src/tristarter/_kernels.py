@@ -1,19 +1,22 @@
-"""Hot kernels: hill climbing, exhaustive enumeration, ternary FD search,
-the DIMACS clause builder and the DIMACS text writer.
+"""Hot kernels: hill climbing, exhaustive enumeration, the encoder of a
+triplication table, ternary FD search, the DIMACS clause builder and the
+DIMACS text writer.
 
-This module is the reference implementation of all five.  When the C
-extension `_ckernels` (built by `setup.py`) imports, its `fd_search`,
-`count_strong_starters`, `dimacs_clauses` and `dimacs_text` replace the
-ones defined here, which stay reachable as `pure_fd_search`,
-`pure_count_strong_starters`, `pure_dimacs_clauses` and `pure_dimacs_text`;
-the two return exactly the same values and raise the same errors.  The
-hill climber always runs as Python.
+This module is the reference implementation of all six.  When the C
+extension `_ckernels` (built by `setup.py`) imports, its `encode_table`,
+`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
+replace the ones defined here, which stay reachable as
+`pure_encode_table`, `pure_fd_search`, `pure_count_strong_starters`,
+`pure_dimacs_clauses` and `pure_dimacs_text`; the two return exactly the
+same values and raise the same errors.  The hill climber always runs as
+Python.
 
-The four have one contract.  They refuse only with `ValueError`, with the
+The five have one contract.  They refuse only with `ValueError`, with the
 same message on both backends.  Every int they check passes one rule
-(`exact_int` in C), an exact int, not a bool, in its range: ``nvars``,
-each array entry (a variable id in [0, nvars), a value in [0, 3), a binding
-sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3), the order of
+(`exact_int` in C), an exact int, not a bool, in its range: the order and
+each pair member of `encode_table`, ``nvars``, each array entry (a
+variable id in [0, nvars), a value in [0, 3), a binding sign in [-1, 2),
+since -1, 0 and 1 cover every sign mod 3), the order of
 `count_strong_starters`, and the ``num_ternary`` and literals of
 `dimacs_text`.  `MAX_LEN` bounds every size.  `fd_search` and
 `dimacs_clauses` check their arguments once, in `_validate` (`load_arrays`
@@ -21,8 +24,9 @@ in C).  The callers check the rest, the search-control scalars and that
 the arrays are lists or tuples, as `solver.SolverConfig` and
 `starters.enumerate_strong_starters` do.
 
-`dimacs_clauses` is where the one-hot numbering and the clause order of
-`dimacs.export_dimacs` live.
+`encode_table` is where the variable numbering and constraint order of
+`model.encode` are built, and `dimacs_clauses` is where the one-hot
+numbering and the clause order of `dimacs.export_dimacs` live.
 """
 
 import itertools
@@ -275,6 +279,72 @@ def shuffled(order, state):
         out[i], out[j] = out[j], out[i]
         i -= 1
     return out, state
+
+
+def encode_table(p, extension):
+    """The constraint table of a triplication table of order ``p``: the
+    layout `model` documents, as ``(num_variables, scope_flat, scope_off,
+    bind_sign)``, the first four of `fd_search`'s array arguments.
+
+    Raises `ValueError`, checking in this order, unless ``p`` is an int
+    (not a bool) in [1, `MAX_LEN`], ``extension`` holds 3q + 1 pairs, and
+    ``p + 10 * len(extension) + 1``, a bound on the length of every list
+    returned, is at most `MAX_LEN`; then names the first pair that is not a
+    tuple of two ints (not bools) in [0, ``p``).  Groups wider than three
+    are returned as they are; `model.encode` names them.
+    """
+    if type(p) is not int or not 1 <= p <= MAX_LEN:
+        raise ValueError(f"p = {p!r} is out of range")
+    k = len(extension)
+    if k % 3 != 1:
+        raise ValueError(f"extension has {k} pairs, not 3q + 1")
+    if p + 10 * k + 1 > MAX_LEN:
+        raise ValueError(f"p + 10 * len(extension) + 1 = {p + 10 * k + 1} "
+                         f"exceeds {MAX_LEN}")
+    for i, pair in enumerate(extension):
+        if type(pair) is tuple and len(pair) == 2:
+            u, v = pair
+            if type(u) is int and type(v) is int and 0 <= u < p and 0 <= v < p:
+                continue
+        raise ValueError(f"extension[{i}] = {pair!r} is not a pair of ints "
+                         f"in [0, {p})")
+    # the weak sets: pair indices by sum, sums ascending, kept when the sum
+    # is 0 or the set has more than one member
+    by_sum = [[] for _ in range(p)]
+    for i, (u, v) in enumerate(extension):
+        by_sum[(u + v) % p].append(i)
+    weak_sets = {total: members for total, members in enumerate(by_sum)
+                 if len(members) > 1 or (total == 0 and members)}
+    s_pairs = sorted(itertools.chain.from_iterable(weak_sets.values()))
+    s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
+    z_id = 3 * k + len(s_pairs)
+
+    # Binding j is (U_i, V_i, D_i) for i = j < k, then (U_i, V_i, S_i) per
+    # weak pair i.
+    uv = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
+    scope_flat = [0] * (3 * len(uv))
+    scope_flat[0::3] = uv
+    scope_flat[1::3] = [u + 1 for u in uv]
+    scope_flat[2::3] = range(2 * k, z_id)
+    bind_sign = [-1] * k + [1] * len(s_pairs)
+
+    # Row r holds D_{3r-2}, D_{3r-1}, D_{3r}, so the rows are D_1 .. D_{k-1}.
+    scope_flat += range(2 * k + 1, 3 * k)
+    scope_off = list(range(0, len(scope_flat) + 1, 3))   # all three wide so far
+    groups = [[s_ids[i] for i in members] + ([z_id] if total == 0 else [])
+              for total, members in weak_sets.items()]
+    # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
+    # with value c, in extension order.
+    colors = [[] for _ in range(p)]
+    for i, (u, v) in enumerate(extension):
+        colors[u].append(2 * i)
+        colors[v].append(2 * i + 1)
+    colors[0].append(z_id)
+    groups.extend(colors)
+    for g in groups:
+        scope_flat.extend(g)
+        scope_off.append(len(scope_flat))
+    return z_id + 1, scope_flat, scope_off, bind_sign
 
 
 def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
@@ -628,9 +698,11 @@ pure_fd_search = fd_search
 pure_count_strong_starters = count_strong_starters
 pure_dimacs_clauses = dimacs_clauses
 pure_dimacs_text = dimacs_text
+pure_encode_table = encode_table
 
 try:
-    from ._ckernels import count_strong_starters, dimacs_clauses, dimacs_text, fd_search
+    from ._ckernels import (count_strong_starters, dimacs_clauses, dimacs_text,
+                            encode_table, fd_search)
 except ImportError:  # extension not built: the definitions above run
     BACKEND = "pure"
 else:

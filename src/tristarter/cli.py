@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,7 +113,8 @@ def _cross_check(args, instance):
         Path(args.cnf_out).write_text(text)
     if not args.external_solver:
         return None, None
-    status, literals = run_external_solver(text, args.external_solver)
+    status, literals = run_external_solver(text, args.external_solver,
+                                           timeout=args.external_timeout)
     if status != SAT:
         return status, None
     try:
@@ -253,6 +255,25 @@ def _parse_orders(args) -> list[int]:
     raise StructuralError("order-sweep needs --order or --orders")
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and above 0 seconds, got {text!r}")
+    return value
+
+
+def _add_external_solver(p, solver_help: str) -> None:
+    p.add_argument("--external-solver", help=solver_help)
+    p.add_argument("--external-timeout", type=_seconds, metavar="SECONDS",
+                   help="stop the external solver after this many seconds "
+                        "(an external-solver error); default: no bound")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tristarter",
@@ -291,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the restarts' tie-breaking")
     p.add_argument("--out", help="output prefix for report and starter files")
     p.add_argument("--cnf-out", help="also export the instance as DIMACS CNF")
-    p.add_argument("--external-solver",
-                   help="command template for a cross-check; a SAT model is "
-                        "decoded and checked")
+    _add_external_solver(p, "command template for a cross-check; a SAT model "
+                            "is decoded and checked")
     p.set_defaults(func=_cmd_triplicate)
 
     p = sub.add_parser("encode", help="build and describe the constraint instance")
@@ -308,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the restarts' tie-breaking")
     p.add_argument("--cnf-out")
-    p.add_argument("--external-solver",
-                   help="solve via this external command instead")
+    _add_external_solver(p, "solve via this external command instead")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("invert", help="test whether a starter is a triplication image")

@@ -5,7 +5,8 @@ pair i < k, then D_i = 2k + i, then one S per weak pair in ascending pair
 order, then the fixed zero Z last.
 
 An instance is one constraint table, the form `_kernels.fd_search` takes
-(the kernel derives each variable's constraint ids from it itself):
+(the kernel derives each variable's constraint ids from it itself), built
+by `_kernels.encode_table`:
 
 * Z is the one fixed variable (Z = 0);
 * constraint ``cid`` names the variables
@@ -31,11 +32,12 @@ weak-set and color cardinalities.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
+from . import _kernels
 from .errors import StructuralError
 from .starters import Pair
 from .triplication import TriplicationTable, compute_weak_sets
@@ -96,46 +98,21 @@ class SudokuInstance:
 
 def encode(table: TriplicationTable) -> SudokuInstance:
     """Encode the table's constraint problem (classes 0 through 3)."""
-    k = len(table.extension)
-    weak_sets = compute_weak_sets(table)
-    s_pairs = sorted(itertools.chain.from_iterable(weak_sets.values()))
-    s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
-    z_id = 3 * k + len(s_pairs)
-
-    # Binding j is (U_i, V_i, D_i) for i = j < k, then (U_i, V_i, S_i) per
-    # weak pair i.
-    uv = [2 * i for i in range(k)] + [2 * i for i in s_pairs]
-    scope_flat = [0] * (3 * len(uv))
-    scope_flat[0::3] = uv
-    scope_flat[1::3] = [u + 1 for u in uv]
-    scope_flat[2::3] = range(2 * k, z_id)
-    bind_sign = [-1] * k + [1] * len(s_pairs)
-
-    # Row r holds D_{3r-2}, D_{3r-1}, D_{3r}, so the rows are D_1 .. D_{k-1}.
-    scope_flat += range(2 * k + 1, 3 * k)
-    scope_off = list(range(0, len(scope_flat) + 1, 3))   # all three wide so far
-    groups = [[s_ids[i] for i in members] + ([z_id] if total == 0 else [])
-              for total, members in weak_sets.items()]
-    # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
-    # with value c, in extension order.
-    colors: list[list[int]] = [[] for _ in range(table.p)]
-    for i, (u, v) in enumerate(table.extension):
-        colors[u].append(2 * i)
-        colors[v].append(2 * i + 1)
-    colors[0].append(z_id)
-    groups.extend(colors)
+    num_variables, scope_flat, scope_off, bind_sign = _kernels.encode_table(
+        table.p, table.extension)
+    # the one check of the weak-set and color cardinalities: one pass over
+    # the group widths, and the names only for an instance that fails it
     reason = None
-    for g in groups:
-        if len(g) > 3 and reason is None:
-            name = _constraint_names(table, weak_sets)[len(scope_off) - 1]
-            reason = (f"{name}: {len(g)} mutually distinct "
-                      "variables cannot fit in three values")
-        scope_flat.extend(g)
-        scope_off.append(len(scope_flat))
-
+    nb = len(bind_sign)
+    if max(map(operator.sub, scope_off[nb + 1:], scope_off[nb:-1])) > 3:
+        cid = next(c for c in range(nb, len(scope_off) - 1)
+                   if scope_off[c + 1] - scope_off[c] > 3)
+        name = _constraint_names(table, compute_weak_sets(table))[cid]
+        reason = (f"{name}: {scope_off[cid + 1] - scope_off[cid]} mutually "
+                  "distinct variables cannot fit in three values")
     return SudokuInstance(
         table=table,
-        num_variables=z_id + 1,
+        num_variables=num_variables,
         scope_flat=scope_flat,
         scope_off=scope_off,
         bind_sign=bind_sign,

@@ -252,7 +252,7 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
 
 
 def kernel_backend() -> str:
-    """'compiled' when the C extension supplies `fd_search`,
+    """'compiled' when the C extension supplies `encode_table`, `fd_search`,
     `count_strong_starters`, `dimacs_clauses` and `dimacs_text`, else 'pure'
     (the hill climber is always pure)."""
     return _kernels.BACKEND

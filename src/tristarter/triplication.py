@@ -9,7 +9,9 @@ read as a table row by row, left to right: index 0 is the top pair, index
 j >= 1 sits in row ceil(j/3), column ((j-1) mod 3) + 1.  Weak sets group
 pair indices by sum mod p (kept when the sum is 0 or the group has more
 than one member).  The color groups and the cardinality check live in the
-encoded instance (`model.encode`).
+encoded instance (`model.encode`), whose table `_kernels.encode_table`
+builds with its own copy of the weak-set rule (the kernels import nothing
+from the package).
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """C/pure kernel agreement.
 
 `_kernels.py` is the reference.  The C extension `_ckernels` replaces its
-`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
-when built; the pure definitions stay reachable as `_kernels.pure_*`.
-These tests require the two to return identical values, so a seed denotes
-the same starter, a search reports the same counts and an instance has the
-same clauses and a document the same text on every build.  The
-``ckernels`` fixture (conftest.py) compiles the extension when it is not
-importable or older than its source; the tests skip only when there is no
-C compiler.
+`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
+`dimacs_text` when built; the pure definitions stay reachable as
+`_kernels.pure_*`.  These tests require the two to return identical values,
+so a seed denotes the same starter, a table the same instance, a search
+reports the same counts and an instance has the same clauses and a
+document the same text on every build.  The ``ckernels`` fixture
+(conftest.py) compiles the extension when it is not importable or older
+than its source; the tests skip only when there is no C compiler.
 """
 
+import functools
 import hashlib
 import inspect
 import os
@@ -40,6 +41,7 @@ def test_backend_flag_consistency():
                         is not _kernels.pure_count_strong_starters)
     assert compiled == (_kernels.dimacs_clauses is not _kernels.pure_dimacs_clauses)
     assert compiled == (_kernels.dimacs_text is not _kernels.pure_dimacs_text)
+    assert compiled == (_kernels.encode_table is not _kernels.pure_encode_table)
     assert _kernels.BACKEND == ("compiled" if compiled else "pure")
 
 
@@ -72,6 +74,47 @@ def test_pure_fd_search_golden_digest():
         results.append(search(inst, 0, 10 ** 6, 0, 0))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == \
         "8893363f5f9e6faf2ec0c888c66d3e37a9655b580eb7da01df6fb90c6947b49d"
+
+
+@functools.cache
+def _golden_tables():
+    """Every key, forced and inadmissible ones included, of T7, of T13 (not
+    strong: six of its keys give a weak set of four) and of the 16 order-31
+    bases `hill_climb(31, seed=j)`."""
+    bases = [T7, T13] + [hill_climb(31, seed=j) for j in range(16)]
+    return [build_table(base, key) for base in bases for key in range(base.modulus)]
+
+
+def test_pure_encode_table_golden_digest():
+    # digest of the tables `model.encode` built before the encoder became a
+    # kernel
+    results = [_kernels.pure_encode_table(t.p, t.extension) for t in _golden_tables()]
+    assert len(results) == 516
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+        "2aaaedba4d2fb732361dc7732cbddc20a48a1444e998026bca75ad0cf01b21e9"
+
+
+def test_encode_identical_on_both_backends(ckernels, monkeypatch):
+    # the kernels' tables, and the whole instance built on them, the
+    # trivially-unsat reason included
+    pure = [encode(t) for t in _golden_tables()]
+    monkeypatch.setattr(_kernels, "encode_table", ckernels.encode_table)
+    assert [encode(t) for t in _golden_tables()] == pure
+    assert sum(inst.trivially_unsat_reason is not None for inst in pure) == 6
+
+
+def test_encode_table_identical_on_random_extensions(ckernels):
+    # any pairs in [0, p), so colors of 0 to 2k members and weak sets of
+    # every size; each table is one `fd_search` accepts
+    rng = random.Random(25)
+    for _ in range(300):
+        p = rng.randint(1, 40)
+        extension = tuple((rng.randrange(p), rng.randrange(p))
+                          for _ in range(3 * rng.randint(0, 12) + 1))
+        got = ckernels.encode_table(p, extension)
+        assert got == _kernels.pure_encode_table(p, extension)
+        nvars, scope_flat, scope_off, bind_sign = got
+        _kernels._validate(nvars, [], [], scope_flat, scope_off, bind_sign, ())
 
 
 def test_enumeration_identical_across_backends(ckernels):
@@ -251,6 +294,47 @@ def test_count_strong_starters_refuses_alike(kernel_backends, n):
             kernels.count_strong_starters(n, 0)
         assert type(error.value) is ValueError
         assert str(error.value) == f"order must be odd and positive, got {n!r}"
+
+
+T7_EXTENSION = build_table(T7, 1).extension
+
+
+def _with_pair(pair):
+    """T7's key-1 extension with pair 3 replaced."""
+    return (*T7_EXTENSION[:3], pair, *T7_EXTENSION[4:])
+
+
+# (p, extension, message) of `encode_table`: the order, then the length,
+# then the size bound, then the first malformed pair.
+MALFORMED_TABLES = [
+    *(pytest.param(p, T7_EXTENSION, rf"^p = {re.escape(repr(p))} is out of range$",
+                   id=f"p={label}")
+      for p, label in ((0, "0"), (True, "True"), (7.0, "7.0"), (2**70, "2**70"),
+                       (_kernels.MAX_LEN + 1, "MAX_LEN+1"))),
+    pytest.param(7, T7_EXTENSION[:-1], r"^extension has 9 pairs, not 3q \+ 1$",
+                 id="9-pairs"),
+    pytest.param(7, (), r"^extension has 0 pairs, not 3q \+ 1$", id="no-pairs"),
+    pytest.param(_kernels.MAX_LEN - 100, T7_EXTENSION,
+                 rf"^p \+ 10 \* len\(extension\) \+ 1 = {_kernels.MAX_LEN + 1} "
+                 rf"exceeds {_kernels.MAX_LEN}$", id="too-large"),
+    *(pytest.param(7, _with_pair(pair),
+                   rf"^extension\[3\] = {re.escape(repr(pair))} is not a pair of "
+                   r"ints in \[0, 7\)$", id=f"pair={label}")
+      for pair, label in ((5, "int"), ([5, 6], "list"), ((5,), "one"),
+                          ((5, 6, 0), "three"), ((True, 6), "bool"),
+                          ((5, 6.0), "float"), ((5, 7), "7"), ((-1, 6), "-1"),
+                          ((5, 2**70), "2**70"))),
+]
+
+
+@pytest.mark.parametrize("p, extension, message", MALFORMED_TABLES)
+def test_encode_table_refuses_alike(kernel_backends, p, extension, message):
+    errors = []
+    for kernels in kernel_backends:
+        with pytest.raises(ValueError, match=message) as error:
+            kernels.encode_table(p, extension)
+        errors.append((type(error.value), str(error.value)))
+    assert len(set(errors)) == 1 and errors[0][0] is ValueError
 
 
 def _same_text(ckernels, num_ternary, clauses):

@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
+import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -304,6 +307,37 @@ def test_solve_external_missing_command(base_file, capsys):
                         "--external-solver", "./nonexistent"], capsys)
     assert code == 1
     assert err.startswith("error: cannot run")
+
+
+@pytest.mark.parametrize("command", ["solve", "triplicate"])
+def test_external_timeout_stops_the_solver(base_file, tmp_path, capsys, monkeypatch,
+                                           command):
+    # a solver that would sleep 30 s is stopped at the bound: an
+    # external-solver error, and the child, once it has written its pid, is
+    # gone (killed and reaped)
+    monkeypatch.chdir(tmp_path)
+    pidfile = tmp_path / "solver.pid"
+    code = (f"import os, time; open({str(pidfile)!r}, 'w').write(str(os.getpid())); "
+            "time.sleep(30)")
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    start = time.monotonic()
+    exit_code, _, err = run([command, "--base", base_file, "--key", "1",
+                             "--external-solver", cmd, "--external-timeout", "0.5"],
+                            capsys)
+    assert time.monotonic() - start < 5
+    assert exit_code == 1 and err == "error: solver timed out after 0.5s\n"
+    if pidfile.exists():
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pidfile.read_text()), 0)
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "soon"])
+def test_external_timeout_refuses_what_is_not_a_bound(base_file, capsys, seconds):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--base", base_file, "--key", "1", "--external-solver", "x",
+              f"--external-timeout={seconds}"])
+    assert exc.value.code == 2
+    assert "--external-timeout" in capsys.readouterr().err
 
 
 def test_solve_external_malformed_model(base_file, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,18 @@ def test_trivially_unsat_flag_for_type4_weak_set():
     off = inst.scope_off
     big = [inst.provenance[cid] for cid in range(len(off) - 1) if off[cid + 1] - off[cid] > 3]
     assert big and big[0] == "weak set with sum 1"
+
+
+def test_trivially_unsat_reasons_golden_digest():
+    # the reason of every key of T7, T13 and the 16 order-31 sweep bases,
+    # pinned before the encoder moved into `_kernels.encode_table`: six
+    # T13 keys name a weak set of four, the rest none
+    reasons = [encode(build_table(base, key)).trivially_unsat_reason
+               for base in [T7, T13] + [hill_climb(31, seed=j) for j in range(16)]
+               for key in range(base.modulus)]
+    assert sum(r is not None for r in reasons) == 6
+    assert hashlib.sha256(repr(reasons).encode()).hexdigest() == \
+        "fb1986dca12b89c86441bf29b0e25098f6eda12b0798b4c6f69fc473db0b8e34"
 
 
 def test_encoding_faithful_to_prose(demo_instance):
