@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the C kernels against their pure-Python reference.
 
-`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
-`dimacs_text` are timed on both the C extension (`_ckernels`, built by `python setup.py build_ext
---inplace`) and the pure definitions in `_kernels.py`; the hill climber has
-only the pure version.
+`pairing_report`, `encode_table`, `fd_search`, `count_strong_starters`,
+`dimacs_clauses` and `dimacs_text` are timed on both the C extension
+(`_ckernels`, built by `python setup.py build_ext --inplace`) and the pure
+definitions in `_kernels.py`; the hill climber has only the pure version.
 Run from the repo root:
 
     python benchmarks/bench_backends.py [--quick]
@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tristarter import _kernels, build_table, encode, hill_climb  # noqa: E402
+from tristarter import _kernels, build_table, encode, hill_climb, triplicate  # noqa: E402
 from tristarter.dimacs import export_dimacs  # noqa: E402
 from tristarter.solver import RESTART_UNIT  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
@@ -48,6 +48,20 @@ def bench_enumerate(count_strong_starters, order):
         assert count > 0
 
     return timed(run, 1)
+
+
+def bench_pairing_report(pairing_report, p, seed=1000, repeat=20):
+    base = hill_climb(p, seed=seed + p)
+    starters = []
+    for key in admissible_keys(base):
+        result = triplicate(base, key)
+        starters += [result.starter_a.pairs, result.starter_b.pairs]
+
+    def run():   # the reports of every key's two merged starters, as `triplicate` makes them
+        for pairs in starters:
+            assert pairing_report(3 * p, pairs)[2]
+
+    return timed(run, repeat)
 
 
 def bench_encode(encode_table, p, seed=1000, repeat=20):
@@ -117,6 +131,10 @@ def main() -> int:
     rows = [
         (f"hill_climb_pairs(21) x{climbs}", "ms/starter",
          lambda: bench_hill_climb(climbs) * 1000, None),
+        *((f"pairing_report key sweep p={p}", "ms",
+           lambda p=p: bench_pairing_report(_kernels.pure_pairing_report, p) * 1000,
+           lambda p=p: bench_pairing_report(_kernels.pairing_report, p) * 1000)
+          for p in (31, 79)),
         *((f"encode_table key sweep p={p}", "ms",
            lambda p=p: bench_encode(_kernels.pure_encode_table, p) * 1000,
            lambda p=p: bench_encode(_kernels.encode_table, p) * 1000)

@@ -1,13 +1,14 @@
 /*
- * C versions of five kernels of `_kernels.py`: the table encoder
- * `encode_table`, `fd_search`, `count_strong_starters`, the DIMACS clause
- * builder `dimacs_clauses` and the DIMACS writer `dimacs_text`.  `_kernels` binds them over its own
- * definitions when this extension imports; the Python code stays the
- * reference, and both return exactly the same values and raise the same
- * errors (tests/test_backends.py compares them).  Keep the two searches in
- * step: the queue is a LIFO stack, the branch rule (dom/wdeg), the value
- * order (0, 1, 2), the restart schedule and the shuffles of the tie-break
- * order are the ones of the Python code.
+ * C versions of six kernels of `_kernels.py`: the check and verification
+ * of a pairing `pairing_report`, the table encoder `encode_table`,
+ * `fd_search`, `count_strong_starters`, the DIMACS clause builder
+ * `dimacs_clauses` and the DIMACS writer `dimacs_text`.  `_kernels` binds
+ * them over its own definitions when this extension imports; the Python
+ * code stays the reference, and both return exactly the same values and
+ * raise the same errors (tests/test_backends.py compares them).  Keep the
+ * two searches in step: the queue is a LIFO stack, the branch rule
+ * (dom/wdeg), the value order (0, 1, 2), the restart schedule and the
+ * shuffles of the tie-break order are the ones of the Python code.
  *
  * The search has the shape of `_kernels.fd_search`, whose nested `shrink`,
  * `alldiff`, `propagate` and `run` are the functions of the same names
@@ -51,6 +52,8 @@
  * of each binding, then each group's member pairs.  `encode_table` builds
  * the table these take from a triplication table, in the layout `model`
  * documents, and refuses what `_kernels.encode_table` refuses.
+ * `pairing_report` checks and verifies a pairing in one pass over its
+ * pairs, and refuses what `_kernels.pairing_report` refuses.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1301,6 +1304,172 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* pairing_report                                                      */
+
+/* Append the new string s to list; 0, or -1 with an error set (also when
+ * s is NULL). */
+static int
+append_new(PyObject *list, PyObject *s)
+{
+    if (s == NULL)
+        return -1;
+    int rc = PyList_Append(list, s);
+    Py_DECREF(s);
+    return rc;
+}
+
+/* Append format % x for every x in [0, n) counted more than once,
+ * ascending. */
+static int
+append_repeats(PyObject *list, const char *format, const int32_t *count,
+               int32_t n)
+{
+    for (int32_t x = 0; x < n; x++)
+        if (count[x] > 1
+                && append_new(list, PyUnicode_FromFormat(format, (int)x)) < 0)
+            return -1;
+    return 0;
+}
+
+/* Append "missing differences a, b, ..." naming every x in [1, n) that no
+ * signed difference hit, unless there is none. */
+static int
+append_missing(PyObject *list, const int32_t *diff, int32_t n)
+{
+    /* each x takes at most 10 digits and ", " */
+    char *s = PyMem_Malloc(32 + 12 * (size_t)n);
+    if (s == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    char *start = put_str(s, "missing differences "), *p = start;
+    for (int32_t x = 1; x < n; x++)
+        if (diff[x] == 0) {
+            if (p != start)
+                p = put_str(p, ", ");
+            p = put_int(p, x);
+        }
+    int rc = p == start
+        ? 0 : append_new(list, PyUnicode_FromStringAndSize(s, p - s));
+    PyMem_Free(s);
+    return rc;
+}
+
+/* `_kernels.pairing_report`, with the same checks in the same order.  One
+ * pass over the pairs checks each and counts its elements, both signed
+ * differences and its sum in three arrays of length n; a count that passes
+ * 1 marks a repeat as it happens, so no count can hide one.  The
+ * diagnostics, made only when some flag is off, come from a scan of the
+ * counts in ascending order, which is the order of the pure lists. */
+static PyObject *
+pairing_report(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *n_obj, *pairs;
+    long long n;
+    if (!PyArg_ParseTuple(args, "OO:pairing_report", &n_obj, &pairs))
+        return NULL;
+    if (!exact_int(n_obj, 1, MAX_LEN, &n) || n % 2 == 0) {
+        invalid("modulus must be odd and in [1, %d], got %R", MAX_LEN, n_obj);
+        return NULL;
+    }
+    if (!PyTuple_CheckExact(pairs) && !PyList_CheckExact(pairs)) {
+        invalid("pairs must be a sequence of pairs, got %R", pairs);
+        return NULL;
+    }
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(pairs);
+    if (k != (n - 1) / 2) {
+        invalid("pairing of order %lld must have %lld pairs, got %zd", n,
+                (n - 1) / 2, k);
+        return NULL;
+    }
+
+    int32_t *count = PyMem_Calloc(3 * (size_t)n, sizeof(int32_t));
+    int32_t *elem = count, *diff = count + n, *sum = count + 2 * n;
+    PyObject *sums = PyTuple_New(k), *diags = NULL, *result = NULL;
+    if (sums == NULL)
+        goto done;
+    if (count == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(pairs);
+    int dup = 0, repeated = 0, sum_dup = 0;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *pair = items[i];
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            invalid("pair %zd is not a pair: %R", i, pair);
+            goto done;
+        }
+        PyObject *a_obj = PyTuple_GET_ITEM(pair, 0);
+        PyObject *b_obj = PyTuple_GET_ITEM(pair, 1);
+        long long a, b;
+        if (!PyLong_CheckExact(a_obj) || !PyLong_CheckExact(b_obj)) {
+            invalid("pair %zd has non-integer entries: %R", i, pair);
+            goto done;
+        }
+        if (!exact_int(a_obj, 0, n - 1, &a)
+                || !exact_int(b_obj, 0, n - 1, &b)) {
+            invalid("pair %zd entry out of range [0, %lld): %R", i, n, pair);
+            goto done;
+        }
+        /* a == b and d == 0 count one slot twice: one increment a statement */
+        long long d = (a - b + n) % n, s = (a + b) % n;
+        dup |= ++elem[a] > 1;
+        dup |= ++elem[b] > 1;
+        repeated |= ++diff[d] > 1;
+        repeated |= ++diff[d ? n - d : 0] > 1;
+        sum_dup |= ++sum[s] > 1;
+        PyObject *s_obj = PyLong_FromLongLong(s);
+        if (s_obj == NULL)
+            goto done;
+        PyTuple_SET_ITEM(sums, i, s_obj);
+    }
+
+    int zero_elem = elem[0] > 0, zero_diff = diff[0] > 0;
+    int zero_sum = sum[0] > 0;
+    int partition = !dup && !zero_elem;
+    int starter = partition && !zero_diff && !repeated;
+    int strong = starter && !sum_dup && !zero_sum;
+    if (strong)
+        diags = PyTuple_New(0);
+    else {
+        PyObject *list = PyList_New(0);
+        if (list == NULL)
+            goto done;
+        int32_t n32 = (int32_t)n;
+        int rc = 0;
+        if (dup)
+            rc = append_repeats(list, "duplicate element %d", elem, n32);
+        if (rc == 0 && zero_elem)
+            rc = append_new(list, PyUnicode_FromString("element 0 present"));
+        if (rc == 0 && zero_diff)
+            rc = append_new(list, PyUnicode_FromString(
+                "zero difference (pair with equal entries)"));
+        if (rc == 0 && (repeated || zero_diff))
+            rc = append_missing(list, diff, n32);
+        if (rc == 0 && sum_dup)
+            rc = append_repeats(list, "repeated sum %d", sum, n32);
+        if (rc == 0 && zero_sum)
+            rc = append_new(list, PyUnicode_FromString("zero sum"));
+        if (rc < 0) {
+            Py_DECREF(list);
+            goto done;
+        }
+        diags = PyList_AsTuple(list);
+        Py_DECREF(list);
+    }
+    if (diags != NULL)
+        result = PyTuple_Pack(5, partition ? Py_True : Py_False,
+                              starter ? Py_True : Py_False,
+                              strong ? Py_True : Py_False, sums, diags);
+done:
+    Py_XDECREF(sums);
+    Py_XDECREF(diags);
+    PyMem_Free(count);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
     {"encode_table", encode_table, METH_VARARGS,
@@ -1314,14 +1483,16 @@ static PyMethodDef methods[] = {
      "C version of `_kernels.dimacs_clauses`; same arguments and result."},
     {"dimacs_text", dimacs_text, METH_VARARGS,
      "C version of `_kernels.dimacs_text`; same arguments and result."},
+    {"pairing_report", pairing_report, METH_VARARGS,
+     "C version of `_kernels.pairing_report`; same arguments and result."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
     "C versions of `_kernels.encode_table`, `_kernels.fd_search`, "
-    "`_kernels.count_strong_starters`, `_kernels.dimacs_clauses` and "
-    "`_kernels.dimacs_text`.",
+    "`_kernels.count_strong_starters`, `_kernels.dimacs_clauses`, "
+    "`_kernels.dimacs_text` and `_kernels.pairing_report`.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

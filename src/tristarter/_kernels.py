@@ -1,22 +1,22 @@
-"""Hot kernels: hill climbing, exhaustive enumeration, the encoder of a
-triplication table, ternary FD search, the DIMACS clause builder and the
-DIMACS text writer.
+"""Hot kernels: hill climbing, exhaustive enumeration, the check and
+verification of a pairing, the encoder of a triplication table, ternary FD
+search, the DIMACS clause builder and the DIMACS text writer.
 
-This module is the reference implementation of all six.  When the C
-extension `_ckernels` (built by `setup.py`) imports, its `encode_table`,
-`fd_search`, `count_strong_starters`, `dimacs_clauses` and `dimacs_text`
-replace the ones defined here, which stay reachable as
-`pure_encode_table`, `pure_fd_search`, `pure_count_strong_starters`,
-`pure_dimacs_clauses` and `pure_dimacs_text`; the two return exactly the
-same values and raise the same errors.  The hill climber always runs as
-Python.
+This module is the reference implementation of all seven.  When the C
+extension `_ckernels` (built by `setup.py`) imports, its `pairing_report`,
+`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
+`dimacs_text` replace the ones defined here, which stay reachable as
+`pure_pairing_report`, `pure_encode_table`, `pure_fd_search`,
+`pure_count_strong_starters`, `pure_dimacs_clauses` and
+`pure_dimacs_text`; the two return exactly the same values and raise the
+same errors.  The hill climber always runs as Python.
 
-The five have one contract.  They refuse only with `ValueError`, with the
+The six have one contract.  They refuse only with `ValueError`, with the
 same message on both backends.  Every int they check passes one rule
 (`exact_int` in C), an exact int, not a bool, in its range: the order and
-each pair member of `encode_table`, ``nvars``, each array entry (a
-variable id in [0, nvars), a value in [0, 3), a binding sign in [-1, 2),
-since -1, 0 and 1 cover every sign mod 3), the order of
+each pair member of `pairing_report` and `encode_table`, ``nvars``, each
+array entry (a variable id in [0, nvars), a value in [0, 3), a binding
+sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3), the order of
 `count_strong_starters`, and the ``num_ternary`` and literals of
 `dimacs_text`.  `MAX_LEN` bounds every size.  `fd_search` and
 `dimacs_clauses` check their arguments once, in `_validate` (`load_arrays`
@@ -24,9 +24,11 @@ in C).  The callers check the rest, the search-control scalars and that
 the arrays are lists or tuples, as `solver.SolverConfig` and
 `starters.enumerate_strong_starters` do.
 
-`encode_table` is where the variable numbering and constraint order of
-`model.encode` are built, and `dimacs_clauses` is where the one-hot
-numbering and the clause order of `dimacs.export_dimacs` live.
+`pairing_report` is the one check of a `starters.Pairing`'s pairs and its
+one verification; `encode_table` is where the variable numbering and
+constraint order of `model.encode` are built, and `dimacs_clauses` is
+where the one-hot numbering and the clause order of `dimacs.export_dimacs`
+live.
 """
 
 import itertools
@@ -251,6 +253,86 @@ def count_strong_starters(n, cap):
         while used[cur_a]:
             cur_a += 1
         cur_b = cur_a
+
+
+def _repeated(values):
+    """The values that occur more than once, ascending."""
+    seen = set()
+    dup = set()
+    for x in values:
+        if x in seen:
+            dup.add(x)
+        seen.add(x)
+    return sorted(dup)
+
+
+def pairing_report(n, pairs):
+    """Check a pairing of order ``n`` and verify it against the partition,
+    starter and strong-starter definitions in one call.
+
+    Returns ``(is_partition, is_starter, is_strong, pair_sums,
+    diagnostics)``, the fields of `starters.VerificationReport`: the sums
+    (a + b) mod n in pair order, and a tuple of strings naming each
+    violation, in this order: the duplicate elements ascending, element 0,
+    a zero difference, the missing differences (listed when the signed
+    differences repeat), the repeated sums ascending, a zero sum.
+
+    Raises `ValueError`, checking in this order, unless ``n`` is an int
+    (not a bool), odd and in [1, `MAX_LEN`], ``pairs`` is a list or tuple
+    of (n - 1) / 2 pairs; then names the first pair that is not a tuple of
+    two, has an entry that is not an int (not a bool), or has an entry
+    outside [0, n).
+    """
+    if type(n) is not int or not 1 <= n <= MAX_LEN or n % 2 == 0:
+        raise ValueError(f"modulus must be odd and in [1, {MAX_LEN}], got {n!r}")
+    if type(pairs) is not tuple and type(pairs) is not list:
+        raise ValueError(f"pairs must be a sequence of pairs, got {pairs!r}")
+    expect_len = (n - 1) // 2
+    if len(pairs) != expect_len:
+        raise ValueError(
+            f"pairing of order {n} must have {expect_len} pairs, got {len(pairs)}")
+    for i, pair in enumerate(pairs):
+        if type(pair) is not tuple or len(pair) != 2:
+            raise ValueError(f"pair {i} is not a pair: {pair!r}")
+        a, b = pair
+        if not (type(a) is int and type(b) is int):   # bool is refused too
+            raise ValueError(f"pair {i} has non-integer entries: {pair!r}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair {i} entry out of range [0, {n}): {pair!r}")
+
+    # Repeats are found by comparing set sizes; the repeated values are
+    # listed only when there are some.
+    diagnostics = []
+    elements = [x for pair in pairs for x in pair]
+    element_set = set(elements)
+    dup = len(element_set) != len(elements)
+    if dup:
+        diagnostics.extend(f"duplicate element {x}" for x in _repeated(elements))
+    if 0 in element_set:
+        diagnostics.append("element 0 present")
+    is_partition = not dup and 0 not in element_set
+
+    diff_set = ({(a - b) % n for a, b in pairs}
+                | {(b - a) % n for a, b in pairs})
+    zero_diff = 0 in diff_set
+    if zero_diff:
+        diagnostics.append("zero difference (pair with equal entries)")
+    repeated = len(diff_set) != n - 1   # the 2k signed differences are not distinct
+    if repeated or zero_diff:
+        missing = sorted(set(range(1, n)) - diff_set)
+        if missing:
+            diagnostics.append("missing differences " + ", ".join(map(str, missing)))
+    is_starter = is_partition and not zero_diff and not repeated
+
+    sums = tuple([(a + b) % n for a, b in pairs])
+    sum_set = set(sums)
+    sum_dup = len(sum_set) != len(sums)
+    if sum_dup:
+        diagnostics.extend(f"repeated sum {s}" for s in _repeated(sums))
+    if 0 in sum_set:
+        diagnostics.append("zero sum")
+    is_strong = is_starter and not sum_dup and 0 not in sum_set
+    return is_partition, is_starter, is_strong, sums, tuple(diagnostics)
 
 
 def luby(i):
@@ -699,10 +781,11 @@ pure_count_strong_starters = count_strong_starters
 pure_dimacs_clauses = dimacs_clauses
 pure_dimacs_text = dimacs_text
 pure_encode_table = encode_table
+pure_pairing_report = pairing_report
 
 try:
     from ._ckernels import (count_strong_starters, dimacs_clauses, dimacs_text,
-                            encode_table, fd_search)
+                            encode_table, fd_search, pairing_report)
 except ImportError:  # extension not built: the definitions above run
     BACKEND = "pure"
 else:

@@ -8,7 +8,9 @@ whenever the base was a starter and the solution satisfies the instance.
 merge the solution and its phi image (`model.apply_phi`) in one pass, and
 strong-verify both merges, its one check of a SAT key: the merge reads only
 U and V, and both merges are strong exactly when those values satisfy every
-row, weak set and color group with D = U - V and S = U + V.
+row, weak set and color group with D = U - V and S = U + V.  Building each
+merged `Pairing` is that verification: its one `_kernels.pairing_report`
+call checks the pairs and fills ``report``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def crt_merge(instance: SudokuInstance, solution: Solution) -> Pairing:
 
 
 def _merge_both(instance: SudokuInstance, solution: Solution) -> tuple[Pairing, Pairing]:
-    """The merges of a solution and of its phi image, in one pass.
+    """The merges of a solution and of its phi image, in one pass, each
+    checked and strong-verified as its `Pairing` is built.
 
     Extension entries lie in [0, p) and U, V in {0, 1, 2}, so every index
     into the lift table is in range.

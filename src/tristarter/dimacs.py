@@ -185,16 +185,6 @@ def import_dimacs_model(doc: CnfDocument, literals: Iterable[int]) -> Solution:
     return tuple(values)
 
 
-def check_cnf(doc: CnfDocument, literals: Iterable[int]) -> bool:
-    """True when the model satisfies every clause (for cross-checks).
-
-    Raises `DecodeError`, as `import_dimacs_model` does, on a literal
-    outside the document or one named with both signs.
-    """
-    model = _model(doc, literals)
-    return all(any(lit in model for lit in clause) for clause in doc.clauses)
-
-
 def parse_solver_output(text: str) -> tuple[str, Optional[list[int]]]:
     """Extract status and model from SAT-competition style output."""
     status = None

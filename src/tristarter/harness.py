@@ -29,9 +29,9 @@ from .solver import BUDGET_EXHAUSTED
 from .starters import (
     DEFAULT_ENUMERATION_BOUND,
     Pairing,
+    canonical_pairs,
     enumerate_strong_starters,
     hill_climb,
-    normalize,
 )
 from .triplication import admissible_keys
 
@@ -86,8 +86,7 @@ class SamplingSummary:
 
 def starter_digest(pairing: Pairing) -> str:
     """Stable hash of the normalized pairing (order- and orientation-free)."""
-    canon = normalize(pairing)
-    text = f"{canon.modulus}|" + ";".join(f"{a},{b}" for a, b in canon.pairs)
+    text = f"{pairing.modulus}|" + ";".join(f"{a},{b}" for a, b in canonical_pairs(pairing))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RefusedError
-from .starters import Pair, Pairing, verify_pairing
+from .starters import Pair, Pairing
 from .triplication import check_base_order
 
 FALSE = "False"
@@ -64,9 +64,7 @@ def group_rows(starter: Pairing) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     of difference representative d, for d = 0..q.
     """
     p = base_order_of(starter.modulus)
-    report = starter.__dict__.get("report")   # the cached `Pairing.report`, if any
-    if report is None:
-        report = verify_pairing(starter)   # not .report: a census would keep one per starter
+    report = starter.report
     if not report.is_starter:
         raise RefusedError(
             "input is not a starter: " + "; ".join(report.diagnostics))

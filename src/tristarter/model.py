@@ -97,9 +97,17 @@ class SudokuInstance:
 
 
 def encode(table: TriplicationTable) -> SudokuInstance:
-    """Encode the table's constraint problem (classes 0 through 3)."""
-    num_variables, scope_flat, scope_off, bind_sign = _kernels.encode_table(
-        table.p, table.extension)
+    """Encode the table's constraint problem (classes 0 through 3).
+
+    A hand-built table whose extension `_kernels.encode_table` refuses
+    (not 3q + 1 pairs, or a pair that is not two ints in [0, p)) is refused
+    with a `StructuralError`, the kernel's `ValueError` message.
+    """
+    try:
+        num_variables, scope_flat, scope_off, bind_sign = _kernels.encode_table(
+            table.p, table.extension)
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None
     # the one check of the weak-set and color cardinalities: one pass over
     # the group widths, and the names only for an instance that fails it
     reason = None

@@ -7,6 +7,10 @@ when additionally the pair sums are pairwise distinct and nonzero.  Pair
 order and within-pair order are significant downstream (the triplication
 table is order-sensitive), so nothing here canonicalizes implicitly;
 `normalize` exists for set-level comparisons only.
+
+Every `Pairing` is checked and verified once, when it is built: one
+`_kernels.pairing_report` call refuses malformed pairs and fills
+``Pairing.report``, so a pairing never exists without its report.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from . import _kernels
@@ -47,47 +50,7 @@ def _not_pairs(pairs) -> str:
     return f"pairs must be a sequence of pairs, got {pairs!r}"
 
 
-def _check_pairs(modulus: int, pairs: tuple[Pair, ...], expect_len: int) -> None:
-    if len(pairs) != expect_len:
-        raise StructuralError(
-            f"pairing of order {modulus} must have {expect_len} pairs, got {len(pairs)}")
-    for i, pair in enumerate(pairs):
-        if len(pair) != 2:
-            raise StructuralError(f"pair {i} is not a pair: {pair!r}")
-        a, b = pair
-        if not (type(a) is int and type(b) is int):   # bool is refused too
-            raise StructuralError(f"pair {i} has non-integer entries: {pair!r}")
-        if not (0 <= a < modulus and 0 <= b < modulus):
-            raise StructuralError(
-                f"pair {i} entry out of range [0, {modulus}): {pair!r}")
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """Ordered tuple of ordered residue pairs with a declared odd modulus."""
-
-    modulus: int
-    pairs: tuple[Pair, ...]
-
-    def __post_init__(self):
-        _require_odd_order("modulus", self.modulus)
-        try:
-            pairs = tuple(map(tuple, self.pairs))
-        except TypeError:
-            raise StructuralError(_not_pairs(self.pairs)) from None
-        object.__setattr__(self, "pairs", pairs)
-        _check_pairs(self.modulus, self.pairs, (self.modulus - 1) // 2)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple([x for pair in self.pairs for x in pair])
-
-    @cached_property
-    def report(self) -> VerificationReport:
-        """`verify_pairing` of this pairing, run on first use and kept."""
-        return verify_pairing(self)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Flags and diagnostics from checking the starter definitions."""
 
@@ -98,81 +61,50 @@ class VerificationReport:
     diagnostics: tuple[str, ...] = field(default=())
 
 
+@dataclass(frozen=True)
+class Pairing:
+    """Ordered tuple of ordered residue pairs with a declared odd modulus.
+
+    ``report`` is `verify_pairing` of the pairing, filled at construction:
+    the one call that checks the pairs also verifies them."""
+
+    modulus: int
+    pairs: tuple[Pair, ...]
+    report: VerificationReport = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _require_odd_order("modulus", self.modulus)
+        try:
+            pairs = tuple(map(tuple, self.pairs))
+        except TypeError:
+            raise StructuralError(_not_pairs(self.pairs)) from None
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "report", verify_pairing(self))
+
+
 def pair_sums(pairing: Pairing) -> tuple[int, ...]:
     """Sums (a_i + b_i) mod n in pair order (multiplicity preserved)."""
-    n = pairing.modulus
-    return tuple([(a + b) % n for a, b in pairing.pairs])
-
-
-def _repeated(values) -> list[int]:
-    """The values that occur more than once, ascending."""
-    seen: set[int] = set()
-    dup: set[int] = set()
-    for x in values:
-        if x in seen:
-            dup.add(x)
-        seen.add(x)
-    return sorted(dup)
+    return pairing.report.pair_sums
 
 
 def verify_pairing(pairing: Pairing) -> VerificationReport:
-    """Check the partition / starter / strong-starter definitions.
+    """Check the pairs and the partition / starter / strong-starter definitions.
 
-    Structural problems (wrong length, range) are impossible here because
-    `Pairing` validates on construction; every definitional violation is
-    reported as a flag plus a diagnostic, never an exception.  Repeats are
-    found by comparing set sizes; the repeated values are listed only when
-    there are some.
+    One `_kernels.pairing_report` call (in C when the extension is built).
+    A structural problem (wrong length, a pair that is not two ints, an
+    entry out of range) is refused with a `StructuralError`, the kernel's
+    `ValueError` message; every definitional violation is reported as a
+    flag plus a diagnostic, never an exception.
     """
-    n = pairing.modulus
-    diagnostics: list[str] = []
-
-    elements = pairing.elements()
-    element_set = set(elements)
-    dup = len(element_set) != len(elements)
-    if dup:
-        diagnostics.extend(f"duplicate element {x}" for x in _repeated(elements))
-    if 0 in element_set:
-        diagnostics.append("element 0 present")
-    is_partition = not dup and 0 not in element_set
-
-    diff_set = ({(a - b) % n for a, b in pairing.pairs}
-                | {(b - a) % n for a, b in pairing.pairs})
-    zero_diff = 0 in diff_set
-    if zero_diff:
-        diagnostics.append("zero difference (pair with equal entries)")
-    repeated = len(diff_set) != n - 1   # the 2k signed differences are not distinct
-    if repeated or zero_diff:
-        missing = sorted(set(range(1, n)) - diff_set)
-        if missing:
-            diagnostics.append("missing differences " + ", ".join(map(str, missing)))
-    is_starter = is_partition and not zero_diff and not repeated
-
-    sums = pair_sums(pairing)
-    sum_set = set(sums)
-    sum_dup = len(sum_set) != len(sums)
-    if sum_dup:
-        diagnostics.extend(f"repeated sum {s}" for s in _repeated(sums))
-    if 0 in sum_set:
-        diagnostics.append("zero sum")
-    is_strong = is_starter and not sum_dup and 0 not in sum_set
-
-    return VerificationReport(
-        is_partition=is_partition,
-        is_starter=is_starter,
-        is_strong=is_strong,
-        pair_sums=sums,
-        diagnostics=tuple(diagnostics),
-    )
+    try:
+        return VerificationReport(*_kernels.pairing_report(pairing.modulus, pairing.pairs))
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None
 
 
-def normalize(pairing: Pairing) -> Pairing:
-    """Canonical form for set-level comparison and digesting.
-
-    Orients each pair so its difference representative lies in [1, (n-1)/2]
-    and sorts the pairs; the result is equal for any reordering/reorientation
-    of the same underlying set of pairs.
-    """
+def canonical_pairs(pairing: Pairing) -> tuple[Pair, ...]:
+    """The pairs of `normalize(pairing)`, without building a second `Pairing`
+    (and verifying it again): enough to digest or compare a pairing."""
     n = pairing.modulus
     q = (n - 1) // 2
     oriented = []
@@ -182,7 +114,17 @@ def normalize(pairing: Pairing) -> Pairing:
             oriented.append((a, b))
         else:
             oriented.append((b, a))
-    return Pairing(n, tuple(sorted(oriented)))
+    return tuple(sorted(oriented))
+
+
+def normalize(pairing: Pairing) -> Pairing:
+    """Canonical form for set-level comparison and digesting.
+
+    Orients each pair so its difference representative lies in [1, (n-1)/2]
+    and sorts the pairs; the result is equal for any reordering/reorientation
+    of the same underlying set of pairs.
+    """
+    return Pairing(pairing.modulus, canonical_pairs(pairing))
 
 
 def reduce_mod(pairing: Pairing, m: int) -> tuple[Pair, ...]:
@@ -252,7 +194,7 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
 
 
 def kernel_backend() -> str:
-    """'compiled' when the C extension supplies `encode_table`, `fd_search`,
-    `count_strong_starters`, `dimacs_clauses` and `dimacs_text`, else 'pure'
-    (the hill climber is always pure)."""
+    """'compiled' when the C extension supplies `pairing_report`,
+    `encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses`
+    and `dimacs_text`, else 'pure' (the hill climber is always pure)."""
     return _kernels.BACKEND

@@ -6,9 +6,9 @@ imported file is older than its source (an in-place build from before an
 edit), it is compiled from source into a temporary directory; tests that
 use it skip only when there is no C compiler.  ``kernel_backends`` gives
 the pure kernels and, where a compiler exists, the C ones, each with the
-attributes `encode_table`, `fd_search`, `count_strong_starters`,
-`dimacs_clauses` and `dimacs_text`, for tests that must also run without a
-compiler.
+attributes `pairing_report`, `encode_table`, `fd_search`,
+`count_strong_starters`, `dimacs_clauses` and `dimacs_text`, for tests that
+must also run without a compiler.
 """
 
 import importlib.util
@@ -68,8 +68,8 @@ def ckernels(_compiled):
 def kernel_backends(_compiled):
     from tristarter import _kernels
 
-    names = ("encode_table", "fd_search", "count_strong_starters", "dimacs_clauses",
-             "dimacs_text")
+    names = ("pairing_report", "encode_table", "fd_search", "count_strong_starters",
+             "dimacs_clauses", "dimacs_text")
     pure = types.SimpleNamespace(**{name: getattr(_kernels, "pure_" + name)
                                     for name in names})
     return [pure] if _compiled is None else [pure, _compiled]

@@ -3,12 +3,26 @@
 Everything here works straight off the triplication table (rows, sums,
 entry values) without touching the encoder or the FD solver, so agreement
 with them is meaningful.  The exhaustive search assigns (U, V) pair by pair
-and prunes on direct violations of the prose rules only.
+and prunes on direct violations of the prose rules only.  `check_cnf`
+evaluates a DIMACS document's clauses under a boolean model.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from tristarter.dimacs import _model
+
+
+def check_cnf(doc, literals) -> bool:
+    """True when the model satisfies every clause of ``doc``.
+
+    Raises `DecodeError`, as `import_dimacs_model` does (both read the
+    model with `dimacs._model`), on a literal outside the document or one
+    named with both signs.
+    """
+    model = _model(doc, literals)
+    return all(any(lit in model for lit in clause) for clause in doc.clauses)
 
 
 def prose_structures(table):

@@ -1,12 +1,12 @@
 """C/pure kernel agreement.
 
 `_kernels.py` is the reference.  The C extension `_ckernels` replaces its
-`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
-`dimacs_text` when built; the pure definitions stay reachable as
-`_kernels.pure_*`.  These tests require the two to return identical values,
-so a seed denotes the same starter, a table the same instance, a search
-reports the same counts and an instance has the same clauses and a
-document the same text on every build.  The ``ckernels`` fixture
+`pairing_report`, `encode_table`, `fd_search`, `count_strong_starters`,
+`dimacs_clauses` and `dimacs_text` when built; the pure definitions stay
+reachable as `_kernels.pure_*`.  These tests require the two to return
+identical values, so a seed denotes the same starter, a pairing the same
+report, a table the same instance, a search reports the same counts and an
+instance has the same clauses and a document the same text on every build.  The ``ckernels`` fixture
 (conftest.py) compiles the extension when it is not importable or older
 than its source; the tests skip only when there is no C compiler.
 """
@@ -14,13 +14,14 @@ than its source; the tests skip only when there is no C compiler.
 import functools
 import hashlib
 import inspect
+import itertools
 import os
 import random
 import re
 
 import pytest
 
-from tristarter import _kernels, build_table, encode, hill_climb, pair_sums
+from tristarter import _kernels, build_table, encode, hill_climb, pair_sums, triplicate
 from tristarter.dimacs import CnfDocument, export_dimacs, parse_dimacs_text
 from tristarter.solver import RESTART_UNIT
 from tristarter.triplication import _forbidden_keys, admissible_keys
@@ -409,6 +410,156 @@ def test_dimacs_clauses_identical_on_every_group_size(ckernels):
         arrays = (*head, [*scope_flat, *group],
                   [*scope_off, len(scope_flat) + len(group)], bind_sign)
         assert _same_clauses(ckernels, arrays) == plain + more
+
+
+def _distinct_bases(order, count):
+    """The first ``count`` distinct `hill_climb(order, seed=j)`, j = 0, 1, ...,
+    as sets of unordered pairs (the bases of sweep-p31 before relabelling)."""
+    seen, bases = set(), []
+    for j in itertools.count():
+        base = hill_climb(order, seed=j)
+        canon = tuple(sorted(tuple(sorted(pair)) for pair in base.pairs))
+        if canon not in seen:
+            seen.add(canon)
+            bases.append(base)
+            if len(bases) == count:
+                return bases
+
+
+@functools.cache
+def _golden_pairings():
+    """(n, pairs) of every order-21 strong starter; of both merged starters
+    of every admissible key of 16 order-31 bases (480 of order 93); and of
+    1 000 seeded random pairings of odd order 3 to 61, half of them perfect
+    matchings of 1 .. n - 1 (partitions) and half pairs drawn at random."""
+    pairings = [(21, tuple(pairs))
+                for pairs in _kernels.count_strong_starters(21, 6660)[1]]
+    for base in _distinct_bases(31, 16):
+        for key in admissible_keys(base):
+            result = triplicate(base, key)
+            pairings += [(93, result.starter_a.pairs), (93, result.starter_b.pairs)]
+    rng = random.Random(26)
+    for i in range(1000):
+        n = rng.randrange(3, 62, 2)
+        if i % 2:
+            perm = rng.sample(range(1, n), n - 1)
+            pairs = tuple(zip(perm[0::2], perm[1::2]))
+        else:
+            pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n // 2))
+        pairings.append((n, pairs))
+    return pairings
+
+
+def test_pure_pairing_report_golden_digest():
+    # digest of the `verify_pairing` reports (is_partition, is_starter,
+    # is_strong, pair_sums, diagnostics) before the check and the
+    # verification became one kernel
+    reports = [_kernels.pure_pairing_report(n, pairs) for n, pairs in _golden_pairings()]
+    assert len(reports) == 8140
+    assert [sum(r[i] for r in reports) for i in range(3)] == [7645, 7178, 7141]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == \
+        "635c6dd4e3c2abf6fee4afa85d24a195d19a9f19ac72bc8e6a56cd6f1f7ee91c"
+
+
+def test_pairing_report_identical_on_the_golden_pairings(ckernels):
+    for n, pairs in _golden_pairings():
+        report = ckernels.pairing_report(n, pairs)
+        assert report == _kernels.pure_pairing_report(n, pairs)
+        assert ckernels.pairing_report(n, list(pairs)) == report
+
+
+def test_every_single_element_change_is_not_strong(kernel_backends):
+    # a strong starter of order 93 holds each of 1 .. 92 once, so any other
+    # value at any position is 0 or a duplicate
+    base = hill_climb(31, seed=0)
+    pairs = triplicate(base, admissible_keys(base)[0]).starter_a.pairs
+    assert all(k.pairing_report(93, pairs)[2] for k in kernel_backends)
+    changed = 0
+    for i, j, value in itertools.product(range(46), range(2), range(93)):
+        if value == pairs[i][j]:
+            continue
+        pair = (value, pairs[i][1]) if j == 0 else (pairs[i][0], value)
+        variant = (*pairs[:i], pair, *pairs[i + 1:])
+        reports = [k.pairing_report(93, variant) for k in kernel_backends]
+        assert reports[0][:3] == (False, False, False)
+        assert all(r == reports[0] for r in reports)
+        changed += 1
+    assert changed == 46 * 2 * 92
+
+
+@pytest.mark.parametrize("pairs", [
+    ((1, 1),) * 300,
+    ((1, 1),) * 128 + tuple((2 * i, 2 * i + 1) for i in range(1, 173)),
+], ids=["600-ones", "256-ones"])
+def test_pairing_report_counts_past_255(kernel_backends, pairs):
+    # element 1 occurs 600 or 256 times: a byte counter would wrap, and at
+    # 256 read as if 1 were absent
+    for kernels in kernel_backends:
+        is_partition, is_starter, is_strong, sums, diagnostics = \
+            kernels.pairing_report(601, pairs)
+        assert (is_partition, is_starter, is_strong) == (False, False, False)
+        assert sums == tuple((a + b) % 601 for a, b in pairs)
+        assert diagnostics[:2] == ("duplicate element 1",
+                                   "zero difference (pair with equal entries)")
+        assert "repeated sum 2" in diagnostics
+    assert len({k.pairing_report(601, pairs) for k in kernel_backends}) == 1
+
+
+T7_PAIRS = ((2, 3), (4, 6), (1, 5))
+BIG = 2**70
+
+
+def _modulus_message(n):
+    return f"modulus must be odd and in [1, {_kernels.MAX_LEN}], got {n!r}"
+
+
+# (n, pairs, message) of `pairing_report`: the order, the type of the
+# pairs, their number, then the first malformed pair, its shape before its
+# entries' types before their range.  The malformed-pairs, length and range
+# cases of test_starters.py are among them.
+MALFORMED_PAIRINGS = [
+    *(pytest.param(n, T7_PAIRS, _modulus_message(n), id=f"n={label}")
+      for n, label in ((0, "0"), (-7, "-7"), (8, "8"), (True, "True"), (7.0, "7.0"),
+                       (BIG, "2**70"), (_kernels.MAX_LEN + 2, "MAX_LEN+2"))),
+    *(pytest.param(7, pairs, f"pairs must be a sequence of pairs, got {pairs!r}",
+                   id=f"pairs={label}")
+      for pairs, label in ((None, "None"), (5, "5"), ("abc", "str"),
+                           (frozenset({(1, 2)}), "frozenset"))),
+    pytest.param(7, ((1, 2),), "pairing of order 7 must have 3 pairs, got 1", id="short"),
+    pytest.param(7, T7_PAIRS * 2, "pairing of order 7 must have 3 pairs, got 6", id="long"),
+    pytest.param(7, ((2, 3), 4, (1, 5)), "pair 1 is not a pair: 4", id="int-pair"),
+    pytest.param(7, ((2, 3), [4, 6], (1, 5)), "pair 1 is not a pair: [4, 6]", id="list-pair"),
+    pytest.param(7, ((2, 3), (4,), (1, 5)), "pair 1 is not a pair: (4,)", id="one"),
+    pytest.param(7, ((2, 3), (4, 6, 0), (1, 5)), "pair 1 is not a pair: (4, 6, 0)",
+                 id="three"),
+    *(pytest.param(7, ((2, 3), pair, (1, 5)), f"pair 1 has non-integer entries: {pair!r}",
+                   id=f"entry={label}")
+      for pair, label in (((True, 6), "True"), ((4, False), "False"), ((4.0, 6), "float"),
+                          (("4", 6), "str"), ((4, None), "None"), ((9, 6.0), "type-first"))),
+    *(pytest.param(7, (pair, (4, 6), (1, 5)), f"pair 0 entry out of range [0, 7): {pair!r}",
+                   id=f"range={label}")
+      for pair, label in (((1, 7), "7"), ((7, 1), "7-first"), ((1, -1), "-1"),
+                          ((-1, 1), "-1-first"), ((BIG, 2), "2**70"),
+                          ((2, -BIG), "-2**70"), ((2**63, 2), "2**63"),
+                          ((2**64 + 1, 2), "2**64+1"))),
+    pytest.param(7, ((2, 7), (4.0, 6), (1,)), "pair 0 entry out of range [0, 7): (2, 7)",
+                 id="first-pair-first"),
+]
+
+
+@pytest.mark.parametrize("n, pairs, message", MALFORMED_PAIRINGS)
+def test_pairing_report_refuses_alike(kernel_backends, n, pairs, message):
+    # the kernels refuse with ValueError; `verify_pairing` makes it the
+    # user's StructuralError (test_starters.py)
+    for kernels in kernel_backends:
+        with pytest.raises(ValueError) as error:
+            kernels.pairing_report(n, pairs)
+        assert type(error.value) is ValueError and str(error.value) == message
+
+
+def test_pairing_report_follows_the_backend_flag():
+    compiled = _kernels.fd_search is not _kernels.pure_fd_search
+    assert compiled == (_kernels.pairing_report is not _kernels.pure_pairing_report)
 
 
 def test_splitmix_reference_values():

@@ -23,6 +23,7 @@ def test_bench_backends_runs_on_tiny_inputs():
     bench = _load()
     assert bench.bench_hill_climb(2) > 0
     assert bench.bench_enumerate(_kernels.pure_count_strong_starters, 7) > 0
+    assert bench.bench_pairing_report(_kernels.pure_pairing_report, 7, repeat=1) > 0
     assert bench.bench_encode(_kernels.pure_encode_table, 7, repeat=1) > 0
     assert bench.bench_solver(_kernels.pure_fd_search, 7) > 0
     assert bench.bench_export(_kernels.pure_dimacs_clauses, 7, repeat=1) > 0

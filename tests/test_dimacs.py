@@ -12,7 +12,6 @@ import pytest
 from tristarter import DecodeError, build_table, check_solution, encode, hill_climb, solve
 from tristarter.dimacs import (
     CnfDocument,
-    check_cnf,
     export_dimacs,
     import_dimacs_model,
     parse_dimacs_text,
@@ -24,6 +23,7 @@ from tristarter.errors import ExternalSolverError, StructuralError
 from tristarter.triplication import admissible_keys
 
 from fixtures import DEMO_KEY, MALFORMED_DOCUMENTS, T7, random_document
+from oracles import check_cnf
 
 TOYSAT = Path(__file__).parent / "toysat.py"
 TOYSAT_CMD = f"{sys.executable} {TOYSAT} {{cnf}}"

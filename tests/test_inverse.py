@@ -39,11 +39,11 @@ def test_group_rows_refusals():
         group_rows(nonstarter)
 
 
-def test_each_starter_is_verified_once_and_none_is_cached(monkeypatch):
-    # A hill-climbed sample carries the report hill_climb verified; the
-    # inverse test reuses it.  A fresh pairing is verified without caching,
-    # so a census of thousands of starters keeps no report per starter.
-    from tristarter import inverse, starters
+def test_each_starter_is_verified_once_at_construction(monkeypatch):
+    # A pairing is verified once, when it is built, and carries its report.
+    # The inverse test reads the starter's report and verifies only the
+    # candidate bases it builds.
+    from tristarter import starters
 
     calls = []
     real = starters.verify_pairing
@@ -53,15 +53,18 @@ def test_each_starter_is_verified_once_and_none_is_cached(monkeypatch):
         return real(pairing)
 
     monkeypatch.setattr(starters, "verify_pairing", counting)
-    monkeypatch.setattr(inverse, "verify_pairing", counting)
     for seed in range(20):
-        inverse_test(hill_climb(21, seed=seed))
-    assert len(calls) == 20
-    fresh = Pairing(21, calls[0].pairs)
+        sample = hill_climb(21, seed=seed)
+        assert len(calls) == 1 and calls[0] is sample
+        calls.clear()
+        verdict = inverse_test(sample)
+        assert calls == list(verdict.candidates)
+        calls.clear()
+    verdict = inverse_test(EX2_S39)   # Inconclusive, one candidate
+    assert len(calls) == 1 and calls[0] is verdict.candidates[0]
     calls.clear()
-    assert inverse_test(fresh).status in ("False", "Inconclusive")
-    assert calls == [fresh]
-    assert "report" not in fresh.__dict__
+    fresh = Pairing(21, sample.pairs)
+    assert calls == [fresh] and fresh.report == real(fresh)
 
 
 def test_example1_row3_has_no_valid_ordering():

@@ -15,7 +15,7 @@ from tristarter import (
     uv_pairs,
 )
 from tristarter.model import constraint_census, phi_fixed_var
-from tristarter.triplication import compute_weak_sets
+from tristarter.triplication import TriplicationTable, compute_weak_sets
 
 from fixtures import (
     DEMO_SIGMA3,
@@ -135,6 +135,21 @@ def test_ternary_values_follow_one_rule(demo_instance, case):
     name, call = REFUSED_VALUES[case]
     with pytest.raises(StructuralError, match=name):
         call(demo_instance)
+
+
+@pytest.mark.parametrize("extension, message", [
+    (((1, 2), (3, 4)), r"^extension has 2 pairs, not 3q \+ 1$"),
+    (build_table(T7, DEMO_KEY).extension[:3] + ((7, 1),)
+     + build_table(T7, DEMO_KEY).extension[4:],
+     r"^extension\[3\] = \(7, 1\) is not a pair of ints in \[0, 7\)$"),
+], ids=["2-pairs", "pair-out-of-range"])
+def test_encode_refuses_a_malformed_hand_built_table(extension, message):
+    # build_table never makes such a table; the encoder kernel's ValueError
+    # reaches the user as a StructuralError with the same message
+    table = TriplicationTable(hill_climb(7, seed=0), 1, extension)
+    with pytest.raises(StructuralError, match=message) as error:
+        encode(table)
+    assert type(error.value) is StructuralError
 
 
 def test_apply_phi_transposes(demo_instance):

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,29 @@ def test_pairing_validates_range():
 def test_pairing_refuses_malformed_pairs(pairs, message):
     with pytest.raises(StructuralError, match=message):
         Pairing(7, pairs)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((2, 3), (True, 6), (1, 5)), "pair 1 has non-integer entries: (True, 6)"),
+    (((2, 3), (4, 2**70), (1, 5)), f"pair 1 entry out of range [0, 7): (4, {2**70})"),
+    (((2, 3), [4, 6, 0], (1, 5)), "pair 1 is not a pair: (4, 6, 0)"),
+], ids=["bool", "2**70", "three"])
+def test_pairing_refusals_are_the_kernel_messages(pairs, message):
+    # a pair list is read as a tuple of tuples, then refused by
+    # `_kernels.pairing_report` with a message that becomes the StructuralError's
+    with pytest.raises(StructuralError) as error:
+        Pairing(7, pairs)
+    assert str(error.value) == message
+
+
+def test_pairing_carries_its_report_through_pickle_and_replace():
+    copy = pickle.loads(pickle.dumps(S21))
+    assert copy == S21 and copy.report == S21.report
+    assert copy.report.is_strong
+    changed = dataclasses.replace(T7, pairs=((1, 2), (3, 4), (5, 6)))
+    assert changed != T7 and changed.report == verify_pairing(changed)
+    assert changed.report.is_partition and not changed.report.is_starter
+    assert repr(T7) == "Pairing(modulus=7, pairs=((2, 3), (4, 6), (1, 5)))"
 
 
 def test_pairing_rejects_even_modulus():
