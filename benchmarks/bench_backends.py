@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the C kernels against their pure-Python reference.
 
-`pairing_report`, `encode_table`, `fd_search`, `count_strong_starters`,
-`dimacs_clauses` and `dimacs_text` are timed on both the C extension
-(`_ckernels`, built by `python setup.py build_ext --inplace`) and the pure
-definitions in `_kernels.py`; the hill climber has only the pure version.
+Each kernel `_kernels.COMPILED` names is timed on both the C extension
+(`_ckernels`, built by `python setup.py build_ext --inplace`) and its pure
+definition in `_kernels.py`; the hill climber has only the pure version.
 Run from the repo root:
 
     python benchmarks/bench_backends.py [--quick]

@@ -1,14 +1,13 @@
 /*
- * C versions of six kernels of `_kernels.py`: the check and verification
- * of a pairing `pairing_report`, the table encoder `encode_table`,
- * `fd_search`, `count_strong_starters`, the DIMACS clause builder
- * `dimacs_clauses` and the DIMACS writer `dimacs_text`.  `_kernels` binds
- * them over its own definitions when this extension imports; the Python
- * code stays the reference, and both return exactly the same values and
- * raise the same errors (tests/test_backends.py compares them).  Keep the
- * two searches in step: the queue is a LIFO stack, the branch rule
- * (dom/wdeg), the value order (0, 1, 2), the restart schedule and the
- * shuffles of the tie-break order are the ones of the Python code.
+ * C versions of the kernels of `_kernels.py` that `_kernels.COMPILED`
+ * names, one entry each in the method table at the end of this file.
+ * `_kernels` binds them over its own definitions when this extension
+ * imports and defines every one of them; the Python code stays the
+ * reference, and both return exactly the same values and raise the same
+ * errors (tests/test_backends.py compares them).  Keep the two searches
+ * in step: the queue is a LIFO stack, the branch rule (dom/wdeg), the
+ * value order (0, 1, 2), the restart schedule and the shuffles of the
+ * tie-break order are the ones of the Python code.
  *
  * The search has the shape of `_kernels.fd_search`, whose nested `shrink`,
  * `alldiff`, `propagate` and `run` are the functions of the same names
@@ -1490,9 +1489,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
-    "C versions of `_kernels.encode_table`, `_kernels.fd_search`, "
-    "`_kernels.count_strong_starters`, `_kernels.dimacs_clauses`, "
-    "`_kernels.dimacs_text` and `_kernels.pairing_report`.",
+    "C versions of the kernels `_kernels.COMPILED` names.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

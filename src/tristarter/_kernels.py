@@ -2,21 +2,21 @@
 verification of a pairing, the encoder of a triplication table, ternary FD
 search, the DIMACS clause builder and the DIMACS text writer.
 
-This module is the reference implementation of all seven.  When the C
-extension `_ckernels` (built by `setup.py`) imports, its `pairing_report`,
-`encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses` and
-`dimacs_text` replace the ones defined here, which stay reachable as
-`pure_pairing_report`, `pure_encode_table`, `pure_fd_search`,
-`pure_count_strong_starters`, `pure_dimacs_clauses` and
-`pure_dimacs_text`; the two return exactly the same values and raise the
-same errors.  The hill climber always runs as Python.
+This module is the reference implementation of all seven.  `COMPILED`
+names the kernels with a C twin: when the C extension `_ckernels` (built
+by `setup.py`) imports and defines every one of them, its versions replace
+the ones defined here, which stay reachable as ``pure_<name>``; the two
+return exactly the same values and raise the same errors.  The hill
+climber always runs as Python.
 
-The six have one contract.  They refuse only with `ValueError`, with the
-same message on both backends.  Every int they check passes one rule
-(`exact_int` in C), an exact int, not a bool, in its range: the order and
-each pair member of `pairing_report` and `encode_table`, ``nvars``, each
-array entry (a variable id in [0, nvars), a value in [0, 3), a binding
-sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3), the order of
+The kernels of `COMPILED` have one contract.  They refuse only with
+`ValueError`, with the same message on both backends; the package calls
+them through `errors.from_kernel`, which raises that refusal as a
+`StructuralError`.  Every int they check passes one rule (`exact_int` in
+C), an exact int, not a bool, in its range: the order and each pair member
+of `pairing_report` and `encode_table`, ``nvars``, each array entry (a
+variable id in [0, nvars), a value in [0, 3), a binding sign in [-1, 2),
+since -1, 0 and 1 cover every sign mod 3), the order of
 `count_strong_starters`, and the ``num_ternary`` and literals of
 `dimacs_text`.  `MAX_LEN` bounds every size.  `fd_search` and
 `dimacs_clauses` check their arguments once, in `_validate` (`load_arrays`
@@ -776,17 +776,16 @@ def dimacs_text(num_ternary, clauses):
             + body % tuple(itertools.chain.from_iterable(clauses)))
 
 
-pure_fd_search = fd_search
-pure_count_strong_starters = count_strong_starters
-pure_dimacs_clauses = dimacs_clauses
-pure_dimacs_text = dimacs_text
-pure_encode_table = encode_table
-pure_pairing_report = pairing_report
+#: The kernels with a C twin in `_ckernels`, the one list of them.
+COMPILED = ("pairing_report", "encode_table", "fd_search", "count_strong_starters",
+            "dimacs_clauses", "dimacs_text")
 
+globals().update({"pure_" + name: globals()[name] for name in COMPILED})
 try:
-    from ._ckernels import (count_strong_starters, dimacs_clauses, dimacs_text,
-                            encode_table, fd_search, pairing_report)
-except ImportError:  # extension not built: the definitions above run
+    from . import _ckernels
+    _twins = {name: getattr(_ckernels, name) for name in COMPILED}
+except (ImportError, AttributeError):  # not built, or not all: the definitions above run
     BACKEND = "pure"
 else:
+    globals().update(_twins)
     BACKEND = "compiled"

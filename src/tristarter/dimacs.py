@@ -14,7 +14,8 @@ not data: the ``c tmap t 3t+1`` comments restate it for readers of the
 text, and the parser refuses any tmap comment that disagrees with it.  The
 writer, `_kernels.dimacs_text` (C or pure Python), refuses every document
 whose text the parser would refuse, so each text it writes parses back to
-the document it came from; `to_dimacs_text` turns its `ValueError` into a
+the document it came from.  Both kernels are called through
+`errors.from_kernel`, which raises a kernel's refusal as a
 `StructuralError` with the same message.
 
 External solvers are invoked as a command template receiving the CNF path
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import _kernels
-from .errors import DecodeError, ExternalSolverError, StructuralError
+from .errors import DecodeError, ExternalSolverError, StructuralError, from_kernel
 from .model import Solution, SudokuInstance
 from .solver import SAT, UNSAT
 
@@ -54,9 +55,10 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
     The clauses are built by `_kernels.dimacs_clauses` (in C when the
     extension is built) from the arrays `fd_search` takes, in the order it
     documents: one-hot block, the Z unit, bindings, all-different pairs.
+    Arrays the kernel refuses are refused with a `StructuralError`.
     """
-    return CnfDocument(instance.num_variables,
-                       _kernels.dimacs_clauses(*instance.search_arrays()[:6]))
+    return CnfDocument(instance.num_variables, from_kernel(
+        _kernels.dimacs_clauses, *instance.search_arrays()[:6]))
 
 
 def to_dimacs_text(doc: CnfDocument) -> str:
@@ -64,15 +66,12 @@ def to_dimacs_text(doc: CnfDocument) -> str:
 
     Written by `_kernels.dimacs_text` (in C when the extension is built).
     A document whose text the parser would refuse or read back differently
-    is refused with a `StructuralError`, the kernel's `ValueError` message:
-    a ``num_ternary`` that is not an int in [0, `_kernels.MAX_LEN`], and,
+    is refused with a `StructuralError`, the kernel's message: a
+    ``num_ternary`` that is not an int in [0, `_kernels.MAX_LEN`], and,
     naming the clause, a clause that is not a tuple or a literal that is not
     an int, is 0 or lies outside ±``num_bools``.
     """
-    try:
-        return _kernels.dimacs_text(doc.num_ternary, doc.clauses)
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from None
+    return from_kernel(_kernels.dimacs_text, doc.num_ternary, doc.clauses)
 
 
 def parse_dimacs_text(text: str) -> CnfDocument:

@@ -39,6 +39,16 @@ class InternalConsistencyError(TristarterError):
     """A guaranteed invariant failed; indicates a bug, not bad input."""
 
 
+def from_kernel(kernel, *args):
+    """``kernel(*args)`` for a kernel of `_kernels.COMPILED`; the `ValueError`
+    by which a kernel refuses an argument is raised as a `StructuralError`
+    with the same message.  Every call into those kernels goes through here."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None
+
+
 def require_int(name: str, value, low: int, high: int = 2**63 - 1) -> None:
     """Refuse ``value`` unless it is an int, not a bool, in [low, high] (C's LLONG_MAX)."""
     if type(value) is not int or not low <= value <= high:

@@ -6,7 +6,7 @@ order, then the fixed zero Z last.
 
 An instance is one constraint table, the form `_kernels.fd_search` takes
 (the kernel derives each variable's constraint ids from it itself), built
-by `_kernels.encode_table`:
+by `_kernels.encode_table` (through `errors.from_kernel`):
 
 * Z is the one fixed variable (Z = 0);
 * constraint ``cid`` names the variables
@@ -24,21 +24,21 @@ by `_kernels.encode_table`:
   built on first use, not by `encode`.
 
 An all-different over more than three variables cannot hold over three
-values, so such an instance is emitted flagged as trivially unsatisfiable
-with the offending constraint named (reachable only with a non-strong base
-or a forced key).  This flag is the package's one check of the
-weak-set and color cardinalities.
+values, so such an instance is trivially unsatisfiable:
+``trivially_unsat_reason`` names the offending constraint (reachable only
+with a non-strong base or a forced key), derived from ``scope_off`` on
+first use.  It is the package's one check of the weak-set and color
+cardinalities.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
 from . import _kernels
-from .errors import StructuralError
+from .errors import StructuralError, from_kernel
 from .starters import Pair
 from .triplication import TriplicationTable, compute_weak_sets
 
@@ -70,7 +70,6 @@ class SudokuInstance:
     scope_flat: list[int] = field(repr=False)
     scope_off: list[int] = field(repr=False)
     bind_sign: list[int] = field(repr=False)
-    trivially_unsat_reason: Optional[str] = None
 
     @property
     def z_id(self) -> int:
@@ -81,6 +80,16 @@ class SudokuInstance:
     def provenance(self) -> tuple[str, ...]:
         """The name of each constraint by id, for diagnostics."""
         return _constraint_names(self.table, compute_weak_sets(self.table))
+
+    @cached_property
+    def trivially_unsat_reason(self) -> Optional[str]:
+        """Why the first group too wide for three values cannot hold, or None."""
+        off, nb = self.scope_off, len(self.bind_sign)
+        for cid in range(nb, len(off) - 1):
+            if off[cid + 1] - off[cid] > 3:
+                return (f"{self.provenance[cid]}: {off[cid + 1] - off[cid]} mutually "
+                        "distinct variables cannot fit in three values")
+        return None
 
     def bindings(self) -> Iterator[tuple[int, int, int, int]]:
         """``(a, b, c, sign)`` of each binding in constraint id order, read
@@ -101,31 +110,10 @@ def encode(table: TriplicationTable) -> SudokuInstance:
 
     A hand-built table whose extension `_kernels.encode_table` refuses
     (not 3q + 1 pairs, or a pair that is not two ints in [0, p)) is refused
-    with a `StructuralError`, the kernel's `ValueError` message.
+    with a `StructuralError`, the kernel's message (`errors.from_kernel`).
     """
-    try:
-        num_variables, scope_flat, scope_off, bind_sign = _kernels.encode_table(
-            table.p, table.extension)
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from None
-    # the one check of the weak-set and color cardinalities: one pass over
-    # the group widths, and the names only for an instance that fails it
-    reason = None
-    nb = len(bind_sign)
-    if max(map(operator.sub, scope_off[nb + 1:], scope_off[nb:-1])) > 3:
-        cid = next(c for c in range(nb, len(scope_off) - 1)
-                   if scope_off[c + 1] - scope_off[c] > 3)
-        name = _constraint_names(table, compute_weak_sets(table))[cid]
-        reason = (f"{name}: {scope_off[cid + 1] - scope_off[cid]} mutually "
-                  "distinct variables cannot fit in three values")
-    return SudokuInstance(
-        table=table,
-        num_variables=num_variables,
-        scope_flat=scope_flat,
-        scope_off=scope_off,
-        bind_sign=bind_sign,
-        trivially_unsat_reason=reason,
-    )
+    # encode_table returns (num_variables, scope_flat, scope_off, bind_sign)
+    return SudokuInstance(table, *from_kernel(_kernels.encode_table, table.p, table.extension))
 
 
 def _require_ternary(name: str, values) -> None:

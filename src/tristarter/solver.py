@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .errors import InternalConsistencyError, SearchBudgetError, require_int, require_seed
+from .errors import (
+    InternalConsistencyError, SearchBudgetError, from_kernel, require_int, require_seed)
 from .model import Solution, SudokuInstance, check_solution, phi_fixed_var
 
 SAT = "SAT"
@@ -79,8 +80,9 @@ class SolveOutcome:
 
 
 def _run_kernel(arrays: tuple, budget: int, cap: int, seed: int, unit: int) -> tuple:
-    """One `_kernels.fd_search` call; its status -1, a bug, raises here."""
-    result = _kernels.fd_search(*arrays, budget, cap, seed, unit)
+    """One `_kernels.fd_search` call through `errors.from_kernel`; its
+    status -1, a bug, raises here."""
+    result = from_kernel(_kernels.fd_search, *arrays, budget, cap, seed, unit)
     if result[0] == -1:
         raise InternalConsistencyError("propagation left a derived variable undetermined")
     return result

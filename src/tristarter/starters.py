@@ -10,7 +10,8 @@ table is order-sensitive), so nothing here canonicalizes implicitly;
 
 Every `Pairing` is checked and verified once, when it is built: one
 `_kernels.pairing_report` call refuses malformed pairs and fills
-``Pairing.report``, so a pairing never exists without its report.
+``Pairing.report``, so a pairing never exists without its report.  The
+kernel words every refusal of the pairs; `errors.from_kernel` raises it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional
 
 from . import _kernels
 from .errors import (
-    InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError, require_int,
-    require_seed)
+    InternalConsistencyError, RefusedError, SearchBudgetError, StructuralError, from_kernel,
+    require_int, require_seed)
 
 Pair = tuple[int, int]
 
@@ -35,19 +36,10 @@ _NO_STRONG_STARTER = frozenset({3, 5, 9})
 
 
 def _require_odd_order(name: str, n) -> None:
-    """Refuse ``n`` unless it is an odd int, not a bool, of at least 3."""
-    require_int(name, n, 3)
+    """Refuse ``n`` unless it is an odd int, not a bool, in [3, `_kernels.MAX_LEN`]."""
+    require_int(name, n, 3, _kernels.MAX_LEN)
     if n % 2 == 0:
         raise StructuralError(f"{name} must be odd, got {n!r}")
-
-
-def _not_pairs(pairs) -> str:
-    """Why `tuple` could not read ``pairs`` as a sequence of pairs."""
-    if isinstance(pairs, Iterable):
-        for i, pair in enumerate(pairs):
-            if not isinstance(pair, Iterable):
-                return f"pair {i} is not a pair: {pair!r}"
-    return f"pairs must be a sequence of pairs, got {pairs!r}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +68,10 @@ class Pairing:
         _require_odd_order("modulus", self.modulus)
         try:
             pairs = tuple(map(tuple, self.pairs))
-        except TypeError:
-            raise StructuralError(_not_pairs(self.pairs)) from None
+        except TypeError:   # what reads as pairs becomes tuples; the kernel names the rest
+            pairs = self.pairs
+            if isinstance(pairs, (list, tuple)):   # an iterator is read only once
+                pairs = tuple(tuple(p) if isinstance(p, Iterable) else p for p in pairs)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "report", verify_pairing(self))
 
@@ -92,14 +86,12 @@ def verify_pairing(pairing: Pairing) -> VerificationReport:
 
     One `_kernels.pairing_report` call (in C when the extension is built).
     A structural problem (wrong length, a pair that is not two ints, an
-    entry out of range) is refused with a `StructuralError`, the kernel's
-    `ValueError` message; every definitional violation is reported as a
+    entry out of range) is refused with a `StructuralError` by
+    `errors.from_kernel`; every definitional violation is reported as a
     flag plus a diagnostic, never an exception.
     """
-    try:
-        return VerificationReport(*_kernels.pairing_report(pairing.modulus, pairing.pairs))
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from None
+    return VerificationReport(
+        *from_kernel(_kernels.pairing_report, pairing.modulus, pairing.pairs))
 
 
 def canonical_pairs(pairing: Pairing) -> tuple[Pair, ...]:
@@ -167,7 +159,7 @@ def enumerate_strong_starters(
         raise RefusedError(
             f"order {n} above the enumeration bound {bound}; "
             "pass a larger bound explicitly to override")
-    count, collected = _kernels.count_strong_starters(n, cap if cap else 0)
+    count, collected = from_kernel(_kernels.count_strong_starters, n, cap if cap else 0)
     starters = None
     if cap:
         starters = tuple(Pairing(n, tuple(pairs)) for pairs in collected)
@@ -194,7 +186,6 @@ def hill_climb(n: int, seed: int = 0, max_steps: int = DEFAULT_HILL_CLIMB_STEPS)
 
 
 def kernel_backend() -> str:
-    """'compiled' when the C extension supplies `pairing_report`,
-    `encode_table`, `fd_search`, `count_strong_starters`, `dimacs_clauses`
-    and `dimacs_text`, else 'pure' (the hill climber is always pure)."""
+    """'compiled' when the C extension supplies every kernel of
+    `_kernels.COMPILED`, else 'pure' (the hill climber is always pure)."""
     return _kernels.BACKEND

@@ -1,14 +1,14 @@
 """C/pure kernel agreement.
 
-`_kernels.py` is the reference.  The C extension `_ckernels` replaces its
-`pairing_report`, `encode_table`, `fd_search`, `count_strong_starters`,
-`dimacs_clauses` and `dimacs_text` when built; the pure definitions stay
+`_kernels.py` is the reference.  The C extension `_ckernels` replaces the
+kernels `_kernels.COMPILED` names when built; the pure definitions stay
 reachable as `_kernels.pure_*`.  These tests require the two to return
 identical values, so a seed denotes the same starter, a pairing the same
 report, a table the same instance, a search reports the same counts and an
-instance has the same clauses and a document the same text on every build.  The ``ckernels`` fixture
-(conftest.py) compiles the extension when it is not importable or older
-than its source; the tests skip only when there is no C compiler.
+instance has the same clauses and a document the same text on every
+build.  The ``ckernels`` fixture (conftest.py) compiles the extension when
+it is not importable or older than its source; the tests skip only when
+there is no C compiler.
 """
 
 import functools
@@ -37,13 +37,20 @@ def _both(ckernels, arrays, budget, cap, seed=0, unit=0):
 
 
 def test_backend_flag_consistency():
-    compiled = _kernels.fd_search is not _kernels.pure_fd_search
-    assert compiled == (_kernels.count_strong_starters
-                        is not _kernels.pure_count_strong_starters)
-    assert compiled == (_kernels.dimacs_clauses is not _kernels.pure_dimacs_clauses)
-    assert compiled == (_kernels.dimacs_text is not _kernels.pure_dimacs_text)
-    assert compiled == (_kernels.encode_table is not _kernels.pure_encode_table)
-    assert _kernels.BACKEND == ("compiled" if compiled else "pure")
+    # every kernel of COMPILED is bound to its C twin, or every one to its
+    # pure definition, as the flag says
+    assert _kernels.BACKEND in ("compiled", "pure")
+    compiled = _kernels.BACKEND == "compiled"
+    for name in _kernels.COMPILED:
+        pure = getattr(_kernels, "pure_" + name)
+        assert (pure.__module__, pure.__name__) == (_kernels.__name__, name)
+        assert (getattr(_kernels, name) is not pure) == compiled, name
+
+
+def test_ckernels_defines_exactly_the_compiled_kernels(ckernels):
+    public = {name for name, value in vars(ckernels).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == set(_kernels.COMPILED)
 
 
 def test_hill_climb_golden_digest():
@@ -549,17 +556,12 @@ MALFORMED_PAIRINGS = [
 
 @pytest.mark.parametrize("n, pairs, message", MALFORMED_PAIRINGS)
 def test_pairing_report_refuses_alike(kernel_backends, n, pairs, message):
-    # the kernels refuse with ValueError; `verify_pairing` makes it the
+    # the kernels refuse with ValueError; `errors.from_kernel` makes it the
     # user's StructuralError (test_starters.py)
     for kernels in kernel_backends:
         with pytest.raises(ValueError) as error:
             kernels.pairing_report(n, pairs)
         assert type(error.value) is ValueError and str(error.value) == message
-
-
-def test_pairing_report_follows_the_backend_flag():
-    compiled = _kernels.fd_search is not _kernels.pure_fd_search
-    assert compiled == (_kernels.pairing_report is not _kernels.pure_pairing_report)
 
 
 def test_splitmix_reference_values():

@@ -70,6 +70,17 @@ def test_hillclimb_order9_refused(capsys):
     assert code == 1 and "refused" in err
 
 
+@pytest.mark.parametrize("argv, order", [
+    (["hillclimb", "--order", str(2**40 + 1)], 2**40 + 1),
+    (["enumerate", "--order", "2147483649", "--bound", "3000000000"], 2147483649),
+], ids=["hillclimb", "enumerate"])
+def test_order_beyond_the_kernels_is_a_structural_error(argv, order, capsys):
+    # refused before anything the size of the order is allocated
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: order must be an integer in [3, 536870911], got {order}\n"
+
+
 def test_triplicate_writes_report_and_starters(base_file, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["triplicate", "--base", base_file, "--key", "1"], capsys)

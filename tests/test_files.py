@@ -76,6 +76,14 @@ def test_json_non_integer_entries_are_refused(pairs):
         pairing_from_obj({"order": 7, "pairs": pairs})
 
 
+def test_json_mixed_pair_list_names_the_pair_that_is_not_one():
+    # the pairs that read as pairs become tuples, so the kernel names pair 1,
+    # not pair 0, a list
+    with pytest.raises(StructuralError) as error:
+        pairing_from_obj({"order": 7, "pairs": [[2, 3], 4, [1, 5]]})
+    assert str(error.value) == "starter object: pair 1 is not a pair: 4"
+
+
 def test_missing_file():
     with pytest.raises(StructuralError):
         load_starter("/nonexistent/starter.json")

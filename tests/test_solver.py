@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tristarter import (
@@ -13,6 +15,7 @@ from tristarter import (
     solve,
 )
 from tristarter import _kernels
+from tristarter.dimacs import export_dimacs
 from tristarter.model import phi_fixed_var
 from tristarter._kernels import luby
 from tristarter.triplication import admissible_keys
@@ -24,6 +27,20 @@ from oracles import prose_enumerate, prose_status
 @pytest.fixture(scope="module")
 def demo_instance():
     return encode(build_table(T7, DEMO_KEY))
+
+
+@pytest.mark.parametrize("call", [
+    solve, lambda inst: enumerate_solutions(inst, 5), export_dimacs,
+], ids=["solve", "enumerate_solutions", "export_dimacs"])
+def test_a_kernel_refusal_is_a_structural_error(call):
+    # a hand-built instance the kernels refuse, refused through the one
+    # conversion in `errors.from_kernel`, whichever kernel it reaches
+    inst = encode(build_table(T7, 1))
+    bad = dataclasses.replace(inst, bind_sign=[5, *inst.bind_sign[1:]])
+    with pytest.raises(StructuralError) as error:
+        call(bad)
+    assert type(error.value) is StructuralError
+    assert str(error.value) == "bind_sign[0] = 5 is outside [-1, 2)"
 
 
 def test_demo_sat_and_checked(demo_instance):

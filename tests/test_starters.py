@@ -18,6 +18,7 @@ from tristarter import (
     reduce_mod,
     verify_pairing,
 )
+from tristarter import _kernels
 from tristarter.harness import run_inverse_sampling, run_order_sweep
 from tristarter.triplication import build_table
 
@@ -57,6 +58,23 @@ def test_pairing_refusals_are_the_kernel_messages(pairs, message):
     with pytest.raises(StructuralError) as error:
         Pairing(7, pairs)
     assert str(error.value) == message
+
+
+def test_pairing_refuses_an_iterator_holding_a_non_pair_whole():
+    # an iterator is read once: what is left of it after the non-pair would
+    # misreport the pair count, so the kernel is handed the iterator itself
+    with pytest.raises(StructuralError) as error:
+        Pairing(7, iter([(2, 3), 4, (1, 5)]))
+    assert str(error.value).startswith("pairs must be a sequence of pairs, got <")
+
+
+def test_pairing_refuses_a_modulus_beyond_the_kernels():
+    # an odd modulus above MAX_LEN is refused by the order rule `hill_climb`
+    # and `enumerate_strong_starters` share (test_cli.py), before the kernel
+    with pytest.raises(StructuralError) as error:
+        Pairing(2**40 + 1, ())
+    assert str(error.value) == \
+        f"modulus must be an integer in [3, {_kernels.MAX_LEN}], got {2**40 + 1}"
 
 
 def test_pairing_carries_its_report_through_pickle_and_replace():
