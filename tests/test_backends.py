@@ -564,6 +564,11 @@ def test_pairing_report_refuses_alike(kernel_backends, n, pairs, message):
         assert type(error.value) is ValueError and str(error.value) == message
 
 
+def test_pairing_report_follows_the_backend_flag():
+    compiled = _kernels.BACKEND == "compiled"
+    assert compiled == (_kernels.pairing_report is not _kernels.pure_pairing_report)
+
+
 def test_splitmix_reference_values():
     # frozen expected values anchor the seeded streams
     assert _kernels.splitmix64(0) == 16294208416658607535
