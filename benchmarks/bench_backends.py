@@ -1,15 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the C kernels against their pure-Python reference.
-
-Each kernel `_kernels.COMPILED` names is timed on both the C extension
-(`_ckernels`, built by `python setup.py build_ext --inplace`) and its pure
-definition in `_kernels.py`; the hill climber has only the pure version.
-Run from the repo root:
-
-    python benchmarks/bench_backends.py [--quick]
+"""Time the C kernels against their pure-Python reference on the calls the
+pipeline makes: `pipeline` runs once with each kernel of `_kernels.KERNELS`
+recording its arguments; then each kernel's calls are replayed on its pure
+definition and, if `setup.py` built the extension, in C.  Exits 1 if a C
+result differs from the pure one.  Usage: bench_backends.py [--quick]
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
@@ -19,151 +14,79 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tristarter import _kernels, build_table, encode, hill_climb, triplicate  # noqa: E402
-from tristarter.dimacs import export_dimacs  # noqa: E402
-from tristarter.solver import RESTART_UNIT  # noqa: E402
+from tristarter.dimacs import export_dimacs, to_dimacs_text  # noqa: E402
+from tristarter.inverse import inverse_test  # noqa: E402
+from tristarter.starters import enumerate_strong_starters  # noqa: E402
 from tristarter.triplication import admissible_keys  # noqa: E402
 
 
-def timed(fn, repeat: int) -> float:
-    start = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return (time.perf_counter() - start) / repeat
-
-
-def bench_hill_climb(repeat):
-    seeds = iter(range(10 ** 9))
-
-    def run():
-        result = _kernels.hill_climb_pairs(21, next(seeds), 10 ** 6)
-        assert result is not None
-
-    return timed(run, repeat)
-
-
-def bench_enumerate(count_strong_starters, order):
-    def run():
-        count, _ = count_strong_starters(order, 0)
-        assert count > 0
-
-    return timed(run, 1)
-
-
-def bench_pairing_report(pairing_report, p, seed=1000, repeat=20):
-    base = hill_climb(p, seed=seed + p)
-    starters = []
+def pipeline(sweep=(31, 79), census=21, climbs=2000):
+    """perfbench's code paths: `triplicate` on every admissible key of a base of
+    each order in ``sweep``, DIMACS text for the last one's keys, the census of
+    order ``census``, and ``climbs`` order-21 hill climbs, each inverse-tested."""
+    for p in sweep:
+        base = hill_climb(p, seed=1000 + p)
+        for key in admissible_keys(base):
+            triplicate(base, key)
     for key in admissible_keys(base):
-        result = triplicate(base, key)
-        starters += [result.starter_a.pairs, result.starter_b.pairs]
-
-    def run():   # the reports of every key's two merged starters, as `triplicate` makes them
-        for pairs in starters:
-            assert pairing_report(3 * p, pairs)[2]
-
-    return timed(run, repeat)
+        to_dimacs_text(export_dimacs(encode(build_table(base, key))))
+    enumerate_strong_starters(census, cap=10 ** 6)   # collects every starter
+    for seed in range(climbs):
+        inverse_test(hill_climb(21, seed=seed))
 
 
-def bench_encode(encode_table, p, seed=1000, repeat=20):
-    base = hill_climb(p, seed=seed + p)
-    tables = [build_table(base, key) for key in admissible_keys(base)]
+def record(**sizes) -> dict:
+    """Run `pipeline` with every kernel of `_kernels.KERNELS` wrapped:
+    ``{name: [argument tuple of each call]}``."""
+    kernels = {name: getattr(_kernels, name) for name in _kernels.KERNELS}
+    calls = {name: [] for name in kernels}
 
-    def run():   # the table of every key, as `encode` builds it
-        for table in tables:
-            encode_table(table.p, table.extension)
+    def recorder(name):
+        def call(*args):
+            calls[name].append(args)
+            return kernels[name](*args)
+        return call
 
-    return timed(run, repeat)
-
-
-def bench_solver(fd_search, p, seed=1000):
-    base = hill_climb(p, seed=seed + p)
-    prepared = [encode(build_table(base, key)).search_arrays()
-                for key in admissible_keys(base)]
-
-    def run():   # the searches of `solve`, without its phi fix
-        for arrays in prepared:
-            status, sols, *_ = fd_search(*arrays, 0, 1, 0, RESTART_UNIT)
-            assert status == 1 and sols
-
-    return timed(run, 1)
+    try:
+        vars(_kernels).update({name: recorder(name) for name in kernels})
+        pipeline(**sizes)
+    finally:
+        vars(_kernels).update(kernels)
+    return calls
 
 
-def bench_export(dimacs_clauses, p, seed=1000, repeat=5):
-    base = hill_climb(p, seed=seed + p)
-    prepared = [encode(build_table(base, key)).search_arrays()[:6]
-                for key in admissible_keys(base)]
-
-    def run():   # the clauses of every key's document, as `export_dimacs` builds them
-        for arrays in prepared:
-            dimacs_clauses(*arrays)
-
-    return timed(run, repeat)
+def _timed(kernel, arglists):
+    start = time.perf_counter()
+    return [kernel(*args) for args in arglists], time.perf_counter() - start
 
 
-def bench_dimacs(dimacs_text, p, seed=1000, repeat=5):
-    base = hill_climb(p, seed=seed + p)
-    docs = [export_dimacs(encode(build_table(base, key)))
-            for key in admissible_keys(base)]
-
-    def run():   # the text of every key's document, as `to_dimacs_text` writes it
-        for doc in docs:
-            dimacs_text(doc.num_ternary, doc.clauses)
-
-    return timed(run, repeat)
+def replay(calls: dict, native) -> int:
+    """Print each kernel's recorded calls timed on its pure definition and, where
+    ``native`` (a module, or None) defines it, in C; 1 if a C result differs."""
+    width = max(map(len, calls)) + 2
+    print(f"{'kernel':<{width}}{'calls':>7}{'C ms':>10}{'pure ms':>10}{'speedup':>9}")
+    status = 0
+    for name, arglists in calls.items():
+        pure = getattr(_kernels, "pure_" + name, getattr(_kernels, name))
+        expected, pure_s = _timed(pure, arglists)
+        twin = getattr(native, name, None)
+        got, c_s = _timed(twin, arglists) if twin else (expected, 0)
+        c_ms, speedup = (f"{c_s * 1000:.1f}", f"{pure_s / c_s:>8.1f}x") if twin else ("-", "")
+        print(f"{name:<{width}}{len(arglists):>7}{c_ms:>10}{pure_s * 1000:>10.1f}{speedup}"
+              + ("" if got == expected else "  MISMATCH: C and pure differ"))
+        status |= got != expected
+    return status
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
-    args = parser.parse_args()
-
-    compiled = _kernels.BACKEND == "compiled"
-    if not compiled:
-        print("note: extension not built (python setup.py build_ext --inplace); "
-              "timing the pure kernels only")
-
-    climbs = 200 if args.quick else 2000
-    enum_order = 15 if args.quick else 21
-    solver_p = 31 if args.quick else 43
-    dimacs_p = 31 if args.quick else 79
-
-    # (name, unit, pure timing, C timing or None)
-    rows = [
-        (f"hill_climb_pairs(21) x{climbs}", "ms/starter",
-         lambda: bench_hill_climb(climbs) * 1000, None),
-        *((f"pairing_report key sweep p={p}", "ms",
-           lambda p=p: bench_pairing_report(_kernels.pure_pairing_report, p) * 1000,
-           lambda p=p: bench_pairing_report(_kernels.pairing_report, p) * 1000)
-          for p in (31, 79)),
-        *((f"encode_table key sweep p={p}", "ms",
-           lambda p=p: bench_encode(_kernels.pure_encode_table, p) * 1000,
-           lambda p=p: bench_encode(_kernels.encode_table, p) * 1000)
-          for p in (31, 79)),
-        (f"count_strong_starters({enum_order})", "s",
-         lambda: bench_enumerate(_kernels.pure_count_strong_starters, enum_order),
-         lambda: bench_enumerate(_kernels.count_strong_starters, enum_order)),
-        (f"fd_search key sweep p={solver_p}", "s",
-         lambda: bench_solver(_kernels.pure_fd_search, solver_p),
-         lambda: bench_solver(_kernels.fd_search, solver_p)),
-        (f"dimacs_clauses key sweep p={dimacs_p}", "ms",
-         lambda: bench_export(_kernels.pure_dimacs_clauses, dimacs_p) * 1000,
-         lambda: bench_export(_kernels.dimacs_clauses, dimacs_p) * 1000),
-        (f"dimacs_text key sweep p={dimacs_p}", "ms",
-         lambda: bench_dimacs(_kernels.pure_dimacs_text, dimacs_p) * 1000,
-         lambda: bench_dimacs(_kernels.dimacs_text, dimacs_p) * 1000),
-    ]
-
-    width = max(len(name) for name, *_ in rows) + 2
-    print(f"{'workload':<{width}}{'C':>14}{'pure':>14}{'speedup':>10}")
-    for name, unit, pure, native in rows:
-        pure_t = pure()
-        native_t = native() if native is not None and compiled else None
-        row = f"{name:<{width}}"
-        row += f"{native_t:>11.3f} {unit[:2]}" if native_t is not None else f"{'-':>14}"
-        row += f"{pure_t:>11.3f} {unit[:2]}"
-        if native_t is not None:
-            row += f"{pure_t / native_t:>9.1f}x"
-        print(row)
-    return 0
+    sizes = {"sweep": (31,), "census": 15, "climbs": 200} if parser.parse_args().quick else {}
+    try:
+        from tristarter import _ckernels as native
+    except ImportError:   # not built: the C column reads "-"
+        native = None
+    return replay(record(**sizes), native)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ names the kernels with a C twin: when the C extension `_ckernels` (built
 by `setup.py`) imports and defines every one of them, its versions replace
 the ones defined here, which stay reachable as ``pure_<name>``; the two
 return exactly the same values and raise the same errors.  The hill
-climber always runs as Python.
+climber always runs as Python.  `KERNELS` names all seven.
 
 The kernels of `COMPILED` have one contract.  They refuse only with
 `ValueError`, with the same message on both backends; the package calls
@@ -363,6 +363,17 @@ def shuffled(order, state):
     return out, state
 
 
+def weak_sets(p, extension):
+    """The weak sets of an extension of order ``p``: its pair indices by
+    pair sum mod ``p``, sums ascending, each set kept when its sum is 0 or
+    it has two or more members, as ``{sum: [index, ...]}``."""
+    by_sum = [[] for _ in range(p)]
+    for i, (u, v) in enumerate(extension):
+        by_sum[(u + v) % p].append(i)
+    return {total: members for total, members in enumerate(by_sum)
+            if len(members) > 1 or (total == 0 and members)}
+
+
 def encode_table(p, extension):
     """The constraint table of a triplication table of order ``p``: the
     layout `model` documents, as ``(num_variables, scope_flat, scope_off,
@@ -390,14 +401,8 @@ def encode_table(p, extension):
                 continue
         raise ValueError(f"extension[{i}] = {pair!r} is not a pair of ints "
                          f"in [0, {p})")
-    # the weak sets: pair indices by sum, sums ascending, kept when the sum
-    # is 0 or the set has more than one member
-    by_sum = [[] for _ in range(p)]
-    for i, (u, v) in enumerate(extension):
-        by_sum[(u + v) % p].append(i)
-    weak_sets = {total: members for total, members in enumerate(by_sum)
-                 if len(members) > 1 or (total == 0 and members)}
-    s_pairs = sorted(itertools.chain.from_iterable(weak_sets.values()))
+    weak = weak_sets(p, extension)
+    s_pairs = sorted(itertools.chain.from_iterable(weak.values()))
     s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
     z_id = 3 * k + len(s_pairs)
 
@@ -414,7 +419,7 @@ def encode_table(p, extension):
     scope_flat += range(2 * k + 1, 3 * k)
     scope_off = list(range(0, len(scope_flat) + 1, 3))   # all three wide so far
     groups = [[s_ids[i] for i in members] + ([z_id] if total == 0 else [])
-              for total, members in weak_sets.items()]
+              for total, members in weak.items()]
     # Color c holds U_i / V_i for every extension position (i, 0) / (i, 1)
     # with value c, in extension order.
     colors = [[] for _ in range(p)]
@@ -779,6 +784,9 @@ def dimacs_text(num_ternary, clauses):
 #: The kernels with a C twin in `_ckernels`, the one list of them.
 COMPILED = ("pairing_report", "encode_table", "fd_search", "count_strong_starters",
             "dimacs_clauses", "dimacs_text")
+#: Every kernel the package calls: those of `COMPILED`, then the hill
+#: climber, which runs as Python only.
+KERNELS = COMPILED + ("hill_climb_pairs",)
 
 globals().update({"pure_" + name: globals()[name] for name in COMPILED})
 try:

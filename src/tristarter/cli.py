@@ -214,7 +214,7 @@ def _cmd_invert(args) -> int:
 def _cmd_series(args) -> int:
     # --seed seeds the sweep only; every search runs with SolverConfig().
     if args.mode == "inverse-sampling":
-        if not (args.order and args.samples):
+        if args.order is None or args.samples is None:
             raise StructuralError("inverse-sampling needs --order and --samples")
         result = run_inverse_sampling(args.order, args.samples, seed=args.seed)
         print(f"order {result.order}: {result.inconclusive} inconclusive of "
@@ -245,12 +245,12 @@ def _cmd_series(args) -> int:
 
 
 def _parse_orders(args) -> list[int]:
-    if args.orders:
+    if args.orders is not None:
         try:
             return [int(tok) for tok in args.orders.split(",") if tok.strip()]
         except ValueError:
             raise StructuralError(f"bad --orders list {args.orders!r}") from None
-    if args.order:
+    if args.order is not None:
         return [args.order]
     raise StructuralError("order-sweep needs --order or --orders")
 
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    except OSError as exc:   # reading refuses as StructuralError, so a write failed
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 
 

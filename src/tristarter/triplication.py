@@ -8,16 +8,16 @@ the extension is the (3q+1)-tuple
 read as a table row by row, left to right: index 0 is the top pair, index
 j >= 1 sits in row ceil(j/3), column ((j-1) mod 3) + 1.  Weak sets group
 pair indices by sum mod p (kept when the sum is 0 or the group has more
-than one member).  The color groups and the cardinality check live in the
-encoded instance (`model.encode`), whose table `_kernels.encode_table`
-builds with its own copy of the weak-set rule (the kernels import nothing
-from the package).
+than one member); the rule is `_kernels.weak_sets`, which the pure
+`_kernels.encode_table` also uses.  The color groups and the cardinality
+check live in the encoded instance (`model.encode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import RefusedError, require_int
 from .starters import Pair, Pairing
 
@@ -75,12 +75,8 @@ def row_differences(table: TriplicationTable) -> tuple[int, ...]:
 
 def compute_weak_sets(table: TriplicationTable) -> dict[int, tuple[int, ...]]:
     """Weak sets of the table: sum -> extension indices, sums ascending."""
-    p = table.p
-    by_sum: list[list[int]] = [[] for _ in range(p)]
-    for i, (u, v) in enumerate(table.extension):
-        by_sum[(u + v) % p].append(i)
-    return {s: tuple(members) for s, members in enumerate(by_sum)
-            if len(members) > 1 or (s == 0 and members)}
+    return {s: tuple(members)
+            for s, members in _kernels.weak_sets(table.p, table.extension).items()}
 
 
 def _forbidden_keys(base: Pairing) -> set[int]:

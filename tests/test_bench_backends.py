@@ -1,30 +1,37 @@
-"""Smoke test of `benchmarks/bench_backends.py` on tiny inputs.
-
-The script calls the kernels directly, so a change of their signatures
-shows here rather than only when someone runs the benchmark.
-"""
+"""Smoke test of `benchmarks/bench_backends.py` on a tiny pipeline."""
 
 import importlib.util
+import types
 from pathlib import Path
+
+import pytest
 
 from tristarter import _kernels
 
-SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_backends.py"
+_spec = importlib.util.spec_from_file_location(
+    "bench_backends", Path(__file__).resolve().parent.parent / "benchmarks" / "bench_backends.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("bench_backends", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture(scope="module")
+def calls():
+    return bench.record(sweep=(13,), census=7, climbs=1)
 
 
-def test_bench_backends_runs_on_tiny_inputs():
-    bench = _load()
-    assert bench.bench_hill_climb(2) > 0
-    assert bench.bench_enumerate(_kernels.pure_count_strong_starters, 7) > 0
-    assert bench.bench_pairing_report(_kernels.pure_pairing_report, 7, repeat=1) > 0
-    assert bench.bench_encode(_kernels.pure_encode_table, 7, repeat=1) > 0
-    assert bench.bench_solver(_kernels.pure_fd_search, 7) > 0
-    assert bench.bench_export(_kernels.pure_dimacs_clauses, 7, repeat=1) > 0
-    assert bench.bench_dimacs(_kernels.pure_dimacs_text, 7, repeat=1) > 0
+def test_the_tiny_pipeline_calls_every_kernel(calls, capsys):
+    assert all(calls[name] for name in _kernels.COMPILED)
+    assert [getattr(_kernels, name).__name__ for name in calls] == list(calls)  # unwrapped
+    assert bench.replay(calls, None) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:2] for row in rows] == [[name, str(len(c))] for name, c in calls.items()]
+
+
+def test_c_and_pure_return_alike_on_every_recorded_call(calls, ckernels):
+    assert bench.replay(calls, ckernels) == 0
+
+
+def test_a_c_result_that_differs_fails_the_replay(calls, capsys):
+    wrong = types.SimpleNamespace(**dict.fromkeys(_kernels.COMPILED, lambda *args: None))
+    assert bench.replay(calls, wrong) == 1
+    assert capsys.readouterr().out.count("MISMATCH") == len(_kernels.COMPILED)

@@ -282,6 +282,38 @@ def test_series_missing_args(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["series", "--mode", "inverse-sampling", "--order", "21", "--samples", "0"], "samples"),
+    (["series", "--mode", "inverse-sampling", "--order", "0", "--samples", "3"], "order"),
+], ids=["samples", "order"])
+def test_series_inverse_sampling_words_a_zero_itself(argv, field, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {field} must be an integer in [1, ") and "got 0" in err
+
+
+def test_series_order_sweep_runs_a_given_zero_order(capsys):
+    code, out, err = run(["series", "--mode", "order-sweep", "--order", "0"], capsys)
+    assert code == 0 and out.count("\n") == 1   # the CSV header only
+    assert err.startswith("order 0 failed: order must be an integer in [3, ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["triplicate", "--base", "{base}", "--key", "1", "--out", "{out}"],
+    ["hillclimb", "--order", "7", "--out", "{out}.json"],
+    ["series", "--mode", "key-sweep", "--base", "{base}", "--out", "{out}.csv"],
+    ["encode", "--base", "{base}", "--key", "1", "--cnf-out", "{out}.cnf"],
+    ["solve", "--base", "{base}", "--key", "1", "--cnf-out", "{out}.cnf"],
+], ids=lambda argv: argv[0])
+def test_an_output_path_that_cannot_be_written_is_a_structural_error(
+        argv, base_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    code, _, err = run([a.format(base=base_file, out=out) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write: ") and str(out) in err
+    assert err.count("\n") == 1
+
+
 def test_series_seed_only_seeds_the_sweep(tmp_path, capsys):
     from tristarter.harness import run_order_sweep, write_records_csv
 
