@@ -53,6 +53,10 @@
  * documents, and refuses what `_kernels.encode_table` refuses.
  * `pairing_report` checks and verifies a pairing in one pass over its
  * pairs, and refuses what `_kernels.pairing_report` refuses.
+ * `merge_pairs` lifts a solution's U and V and their phi images onto the
+ * extension by the CRT in one pass that checks each pair and value as it
+ * reads it, filling both tuples of pairs of order 3p directly, and
+ * refuses what `_kernels.merge_pairs` refuses.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1469,6 +1473,105 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* merge_pairs                                                         */
+
+/* The new int x in [0, 3p) with x = r (mod p) and x = s (mod 3), for r in
+ * [0, p) and s in {0, 1, 2}: r + p * ((s - r) * p mod 3), with r and p
+ * reduced mod 3 first so the product is nonnegative and C's % is mod. */
+static inline PyObject *
+lift(long r, long s, long p)
+{
+    return PyLong_FromLong(r + p * ((s - r % 3 + 3) * (p % 3) % 3));
+}
+
+/* A new pair of the lifts of (a, u) and (b, v); NULL with an error set. */
+static PyObject *
+lifted_pair(long a, long b, long u, long v, long p)
+{
+    PyObject *x = lift(a, u, p);
+    PyObject *y = x == NULL ? NULL : lift(b, v, p);
+    PyObject *pair = y == NULL ? NULL : PyTuple_New(2);
+    if (pair == NULL) {
+        Py_XDECREF(x);
+        Py_XDECREF(y);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(pair, 0, x);
+    PyTuple_SET_ITEM(pair, 1, y);
+    return pair;
+}
+
+/* `_kernels.merge_pairs`, with the same checks in the same order.  One
+ * pass over the extension checks pair i, U_i and V_i and fills pair i of
+ * both merges; phi maps a value v to -v mod 3.  3p <= 3 * MAX_LEN fits
+ * in a long. */
+static PyObject *
+merge_pairs(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    static const long PHI[3] = {0, 2, 1};
+    PyObject *p_obj, *seqs[2];
+    static const char *const names[2] = {"extension", "solution"};
+    long long p;
+    if (!PyArg_ParseTuple(args, "OOO:merge_pairs", &p_obj, &seqs[0], &seqs[1]))
+        return NULL;
+    if (!exact_int(p_obj, 1, MAX_LEN, &p) || p % 3 == 0) {
+        invalid("p must be coprime to 3 and in [1, %d], got %R", MAX_LEN,
+                p_obj);
+        return NULL;
+    }
+    for (int j = 0; j < 2; j++)
+        if (!PyTuple_CheckExact(seqs[j]) && !PyList_CheckExact(seqs[j])) {
+            invalid("%s must be a list or tuple, got %R", names[j], seqs[j]);
+            return NULL;
+        }
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(seqs[0]);
+    Py_ssize_t nsol = PySequence_Fast_GET_SIZE(seqs[1]);
+    if (nsol < 2 * k) {
+        invalid("solution has %zd entries, fewer than the %zd of U and V",
+                nsol, 2 * k);
+        return NULL;
+    }
+
+    PyObject **ext = PySequence_Fast_ITEMS(seqs[0]);
+    PyObject **sol = PySequence_Fast_ITEMS(seqs[1]);
+    PyObject *merged = PyTuple_New(k);
+    PyObject *phi = merged == NULL ? NULL : PyTuple_New(k);
+    PyObject *result = NULL;
+    if (phi == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *pair = ext[i];
+        long long a, b, uv[2];
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2
+                || !exact_int(PyTuple_GET_ITEM(pair, 0), 0, p - 1, &a)
+                || !exact_int(PyTuple_GET_ITEM(pair, 1), 0, p - 1, &b)) {
+            invalid("extension[%zd] = %R is not a pair of ints in [0, %lld)",
+                    i, pair, p);
+            goto done;
+        }
+        for (Py_ssize_t j = 2 * i; j < 2 * i + 2; j++)
+            if (!exact_int(sol[j], 0, 2, &uv[j - 2 * i])) {
+                invalid("solution[%zd] = %R is outside [0, 3)", j, sol[j]);
+                goto done;
+            }
+        PyObject *x = lifted_pair((long)a, (long)b, (long)uv[0], (long)uv[1],
+                                  (long)p);
+        if (x == NULL)
+            goto done;
+        PyTuple_SET_ITEM(merged, i, x);
+        x = lifted_pair((long)a, (long)b, PHI[uv[0]], PHI[uv[1]], (long)p);
+        if (x == NULL)
+            goto done;
+        PyTuple_SET_ITEM(phi, i, x);
+    }
+    result = PyTuple_Pack(2, merged, phi);
+done:
+    Py_XDECREF(merged);
+    Py_XDECREF(phi);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
     {"encode_table", encode_table, METH_VARARGS,
@@ -1484,6 +1587,8 @@ static PyMethodDef methods[] = {
      "C version of `_kernels.dimacs_text`; same arguments and result."},
     {"pairing_report", pairing_report, METH_VARARGS,
      "C version of `_kernels.pairing_report`; same arguments and result."},
+    {"merge_pairs", merge_pairs, METH_VARARGS,
+     "C version of `_kernels.merge_pairs`; same arguments and result."},
     {NULL, NULL, 0, NULL},
 };
 

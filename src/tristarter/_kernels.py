@@ -1,13 +1,14 @@
 """Hot kernels: hill climbing, exhaustive enumeration, the check and
 verification of a pairing, the encoder of a triplication table, ternary FD
-search, the DIMACS clause builder and the DIMACS text writer.
+search, the CRT merge of a solution, the DIMACS clause builder and the
+DIMACS text writer.
 
-This module is the reference implementation of all seven.  `COMPILED`
+This module is the reference implementation of all eight.  `COMPILED`
 names the kernels with a C twin: when the C extension `_ckernels` (built
 by `setup.py`) imports and defines every one of them, its versions replace
 the ones defined here, which stay reachable as ``pure_<name>``; the two
 return exactly the same values and raise the same errors.  The hill
-climber always runs as Python.  `KERNELS` names all seven.
+climber always runs as Python.  `KERNELS` names all eight.
 
 The kernels of `COMPILED` have one contract.  They refuse only with
 `ValueError`, with the same message on both backends; the package calls
@@ -17,18 +18,20 @@ C), an exact int, not a bool, in its range: the order and each pair member
 of `pairing_report` and `encode_table`, ``nvars``, each array entry (a
 variable id in [0, nvars), a value in [0, 3), a binding sign in [-1, 2),
 since -1, 0 and 1 cover every sign mod 3), the order of
-`count_strong_starters`, and the ``num_ternary`` and literals of
-`dimacs_text`.  `MAX_LEN` bounds every size.  `fd_search` and
-`dimacs_clauses` check their arguments once, in `_validate` (`load_arrays`
-in C).  The callers check the rest, the search-control scalars and that
-the arrays are lists or tuples, as `solver.SolverConfig` and
-`starters.enumerate_strong_starters` do.
+`count_strong_starters`, the ``num_ternary`` and literals of
+`dimacs_text`, and the order (coprime to 3), each extension pair member
+and each U and V value of `merge_pairs`.  `MAX_LEN` bounds every size.
+`fd_search` and `dimacs_clauses` check their arguments once, in
+`_validate` (`load_arrays` in C).  The callers check the rest, the
+search-control scalars and that the arrays are lists or tuples, as
+`solver.SolverConfig` and `starters.enumerate_strong_starters` do.
 
 `pairing_report` is the one check of a `starters.Pairing`'s pairs and its
 one verification; `encode_table` is where the variable numbering and
 constraint order of `model.encode` are built, and `dimacs_clauses` is
 where the one-hot numbering and the clause order of `dimacs.export_dimacs`
-live.
+live.  `merge_pairs` is the CRT lift of `assembly`'s merges, of a solution
+and of its phi image in one call.
 """
 
 import itertools
@@ -333,6 +336,53 @@ def pairing_report(n, pairs):
         diagnostics.append("zero sum")
     is_strong = is_starter and not sum_dup and 0 not in sum_set
     return is_partition, is_starter, is_strong, sums, tuple(diagnostics)
+
+
+def merge_pairs(p, extension, solution):
+    """The CRT merges of a triplication table's extension of order ``p``
+    with the (U, V) part of a solution and with its phi image: the pairs of
+    both merged starters of order 3p, as two tuples of pairs.
+
+    For extension pair i = (a, b), with U_i = ``solution[2i]`` and V_i =
+    ``solution[2i + 1]``, pair i of the first tuple is (x, y), the x in
+    [0, 3p) with x = a (mod p) and x = U_i (mod 3) and the y with y = b
+    (mod p) and y = V_i (mod 3); pair i of the second lifts -U_i and -V_i
+    mod 3 instead (phi, `model.PHI`).  Since p * p = 1 (mod 3), the lift of
+    (r, s) is r + p * ((s - r) * p mod 3), the closed form of `assembly.crt`.
+
+    Raises `ValueError`, checking in this order, unless ``p`` is an int
+    (not a bool) in [1, `MAX_LEN`] coprime to 3, ``extension`` and
+    ``solution`` are lists or tuples, and ``solution`` has at least
+    2 * len(``extension``) entries; then, for each i in turn, names
+    extension pair i if it is not a tuple of two ints (not bools) in
+    [0, ``p``), then U_i, then V_i if it is not an int (not a bool) in
+    {0, 1, 2}.  The entries after the U and V are not read.
+    """
+    if type(p) is not int or not 1 <= p <= MAX_LEN or p % 3 == 0:
+        raise ValueError(f"p must be coprime to 3 and in [1, {MAX_LEN}], got {p!r}")
+    for name, seq in (("extension", extension), ("solution", solution)):
+        if type(seq) is not tuple and type(seq) is not list:
+            raise ValueError(f"{name} must be a list or tuple, got {seq!r}")
+    if len(solution) < 2 * len(extension):
+        raise ValueError(f"solution has {len(solution)} entries, fewer than the "
+                         f"{2 * len(extension)} of U and V")
+    pairs_a = []
+    pairs_b = []
+    for i, pair in enumerate(extension):
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int
+                and 0 <= pair[0] < p and 0 <= pair[1] < p):
+            raise ValueError(f"extension[{i}] = {pair!r} is not a pair of ints "
+                             f"in [0, {p})")
+        for j in (2 * i, 2 * i + 1):
+            if type(solution[j]) is not int or not 0 <= solution[j] < 3:
+                raise ValueError(f"solution[{j}] = {solution[j]!r} is outside [0, 3)")
+        a, b = pair
+        u = solution[2 * i]
+        v = solution[2 * i + 1]
+        pairs_a.append((a + p * ((u - a) * p % 3), b + p * ((v - b) * p % 3)))
+        pairs_b.append((a + p * ((-u - a) * p % 3), b + p * ((-v - b) * p % 3)))
+    return tuple(pairs_a), tuple(pairs_b)
 
 
 def luby(i):
@@ -783,7 +833,7 @@ def dimacs_text(num_ternary, clauses):
 
 #: The kernels with a C twin in `_ckernels`, the one list of them.
 COMPILED = ("pairing_report", "encode_table", "fd_search", "count_strong_starters",
-            "dimacs_clauses", "dimacs_text")
+            "dimacs_clauses", "dimacs_text", "merge_pairs")
 #: Every kernel the package calls: those of `COMPILED`, then the hill
 #: climber, which runs as Python only.
 KERNELS = COMPILED + ("hill_climb_pairs",)

@@ -5,34 +5,27 @@ Chinese Remainder Theorem; merging the extension with the (U, V) part of a
 checked solution yields a pairing of order 3p that is guaranteed strong
 whenever the base was a starter and the solution satisfies the instance.
 `triplicate` runs the whole route: build, check the key, encode, search,
-merge the solution and its phi image (`model.apply_phi`) in one pass, and
-strong-verify both merges, its one check of a SAT key: the merge reads only
-U and V, and both merges are strong exactly when those values satisfy every
-row, weak set and color group with D = U - V and S = U + V.  Building each
-merged `Pairing` is that verification: its one `_kernels.pairing_report`
-call checks the pairs and fills ``report``.
+merge the solution and its phi image (`model.apply_phi`) in one
+`_kernels.merge_pairs` call, and strong-verify both merges, its one check
+of a SAT key: the merge reads only U and V, and both merges are strong
+exactly when those values satisfy every row, weak set and color group
+with D = U - V and S = U + V.  Building each merged `Pairing` is that
+verification: its one `_kernels.pairing_report` call checks the pairs and
+fills ``report``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import InternalConsistencyError, KeyNotAdmissibleError, RefusedError, require_int
-from .model import PHI, Solution, SudokuInstance, check_solution, encode, uv_pairs
+from . import _kernels
+from .errors import (
+    InternalConsistencyError, KeyNotAdmissibleError, RefusedError, from_kernel, require_int)
+from .model import Solution, SudokuInstance, check_solution, encode
 from .solver import BUDGET_EXHAUSTED, SAT, SolverConfig, SolveStats, _search
 from .starters import Pairing
 from .triplication import build_table, check_key_admissible
-
-
-@lru_cache(maxsize=1)   # a sweep merges over one base; older tables are freed
-def _crt_lift(p: int) -> tuple[int, ...]:
-    """The x in [0, 3p) with x = r (mod p) and x = s (mod 3) at index 3r + s."""
-    lift = [0] * (3 * p)
-    for x in range(3 * p):
-        lift[3 * (x % p) + x % 3] = x
-    return tuple(lift)
 
 
 def crt(residue_p: int, residue_3: int, p: int) -> int:
@@ -60,25 +53,16 @@ def crt_merge(instance: SudokuInstance, solution: Solution) -> Pairing:
             + "; ".join(violated[:3])
             + ("..." if len(violated) > 3 else "")
             + "); refusing to merge")
-    return _merge_both(instance, solution)[0]
+    table = instance.table
+    pairs = from_kernel(_kernels.merge_pairs, table.p, table.extension, solution)[0]
+    return Pairing(3 * table.p, pairs)
 
 
 def _merge_both(instance: SudokuInstance, solution: Solution) -> tuple[Pairing, Pairing]:
-    """The merges of a solution and of its phi image, in one pass, each
-    checked and strong-verified as its `Pairing` is built.
-
-    Extension entries lie in [0, p) and U, V in {0, 1, 2}, so every index
-    into the lift table is in range.
-    """
+    """The merges of a solution and of its phi image, lifted in one kernel
+    call, each checked and strong-verified as its `Pairing` is built."""
     table = instance.table
-    lift = _crt_lift(table.p)
-    pairs_a = []
-    pairs_b = []
-    for (u, v), (a, b) in zip(table.extension, uv_pairs(instance, solution)):
-        u *= 3
-        v *= 3
-        pairs_a.append((lift[u + a], lift[v + b]))
-        pairs_b.append((lift[u + PHI[a]], lift[v + PHI[b]]))
+    pairs_a, pairs_b = from_kernel(_kernels.merge_pairs, table.p, table.extension, solution)
     n = 3 * table.p
     return Pairing(n, pairs_a), Pairing(n, pairs_b)
 

@@ -105,13 +105,13 @@ def _cross_check(args, instance):
     Returns the external status and, on SAT, the decoded model after
     `check_solution` accepted it; ``(None, None)`` without a solver.
     """
-    if not (args.cnf_out or args.external_solver):
+    if not args.cnf_out and args.external_solver is None:
         return None, None
     doc = export_dimacs(instance)
     text = to_dimacs_text(doc)
     if args.cnf_out:
         Path(args.cnf_out).write_text(text)
-    if not args.external_solver:
+    if args.external_solver is None:   # an empty template is refused, not ignored
         return None, None
     status, literals = run_external_solver(text, args.external_solver,
                                            timeout=args.external_timeout)

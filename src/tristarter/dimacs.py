@@ -217,14 +217,22 @@ def run_external_solver(
     """Write the DIMACS text to a temp file and run the solver command on it.
 
     The template may reference the file as ``{cnf}``; otherwise the path is
-    appended as the last argument.  Nonzero exit codes 10/20 (the SAT
-    convention) are accepted.
+    appended as the last argument.  A template that `shlex` cannot split,
+    or whose first word is empty or names the file rather than a command,
+    is refused with a `StructuralError` before anything is written.
+    Nonzero exit codes 10/20 (the SAT convention) are accepted.
     """
+    # split before substituting, so the path stays one argument
+    try:
+        argv = shlex.split(command_template)
+    except ValueError as exc:
+        raise StructuralError(
+            f"cannot split solver command {command_template!r}: {exc}") from None
+    if not argv or not argv[0] or "{cnf}" in argv[0]:
+        raise StructuralError(f"solver command {command_template!r} names no command")
     with tempfile.TemporaryDirectory(prefix="tristarter-cnf-") as tmp:
         cnf_path = Path(tmp) / "instance.cnf"
         cnf_path.write_text(cnf_text)
-        # split before substituting, so the path stays one argument
-        argv = shlex.split(command_template)
         if "{cnf}" in command_template:
             argv = [arg.replace("{cnf}", str(cnf_path)) for arg in argv]
         else:

@@ -22,8 +22,8 @@ from tristarter import (
     uv_pairs,
     verify_pairing,
 )
-from tristarter import solver
-from tristarter.assembly import _crt_lift, _merge_both
+from tristarter import solver, starters
+from tristarter.assembly import _merge_both
 from tristarter.triplication import admissible_keys
 
 from fixtures import (
@@ -57,25 +57,25 @@ def test_crt_bijection(p):
             assert x % p == rp and x % 3 == r3
 
 
-def test_crt_closed_form_matches_the_lift_table():
-    # crt answers one query without building the 3p-entry table the merge
-    # reads: the two agree for small p, and a 61-bit p costs nothing
+def test_crt_closed_form_matches_the_kernel_lifts(kernel_backends):
+    # crt answers one query by the closed form the merge kernel lifts every
+    # pair by: the two agree on every residue and value for small p, crt
+    # reduces its arguments first, and a 61-bit p costs nothing
+    for kernels in kernel_backends:
+        for p in (1, 2, 4, 5, 7, 11, 13, 31):
+            extension = tuple((r, (r + 1) % p) for r in range(p))
+            for s in range(3):
+                merged, phi = kernels.merge_pairs(p, extension, (s, (s + 1) % 3) * p)
+                assert merged == tuple((crt(a, s, p), crt(b, s + 1, p)) for a, b in extension)
+                assert phi == tuple((crt(a, -s, p), crt(b, -s - 1, p)) for a, b in extension)
     for p in (1, 2, 4, 5, 7, 11, 13, 31):
-        lift = _crt_lift(p)
         for rp in range(-p, 2 * p):
             for r3 in range(-3, 6):
-                assert crt(rp, r3, p) == lift[3 * (rp % p) + r3 % 3]
+                assert crt(rp, r3, p) == crt(rp % p, r3 % 3, p)
     p = 2**61 - 1
     for rp, r3 in ((5, 2), (0, 0), (p - 1, 1), (-1, -1), (2**62, 7)):
         x = crt(rp, r3, p)
         assert 0 <= x < 3 * p and x % p == rp % p and x % 3 == r3 % 3
-
-
-def test_only_the_last_lift_table_is_kept():
-    # a sweep merges over one base; the tables of earlier orders are freed
-    triplicate(T7, DEMO_KEY)
-    triplicate(hill_climb(11, seed=0), 1)
-    assert _crt_lift.cache_info().currsize == 1
 
 
 def test_crt_refuses_multiple_of_three():
@@ -95,6 +95,20 @@ def test_merge_reconstructs_worked_starter():
     inst = encode(build_table(T7, S21_KEY))
     sol = solution_from_uv(inst, list(S21_MOD3))
     assert crt_merge(inst, sol).pairs == S21.pairs
+
+
+def test_crt_merge_verifies_only_the_pairing_it_returns(monkeypatch):
+    inst = encode(build_table(T7, DEMO_KEY))
+    sol = solution_from_uv(inst, DEMO_SIGMA3)
+    calls = []
+
+    def counted(pairing, verify=starters.verify_pairing):
+        calls.append(pairing.pairs)
+        return verify(pairing)
+
+    monkeypatch.setattr(starters, "verify_pairing", counted)
+    assert crt_merge(inst, sol).pairs == DEMO_STARTER_A
+    assert calls == [DEMO_STARTER_A]
 
 
 def test_merge_refuses_invalid_solution():

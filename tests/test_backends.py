@@ -434,6 +434,14 @@ def _distinct_bases(order, count):
 
 
 @functools.cache
+def _sweep_31():
+    """`triplicate` of every admissible key of the first 16 distinct order-31
+    bases: 240 SAT results."""
+    return [triplicate(base, key)
+            for base in _distinct_bases(31, 16) for key in admissible_keys(base)]
+
+
+@functools.cache
 def _golden_pairings():
     """(n, pairs) of every order-21 strong starter; of both merged starters
     of every admissible key of 16 order-31 bases (480 of order 93); and of
@@ -441,10 +449,8 @@ def _golden_pairings():
     matchings of 1 .. n - 1 (partitions) and half pairs drawn at random."""
     pairings = [(21, tuple(pairs))
                 for pairs in _kernels.count_strong_starters(21, 6660)[1]]
-    for base in _distinct_bases(31, 16):
-        for key in admissible_keys(base):
-            result = triplicate(base, key)
-            pairings += [(93, result.starter_a.pairs), (93, result.starter_b.pairs)]
+    for result in _sweep_31():
+        pairings += [(93, result.starter_a.pairs), (93, result.starter_b.pairs)]
     rng = random.Random(26)
     for i in range(1000):
         n = rng.randrange(3, 62, 2)
@@ -567,6 +573,116 @@ def test_pairing_report_refuses_alike(kernel_backends, n, pairs, message):
 def test_pairing_report_follows_the_backend_flag():
     compiled = _kernels.BACKEND == "compiled"
     assert compiled == (_kernels.pairing_report is not _kernels.pure_pairing_report)
+
+
+def test_merged_starters_golden_digest():
+    # digest of both merged starters of every sweep key, taken while the
+    # merge still lifted each pair in Python
+    merged = [(r.starter_a.pairs, r.starter_b.pairs) for r in _sweep_31()]
+    assert len(merged) == 240
+    assert hashlib.sha256(repr(merged).encode()).hexdigest() == \
+        "03a72a67de482e6a347e9a15d641b21100b916daab397547ec4b6cf76da06dc4"
+
+
+@functools.cache
+def _merge_cases():
+    """(p, extension, solution) of `merge_pairs`: the table and SAT solution
+    of every sweep key, then 10 seeded random ternary solutions, half of
+    them only the 2k U and V as a list, for each of the first (up to) five
+    admissible keys of a base of each of p = 7, 11, 13 and 79."""
+    cases = [(31, r.instance.table.extension, r.solution) for r in _sweep_31()]
+    rng = random.Random(29)
+    for p in (7, 11, 13, 79):
+        base = hill_climb(p, seed=p)
+        for key in admissible_keys(base)[:5]:
+            extension = build_table(base, key).extension
+            for i in range(10):
+                solution = [rng.randrange(3) for _ in range(2 * len(extension) + 3 * (i % 2))]
+                cases.append((p, extension, tuple(solution) if i % 2 else solution))
+    return cases
+
+
+def test_merge_pairs_identical_on_sweep_and_random_solutions(kernel_backends):
+    for p, extension, solution in _merge_cases():
+        merged, phi = results = kernel_backends[0].merge_pairs(p, extension, solution)
+        assert all(k.merge_pairs(p, extension, solution) == results
+                   for k in kernel_backends[1:])
+        for i, (a, b) in enumerate(extension):
+            u, v = solution[2 * i], solution[2 * i + 1]
+            assert [x % p for x in merged[i] + phi[i]] == [a, b, a, b]
+            assert [x % 3 for x in merged[i] + phi[i]] == [u, v, -u % 3, -v % 3]
+            assert all(0 <= x < 3 * p for x in merged[i] + phi[i])
+
+
+def test_merge_pairs_reads_only_u_and_v(kernel_backends):
+    p, extension, solution = _merge_cases()[0]
+    k = len(extension)
+    for kernels in kernel_backends:
+        assert kernels.merge_pairs(p, extension, list(solution[:2 * k]) + [None, "x"]) == \
+            kernels.merge_pairs(p, extension, solution)
+        assert kernels.merge_pairs(7, (), ()) == ((), ())
+
+
+def _with_uv(index, value):
+    """The 20 U and V values of T7's extension, all 0 but entry ``index``."""
+    uv = [0] * 20
+    uv[index] = value
+    return tuple(uv)
+
+
+# (p, extension, solution, message) of `merge_pairs`: the order, the types
+# of the extension and the solution, the solution's length, then pair by
+# pair extension pair i, U_i and V_i.
+MALFORMED_MERGES = [
+    *(pytest.param(p, T7_EXTENSION, (0,) * 20,
+                   f"p must be coprime to 3 and in [1, {_kernels.MAX_LEN}], got {p!r}",
+                   id=f"p={label}")
+      for p, label in ((0, "0"), (-7, "-7"), (3, "3"), (21, "21"), (True, "True"),
+                       (7.0, "7.0"), (BIG, "2**70"), (_kernels.MAX_LEN + 1, "MAX_LEN+1"))),
+    *(pytest.param(7, ext, (0,) * 20, f"extension must be a list or tuple, got {ext!r}",
+                   id=f"extension={label}")
+      for ext, label in ((None, "None"), (5, "5"), ("abc", "str"),
+                         (frozenset({(1, 2)}), "frozenset"))),
+    *(pytest.param(7, T7_EXTENSION, sol, f"solution must be a list or tuple, got {sol!r}",
+                   id=f"solution={label}")
+      for sol, label in ((None, "None"), ("0" * 20, "str"), (range(20), "range"),
+                         (bytes(20), "bytes"))),
+    pytest.param(7, 5, None, "extension must be a list or tuple, got 5",
+                 id="extension-first"),
+    pytest.param(7, T7_EXTENSION, (0,) * 19,
+                 "solution has 19 entries, fewer than the 20 of U and V", id="short"),
+    pytest.param(7, [(1, 2)] * 3, [], "solution has 0 entries, fewer than the 6 of U and V",
+                 id="empty"),
+    *(pytest.param(7, _with_pair(pair), (0,) * 20,
+                   rf"extension[3] = {pair!r} is not a pair of ints in [0, 7)",
+                   id=f"pair={label}")
+      for pair, label in ((5, "int"), ([5, 6], "list"), ((5,), "one"),
+                          ((5, 6, 0), "three"), ((True, 6), "bool"),
+                          ((5, 6.0), "float"), ((5, 7), "7"), ((-1, 6), "-1"),
+                          ((5, 2**70), "2**70"))),
+    *(pytest.param(7, T7_EXTENSION, _with_uv(index, value),
+                   f"solution[{index}] = {value!r} is outside [0, 3)",
+                   id=f"{'UV'[index % 2]}={label}")
+      for index, value, label in ((6, 3, "3"), (6, -1, "-1"), (6, True, "True"),
+                                  (6, 1.0, "1.0"), (6, None, "None"), (6, BIG, "2**70"),
+                                  (7, 3, "3"), (7, False, "False"), (7, -BIG, "-2**70"))),
+    pytest.param(7, _with_pair((5, 7)), _with_uv(6, 3),
+                 "extension[3] = (5, 7) is not a pair of ints in [0, 7)", id="pair-before-U"),
+    pytest.param(7, _with_pair((5, 7)), _with_uv(5, 3),
+                 "solution[5] = 3 is outside [0, 3)", id="earlier-V-first"),
+    pytest.param(7, T7_EXTENSION, (0, 0, 0, 0, 0, 0, 9, 9, *(0,) * 12),
+                 "solution[6] = 9 is outside [0, 3)", id="U-before-V"),
+]
+
+
+@pytest.mark.parametrize("p, extension, solution, message", MALFORMED_MERGES)
+def test_merge_pairs_refuses_alike(kernel_backends, p, extension, solution, message):
+    # `assembly` reaches the kernel through `errors.from_kernel`, which
+    # makes the ValueError a StructuralError
+    for kernels in kernel_backends:
+        with pytest.raises(ValueError) as error:
+            kernels.merge_pairs(p, extension, solution)
+        assert type(error.value) is ValueError and str(error.value) == message
 
 
 def test_splitmix_reference_values():

@@ -353,6 +353,30 @@ def test_solve_external_missing_command(base_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "triplicate"])
+def test_unsplittable_solver_template_is_refused(base_file, tmp_path, capsys, monkeypatch,
+                                                 command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, "--base", base_file, "--key", "1",
+                          "--external-solver", "kissat 'unclosed"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: cannot split solver command \"kissat 'unclosed\": "
+                   "No closing quotation\n")
+
+
+@pytest.mark.parametrize("template", ["", "   ", "''", "{cnf}", "{cnf} --verbose"])
+@pytest.mark.parametrize("command", ["solve", "triplicate"])
+def test_solver_template_naming_no_command_is_refused(base_file, tmp_path, capsys,
+                                                      monkeypatch, command, template):
+    # the CNF file would otherwise be run as the command; an empty template
+    # is refused, not taken as no cross-check
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, "--base", base_file, "--key", "1",
+                          "--external-solver", template], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: solver command {template!r} names no command\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "triplicate"])
 def test_external_timeout_stops_the_solver(base_file, tmp_path, capsys, monkeypatch,
                                            command):
     # a solver that would sleep 30 s is stopped at the bound: an
