@@ -56,7 +56,9 @@
  * `merge_pairs` lifts a solution's U and V and their phi images onto the
  * extension by the CRT in one pass that checks each pair and value as it
  * reads it, filling both tuples of pairs of order 3p directly, and
- * refuses what `_kernels.merge_pairs` refuses.
+ * refuses what `_kernels.merge_pairs` refuses.  `dimacs_text` checks and
+ * formats each distinct literal once per call, through a table indexed by
+ * value; its bytes and refusals are those of `_kernels.dimacs_text`.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1189,24 +1191,36 @@ reserve(Text *t, size_t more)
     return 0;
 }
 
-/* Write x in decimal at p; returns the end. */
+/* "00" "01" ... "99": the two digits of each n < 100 at 2 * n. */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+/* Write x in decimal at p, two digits a step; returns the end. */
 static inline char *
 put_int(char *p, long long x)
 {
-    char digits[20];
-    int n = 0;
+    char digits[20], *d = digits + sizeof digits;
     unsigned long long u = (unsigned long long)x;
     if (x < 0) {
         *p++ = '-';
         u = 0 - u;
     }
-    do {
-        digits[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    while (n)
-        *p++ = digits[--n];
-    return p;
+    while (u >= 100) {
+        d -= 2;
+        memcpy(d, DIGIT_PAIRS + 2 * (u % 100), 2);
+        u /= 100;
+    }
+    if (u >= 10) {
+        d -= 2;
+        memcpy(d, DIGIT_PAIRS + 2 * u, 2);
+    }
+    else
+        *--d = (char)('0' + u);
+    size_t n = (size_t)(digits + sizeof digits - d);
+    memcpy(p, d, n);
+    return p + n;
 }
 
 /* Write the NUL-terminated s at p; returns the end. */
@@ -1218,10 +1232,42 @@ put_str(char *p, const char *s)
     return p + n;
 }
 
+/* The text of one literal and the space after it, as `dimacs_text` writes
+ * it ("-12 "); len is 0 until it is filled.  A literal takes at most 12
+ * bytes, and 16 let one fixed-size copy move a whole entry. */
+typedef struct {
+    char s[15];
+    uint8_t len;
+} LitText;
+
+/* The direct-mapped front of the literal table: slot h(o) holds the last
+ * literal object o seen there and its entry. */
+#define FRONT_BITS 10
+typedef struct {
+    PyObject *obj;
+    const LitText *text;
+} FrontSlot;
+
+static inline size_t
+front_slot(const PyObject *o)
+{
+    return (size_t)(((uint64_t)(uintptr_t)o >> 4) * UINT64_C(0x9E3779B97F4A7C15)
+                    >> (64 - FRONT_BITS));
+}
+
 /* The header, tmap and problem lines, then each clause as it is checked:
  * one pass over the literals writes the same bytes as the %-templates of
  * `_kernels.dimacs_text` and refuses the same documents, with the same
- * ValueError messages. */
+ * ValueError messages.
+ *
+ * Each distinct literal is checked and formatted once per call.  Its text
+ * goes into a table indexed by value (2 * num_bools + 1 entries), filled
+ * on first use, and every clause copies entries out of it.  A front keyed
+ * by the literal object's address then skips `exact_int` for an object
+ * seen before in this call: the clauses tuple keeps every literal alive
+ * for the whole call, and nothing here runs Python code, so an address
+ * seen earlier still names the same int.  A bool or an out-of-range int
+ * is never entered in the front, so it is refused at its own clause. */
 static PyObject *
 dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -1251,6 +1297,12 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
     size_t lit_bytes = (size_t)(put_int(scratch, nb) - scratch) + 2;
     Text t = {NULL, 0, 0};
     PyObject *result = NULL;
+    FrontSlot front[1 << FRONT_BITS] = {{0}};
+    LitText *table = PyMem_Calloc(2 * (size_t)nb + 1, sizeof(LitText));
+    if (table == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
     if (reserve(&t, (size_t)nt * 47 + 128 + (size_t)nc * (3 * lit_bytes + 3)) < 0)
         goto done;
     char *p = put_str(t.s, "c ternary ");
@@ -1279,22 +1331,36 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         }
         Py_ssize_t k = PyTuple_GET_SIZE(clause);
-        if (reserve(&t, (size_t)k * lit_bytes + 3) < 0)
+        /* the last entry copied writes sizeof(LitText) bytes from its start */
+        if (reserve(&t, (size_t)k * lit_bytes + sizeof(LitText)) < 0)
             goto done;
         p = t.s + t.len;
         for (Py_ssize_t j = 0; j < k; j++) {
             PyObject *item = PyTuple_GET_ITEM(clause, j);
-            long long lit;
-            if (!exact_int(item, -nb, nb, &lit) || lit == 0) {
-                invalid("clause %zd: literal %R is not a nonzero int in "
-                        "[-%lld, %lld]", i, item, nb, nb);
-                goto done;
+            FrontSlot *slot = &front[front_slot(item)];
+            if (slot->obj != item) {
+                long long lit;
+                if (!exact_int(item, -nb, nb, &lit) || lit == 0) {
+                    invalid("clause %zd: literal %R is not a nonzero int in "
+                            "[-%lld, %lld]", i, item, nb, nb);
+                    goto done;
+                }
+                LitText *e = &table[lit + nb];
+                if (e->len == 0) {
+                    char *end = put_int(e->s, lit);
+                    *end++ = ' ';
+                    e->len = (uint8_t)(end - e->s);
+                }
+                slot->obj = item;
+                slot->text = e;
             }
-            if (j)
-                *p++ = ' ';
-            p = put_int(p, lit);
+            memcpy(p, slot->text, sizeof(LitText));
+            p += slot->text->len;
         }
-        p = put_str(p, " 0\n");
+        if (k == 0)   /* " 0\n"; else the last entry's space ends "1 -2 0\n" */
+            *p++ = ' ';
+        *p++ = '0';
+        *p++ = '\n';
         t.len = (size_t)(p - t.s);
     }
 
@@ -1302,6 +1368,7 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
     if (result != NULL)
         memcpy(PyUnicode_1BYTE_DATA(result), t.s, t.len);
 done:
+    PyMem_Free(table);
     PyMem_Free(t.s);
     return result;
 }

@@ -14,7 +14,9 @@ not data: the ``c tmap t 3t+1`` comments restate it for readers of the
 text, and the parser refuses any tmap comment that disagrees with it.  The
 writer, `_kernels.dimacs_text` (C or pure Python), refuses every document
 whose text the parser would refuse, so each text it writes parses back to
-the document it came from.  Both kernels are called through
+the document it came from.  The C writer checks and formats each distinct
+literal once per call; the bytes it writes and the documents it refuses,
+with their messages, are unchanged.  Both kernels are called through
 `errors.from_kernel`, which raises a kernel's refusal as a
 `StructuralError` with the same message.
 

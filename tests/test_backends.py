@@ -377,6 +377,69 @@ def test_dimacs_text_identical_on_edge_documents(ckernels):
         assert parse_dimacs_text(text) == CnfDocument(n, clauses)
 
 
+def _literal_forms(clauses):
+    """clauses with one int object per value (as `dimacs_clauses` makes
+    them), and with a fresh object per occurrence above 256 (as
+    `parse_dimacs_text` reads them)."""
+    canonical = {}
+    shared = tuple(tuple(canonical.setdefault(lit, lit) for lit in c) for c in clauses)
+    fresh = tuple(tuple(int(str(lit)) for lit in c) for c in clauses)
+    return shared, fresh
+
+
+def test_dimacs_text_identical_whether_literal_objects_are_shared_or_not(ckernels):
+    # the C writer remembers the literal objects it has read by address, in
+    # a front of fewer slots than these documents have distinct objects;
+    # 4-digit literals, and every text parses and writes back unchanged
+    base = hill_climb(79, seed=1079)
+    keys = admissible_keys(base)
+    assert keys
+    for key in keys:
+        doc = export_dimacs(encode(build_table(base, key)))
+        shared, fresh = _literal_forms(doc.clauses)
+        assert len({id(lit) for c in shared for lit in c}) > 1024
+        assert len({id(lit) for c in fresh for lit in c}) \
+            > len({lit for c in fresh for lit in c})
+        text = _same_text(ckernels, doc.num_ternary, shared)
+        assert _same_text(ckernels, doc.num_ternary, fresh) == text
+        assert doc.num_bools > 1000
+        parsed = parse_dimacs_text(text)
+        assert parsed == doc
+        assert _same_text(ckernels, parsed.num_ternary, parsed.clauses) == text
+
+
+def _after_every_literal(num_ternary, bad):
+    """(num_ternary, clauses, message): a clause (b, -b) for every boolean
+    b, then clause num_bools = (1, bad)."""
+    b = 3 * num_ternary
+    clauses = tuple((lit, -lit) for lit in range(1, b + 1)) + ((1, bad),)
+    return num_ternary, clauses, f"clause {b}: literal {bad!r} is not a nonzero int in [-{b}, {b}]"
+
+
+LATE_BAD_LITERALS = {
+    "True-after-1": _after_every_literal(400, True),
+    "zero": _after_every_literal(400, 0),
+    "above": _after_every_literal(400, 1201),
+    "below": _after_every_literal(400, -1201),
+    "huge": _after_every_literal(400, 2 ** 64),
+    "float": _after_every_literal(400, 1.0),
+}
+
+
+@pytest.mark.parametrize("form", ["shared", "fresh"])
+@pytest.mark.parametrize("num_ternary, clauses, message",
+                         list(LATE_BAD_LITERALS.values()), ids=list(LATE_BAD_LITERALS))
+def test_dimacs_text_refuses_a_bad_literal_after_good_ones(kernel_backends, form,
+                                                           num_ternary, clauses, message):
+    # each value was read, checked and written before the bad literal comes;
+    # the refusal still names the bad literal's own clause
+    clauses = _literal_forms(clauses[:-1])[form == "fresh"] + clauses[-1:]
+    for kernels in kernel_backends:
+        with pytest.raises(ValueError) as error:
+            kernels.dimacs_text(num_ternary, clauses)
+        assert type(error.value) is ValueError and str(error.value) == message
+
+
 @pytest.mark.parametrize("num_ternary, clauses, message",
                          list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS))
 def test_dimacs_text_refuses_alike(kernel_backends, num_ternary, clauses, message):
