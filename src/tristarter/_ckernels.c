@@ -47,7 +47,7 @@
  * itself then reads nothing out of bounds.  `dimacs_clauses` takes the
  * same arrays (all but `order`) through the same checks and keeps the
  * clause order of `_kernels.dimacs_clauses`, the one place that order is
- * documented: one-hot block, fixed units, the 18 forbidden triples
+ * documented: one-hot block, fixed units, the nine implication clauses
  * of each binding, then each group's member pairs.  `encode_table` builds
  * the table these take from a triplication table, in the layout `model`
  * documents, and refuses what `_kernels.encode_table` refuses.
@@ -1094,9 +1094,9 @@ dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
     const int32_t *flat = A[A_SCOPE_FLAT].v, *off = A[A_SCOPE_OFF].v;
     const int32_t *sign = A[A_BIND_SIGN].v;     /* mod 3 after `load_arrays` */
     Py_ssize_t nb = A[A_BIND_SIGN].n, ncons = A[A_SCOPE_OFF].n - 1;
-    /* 4 per ternary, 1 per fixed variable, 18 per binding, 3 per member pair
+    /* 4 per ternary, 1 per fixed variable, 9 per binding, 3 per member pair
      * of each group; a group of m <= MAX_LEN members keeps this in int64 */
-    int64_t count = 4 * (int64_t)nvars + A[A_FIXED_VARS].n + 18 * (int64_t)nb;
+    int64_t count = 4 * (int64_t)nvars + A[A_FIXED_VARS].n + 9 * (int64_t)nb;
     for (Py_ssize_t c = nb; c < ncons; c++) {
         int64_t m = off[c + 1] - off[c];
         count += 3 * (m * (m - 1) / 2);
@@ -1132,14 +1132,13 @@ dimacs_clauses(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
     for (Py_ssize_t c = 0; c < nb; c++) {
         const int32_t *sc = flat + 3 * c;
-        long na = -(3L * sc[0] + 1), nbm = -(3L * sc[1] + 1), nc = -(3L * sc[2] + 1);
-        /* the violating (va, vb, vc), in itertools.product order */
+        long na = -(3L * sc[0] + 1), nbm = -(3L * sc[1] + 1), pc = 3L * sc[2] + 1;
+        /* a = va and b = vb imply c = (va + sign * vb) mod 3, for each
+         * (va, vb) in itertools.product order */
         for (int va = 0; va < 3; va++)
             for (int vb = 0; vb < 3; vb++)
-                for (int vc = 0; vc < 3; vc++)
-                    if ((va + sign[c] * vb - vc) % 3 != 0
-                            && add_clause(&C, 3, na - va, nbm - vb, nc - vc) < 0)
-                        goto done;
+                if (add_clause(&C, 3, na - va, nbm - vb, pc + (va + sign[c] * vb) % 3) < 0)
+                    goto done;
     }
     for (Py_ssize_t c = nb; c < ncons; c++)
         for (int32_t i = off[c]; i < off[c + 1]; i++)

@@ -754,11 +754,11 @@ def fd_search(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
         run_order, state = shuffled(order, state)
 
 
-# The (va, vb, vc) violating va + sign*vb = vc (mod 3), for each sign mod
-# 3, in itertools.product order: the forbidden combinations of one binding.
-_FORBIDDEN = tuple(
-    tuple(v for v in itertools.product(range(3), repeat=3)
-          if (v[0] + sign * v[1] - v[2]) % 3 != 0)
+# For each sign mod 3, the (va, vb, vc) with vc = (va + sign*vb) % 3, in
+# itertools.product order of (va, vb): the value of c that a = va, b = vb
+# implies under one binding.
+_IMPLIED = tuple(
+    tuple((va, vb, (va + sign * vb) % 3) for va, vb in itertools.product(range(3), repeat=2))
     for sign in range(3))
 
 
@@ -769,12 +769,17 @@ def dimacs_clauses(nvars, fixed_vars, fixed_vals, scope_flat, scope_off,
 
     Boolean 3t + v + 1 is "ternary t == v".  The clauses come in this
     order: for each ternary, at least one value and three pairwise at most
-    one; the unit clause of each fixed variable's value; for each binding,
-    one clause forbidding each of its 18 violating value triples, in
-    ``itertools.product`` order; for each all-different group, every member
-    pair in ``itertools.combinations`` order, forbidding a shared value 0,
-    1 and 2.  Raises the `ValueError` of `fd_search` on malformed arrays:
-    each entry must be an exact int in its array's range, a sign -1, 0 or 1.
+    one; the unit clause of each fixed variable's value; for each binding
+    a + sign*b = c (mod 3), nine implication clauses ``(-A=va, -B=vb,
+    C=vc)`` with vc = (va + sign*vb) % 3, (va, vb) in ``itertools.product``
+    order; for each all-different group, every member pair in
+    ``itertools.combinations`` order, forbidding a shared value 0, 1 and 2.
+    Under the one-hot clauses the nine implications have the models of the
+    18 clauses that forbid each violating (va, vb, vc), and unit propagation
+    on them derives at least as much (Walsh, "SAT v CSP", CP 2000; Gent,
+    "Arc consistency in SAT", ECAI 2002).  Raises the `ValueError` of
+    `fd_search` on malformed arrays: each entry must be an exact int in its
+    array's range, a sign -1, 0 or 1.
     """
     _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               ())
@@ -786,8 +791,8 @@ def dimacs_clauses(nvars, fixed_vars, fixed_vals, scope_flat, scope_off,
     clauses += [(first[v] + val,) for v, val in zip(fixed_vars, fixed_vals)]
     for cid, sign in enumerate(bind_sign):
         a, b, c = scope_flat[3 * cid:3 * cid + 3]
-        na, nb, nc = -first[a], -first[b], -first[c]
-        clauses.extend([(na - va, nb - vb, nc - vc) for va, vb, vc in _FORBIDDEN[sign % 3]])
+        na, nb, pc = -first[a], -first[b], first[c]
+        clauses.extend([(na - va, nb - vb, pc + vc) for va, vb, vc in _IMPLIED[sign % 3]])
     for cid in range(len(bind_sign), len(scope_off) - 1):
         for x, y in itertools.combinations(scope_flat[scope_off[cid]:scope_off[cid + 1]], 2):
             nx, ny = -first[x], -first[y]

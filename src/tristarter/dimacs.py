@@ -1,9 +1,15 @@
 """DIMACS CNF bridge: one-hot export, model decoding, subprocess runner.
 
 Each ternary variable x becomes three booleans "x = 0/1/2" (one at-least-one
-clause plus three pairwise at-most-one clauses); every constraint is expanded
-into clauses forbidding each violating combination.  The text form is
-standard DIMACS (`p cnf <vars> <clauses>`, clauses terminated by 0).
+clause plus three pairwise at-most-one clauses), and the constraints add two
+more clause families.  A binding a + s*b = c (mod 3) becomes nine
+implication clauses, "a = i and b = j imply c = (i + s*j) mod 3"; each
+all-different group forbids every member pair a shared value.  Under the
+one-hot clauses the nine implications have exactly the models of the 18
+clauses that forbid each violating value triple, and unit propagation on them
+is never weaker (Walsh, "SAT v CSP", CP 2000; Gent, "Arc consistency in
+SAT", ECAI 2002).  The text form is standard DIMACS (`p cnf <vars>
+<clauses>`, clauses terminated by 0).
 
 The variable numbering (boolean 3t + v + 1 is "ternary t == v"), the clause
 order (one-hot block, fix-zero unit, bindings, all-different pairs) and the
@@ -56,8 +62,11 @@ def export_dimacs(instance: SudokuInstance) -> CnfDocument:
 
     The clauses are built by `_kernels.dimacs_clauses` (in C when the
     extension is built) from the arrays `fd_search` takes, in the order it
-    documents: one-hot block, the Z unit, bindings, all-different pairs.
-    Arrays the kernel refuses are refused with a `StructuralError`.
+    documents: one-hot block, the Z unit, nine implication clauses per
+    binding, three clauses per all-different member pair.  The models, the
+    numbering and `import_dimacs_model`'s decoding are those of the
+    18-clause conflict form of a binding, and unit propagation is never
+    weaker.  Arrays the kernel refuses are refused with a `StructuralError`.
     """
     return CnfDocument(instance.num_variables, from_kernel(
         _kernels.dimacs_clauses, *instance.search_arrays()[:6]))

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import os
 import random
 import shlex
@@ -48,6 +50,89 @@ def test_one_hot_shape(demo_doc, demo_instance):
     amo = [c for c in block if all(lit < 0 for lit in c)]
     assert len(alo) == n and len(amo) == 3 * n
     assert all(len(c) == 3 for c in alo) and all(len(c) == 2 for c in amo)
+    nb, off = len(demo_instance.bind_sign), demo_instance.scope_off
+    # after the one-hot block and the Z unit: nine clauses per binding, each
+    # "a = va and b = vb imply c = (va + sign*vb) % 3", its one positive literal
+    start = 4 * n + 1
+    for cid, (a, b, c, sign) in enumerate(demo_instance.bindings()):
+        block = demo_doc.clauses[start + 9 * cid:start + 9 * cid + 9]
+        implied = []
+        for clause in block:
+            assert len(clause) == 3 and [lit > 0 for lit in clause] == [False, False, True]
+            va, vb = -clause[0] - 3 * a - 1, -clause[1] - 3 * b - 1
+            assert clause[2] == 3 * c + (va + sign * vb) % 3 + 1
+            implied.append((va, vb))
+        assert implied == list(itertools.product(range(3), repeat=2))
+    # then three clauses per member pair of each all-different group
+    pairs = [pair for cid in range(nb, len(off) - 1)
+             for pair in itertools.combinations(demo_instance.scope_flat[off[cid]:off[cid + 1]], 2)]
+    rest = demo_doc.clauses[start + 9 * nb:]
+    assert rest == tuple((-3 * x - v - 1, -3 * y - v - 1) for x, y in pairs for v in range(3))
+    assert len(demo_doc.clauses) == 4 * n + 1 + 9 * nb + 3 * sum(
+        math.comb(off[cid + 1] - off[cid], 2) for cid in range(nb, len(off) - 1))
+
+
+def _masks(clauses):
+    """Each clause as the bit masks of its positive and negative booleans
+    (bit l - 1 for boolean l)."""
+    return [(sum(1 << (l - 1) for l in c if l > 0), sum(1 << (-l - 1) for l in c if l < 0))
+            for c in clauses]
+
+
+def _unit_propagate(masks, true, false):
+    """The fixpoint of unit propagation on the clauses ``masks`` from the
+    booleans set in the bit masks ``true`` and ``false``: (true, false), or
+    None on a wipeout."""
+    changed = True
+    while changed:
+        changed = False
+        for pos, neg in masks:
+            if pos & true or neg & false:
+                continue
+            free_pos, free_neg = pos & ~false, neg & ~true
+            if not free_pos | free_neg:
+                return None
+            if (free_pos | free_neg).bit_count() == 1:
+                true |= free_pos
+                false |= free_neg
+                changed = True
+    return true, false
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_binding_clauses_propagate_no_weaker_than_conflict_clauses(kernel_backends, sign):
+    # One binding a + sign*b = c over ternaries 0, 1, 2 (booleans 1-9).  The
+    # oracle is the one-hot clauses plus the 18 conflict clauses, one per
+    # violating (va, vb, vc).  On every partial assignment of the nine
+    # booleans, propagation on the emitted clauses must derive all the
+    # oracle derives (a wipeout included); on a full assignment they must
+    # accept exactly the one-hot triples that satisfy the binding.
+    one_hot_clauses = [clause for b in (1, 4, 7) for clause in (
+        (b, b + 1, b + 2), (-b, -b - 1), (-b, -b - 2), (-b - 1, -b - 2))]
+    oracle = _masks(one_hot_clauses + [
+        (-1 - va, -4 - vb, -7 - vc) for va, vb, vc in itertools.product(range(3), repeat=3)
+        if (va + sign * vb - vc) % 3])
+    states = []
+    for state in itertools.product((None, True, False), repeat=9):
+        true = sum(1 << i for i, x in enumerate(state) if x is True)
+        false = sum(1 << i for i, x in enumerate(state) if x is False)
+        states.append((true, false, _unit_propagate(oracle, true, false)))
+    full = (1 << 9) - 1
+    one_hot = {sum(1 << (3 * t + v) for t, v in enumerate(values)): values
+               for values in itertools.product(range(3), repeat=3)}
+    for kernels in kernel_backends:
+        clauses = _masks(kernels.dimacs_clauses(3, [], [], [0, 1, 2], [0, 3], [sign]))
+        stronger = 0
+        for true, false, old in states:
+            new = _unit_propagate(clauses, true, false)
+            if new is not None:
+                assert old is not None and old[0] & ~new[0] == 0 and old[1] & ~new[1] == 0
+            stronger += new != old
+            if true | false == full:
+                values = one_hot.get(true)
+                assert (new is not None) == (
+                    values is not None and (values[0] + sign * values[1] - values[2]) % 3 == 0)
+        assert stronger == {-1: 270, 0: 195, 1: 270}[sign]
 
 
 def test_fix_zero_becomes_unit_clause(demo_doc, demo_instance):
@@ -57,15 +142,18 @@ def test_fix_zero_becomes_unit_clause(demo_doc, demo_instance):
 
 def test_demo_text_golden(demo_doc):
     # Pins the exact CNF bytes: variable numbering and clause order included.
+    # Re-pinned when each binding became nine implication clauses instead of
+    # 18 conflict clauses (7423 bytes before).
     text = to_dimacs_text(demo_doc)
-    assert len(text) == 7423
+    assert len(text) == 5128
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "1e451b06e7a515459ea6bd19f28afcdd3eb5b690cdf2517827de055dbdd680df"
+        "5f2ceae473046808f7f104581ad0bcb65899eebafbe961cec1f35c52f44893a1"
 
 
 def test_p31_sweep_text_golden():
     # Pins the bytes at scale: every admissible key of one order-31 base,
-    # with bindings of both signs.
+    # with bindings of both signs.  Re-pinned with the demo digest above
+    # (598635 bytes before).
     base = hill_climb(31, seed=0)
     digest = hashlib.sha256()
     size = 0
@@ -77,9 +165,9 @@ def test_p31_sweep_text_golden():
         size += len(text)
         digest.update(text.encode())
     assert signs == {1, -1}
-    assert size == 598635
+    assert size == 411507
     assert digest.hexdigest() == \
-        "b54b66bbda3c707eb25eb6a1eb538c1887872a5c5050b44818febcf20f3970ac"
+        "bc5454321a35278a96f4f84e74c4bc8ec42f531e53697163faaff6cd40067969"
 
 
 def test_text_of_every_clause_length():
@@ -220,6 +308,18 @@ def test_external_bridge_sat(demo_instance, demo_doc):
     decoded = import_dimacs_model(demo_doc, literals)
     ok, _ = check_solution(demo_instance, decoded)
     assert ok
+    # every key of T7, through the CNF: the external solver's status is the
+    # native solver's, and each SAT model decodes to a valid solution
+    statuses = []
+    for key in range(T7.modulus):
+        instance = encode(build_table(T7, key))
+        doc = export_dimacs(instance)
+        status, literals = run_external_solver(to_dimacs_text(doc), TOYSAT_CMD)
+        assert status == solve(instance).status
+        statuses.append(status)
+        if status == "SAT":
+            assert check_solution(instance, import_dimacs_model(doc, literals))[0]
+    assert statuses.count("SAT") == 3 and statuses.count("UNSAT") == 4
 
 
 def test_external_bridge_cnf_path_with_a_space(demo_doc, tmp_path, monkeypatch):
