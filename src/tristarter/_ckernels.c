@@ -38,27 +38,28 @@
  * its variable in that order, so that order is what keeps the LIFO queue,
  * and therefore every count, equal between the two backends.
  *
- * The kernels keep the contract stated in `_kernels`: ValueError only, every
- * checked int read by `exact_int`, MAX_LEN the one size bound, and nothing
+ * The kernels keep the contract stated in `_kernels`: ValueError only,
+ * every checked int read by `exact_int`, every sequence argument by
+ * `sequence` (a list or tuple; the clauses of `dimacs_text` must be a
+ * tuple), every pair list by `load_pairs` (each pair a list or tuple of
+ * two ints in [0, bound)), MAX_LEN the one size bound, and nothing
  * imported from the package.  `load_arrays` checks each argument once, in
- * the order of `_kernels._validate`: nvars, every array entry in the pass
- * that converts it to int32 (binding signs in [-1, 2): -1, 0 and 1 cover
- * every sign mod 3), then the checks that span whole arrays.  The search
- * itself then reads nothing out of bounds.  `dimacs_clauses` takes the
- * same arrays (all but `order`) through the same checks and keeps the
- * clause order of `_kernels.dimacs_clauses`, the one place that order is
- * documented: one-hot block, fixed units, the nine implication clauses
- * of each binding, then each group's member pairs.  `encode_table` builds
- * the table these take from a triplication table, in the layout `model`
- * documents, and refuses what `_kernels.encode_table` refuses.
- * `pairing_report` checks and verifies a pairing in one pass over its
- * pairs, and refuses what `_kernels.pairing_report` refuses.
- * `merge_pairs` lifts a solution's U and V and their phi images onto the
- * extension by the CRT in one pass that checks each pair and value as it
- * reads it, filling both tuples of pairs of order 3p directly, and
- * refuses what `_kernels.merge_pairs` refuses.  `dimacs_text` checks and
- * formats each distinct literal once per call, through a table indexed by
- * value; its bytes and refusals are those of `_kernels.dimacs_text`.
+ * the order of `_kernels._validate`: nvars, every array's type, then its
+ * entries in the pass that converts it to int32 (binding signs in [-1, 2):
+ * -1, 0 and 1 cover every sign mod 3), then the checks that span whole
+ * arrays.  The search itself then reads nothing out of bounds.
+ * `dimacs_clauses` takes the same arrays (all but `order`) through the
+ * same checks and keeps the clause order of `_kernels.dimacs_clauses`, the
+ * one place that order is documented: one-hot block, fixed units, the nine
+ * implication clauses of each binding, then each group's member pairs.
+ * `encode_table` builds the table these take from a triplication table, in
+ * the layout `model` documents.  `pairing_report` verifies a pairing in
+ * one pass over the pairs `load_pairs` read.  `merge_pairs` lifts a
+ * solution's U and V and their phi images onto the extension by the CRT,
+ * filling both tuples of pairs of order 3p directly.  Each refuses what its
+ * `_kernels` twin refuses.  `dimacs_text` checks and formats each distinct
+ * literal once per call, through a table indexed by value; its bytes and
+ * refusals are those of `_kernels.dimacs_text`.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -113,6 +114,41 @@ exact_int(PyObject *o, long long lo, long long hi, long long *x)
     return (overflow == 0) & (lo <= v) & (v <= hi);
 }
 
+/* The one sequence rule: the length of o, a list or tuple; else -1 with
+ * ValueError set.  A list or tuple is read through PySequence_Fast_ITEMS
+ * without a new reference. */
+static Py_ssize_t
+sequence(PyObject *o, const char *name)
+{
+    if (!PyList_CheckExact(o) && !PyTuple_CheckExact(o))
+        return invalid("%s must be a list or tuple, got %R", name, o);
+    return PySequence_Fast_GET_SIZE(o);
+}
+
+/* The one pair reader: read the pairs of the list or tuple seq, named
+ * name, into val (pair i at val[2i], val[2i + 1]), each a list or tuple of
+ * two exact ints in [0, bound); 0, or -1 with ValueError naming the first
+ * pair that is not. */
+static int
+load_pairs(PyObject *seq, const char *name, long long bound, int32_t *val)
+{
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    long long hi = bound - 1;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *pair = items[i];
+        long long a, b;
+        if ((!PyList_CheckExact(pair) && !PyTuple_CheckExact(pair))
+                || PySequence_Fast_GET_SIZE(pair) != 2
+                || !exact_int(PySequence_Fast_GET_ITEM(pair, 0), 0, hi, &a)
+                || !exact_int(PySequence_Fast_GET_ITEM(pair, 1), 0, hi, &b))
+            return invalid("%s[%zd] = %R is not a pair of ints in [0, %lld)",
+                           name, i, pair, bound);
+        val[2 * i] = (int32_t)a;
+        val[2 * i + 1] = (int32_t)b;
+    }
+    return 0;
+}
+
 /* Copy a list or tuple into a new int32 array, refusing in the same pass
  * any entry that is not an exact int in [lo, hi); lo and hi lie within
  * int32. */
@@ -120,30 +156,26 @@ static int
 to_array(PyObject *seq, const char *name, int64_t lo, int64_t hi,
          IntArray *out)
 {
-    PyObject *fast = PySequence_Fast(seq, name);
-    if (fast == NULL)
+    Py_ssize_t n = sequence(seq, name);
+    if (n < 0)
         return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    int rc = 0;
     if (n > MAX_LEN)
-        rc = invalid("%s is too long (%zd items)", name, n);
-    else if ((out->v = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t)))
-             == NULL) {
+        return invalid("%s is too long (%zd items)", name, n);
+    out->v = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t));
+    if (out->v == NULL) {
         PyErr_NoMemory();
-        rc = -1;
+        return -1;
     }
     out->n = n;
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; rc == 0 && i < n; i++) {
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < n; i++) {
         long long x;
         if (!exact_int(items[i], lo, hi - 1, &x))
-            rc = invalid("%s[%zd] = %R is outside [%lld, %lld)", name, i,
-                         items[i], (long long)lo, (long long)hi);
-        else
-            out->v[i] = (int32_t)x;
+            return invalid("%s[%zd] = %R is outside [%lld, %lld)", name, i,
+                           items[i], (long long)lo, (long long)hi);
+        out->v[i] = (int32_t)x;
     }
-    Py_DECREF(fast);
-    return rc;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -167,25 +199,6 @@ int_list(const int32_t *v, Py_ssize_t n)
     return list;
 }
 
-/* Read the k pairs of the extension into val (U_i = val[2i], V_i =
- * val[2i + 1]), each an exact int in [0, p); 0, or -1 with ValueError set. */
-static int
-load_pairs(PyObject *const *items, Py_ssize_t k, long long p, int32_t *val)
-{
-    for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *pair = items[i];
-        long long u, v;
-        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2
-                || !exact_int(PyTuple_GET_ITEM(pair, 0), 0, p - 1, &u)
-                || !exact_int(PyTuple_GET_ITEM(pair, 1), 0, p - 1, &v))
-            return invalid("extension[%zd] = %R is not a pair of ints in "
-                           "[0, %lld)", i, pair, p);
-        val[2 * i] = (int32_t)u;
-        val[2 * i + 1] = (int32_t)v;
-    }
-    return 0;
-}
-
 /* `_kernels.encode_table`, with the same checks in the same order.  Two
  * counting sorts replace its lists of lists: the weak pairs by sum (a sum
  * is weak when it has two or more pairs, or is 0 with one) and the U/V
@@ -203,10 +216,9 @@ encode_table(PyObject *Py_UNUSED(self), PyObject *args)
         invalid("p = %R is out of range", p_obj);
         return NULL;
     }
-    PyObject *fast = PySequence_Fast(ext, "extension");
-    if (fast == NULL)
+    Py_ssize_t npairs = sequence(ext, "extension");
+    if (npairs < 0)
         return NULL;
-    Py_ssize_t npairs = PySequence_Fast_GET_SIZE(fast);
     int32_t *val = NULL, *sid = NULL, *by_sum = NULL, *by_color = NULL;
     int32_t *flat = NULL, *off = NULL, *sign = NULL;
     PyObject *lists[3] = {NULL, NULL, NULL}, *result = NULL;
@@ -229,7 +241,7 @@ encode_table(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (load_pairs(PySequence_Fast_ITEMS(fast), k, p, val) < 0)
+    if (load_pairs(ext, "extension", p, val) < 0)
         goto done;
 
     /* count the pairs of each sum and the variables of each value, then
@@ -309,7 +321,6 @@ encode_table(PyObject *Py_UNUSED(self), PyObject *args)
     if (lists[0] && lists[1] && lists[2])
         result = Py_BuildValue("(iOOO)", z + 1, lists[0], lists[1], lists[2]);
 done:
-    Py_DECREF(fast);
     for (int i = 0; i < 3; i++)
         Py_XDECREF(lists[i]);
     PyMem_Free(val);
@@ -1425,9 +1436,9 @@ append_missing(PyObject *list, const int32_t *diff, int32_t n)
 }
 
 /* `_kernels.pairing_report`, with the same checks in the same order.  One
- * pass over the pairs checks each and counts its elements, both signed
- * differences and its sum in three arrays of length n; a count that passes
- * 1 marks a repeat as it happens, so no count can hide one.  The
+ * pass over the pairs `load_pairs` read counts each one's elements, both
+ * signed differences and its sum in three arrays of length n; a count that
+ * passes 1 marks a repeat as it happens, so no count can hide one.  The
  * diagnostics, made only when some flag is off, come from a scan of the
  * counts in ascending order, which is the order of the pure lists. */
 static PyObject *
@@ -1437,23 +1448,23 @@ pairing_report(PyObject *Py_UNUSED(self), PyObject *args)
     long long n;
     if (!PyArg_ParseTuple(args, "OO:pairing_report", &n_obj, &pairs))
         return NULL;
-    if (!exact_int(n_obj, 1, MAX_LEN, &n) || n % 2 == 0) {
-        invalid("modulus must be odd and in [1, %d], got %R", MAX_LEN, n_obj);
+    if (!exact_int(n_obj, 3, MAX_LEN, &n) || n % 2 == 0) {
+        invalid("modulus must be odd and in [3, %d], got %R", MAX_LEN, n_obj);
         return NULL;
     }
-    if (!PyTuple_CheckExact(pairs) && !PyList_CheckExact(pairs)) {
-        invalid("pairs must be a sequence of pairs, got %R", pairs);
+    Py_ssize_t k = sequence(pairs, "pairs");
+    if (k < 0)
         return NULL;
-    }
-    Py_ssize_t k = PySequence_Fast_GET_SIZE(pairs);
     if (k != (n - 1) / 2) {
         invalid("pairing of order %lld must have %lld pairs, got %zd", n,
                 (n - 1) / 2, k);
         return NULL;
     }
 
-    int32_t *count = PyMem_Calloc(3 * (size_t)n, sizeof(int32_t));
+    /* the counts, then the 2k = n - 1 entries of the pairs */
+    int32_t *count = PyMem_Calloc(4 * (size_t)n, sizeof(int32_t));
     int32_t *elem = count, *diff = count + n, *sum = count + 2 * n;
+    int32_t *val = count + 3 * n;
     PyObject *sums = PyTuple_New(k), *diags = NULL, *result = NULL;
     if (sums == NULL)
         goto done;
@@ -1461,26 +1472,11 @@ pairing_report(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    PyObject **items = PySequence_Fast_ITEMS(pairs);
+    if (load_pairs(pairs, "pairs", n, val) < 0)
+        goto done;
     int dup = 0, repeated = 0, sum_dup = 0;
     for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *pair = items[i];
-        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            invalid("pair %zd is not a pair: %R", i, pair);
-            goto done;
-        }
-        PyObject *a_obj = PyTuple_GET_ITEM(pair, 0);
-        PyObject *b_obj = PyTuple_GET_ITEM(pair, 1);
-        long long a, b;
-        if (!PyLong_CheckExact(a_obj) || !PyLong_CheckExact(b_obj)) {
-            invalid("pair %zd has non-integer entries: %R", i, pair);
-            goto done;
-        }
-        if (!exact_int(a_obj, 0, n - 1, &a)
-                || !exact_int(b_obj, 0, n - 1, &b)) {
-            invalid("pair %zd entry out of range [0, %lld): %R", i, n, pair);
-            goto done;
-        }
+        long long a = val[2 * i], b = val[2 * i + 1];
         /* a == b and d == 0 count one slot twice: one increment a statement */
         long long d = (a - b + n) % n, s = (a + b) % n;
         dup |= ++elem[a] > 1;
@@ -1567,71 +1563,70 @@ lifted_pair(long a, long b, long u, long v, long p)
     return pair;
 }
 
-/* `_kernels.merge_pairs`, with the same checks in the same order.  One
- * pass over the extension checks pair i, U_i and V_i and fills pair i of
- * both merges; phi maps a value v to -v mod 3.  3p <= 3 * MAX_LEN fits
+/* `_kernels.merge_pairs`, with the same checks in the same order: the
+ * pairs `load_pairs` read, then every U and V; then one pass fills pair i
+ * of both merges.  phi maps a value v to -v mod 3.  3p <= 3 * MAX_LEN fits
  * in a long. */
 static PyObject *
 merge_pairs(PyObject *Py_UNUSED(self), PyObject *args)
 {
     static const long PHI[3] = {0, 2, 1};
-    PyObject *p_obj, *seqs[2];
-    static const char *const names[2] = {"extension", "solution"};
+    PyObject *p_obj, *ext, *sol;
     long long p;
-    if (!PyArg_ParseTuple(args, "OOO:merge_pairs", &p_obj, &seqs[0], &seqs[1]))
+    if (!PyArg_ParseTuple(args, "OOO:merge_pairs", &p_obj, &ext, &sol))
         return NULL;
     if (!exact_int(p_obj, 1, MAX_LEN, &p) || p % 3 == 0) {
         invalid("p must be coprime to 3 and in [1, %d], got %R", MAX_LEN,
                 p_obj);
         return NULL;
     }
-    for (int j = 0; j < 2; j++)
-        if (!PyTuple_CheckExact(seqs[j]) && !PyList_CheckExact(seqs[j])) {
-            invalid("%s must be a list or tuple, got %R", names[j], seqs[j]);
-            return NULL;
-        }
-    Py_ssize_t k = PySequence_Fast_GET_SIZE(seqs[0]);
-    Py_ssize_t nsol = PySequence_Fast_GET_SIZE(seqs[1]);
+    Py_ssize_t k = sequence(ext, "extension"), nsol;
+    if (k < 0 || (nsol = sequence(sol, "solution")) < 0)
+        return NULL;
     if (nsol < 2 * k) {
         invalid("solution has %zd entries, fewer than the %zd of U and V",
                 nsol, 2 * k);
         return NULL;
     }
 
-    PyObject **ext = PySequence_Fast_ITEMS(seqs[0]);
-    PyObject **sol = PySequence_Fast_ITEMS(seqs[1]);
+    /* the 2k entries of the pairs, then the 2k U and V */
+    PyObject **items = PySequence_Fast_ITEMS(sol);
+    int32_t *val = PyMem_Malloc((4 * (size_t)k + 1) * sizeof(int32_t)), *uv;
     PyObject *merged = PyTuple_New(k);
     PyObject *phi = merged == NULL ? NULL : PyTuple_New(k);
     PyObject *result = NULL;
     if (phi == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *pair = ext[i];
-        long long a, b, uv[2];
-        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2
-                || !exact_int(PyTuple_GET_ITEM(pair, 0), 0, p - 1, &a)
-                || !exact_int(PyTuple_GET_ITEM(pair, 1), 0, p - 1, &b)) {
-            invalid("extension[%zd] = %R is not a pair of ints in [0, %lld)",
-                    i, pair, p);
+    if (val == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (load_pairs(ext, "extension", p, val) < 0)
+        goto done;
+    uv = val + 2 * k;
+    for (Py_ssize_t j = 0; j < 2 * k; j++) {
+        long long x;
+        if (!exact_int(items[j], 0, 2, &x)) {
+            invalid("solution[%zd] = %R is outside [0, 3)", j, items[j]);
             goto done;
         }
-        for (Py_ssize_t j = 2 * i; j < 2 * i + 2; j++)
-            if (!exact_int(sol[j], 0, 2, &uv[j - 2 * i])) {
-                invalid("solution[%zd] = %R is outside [0, 3)", j, sol[j]);
-                goto done;
-            }
-        PyObject *x = lifted_pair((long)a, (long)b, (long)uv[0], (long)uv[1],
-                                  (long)p);
+        uv[j] = (int32_t)x;
+    }
+    for (Py_ssize_t i = 0; i < k; i++) {
+        long a = val[2 * i], b = val[2 * i + 1];
+        long u = uv[2 * i], v = uv[2 * i + 1];
+        PyObject *x = lifted_pair(a, b, u, v, (long)p);
         if (x == NULL)
             goto done;
         PyTuple_SET_ITEM(merged, i, x);
-        x = lifted_pair((long)a, (long)b, PHI[uv[0]], PHI[uv[1]], (long)p);
+        x = lifted_pair(a, b, PHI[u], PHI[v], (long)p);
         if (x == NULL)
             goto done;
         PyTuple_SET_ITEM(phi, i, x);
     }
     result = PyTuple_Pack(2, merged, phi);
 done:
+    PyMem_Free(val);
     Py_XDECREF(merged);
     Py_XDECREF(phi);
     return result;

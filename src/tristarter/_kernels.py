@@ -14,17 +14,22 @@ The kernels of `COMPILED` have one contract.  They refuse only with
 `ValueError`, with the same message on both backends; the package calls
 them through `errors.from_kernel`, which raises that refusal as a
 `StructuralError`.  Every int they check passes one rule (`exact_int` in
-C), an exact int, not a bool, in its range: the order and each pair member
-of `pairing_report` and `encode_table`, ``nvars``, each array entry (a
-variable id in [0, nvars), a value in [0, 3), a binding sign in [-1, 2),
-since -1, 0 and 1 cover every sign mod 3), the order of
-`count_strong_starters`, the ``num_ternary`` and literals of
-`dimacs_text`, and the order (coprime to 3), each extension pair member
-and each U and V value of `merge_pairs`.  `MAX_LEN` bounds every size.
-`fd_search` and `dimacs_clauses` check their arguments once, in
-`_validate` (`load_arrays` in C).  The callers check the rest, the
-search-control scalars and that the arrays are lists or tuples, as
-`solver.SolverConfig` and `starters.enumerate_strong_starters` do.
+C), an exact int, not a bool, in its range: the orders, ``nvars``, each
+array entry (a variable id in [0, nvars), a value in [0, 3), a binding
+sign in [-1, 2), since -1, 0 and 1 cover every sign mod 3), the
+``num_ternary`` and literals of `dimacs_text`, and each U and V value of
+`merge_pairs`.  Every sequence they take passes one rule, `_sequence`
+(`sequence` in C): a list or tuple, else ``<name> must be a list or
+tuple, got <repr>``; only the clauses of `dimacs_text` must be tuples, so
+that a document reads back as itself.  Every pair list, the pairs of
+`pairing_report` and the extensions of `encode_table` and `merge_pairs`,
+is read by one reader, `_read_pairs` (`load_pairs` in C): each pair a list
+or tuple of two ints in [0, bound), else ``<name>[i] = <repr> is not a pair
+of ints in [0, <bound>)`` for the first that is not.  `MAX_LEN` bounds
+every size.  `fd_search` and `dimacs_clauses` check their arguments once,
+in `_validate` (`load_arrays` in C).  The callers check the search-control
+scalars, as `solver.SolverConfig` and `starters.enumerate_strong_starters`
+do.
 
 `pairing_report` is the one check of a `starters.Pairing`'s pairs and its
 one verification; `encode_table` is where the variable numbering and
@@ -269,6 +274,26 @@ def _repeated(values):
     return sorted(dup)
 
 
+def _sequence(name, xs):
+    """The length of ``xs``, a list or tuple; else the `ValueError` of the
+    sequence rule."""
+    if type(xs) is not list and type(xs) is not tuple:
+        raise ValueError(f"{name} must be a list or tuple, got {xs!r}")
+    return len(xs)
+
+
+def _read_pairs(name, pairs, bound):
+    """Refuse the first of ``pairs`` (a list or tuple) that is not a list or
+    tuple of two ints (not bools) in [0, ``bound``)."""
+    for i, pair in enumerate(pairs):
+        if type(pair) is tuple or type(pair) is list:
+            if len(pair) == 2:
+                a, b = pair
+                if type(a) is int and type(b) is int and 0 <= a < bound and 0 <= b < bound:
+                    continue
+        raise ValueError(f"{name}[{i}] = {pair!r} is not a pair of ints in [0, {bound})")
+
+
 def pairing_report(n, pairs):
     """Check a pairing of order ``n`` and verify it against the partition,
     starter and strong-starter definitions in one call.
@@ -281,27 +306,16 @@ def pairing_report(n, pairs):
     differences repeat), the repeated sums ascending, a zero sum.
 
     Raises `ValueError`, checking in this order, unless ``n`` is an int
-    (not a bool), odd and in [1, `MAX_LEN`], ``pairs`` is a list or tuple
-    of (n - 1) / 2 pairs; then names the first pair that is not a tuple of
-    two, has an entry that is not an int (not a bool), or has an entry
-    outside [0, n).
+    (not a bool), odd and in [3, `MAX_LEN`], ``pairs`` is a list or tuple
+    of (n - 1) / 2 pairs; then names the first pair that `_read_pairs`
+    refuses.
     """
-    if type(n) is not int or not 1 <= n <= MAX_LEN or n % 2 == 0:
-        raise ValueError(f"modulus must be odd and in [1, {MAX_LEN}], got {n!r}")
-    if type(pairs) is not tuple and type(pairs) is not list:
-        raise ValueError(f"pairs must be a sequence of pairs, got {pairs!r}")
-    expect_len = (n - 1) // 2
-    if len(pairs) != expect_len:
-        raise ValueError(
-            f"pairing of order {n} must have {expect_len} pairs, got {len(pairs)}")
-    for i, pair in enumerate(pairs):
-        if type(pair) is not tuple or len(pair) != 2:
-            raise ValueError(f"pair {i} is not a pair: {pair!r}")
-        a, b = pair
-        if not (type(a) is int and type(b) is int):   # bool is refused too
-            raise ValueError(f"pair {i} has non-integer entries: {pair!r}")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair {i} entry out of range [0, {n}): {pair!r}")
+    if type(n) is not int or not 3 <= n <= MAX_LEN or n % 2 == 0:
+        raise ValueError(f"modulus must be odd and in [3, {MAX_LEN}], got {n!r}")
+    k = _sequence("pairs", pairs)
+    if k != (n - 1) // 2:
+        raise ValueError(f"pairing of order {n} must have {(n - 1) // 2} pairs, got {k}")
+    _read_pairs("pairs", pairs, n)
 
     # Repeats are found by comparing set sizes; the repeated values are
     # listed only when there are some.
@@ -353,31 +367,24 @@ def merge_pairs(p, extension, solution):
     Raises `ValueError`, checking in this order, unless ``p`` is an int
     (not a bool) in [1, `MAX_LEN`] coprime to 3, ``extension`` and
     ``solution`` are lists or tuples, and ``solution`` has at least
-    2 * len(``extension``) entries; then, for each i in turn, names
-    extension pair i if it is not a tuple of two ints (not bools) in
-    [0, ``p``), then U_i, then V_i if it is not an int (not a bool) in
-    {0, 1, 2}.  The entries after the U and V are not read.
+    2 * len(``extension``) entries; then names the first extension pair
+    that `_read_pairs` refuses, then the first U or V value that is not an
+    int (not a bool) in {0, 1, 2}.  The entries after the U and V are not
+    read.
     """
     if type(p) is not int or not 1 <= p <= MAX_LEN or p % 3 == 0:
         raise ValueError(f"p must be coprime to 3 and in [1, {MAX_LEN}], got {p!r}")
-    for name, seq in (("extension", extension), ("solution", solution)):
-        if type(seq) is not tuple and type(seq) is not list:
-            raise ValueError(f"{name} must be a list or tuple, got {seq!r}")
-    if len(solution) < 2 * len(extension):
-        raise ValueError(f"solution has {len(solution)} entries, fewer than the "
-                         f"{2 * len(extension)} of U and V")
+    k = _sequence("extension", extension)
+    nsol = _sequence("solution", solution)
+    if nsol < 2 * k:
+        raise ValueError(f"solution has {nsol} entries, fewer than the {2 * k} of U and V")
+    _read_pairs("extension", extension, p)
+    for j in range(2 * k):
+        if type(solution[j]) is not int or not 0 <= solution[j] < 3:
+            raise ValueError(f"solution[{j}] = {solution[j]!r} is outside [0, 3)")
     pairs_a = []
     pairs_b = []
-    for i, pair in enumerate(extension):
-        if not (type(pair) is tuple and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is int
-                and 0 <= pair[0] < p and 0 <= pair[1] < p):
-            raise ValueError(f"extension[{i}] = {pair!r} is not a pair of ints "
-                             f"in [0, {p})")
-        for j in (2 * i, 2 * i + 1):
-            if type(solution[j]) is not int or not 0 <= solution[j] < 3:
-                raise ValueError(f"solution[{j}] = {solution[j]!r} is outside [0, 3)")
-        a, b = pair
+    for i, (a, b) in enumerate(extension):
         u = solution[2 * i]
         v = solution[2 * i + 1]
         pairs_a.append((a + p * ((u - a) * p % 3), b + p * ((v - b) * p % 3)))
@@ -430,27 +437,21 @@ def encode_table(p, extension):
     bind_sign)``, the first four of `fd_search`'s array arguments.
 
     Raises `ValueError`, checking in this order, unless ``p`` is an int
-    (not a bool) in [1, `MAX_LEN`], ``extension`` holds 3q + 1 pairs, and
-    ``p + 10 * len(extension) + 1``, a bound on the length of every list
-    returned, is at most `MAX_LEN`; then names the first pair that is not a
-    tuple of two ints (not bools) in [0, ``p``).  Groups wider than three
-    are returned as they are; `model.encode` names them.
+    (not a bool) in [1, `MAX_LEN`], ``extension`` is a list or tuple of
+    3q + 1 pairs, and ``p + 10 * len(extension) + 1``, a bound on the length
+    of every list returned, is at most `MAX_LEN`; then names the first pair
+    that `_read_pairs` refuses.  Groups wider than three are returned as
+    they are; `model.encode` names them.
     """
     if type(p) is not int or not 1 <= p <= MAX_LEN:
         raise ValueError(f"p = {p!r} is out of range")
-    k = len(extension)
+    k = _sequence("extension", extension)
     if k % 3 != 1:
         raise ValueError(f"extension has {k} pairs, not 3q + 1")
     if p + 10 * k + 1 > MAX_LEN:
         raise ValueError(f"p + 10 * len(extension) + 1 = {p + 10 * k + 1} "
                          f"exceeds {MAX_LEN}")
-    for i, pair in enumerate(extension):
-        if type(pair) is tuple and len(pair) == 2:
-            u, v = pair
-            if type(u) is int and type(v) is int and 0 <= u < p and 0 <= v < p:
-                continue
-        raise ValueError(f"extension[{i}] = {pair!r} is not a pair of ints "
-                         f"in [0, {p})")
+    _read_pairs("extension", extension, p)
     weak = weak_sets(p, extension)
     s_pairs = sorted(itertools.chain.from_iterable(weak.values()))
     s_ids = {i: 3 * k + j for j, i in enumerate(s_pairs)}
@@ -488,17 +489,18 @@ def _validate(nvars, fixed_vars, fixed_vals, scope_flat, scope_off, bind_sign,
               order):
     """Check each argument once, as the C kernels' `load_arrays` does, in
     the same order and with the same `ValueError` messages: ``nvars``, then
-    each array's length and entries in argument order, then the checks that
-    span whole arrays."""
+    each array's type, length and entries in argument order, then the
+    checks that span whole arrays."""
     if type(nvars) is not int or not 0 <= nvars <= MAX_LEN:
         raise ValueError(f"nvars = {nvars!r} is out of range")
     for name, xs, lo, hi in (
             ("fixed_vars", fixed_vars, 0, nvars), ("fixed_vals", fixed_vals, 0, 3),
-            ("scope_flat", scope_flat, 0, nvars),
-            ("scope_off", scope_off, 0, len(scope_flat) + 1),
+            ("scope_flat", scope_flat, 0, nvars), ("scope_off", scope_off, 0, None),
             ("bind_sign", bind_sign, -1, 2), ("order", order, 0, nvars)):
-        if len(xs) > MAX_LEN:
+        if _sequence(name, xs) > MAX_LEN:
             raise ValueError(f"{name} is too long ({len(xs)} items)")
+        if hi is None:   # scope_off, once scope_flat is known to be a sequence
+            hi = len(scope_flat) + 1
         for i, x in enumerate(xs):
             if type(x) is not int or not lo <= x < hi:
                 raise ValueError(f"{name}[{i}] = {x!r} is outside [{lo}, {hi})")

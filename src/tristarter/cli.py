@@ -211,12 +211,22 @@ def _cmd_invert(args) -> int:
     return EXIT_OK
 
 
+#: The options each series mode reads besides --mode and --out; any other
+#: given option is refused rather than ignored.
+_SERIES_OPTIONS = {"key-sweep": ("base",), "order-sweep": ("order", "orders", "seed"),
+                   "inverse-sampling": ("order", "samples", "seed")}
+
+
 def _cmd_series(args) -> int:
+    for name in ("base", "order", "orders", "samples", "seed"):
+        if getattr(args, name) is not None and name not in _SERIES_OPTIONS[args.mode]:
+            raise StructuralError(f"--{name} does not apply to --mode {args.mode}")
     # --seed seeds the sweep only; every search runs with SolverConfig().
+    seed = args.seed or 0
     if args.mode == "inverse-sampling":
         if args.order is None or args.samples is None:
             raise StructuralError("inverse-sampling needs --order and --samples")
-        result = run_inverse_sampling(args.order, args.samples, seed=args.seed)
+        result = run_inverse_sampling(args.order, args.samples, seed=seed)
         print(f"order {result.order}: {result.inconclusive} inconclusive of "
               f"{result.samples} samples ({100 * result.fraction:.3f}%), "
               f"{result.generation_failures} generation failures, "
@@ -228,7 +238,7 @@ def _cmd_series(args) -> int:
                 f"{result.fraction:.6f},{result.generation_failures}\n")
         return EXIT_OK
     if args.mode == "order-sweep":
-        result = run_order_sweep(_parse_orders(args), seed=args.seed)
+        result = run_order_sweep(_parse_orders(args), seed=seed)
         for order, message in result.failures:
             print(f"order {order} failed: {message}", file=sys.stderr)
         records = result.records
@@ -245,11 +255,16 @@ def _cmd_series(args) -> int:
 
 
 def _parse_orders(args) -> list[int]:
+    if args.orders is not None and args.order is not None:
+        raise StructuralError("give --order or --orders, not both")
     if args.orders is not None:
         try:
-            return [int(tok) for tok in args.orders.split(",") if tok.strip()]
+            orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
         except ValueError:
             raise StructuralError(f"bad --orders list {args.orders!r}") from None
+        if not orders:
+            raise StructuralError(f"--orders {args.orders!r} lists no order")
+        return orders
     if args.order is not None:
         return [args.order]
     raise StructuralError("order-sweep needs --order or --orders")
@@ -327,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the restarts' tie-breaking")
-    p.add_argument("--cnf-out")
+    p.add_argument("--cnf-out", help="also write the instance as DIMACS CNF here")
     _add_external_solver(p, "solve via this external command instead")
     p.set_defaults(func=_cmd_solve)
 
@@ -342,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int)
     p.add_argument("--orders", help="comma-separated list for order-sweep")
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the order sweep or the sampling study")
+    p.add_argument("--seed", type=int,
+                   help="seed of the order sweep or the sampling study (default 0)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_series)
 

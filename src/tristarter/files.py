@@ -27,12 +27,8 @@ def pairing_to_obj(pairing: Pairing) -> dict:
 def pairing_from_obj(obj: dict, where: str = "starter object") -> Pairing:
     if not isinstance(obj, dict) or "order" not in obj or "pairs" not in obj:
         raise StructuralError(f"{where}: expected an object with 'order' and 'pairs'")
-    order = obj["order"]
-    pairs = obj["pairs"]
-    if not isinstance(pairs, list):
-        raise StructuralError(f"{where}: 'pairs' must be a list")
     try:
-        return Pairing(order, pairs)
+        return Pairing(obj["order"], obj["pairs"])
     except StructuralError as exc:
         raise StructuralError(f"{where}: {exc}") from exc
 

@@ -17,7 +17,6 @@ kernel words every refusal of the pairs; `errors.from_kernel` raises it.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,15 +64,9 @@ class Pairing:
     report: VerificationReport = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _require_odd_order("modulus", self.modulus)
-        try:
-            pairs = tuple(map(tuple, self.pairs))
-        except TypeError:   # what reads as pairs becomes tuples; the kernel names the rest
-            pairs = self.pairs
-            if isinstance(pairs, (list, tuple)):   # an iterator is read only once
-                pairs = tuple(tuple(p) if isinstance(p, Iterable) else p for p in pairs)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "report", verify_pairing(self))
+        report = verify_pairing(self)   # refuses what is not a pairing
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
+        object.__setattr__(self, "report", report)
 
 
 def pair_sums(pairing: Pairing) -> tuple[int, ...]:

@@ -20,6 +20,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tristarter import _kernels, build_table, encode, hill_climb, pair_sums, triplicate
 from tristarter.dimacs import CnfDocument, export_dimacs, parse_dimacs_text
@@ -312,8 +314,8 @@ def _with_pair(pair):
     return (*T7_EXTENSION[:3], pair, *T7_EXTENSION[4:])
 
 
-# (p, extension, message) of `encode_table`: the order, then the length,
-# then the size bound, then the first malformed pair.
+# (p, extension, message) of `encode_table`: the order, then the type and
+# length, then the size bound, then the first malformed pair.
 MALFORMED_TABLES = [
     *(pytest.param(p, T7_EXTENSION, rf"^p = {re.escape(repr(p))} is out of range$",
                    id=f"p={label}")
@@ -328,7 +330,7 @@ MALFORMED_TABLES = [
     *(pytest.param(7, _with_pair(pair),
                    rf"^extension\[3\] = {re.escape(repr(pair))} is not a pair of "
                    r"ints in \[0, 7\)$", id=f"pair={label}")
-      for pair, label in ((5, "int"), ([5, 6], "list"), ((5,), "one"),
+      for pair, label in ((5, "int"), ([5, 7], "list"), ((5,), "one"),
                           ((5, 6, 0), "three"), ((True, 6), "bool"),
                           ((5, 6.0), "float"), ((5, 7), "7"), ((-1, 6), "-1"),
                           ((5, 2**70), "2**70"))),
@@ -586,39 +588,42 @@ BIG = 2**70
 
 
 def _modulus_message(n):
-    return f"modulus must be odd and in [1, {_kernels.MAX_LEN}], got {n!r}"
+    return f"modulus must be odd and in [3, {_kernels.MAX_LEN}], got {n!r}"
+
+
+def _not_a_pair(name, i, pair, bound):
+    """The one refusal of the pair reader of both backends."""
+    return f"{name}[{i}] = {pair!r} is not a pair of ints in [0, {bound})"
 
 
 # (n, pairs, message) of `pairing_report`: the order, the type of the
-# pairs, their number, then the first malformed pair, its shape before its
-# entries' types before their range.  The malformed-pairs, length and range
-# cases of test_starters.py are among them.
+# pairs, their number, then the first malformed pair.  The malformed-pairs,
+# length and range cases of test_starters.py are among them.
 MALFORMED_PAIRINGS = [
     *(pytest.param(n, T7_PAIRS, _modulus_message(n), id=f"n={label}")
-      for n, label in ((0, "0"), (-7, "-7"), (8, "8"), (True, "True"), (7.0, "7.0"),
-                       (BIG, "2**70"), (_kernels.MAX_LEN + 2, "MAX_LEN+2"))),
-    *(pytest.param(7, pairs, f"pairs must be a sequence of pairs, got {pairs!r}",
+      for n, label in ((0, "0"), (1, "1"), (-7, "-7"), (8, "8"), (True, "True"),
+                       (7.0, "7.0"), (BIG, "2**70"), (_kernels.MAX_LEN + 2, "MAX_LEN+2"))),
+    *(pytest.param(7, pairs, f"pairs must be a list or tuple, got {pairs!r}",
                    id=f"pairs={label}")
       for pairs, label in ((None, "None"), (5, "5"), ("abc", "str"),
                            (frozenset({(1, 2)}), "frozenset"))),
     pytest.param(7, ((1, 2),), "pairing of order 7 must have 3 pairs, got 1", id="short"),
     pytest.param(7, T7_PAIRS * 2, "pairing of order 7 must have 3 pairs, got 6", id="long"),
-    pytest.param(7, ((2, 3), 4, (1, 5)), "pair 1 is not a pair: 4", id="int-pair"),
-    pytest.param(7, ((2, 3), [4, 6], (1, 5)), "pair 1 is not a pair: [4, 6]", id="list-pair"),
-    pytest.param(7, ((2, 3), (4,), (1, 5)), "pair 1 is not a pair: (4,)", id="one"),
-    pytest.param(7, ((2, 3), (4, 6, 0), (1, 5)), "pair 1 is not a pair: (4, 6, 0)",
-                 id="three"),
-    *(pytest.param(7, ((2, 3), pair, (1, 5)), f"pair 1 has non-integer entries: {pair!r}",
+    # a pair is a list or tuple of two: [4, 6] is read as (4, 6)
+    *(pytest.param(7, ((2, 3), pair, (1, 5)), _not_a_pair("pairs", 1, pair, 7), id=label)
+      for pair, label in ((4, "int-pair"), ([4, 7], "list-pair"), ((4,), "one"),
+                          ((4, 6, 0), "three"))),
+    *(pytest.param(7, ((2, 3), pair, (1, 5)), _not_a_pair("pairs", 1, pair, 7),
                    id=f"entry={label}")
       for pair, label in (((True, 6), "True"), ((4, False), "False"), ((4.0, 6), "float"),
                           (("4", 6), "str"), ((4, None), "None"), ((9, 6.0), "type-first"))),
-    *(pytest.param(7, (pair, (4, 6), (1, 5)), f"pair 0 entry out of range [0, 7): {pair!r}",
+    *(pytest.param(7, (pair, (4, 6), (1, 5)), _not_a_pair("pairs", 0, pair, 7),
                    id=f"range={label}")
       for pair, label in (((1, 7), "7"), ((7, 1), "7-first"), ((1, -1), "-1"),
                           ((-1, 1), "-1-first"), ((BIG, 2), "2**70"),
                           ((2, -BIG), "-2**70"), ((2**63, 2), "2**63"),
                           ((2**64 + 1, 2), "2**64+1"))),
-    pytest.param(7, ((2, 7), (4.0, 6), (1,)), "pair 0 entry out of range [0, 7): (2, 7)",
+    pytest.param(7, ((2, 7), (4.0, 6), (1,)), _not_a_pair("pairs", 0, (2, 7), 7),
                  id="first-pair-first"),
 ]
 
@@ -694,8 +699,8 @@ def _with_uv(index, value):
 
 
 # (p, extension, solution, message) of `merge_pairs`: the order, the types
-# of the extension and the solution, the solution's length, then pair by
-# pair extension pair i, U_i and V_i.
+# of the extension and the solution, the solution's length, then every
+# extension pair, then every U and V in order.
 MALFORMED_MERGES = [
     *(pytest.param(p, T7_EXTENSION, (0,) * 20,
                    f"p must be coprime to 3 and in [1, {_kernels.MAX_LEN}], got {p!r}",
@@ -717,9 +722,8 @@ MALFORMED_MERGES = [
     pytest.param(7, [(1, 2)] * 3, [], "solution has 0 entries, fewer than the 6 of U and V",
                  id="empty"),
     *(pytest.param(7, _with_pair(pair), (0,) * 20,
-                   rf"extension[3] = {pair!r} is not a pair of ints in [0, 7)",
-                   id=f"pair={label}")
-      for pair, label in ((5, "int"), ([5, 6], "list"), ((5,), "one"),
+                   _not_a_pair("extension", 3, pair, 7), id=f"pair={label}")
+      for pair, label in ((5, "int"), ([5, 7], "list"), ((5,), "one"),
                           ((5, 6, 0), "three"), ((True, 6), "bool"),
                           ((5, 6.0), "float"), ((5, 7), "7"), ((-1, 6), "-1"),
                           ((5, 2**70), "2**70"))),
@@ -732,7 +736,8 @@ MALFORMED_MERGES = [
     pytest.param(7, _with_pair((5, 7)), _with_uv(6, 3),
                  "extension[3] = (5, 7) is not a pair of ints in [0, 7)", id="pair-before-U"),
     pytest.param(7, _with_pair((5, 7)), _with_uv(5, 3),
-                 "solution[5] = 3 is outside [0, 3)", id="earlier-V-first"),
+                 "extension[3] = (5, 7) is not a pair of ints in [0, 7)",
+                 id="pairs-before-an-earlier-V"),
     pytest.param(7, T7_EXTENSION, (0, 0, 0, 0, 0, 0, 9, 9, *(0,) * 12),
                  "solution[6] = 9 is outside [0, 3)", id="U-before-V"),
 ]
@@ -746,6 +751,115 @@ def test_merge_pairs_refuses_alike(kernel_backends, p, extension, solution, mess
         with pytest.raises(ValueError) as error:
             kernels.merge_pairs(p, extension, solution)
         assert type(error.value) is ValueError and str(error.value) == message
+
+
+# Arguments of the pair-list kernels, mostly well formed: an order, then a
+# list or tuple of pairs, each a list or tuple, of which one may be
+# replaced by anything a pair reader must refuse.  An order past 15 is one
+# the kernels refuse at once: a table of order MAX_LEN takes gigabytes.
+_ORDERS = st.one_of(st.integers(1, 15), st.sampled_from(
+    [0, -7, True, 7.0, _kernels.MAX_LEN + 1, 2**63, 2**70]))
+_ENTRIES = st.one_of(st.integers(-2, 16), st.integers(), st.booleans(),
+                     st.floats(-2, 16), st.none())
+_NON_PAIRS = st.one_of(_ENTRIES, st.lists(_ENTRIES, max_size=3),
+                       st.lists(_ENTRIES, max_size=3).map(tuple))
+
+
+@st.composite
+def _pair_lists(draw, bound, sizes):
+    small = st.integers(0, max(bound - 1, 0)) if type(bound) is int else st.integers(0, 7)
+    pair = st.one_of(st.tuples(small, small), st.lists(small, min_size=2, max_size=2))
+    size = draw(sizes)
+    pairs = draw(st.lists(pair, min_size=size, max_size=size))
+    if pairs and draw(st.booleans()):
+        pairs[draw(st.integers(0, len(pairs) - 1))] = draw(_NON_PAIRS)
+    return pairs if draw(st.booleans()) else tuple(pairs)
+
+
+def _outcomes_alike(ckernels, name, *args):
+    """The C and the pure kernel ``name`` return the same value on ``args``,
+    or raise the same `ValueError`; any other exception fails the test."""
+    outcomes = []
+    for kernel in (getattr(_kernels, "pure_" + name), getattr(ckernels, name)):
+        try:
+            outcomes.append(("returned", kernel(*args)))
+        except ValueError as exc:
+            outcomes.append(("refused", str(exc)))
+    assert outcomes[0] == outcomes[1], (name, args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pairing_report_alike_on_random_pairings(ckernels, data):
+    n = data.draw(st.sampled_from(range(3, 16, 2)) | _ORDERS)
+    half = (n - 1) // 2 if type(n) is int and 3 <= n <= 15 else 3
+    pairs = data.draw(_pair_lists(n, st.one_of(st.just(half), st.integers(0, 8))))
+    _outcomes_alike(ckernels, "pairing_report", n, pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_encode_table_alike_on_random_extensions(ckernels, data):
+    p = data.draw(st.sampled_from(range(1, 16)) | _ORDERS)
+    extension = data.draw(_pair_lists(p, st.one_of(st.sampled_from([1, 4, 7, 10]),
+                                                   st.integers(0, 11))))
+    _outcomes_alike(ckernels, "encode_table", p, extension)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_merge_pairs_alike_on_random_merges(ckernels, data):
+    p = data.draw(st.sampled_from([x for x in range(1, 16) if x % 3]) | _ORDERS)
+    extension = data.draw(_pair_lists(p, st.integers(0, 7)))
+    k = len(extension)
+    values = st.integers(0, 2)
+    solution = data.draw(st.lists(values, min_size=2 * k, max_size=2 * k + 2)
+                         | st.lists(values, max_size=2 * k))
+    if solution and data.draw(st.booleans()):
+        solution[data.draw(st.integers(0, len(solution) - 1))] = data.draw(_ENTRIES)
+    solution = solution if data.draw(st.booleans()) else tuple(solution)
+    _outcomes_alike(ckernels, "merge_pairs", p, extension, solution)
+
+
+_T7_DOC = export_dimacs(encode(build_table(T7, 1)))
+# A well-formed argument tuple of each kernel of `COMPILED`.
+VALID_CALLS = {"pairing_report": (7, T7_PAIRS), "encode_table": (7, T7_EXTENSION),
+               "fd_search": (NVARS, *T7_ARRAYS, 0, 1, 0, 0),
+               "count_strong_starters": (7, 0), "dimacs_clauses": (NVARS, *T7_ARRAYS[:5]),
+               "dimacs_text": (_T7_DOC.num_ternary, _T7_DOC.clauses),
+               "merge_pairs": (7, T7_EXTENSION, (0,) * 20)}
+
+
+# Everything a kernel must refuse as a sequence: made anew for each call,
+# so a generator is unread when the next backend gets it.
+NOT_SEQUENCES = {"None": lambda: None, "set": lambda: {(1, 2)},
+                 "generator": lambda: (x for x in ()), "range": lambda: range(3)}
+
+
+def _sequence_arguments():
+    """(kernel, argument index, argument name) of every list or tuple in
+    the valid calls of the kernels of `COMPILED`."""
+    assert set(VALID_CALLS) == set(_kernels.COMPILED)
+    for name in _kernels.COMPILED:
+        params = list(inspect.signature(getattr(_kernels, "pure_" + name)).parameters)
+        for i, arg in enumerate(VALID_CALLS[name]):
+            if type(arg) in (list, tuple):
+                yield name, i, params[i]
+
+
+@pytest.mark.parametrize("kind", NOT_SEQUENCES)
+@pytest.mark.parametrize("name, index, param", list(_sequence_arguments()), ids=str)
+def test_every_sequence_argument_refuses_what_is_not_a_list_or_tuple(
+        kernel_backends, name, index, param, kind):
+    # one rule on both backends; the clauses of dimacs_text must be a tuple
+    args = list(VALID_CALLS[name])
+    for kernels in kernel_backends:
+        args[index] = bad = NOT_SEQUENCES[kind]()
+        expected = (f"clauses must be a tuple, got {type(bad).__name__}"
+                    if name == "dimacs_text" else f"{param} must be a list or tuple, got {bad!r}")
+        with pytest.raises(ValueError) as error:
+            getattr(kernels, name)(*args)
+        assert type(error.value) is ValueError and str(error.value) == expected
 
 
 def test_splitmix_reference_values():

@@ -292,6 +292,23 @@ def test_series_inverse_sampling_words_a_zero_itself(argv, field, capsys):
     assert err.startswith(f"error: {field} must be an integer in [1, ") and "got 0" in err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--mode", "order-sweep", "--orders", ""], "--orders '' lists no order"),
+    (["--mode", "order-sweep", "--order", "7", "--orders", "13"],
+     "give --order or --orders, not both"),
+    (["--mode", "key-sweep", "--base", "T.json", "--order", "7"],
+     "--order does not apply to --mode key-sweep"),
+    (["--mode", "inverse-sampling", "--order", "7", "--samples", "3", "--orders", "1,2"],
+     "--orders does not apply to --mode inverse-sampling"),
+    (["--mode", "key-sweep", "--base", "T.json", "--seed", "0"],
+     "--seed does not apply to --mode key-sweep"),
+], ids=["empty-orders", "order-and-orders", "key-sweep-order", "inverse-sampling-orders",
+        "key-sweep-seed"])
+def test_series_refuses_an_option_it_would_ignore(options, message, capsys):
+    code, out, err = run(["series", *options], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_series_order_sweep_runs_a_given_zero_order(capsys):
     code, out, err = run(["series", "--mode", "order-sweep", "--order", "0"], capsys)
     assert code == 0 and out.count("\n") == 1   # the CSV header only

@@ -72,16 +72,21 @@ def test_json_errors(tmp_path):
     [[True, 3], [4, 6], [2, 5]],    # would load with entry 1
 ], ids=["float", "bool"])
 def test_json_non_integer_entries_are_refused(pairs):
-    with pytest.raises(StructuralError, match="pair 0 has non-integer entries"):
+    with pytest.raises(StructuralError, match=r"pairs\[0\] = \[.*, 3\] is not a pair of ints"):
         pairing_from_obj({"order": 7, "pairs": pairs})
 
 
+def test_json_pairs_that_are_not_a_list_are_refused_by_the_kernel():
+    with pytest.raises(StructuralError) as error:
+        pairing_from_obj({"order": 7, "pairs": {"2": 3}})
+    assert str(error.value) == "starter object: pairs must be a list or tuple, got {'2': 3}"
+
+
 def test_json_mixed_pair_list_names_the_pair_that_is_not_one():
-    # the pairs that read as pairs become tuples, so the kernel names pair 1,
-    # not pair 0, a list
+    # a list pair is a pair, so the kernel names pair 1, not pair 0, a list
     with pytest.raises(StructuralError) as error:
         pairing_from_obj({"order": 7, "pairs": [[2, 3], 4, [1, 5]]})
-    assert str(error.value) == "starter object: pair 1 is not a pair: 4"
+    assert str(error.value) == "starter object: pairs[1] = 4 is not a pair of ints in [0, 7)"
 
 
 def test_missing_file():

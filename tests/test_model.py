@@ -142,7 +142,8 @@ def test_ternary_values_follow_one_rule(demo_instance, case):
     (build_table(T7, DEMO_KEY).extension[:3] + ((7, 1),)
      + build_table(T7, DEMO_KEY).extension[4:],
      r"^extension\[3\] = \(7, 1\) is not a pair of ints in \[0, 7\)$"),
-], ids=["2-pairs", "pair-out-of-range"])
+    (None, r"^extension must be a list or tuple, got None$"),
+], ids=["2-pairs", "pair-out-of-range", "none"])
 def test_encode_refuses_a_malformed_hand_built_table(extension, message):
     # build_table never makes such a table; the encoder kernel's ValueError
     # reaches the user as a StructuralError with the same message

@@ -38,9 +38,9 @@ def test_pairing_validates_range():
 
 
 @pytest.mark.parametrize("pairs, message", [
-    (((2, 3), 4, (1, 5)), "pair 1 is not a pair: 4"),
-    (None, "pairs must be a sequence of pairs, got None"),
-    (5, "pairs must be a sequence of pairs, got 5"),
+    (((2, 3), 4, (1, 5)), r"pairs\[1\] = 4 is not a pair of ints in \[0, 7\)"),
+    (None, "pairs must be a list or tuple, got None"),
+    (5, "pairs must be a list or tuple, got 5"),
 ], ids=["int-pair", "none", "int"])
 def test_pairing_refuses_malformed_pairs(pairs, message):
     with pytest.raises(StructuralError, match=message):
@@ -48,33 +48,37 @@ def test_pairing_refuses_malformed_pairs(pairs, message):
 
 
 @pytest.mark.parametrize("pairs, message", [
-    (((2, 3), (True, 6), (1, 5)), "pair 1 has non-integer entries: (True, 6)"),
-    (((2, 3), (4, 2**70), (1, 5)), f"pair 1 entry out of range [0, 7): (4, {2**70})"),
-    (((2, 3), [4, 6, 0], (1, 5)), "pair 1 is not a pair: (4, 6, 0)"),
+    (((2, 3), (True, 6), (1, 5)), "pairs[1] = (True, 6) is not a pair of ints in [0, 7)"),
+    (((2, 3), (4, 2**70), (1, 5)), f"pairs[1] = (4, {2**70}) is not a pair of ints in [0, 7)"),
+    (((2, 3), [4, 6, 0], (1, 5)), "pairs[1] = [4, 6, 0] is not a pair of ints in [0, 7)"),
 ], ids=["bool", "2**70", "three"])
 def test_pairing_refusals_are_the_kernel_messages(pairs, message):
-    # a pair list is read as a tuple of tuples, then refused by
-    # `_kernels.pairing_report` with a message that becomes the StructuralError's
+    # the pairs go to `_kernels.pairing_report` as given; its refusal
+    # message becomes the StructuralError's
     with pytest.raises(StructuralError) as error:
         Pairing(7, pairs)
     assert str(error.value) == message
 
 
 def test_pairing_refuses_an_iterator_holding_a_non_pair_whole():
-    # an iterator is read once: what is left of it after the non-pair would
-    # misreport the pair count, so the kernel is handed the iterator itself
+    # an iterator is not a list or tuple: it is refused unread
     with pytest.raises(StructuralError) as error:
         Pairing(7, iter([(2, 3), 4, (1, 5)]))
-    assert str(error.value).startswith("pairs must be a sequence of pairs, got <")
+    assert str(error.value).startswith("pairs must be a list or tuple, got <")
 
 
 def test_pairing_refuses_a_modulus_beyond_the_kernels():
-    # an odd modulus above MAX_LEN is refused by the order rule `hill_climb`
-    # and `enumerate_strong_starters` share (test_cli.py), before the kernel
-    with pytest.raises(StructuralError) as error:
-        Pairing(2**40 + 1, ())
-    assert str(error.value) == \
-        f"modulus must be an integer in [3, {_kernels.MAX_LEN}], got {2**40 + 1}"
+    # the kernel's modulus rule: odd and in [3, MAX_LEN]
+    for n in (2**40 + 1, 1):
+        with pytest.raises(StructuralError) as error:
+            Pairing(n, ())
+        assert str(error.value) == \
+            f"modulus must be odd and in [3, {_kernels.MAX_LEN}], got {n}"
+
+
+def test_pairing_stores_list_pairs_as_tuples():
+    pairing = Pairing(7, [[2, 3], [4, 6], [1, 5]])
+    assert pairing == T7 and pairing.pairs == T7.pairs
 
 
 def test_pairing_carries_its_report_through_pickle_and_replace():
