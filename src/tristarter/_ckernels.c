@@ -57,9 +57,9 @@
  * one pass over the pairs `load_pairs` read.  `merge_pairs` lifts a
  * solution's U and V and their phi images onto the extension by the CRT,
  * filling both tuples of pairs of order 3p directly.  Each refuses what its
- * `_kernels` twin refuses.  `dimacs_text` checks and formats each distinct
- * literal once per call, through a table indexed by value; its bytes and
- * refusals are those of `_kernels.dimacs_text`.
+ * `_kernels` twin refuses.  `dimacs_text` checks every literal and formats
+ * each distinct value once per call, through a table indexed by value; its
+ * bytes and refusals are those of `_kernels.dimacs_text`.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -100,16 +100,28 @@ invalid(const char *format, ...)
 
 /* The one rule for an int argument: 1 when o is an exact int (`bool` is a
  * subclass, so it is refused) in [lo, hi], stored in *x; else 0, with no
- * error set.  The type test comes first, so nothing else is converted.  The
- * three tests after it are joined with &, not &&: with && the literal loop
- * of `dimacs_text` ran about 4% slower on order-79 documents (gcc -O3). */
+ * error set.  The type test comes first, so nothing else is converted.  An
+ * int of one digit (|v| < 2**30 with 30-bit digits, so every value below
+ * MAX_LEN) is read inline from that digit; the library call, which reads
+ * any other, took about 15% of a `dimacs_text` call on order-79 documents.
+ * The three tests after it are joined with &, not &&: with && the literal
+ * loop of `dimacs_text` ran about 4% slower (gcc -O3). */
 static inline int
 exact_int(PyObject *o, long long lo, long long hi, long long *x)
 {
     if (!PyLong_CheckExact(o))
         return 0;
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    int overflow = 0;
+    long long v;
+#if PY_VERSION_HEX >= 0x030C0000
+    if (PyUnstable_Long_IsCompact((PyLongObject *)o))
+        v = PyUnstable_Long_CompactValue((PyLongObject *)o);
+#else
+    if (Py_SIZE(o) >= -1 && Py_SIZE(o) <= 1)
+        v = Py_SIZE(o) * (long long)((PyLongObject *)o)->ob_digit[0];
+#endif
+    else
+        v = PyLong_AsLongLongAndOverflow(o, &overflow);
     *x = v;
     return (overflow == 0) & (lo <= v) & (v <= hi);
 }
@@ -1250,34 +1262,15 @@ typedef struct {
     uint8_t len;
 } LitText;
 
-/* The direct-mapped front of the literal table: slot h(o) holds the last
- * literal object o seen there and its entry. */
-#define FRONT_BITS 10
-typedef struct {
-    PyObject *obj;
-    const LitText *text;
-} FrontSlot;
-
-static inline size_t
-front_slot(const PyObject *o)
-{
-    return (size_t)(((uint64_t)(uintptr_t)o >> 4) * UINT64_C(0x9E3779B97F4A7C15)
-                    >> (64 - FRONT_BITS));
-}
-
 /* The header, tmap and problem lines, then each clause as it is checked:
  * one pass over the literals writes the same bytes as the %-templates of
  * `_kernels.dimacs_text` and refuses the same documents, with the same
  * ValueError messages.
  *
- * Each distinct literal is checked and formatted once per call.  Its text
- * goes into a table indexed by value (2 * num_bools + 1 entries), filled
- * on first use, and every clause copies entries out of it.  A front keyed
- * by the literal object's address then skips `exact_int` for an object
- * seen before in this call: the clauses tuple keeps every literal alive
- * for the whole call, and nothing here runs Python code, so an address
- * seen earlier still names the same int.  A bool or an out-of-range int
- * is never entered in the front, so it is refused at its own clause. */
+ * Every literal is read by `exact_int`.  Each distinct value is formatted
+ * once per call: its text goes into a table indexed by value (2 *
+ * num_bools + 1 entries), filled on first use, and every clause copies
+ * entries out of it. */
 static PyObject *
 dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -1307,7 +1300,6 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
     size_t lit_bytes = (size_t)(put_int(scratch, nb) - scratch) + 2;
     Text t = {NULL, 0, 0};
     PyObject *result = NULL;
-    FrontSlot front[1 << FRONT_BITS] = {{0}};
     LitText *table = PyMem_Calloc(2 * (size_t)nb + 1, sizeof(LitText));
     if (table == NULL) {
         PyErr_NoMemory();
@@ -1347,25 +1339,20 @@ dimacs_text(PyObject *Py_UNUSED(self), PyObject *args)
         p = t.s + t.len;
         for (Py_ssize_t j = 0; j < k; j++) {
             PyObject *item = PyTuple_GET_ITEM(clause, j);
-            FrontSlot *slot = &front[front_slot(item)];
-            if (slot->obj != item) {
-                long long lit;
-                if (!exact_int(item, -nb, nb, &lit) || lit == 0) {
-                    invalid("clause %zd: literal %R is not a nonzero int in "
-                            "[-%lld, %lld]", i, item, nb, nb);
-                    goto done;
-                }
-                LitText *e = &table[lit + nb];
-                if (e->len == 0) {
-                    char *end = put_int(e->s, lit);
-                    *end++ = ' ';
-                    e->len = (uint8_t)(end - e->s);
-                }
-                slot->obj = item;
-                slot->text = e;
+            long long lit;
+            if (!exact_int(item, -nb, nb, &lit) || lit == 0) {
+                invalid("clause %zd: literal %R is not a nonzero int in "
+                        "[-%lld, %lld]", i, item, nb, nb);
+                goto done;
             }
-            memcpy(p, slot->text, sizeof(LitText));
-            p += slot->text->len;
+            LitText *e = &table[lit + nb];
+            if (e->len == 0) {
+                char *end = put_int(e->s, lit);
+                *end++ = ' ';
+                e->len = (uint8_t)(end - e->s);
+            }
+            memcpy(p, e, sizeof(LitText));
+            p += e->len;
         }
         if (k == 0)   /* " 0\n"; else the last entry's space ends "1 -2 0\n" */
             *p++ = ' ';

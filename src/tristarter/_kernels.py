@@ -825,10 +825,12 @@ def dimacs_text(num_ternary, clauses):
                 raise ValueError(f"clause {i}: literal {lit!r} is not a nonzero "
                                  f"int in [-{num_bools}, {num_bools}]")
     # One %-template per clause, applied once to the flat literal sequence,
-    # so the integer formatting runs in C rather than once per clause.
-    longest = max(map(len, clauses), default=0)
-    templates = [" ".join(["%d"] * k) + " 0\n" for k in range(longest + 1)]
-    body = "".join(map(templates.__getitem__, map(len, clauses)))
+    # so the integer formatting runs in C rather than once per clause.  A
+    # template is built only for a length that occurs: one per length up to
+    # the longest would take memory quadratic in it.
+    lengths = tuple(map(len, clauses))
+    templates = {k: " ".join(["%d"] * k) + " 0\n" for k in set(lengths)}
+    body = "".join(map(templates.__getitem__, lengths))
     n = num_ternary
     tmap = "c tmap %d %d\n" * n
     tmap_fields = itertools.chain.from_iterable(enumerate(range(1, 3 * n + 1, 3)))

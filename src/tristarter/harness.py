@@ -71,17 +71,13 @@ class SamplingSummary:
     samples: int
     inconclusive: int
     generation_failures: int
+    sampler: str   # "uniform" or "hill-climb", as `run_inverse_sampling` chose
 
     @property
     def fraction(self) -> float:
         """Inconclusive share of the tested samples; 0.0 when none was tested."""
         tested = self.samples - self.generation_failures
         return self.inconclusive / tested if tested else 0.0
-
-    @property
-    def sampler(self) -> str:
-        """'uniform' up to the enumeration bound, else 'hill-climb'."""
-        return "uniform" if self.order <= DEFAULT_ENUMERATION_BOUND else "hill-climb"
 
 
 def starter_digest(pairing: Pairing) -> str:
@@ -159,14 +155,17 @@ def run_inverse_sampling(order: int, samples: int, seed: int = 0) -> SamplingSum
     require_int("samples", samples, 1)
     require_seed(seed)
     base_order_of(order)
-    # The same rule as `SamplingSummary.sampler`.
-    sample = _sample_uniform if order <= DEFAULT_ENUMERATION_BOUND else _sample_hill_climb
+    if order <= DEFAULT_ENUMERATION_BOUND:
+        sampler, sample = "uniform", _sample_uniform
+    else:
+        sampler, sample = "hill-climb", _sample_hill_climb
     inconclusive, failures = sample(order, samples, seed)
     return SamplingSummary(
         order=order,
         samples=samples,
         inconclusive=inconclusive,
         generation_failures=failures,
+        sampler=sampler,
     )
 
 

@@ -49,12 +49,17 @@ class InverseVerdict:
 def base_order_of(n: int) -> int:
     """The base order p of an order n = 3p the inverse test accepts.
 
-    Refuses any n that is not 3p with p a base order `build_table` accepts.
+    Refuses any n that is not 3p with p a base order `build_table` accepts,
+    naming n and its p.
     """
     if n % 3 != 0:
         raise RefusedError(f"order {n} is not of the form 3p")
-    check_base_order(n // 3)
-    return n // 3
+    p = n // 3
+    try:
+        check_base_order(p)
+    except RefusedError as exc:
+        raise RefusedError(f"order {n} = 3 * {p}: {exc}") from None
+    return p
 
 
 def group_rows(starter: Pairing) -> tuple[tuple[tuple[Pair, ...], ...], int]:

@@ -18,6 +18,7 @@ import itertools
 import os
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -390,9 +391,10 @@ def _literal_forms(clauses):
 
 
 def test_dimacs_text_identical_whether_literal_objects_are_shared_or_not(ckernels):
-    # the C writer remembers the literal objects it has read by address, in
-    # a front of fewer slots than these documents have distinct objects;
-    # 4-digit literals, and every text parses and writes back unchanged
+    # one int object per value, as `dimacs_clauses` makes them, or a fresh
+    # one per occurrence, as the parser reads them: the C writer reads every
+    # literal by value; 4-digit literals, and every text parses and writes
+    # back unchanged
     base = hill_climb(79, seed=1079)
     keys = admissible_keys(base)
     assert keys
@@ -408,6 +410,36 @@ def test_dimacs_text_identical_whether_literal_objects_are_shared_or_not(ckernel
         parsed = parse_dimacs_text(text)
         assert parsed == doc
         assert _same_text(ckernels, parsed.num_ternary, parsed.clauses) == text
+
+
+# literals at +-num_bools, 5 digits with the sign: one clause of 10**5, and
+# 10**4 clauses of 7; both texts are far longer than the C writer reserves
+# up front, so it grows its buffer, and the last literal's 16-byte copy
+# reaches past the text it writes
+LONG_DOCUMENTS = {
+    "one-long-clause": (334, ((1002, -1002) * 50_000,)),
+    "many-clauses": (334, ((1002, -1002, 1002, -1002, 1002, -1002, 1002),) * 10_000),
+}
+
+
+@pytest.mark.parametrize("num_ternary, clauses", LONG_DOCUMENTS.values(), ids=LONG_DOCUMENTS)
+def test_dimacs_text_identical_on_documents_longer_than_the_reservation(ckernels, num_ternary,
+                                                                       clauses):
+    text = _same_text(ckernels, num_ternary, clauses)
+    assert len(text) > 400_000
+    assert parse_dimacs_text(text) == CnfDocument(num_ternary, clauses)
+
+
+def test_pure_dimacs_text_memory_is_linear_in_the_longest_clause():
+    num_ternary, clauses = LONG_DOCUMENTS["one-long-clause"]
+    tracemalloc.start()
+    try:
+        text = _kernels.pure_dimacs_text(num_ternary, clauses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n" + "1002 -1002 " * 50_000 + "0\n")
+    assert peak < 20 * 2 ** 20
 
 
 def _after_every_literal(num_ternary, bad):

@@ -10,6 +10,9 @@ from tristarter import (
     normalize,
     triplicate,
 )
+from tristarter.cli import main
+from tristarter.files import save_starter
+from tristarter.harness import run_inverse_sampling
 from tristarter.inverse import _passing_orderings, group_rows
 from tristarter.triplication import admissible_keys
 
@@ -37,6 +40,25 @@ def test_group_rows_refusals():
     nonstarter = Pairing(21, tuple((2 * i + 1, 2 * i + 2) for i in range(10)))
     with pytest.raises(RefusedError):
         group_rows(nonstarter)
+
+
+@pytest.mark.parametrize("order", [15, 27])
+def test_base_order_refusals_name_the_order_given(order, tmp_path, capsys):
+    p = order // 3
+    message = f"order {order} = 3 * {p}: base order must be >= 7, odd and coprime to 3, got {p}"
+    starter = hill_climb(order, seed=1)
+    with pytest.raises(RefusedError) as error:
+        inverse_test(starter)
+    assert str(error.value) == message
+    with pytest.raises(RefusedError) as error:
+        run_inverse_sampling(order, samples=5)
+    assert str(error.value) == message
+    path = tmp_path / "s.json"
+    save_starter(starter, path)
+    for argv in (["invert", "--starter", str(path)],
+                 ["series", "--mode", "inverse-sampling", "--order", str(order), "--samples", "5"]):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_each_starter_is_verified_once_at_construction(monkeypatch):
